@@ -16,7 +16,7 @@ from .grammar import (GroupFile, MapDecl, Realization, format_group_file,
 from .group import (DEFAULT_MAX_ORDER, FiniteGroup, GroupHom, Subgroup,
                     closure, coset_action, derived_subgroup, hom_extend,
                     is_solvable, isomorphism_search, normal_core, o_p,
-                    quotient_group, sylow_p)
+                    quotient_group, standardize, sylow_p)
 from .maps import (FlaggedMap, MapReport, OrientedMap, maps_isomorphic,
                    oriented_of_flagged, quotient_map)
 from .perm import Perm
@@ -44,6 +44,6 @@ __all__ = [
     "maps_isomorphic", "matrix_group", "new_document", "normal_core",
     "o_p", "oriented_of_flagged", "parse_group_file", "perms_from_table",
     "quotient_group", "quotient_map", "realize_group_file",
-    "relator_from_equality", "sylow_p", "todd_coxeter",
+    "relator_from_equality", "standardize", "sylow_p", "todd_coxeter",
     "verify_classification_law", "verify_corpus",
 ]

@@ -3,22 +3,23 @@
 Candidates are generating tuples: pairs (r, l) with l an involution for
 oriented maps, triples (t, r, l) of involutions with t*l = l*t for flagged
 maps (l = t is kept but tagged degenerate; the identity is never accepted
-for r or l, matching the fixed-point-freeness of the actions).  Tuples are
-scanned in lexicographic order, bucketed by an automorphism-invariant
-fingerprint, and deduplicated inside each bucket by the unique-extension
-isomorphism test, so the first tuple of each class is its lexicographic
-least representative.
+for r or l, matching the fixed-point-freeness of the actions).  Two
+generating tuples give isomorphic maps iff an automorphism of G carries one
+to the other, i.e. iff their standardized tables are equal (see
+:func:`regmaps.group.standard_table`), so each class is one dict entry keyed
+by that table.  Tuples are scanned in lexicographic order, so the first
+tuple of each class is its lexicographic least representative and the
+classes come out in the order of those representatives.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .classify import PMapClassification, classify, detect_p_map
 from .errors import ResourceLimitExceeded, TheoremViolation
-from .group import FiniteGroup, hom_extend, regenerated
+from .group import FiniteGroup, mult_table, standard_table
 from .maps import FlaggedMap, MapReport, OrientedMap
 
 DEFAULT_CENSUS_MAX_ORDER = 2000
@@ -34,11 +35,6 @@ class CensusEntry:
     report: Optional[MapReport] = None
     classification: Optional[PMapClassification] = None
     violations: tuple = ()
-
-
-def _mult_table(G: FiniteGroup, g: int) -> list:
-    """Row x -> x*g of the multiplication table, for tight scan loops."""
-    return [G.mul(x, g) for x in range(G.order)]
 
 
 def _generates(tables, n: int, half: int) -> bool:
@@ -60,65 +56,28 @@ def _generates(tables, n: int, half: int) -> bool:
     return count == n
 
 
-class _Dedup:
-    """One isomorphism class per bucket entry; first tuple seen is kept."""
-
-    def __init__(self, G: FiniteGroup):
-        self.G = G
-        self.classes: list = []  # [tuple, count]
-
-    def add(self, cand: tuple):
-        for rec in self.classes:
-            src = regenerated(self.G, rec[0])
-            hom = hom_extend(src, self.G, cand)
-            if hom is not None and hom.is_bijective():
-                rec[1] += 1
-                return
-        self.classes.append([cand, 1])
+def _add(classes: dict, tables: tuple, n: int, cand: tuple) -> None:
+    """Count a generating tuple into its class, opening the class if new."""
+    key = standard_table(tables, n)[0]
+    rec = classes.get(key)
+    if rec is None:
+        classes[key] = [cand, 1]
+    else:
+        rec[1] += 1
 
 
-def _fingerprint(G: FiniteGroup, ords, csz, cand: tuple) -> tuple:
-    fp = []
-    for x in cand:
-        fp.append(ords[x])
-        fp.append(csz[x])
-    for i in range(len(cand)):
-        for j in range(i + 1, len(cand)):
-            y = G.mul(cand[i], cand[j])
-            fp.append(ords[y])
-            fp.append(csz[y])
-    return tuple(fp)
-
-
-def _prepare(G: FiniteGroup, max_order: int):
+def _prepare(G: FiniteGroup, max_order: int) -> list:
+    """Enforce the order bound; return the involutions of G."""
     if G.order > max_order:
         raise ResourceLimitExceeded(
             f"census group order {G.order} exceeds the bound {max_order}",
             "max_order", max_order)
-    _, csz = G.conjugacy_classes()  # per-element class size, aut-invariant
-    ords = [G.order_of(x) for x in range(G.order)]
-    invs = [x for x in range(1, G.order) if G.mul(x, x) == 0]
-    return ords, csz, invs
+    return [x for x in range(1, G.order) if G.mul(x, x) == 0]
 
 
-def _dedup_buckets(G: FiniteGroup, buckets: dict, kind: str,
-                   threads: int) -> list:
-    def run(cands: list) -> list:
-        d = _Dedup(G)
-        for cand in cands:
-            d.add(cand)
-        return d.classes
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, buckets.values()))
-    else:
-        results = [run(cands) for cands in buckets.values()]
-
-    classes = [rec for chunk in results for rec in chunk]
-    classes.sort(key=lambda rec: rec[0])
+def _entries(G: FiniteGroup, classes: dict, kind: str) -> list:
     entries = []
-    for cand, count in classes:
+    for cand, count in classes.values():
         if kind == "oriented":
             m = OrientedMap(G, cand[0], cand[1])
         else:
@@ -130,48 +89,42 @@ def _dedup_buckets(G: FiniteGroup, buckets: dict, kind: str,
 
 
 def enumerate_oriented(G: FiniteGroup,
-                       max_order: int = DEFAULT_CENSUS_MAX_ORDER,
-                       threads: int = 1) -> list:
+                       max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
-    ords, csz, invs = _prepare(G, max_order)
+    invs = _prepare(G, max_order)
     n, half = G.order, G.order // 2
-    inv_tables = {l: _mult_table(G, l) for l in invs}
-    buckets: dict = {}
+    inv_tables = {l: mult_table(G, l) for l in invs}
+    classes: dict = {}
     for r in range(1, n):
-        table_r = _mult_table(G, r)
+        table_r = mult_table(G, r)
         for l in invs:
-            if not _generates((table_r, inv_tables[l]), n, half):
-                continue
-            cand = (r, l)
-            buckets.setdefault(_fingerprint(G, ords, csz, cand),
-                               []).append(cand)
-    return _dedup_buckets(G, buckets, "oriented", threads)
+            tables = (table_r, inv_tables[l])
+            if _generates(tables, n, half):
+                _add(classes, tables, n, (r, l))
+    return _entries(G, classes, "oriented")
 
 
 def enumerate_flagged(G: FiniteGroup,
-                      max_order: int = DEFAULT_CENSUS_MAX_ORDER,
-                      threads: int = 1) -> list:
+                      max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All flagged maps on G up to isomorphism (t, r, l involutions with
     t*l = l*t; l = t allowed but tagged degenerate)."""
-    ords, csz, invs = _prepare(G, max_order)
+    invs = _prepare(G, max_order)
     n, half = G.order, G.order // 2
-    inv_tables = {l: _mult_table(G, l) for l in invs}
+    inv_tables = {l: mult_table(G, l) for l in invs}
     commuting = {t: [l for l in invs
                      if G.mul(t, l) == G.mul(l, t)] for t in invs}
-    buckets: dict = {}
+    classes: dict = {}
     for t in invs:
         table_t = inv_tables[t]
         for r in invs:
-            table_r = inv_tables[r]
-            pair = (table_t, table_r)
+            pair = (table_t, inv_tables[r])
             for l in commuting[t]:
-                tables = pair if l in (t, r) else pair + (inv_tables[l],)
-                if not _generates(tables, n, half):
-                    continue
-                cand = (t, r, l)
-                buckets.setdefault(_fingerprint(G, ords, csz, cand),
-                                   []).append(cand)
-    return _dedup_buckets(G, buckets, "flagged", threads)
+                # the key keeps l's table even when l is t or r, so that
+                # the position of a repeated entry is part of the class
+                tables = pair + (inv_tables[l],)
+                if _generates(pair if l in (t, r) else tables, n, half):
+                    _add(classes, tables, n, (t, r, l))
+    return _entries(G, classes, "flagged")
 
 
 def census_classify(entries: list) -> list:

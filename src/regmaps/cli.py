@@ -19,10 +19,10 @@ from .classify import (certify_sylow_structure, classify, detect_p_map,
 from .coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
-from .grammar import (GroupFile, _is_prime, format_group_file,
-                      parse_group_file, realize_group_file)
-from .group import DEFAULT_MAX_ORDER, coset_action, is_primitive, o_p
-from .maps import quotient_map
+from .grammar import (GroupFile, format_group_file, parse_group_file,
+                      realize_group_file)
+from .group import DEFAULT_MAX_ORDER, is_prime, o_p
+from .maps import quotient_map, vertex_primitive
 from .reporting import TOOL_VERSION, map_section, new_document
 from .verify import all_passed, verify_corpus
 
@@ -55,9 +55,11 @@ def _select_map(rz, wanted):
     raise ContractViolation("several maps declared; pick one with --map")
 
 
-def _vertex_primitive(m) -> bool:
-    perms, _ = coset_action(m.group, m.vertex_subgroup)
-    return is_primitive(perms, m.group.order // m.vertex_subgroup.order)
+def _genus(sec: dict) -> str:
+    """Genus field of a text line; a degenerate map names its tags instead."""
+    if sec["degenerate"]:
+        return f"degenerate {sec['degenerate']}"
+    return f"{sec['genus_kind']}={sec['genus']}"
 
 
 def _emit(doc, args) -> None:
@@ -70,10 +72,8 @@ def _emit(doc, args) -> None:
     for sec in doc.maps:
         line = (f"map {sec['name']} ({sec['kind']}):"
                 f" V/E/F = {sec['vertices']}/{sec['edges']}/{sec['faces']},"
-                f" euler {sec['euler']}, {sec['genus_kind']}={sec['genus']},"
+                f" euler {sec['euler']}, {_genus(sec)},"
                 f" valency {sec['valency']}")
-        if sec.get("degenerate"):
-            line += f", degenerate {sec['degenerate']}"
         print(line)
         if "p" in sec:
             print(f"  p-map ({sec['p']},{sec['k']}): normal={sec['normal']},"
@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     cl = st = None
     primitive = None
     if not m.degenerate:
-        primitive = _vertex_primitive(m)
+        primitive = vertex_primitive(m)
         if detect_p_map(m) is not None:
             try:
                 cl = classify(m)
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    if args.p < 2 or not _is_prime(args.p):
+    if not is_prime(args.p):
         raise ContractViolation(f"--p must be a prime, got {args.p}")
     text = _read(args.file)
     rz = _realize(text, args)
@@ -153,11 +153,9 @@ def cmd_census(args) -> int:
     rz = _realize(text, args)
     bound = args.max_order or DEFAULT_CENSUS_MAX_ORDER
     if args.kind == "oriented":
-        entries = enumerate_oriented(rz.group, max_order=bound,
-                                     threads=args.threads)
+        entries = enumerate_oriented(rz.group, max_order=bound)
     else:
-        entries = enumerate_flagged(rz.group, max_order=bound,
-                                    threads=args.threads)
+        entries = enumerate_flagged(rz.group, max_order=bound)
     census_classify(entries)
     doc = new_document("census", text, rz.group)
     rows = []
@@ -193,11 +191,9 @@ def cmd_census(args) -> int:
                 extra = (f", p-map ({row['p']},{row['k']})"
                          f" normal={row['normal']}"
                          f" exceptional={row['exceptional_case']}")
-            if row["degenerate"]:
-                extra += f", degenerate {row['degenerate']}"
             print(f"  {tuple(row['tuple'])}: x{row['class_size']},"
                   f" V/E/F = {row['vertices']}/{row['edges']}/{row['faces']},"
-                  f" {row['genus_kind']}={row['genus']}{extra}")
+                  f" {_genus(row)}{extra}")
         for d in doc.diagnostics:
             print(f"diagnostic: {d}")
     return status
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       " isomorphism")
     c.add_argument("file")
     c.add_argument("--kind", choices=("oriented", "flagged"), required=True)
-    c.add_argument("--threads", type=int, default=1)
     common(c)
     c.set_defaults(func=cmd_census)
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, perms_from_table, todd_coxeter
 from .errors import ContractViolation, ParseError
-from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure
+from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, is_prime
 from .maps import FlaggedMap, OrientedMap
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
@@ -310,7 +310,7 @@ def parse_group_file(text: str) -> GroupFile:
             if kw != "mod":
                 raise ParseError("expected 'mod'", lineno, col)
             t = cur.next()
-            if t[0] != "int" or t[1] < 2 or not _is_prime(t[1]):
+            if t[0] != "int" or not is_prime(t[1]):
                 raise ParseError("modulus must be a prime", lineno, t[2])
             if modulus is not None and modulus != t[1]:
                 raise ParseError("all matrices must share one modulus", lineno, t[2])
@@ -354,17 +354,6 @@ def parse_group_file(text: str) -> GroupFile:
                       if mode == "gens" else None),
         perm_cycles=tuple(perm_cycles), matrices=tuple(matrices),
         modulus=modulus, maps=tuple(maps))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- canonical printer -----------------------------------------------------
@@ -417,7 +406,7 @@ def format_group_file(gf: GroupFile) -> str:
 def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Group generated by invertible 2x2 matrices over GF(p), acting on the
     p^2 - 1 nonzero column vectors (in lexicographic order)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
     vecs = [(x, y) for x in range(p) for y in range(p)][1:]
     vindex = {v: i for i, v in enumerate(vecs)}

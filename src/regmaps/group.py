@@ -133,7 +133,16 @@ class FiniteGroup:
     def order_of(self, i: int) -> int:
         v = self._orders[i]
         if v is None:
-            v = self.elements[i].order()
+            if self._pt is None:
+                v = self.elements[i].order()
+            else:
+                # The orbit of 0 is free, so g^k = 1 iff g^k fixes 0: the
+                # order is the length of the cycle through 0.
+                img = self.elements[i].images
+                v, x = 1, img[0]
+                while x != 0:
+                    x = img[x]
+                    v += 1
             self._orders[i] = v
         return v
 
@@ -391,6 +400,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
+
+
 def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically.
 
@@ -398,14 +411,12 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     p-element outside the current subgroup P that normalizes it, and extend.
     Such an element always exists while |P| is short of the full p-part
     (P is proper in its normalizer inside any Sylow subgroup above it), so
-    the loop provably reaches a Sylow subgroup.  A greedy fallback that
-    extends by any p-element keeping the closure a p-group is kept as a
-    safety net.
+    the loop provably reaches a Sylow subgroup.
     """
     key = ("sylow", p)
     if key in G.cache:
         return G.cache[key]
-    if p < 2 or prime_factors(p) != [p]:
+    if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
     target = p_part(len(G.elements), p)
     P = G.trivial_subgroup()
@@ -422,33 +433,10 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
                 found = k
                 break
         if found < 0:
-            P = _sylow_greedy(G, p, target)
-            break
+            raise TheoremViolation(
+                f"Sylow search ended at order {P.order}, expected {target}")
         P = G.subgroup(P.gens + (found,))
-    if P.order != target:
-        raise TheoremViolation(
-            f"Sylow search ended at order {P.order}, expected {target}")
     G.cache[key] = P
-    return P
-
-
-def _sylow_greedy(G: FiniteGroup, p: int, target: int) -> Subgroup:
-    # Maximal p-subgroups are Sylow, so extending one element at a time
-    # whenever the closure stays a p-group terminates at full order.
-    P = G.trivial_subgroup()
-    while P.order < target:
-        for k in range(1, len(G.elements)):
-            if k in P.members:
-                continue
-            o = G.order_of(k)
-            if p_part(o, p) != o:
-                continue
-            cand = G.subgroup(P.gens + (k,))
-            if p_part(cand.order, p) == cand.order:
-                P = cand
-                break
-        else:
-            break
     return P
 
 
@@ -641,6 +629,48 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
     return GroupHom(source, target, gen_images, tuple(img))
 
 
+def mult_table(G: FiniteGroup, g: int) -> list:
+    """Row x -> x*g of the multiplication table, for tight loops."""
+    return [G.mul(x, g) for x in range(len(G.elements))]
+
+
+def standard_table(rows: Sequence[Sequence[int]], n: int):
+    """Standardize a tuple given by its right-multiplication rows.
+
+    A breadth-first walk from the identity multiplies on the right by the
+    tuple's entries in order and numbers elements as it meets them.  Returns
+    (the relabelled table, flattened as a tuple, and the elements in BFS
+    order), or None when fewer than n elements are reached.  Two generating
+    tuples of isomorphic groups have equal tables iff some isomorphism maps
+    one tuple to the other, and it sends the k-th element of one BFS order
+    to the k-th of the other.
+    """
+    label = [-1] * n
+    label[0] = 0
+    order = [0]
+    table: list = []
+    append = table.append
+    for x in order:
+        for row in rows:
+            y = row[x]
+            k = label[y]
+            if k < 0:
+                k = label[y] = len(order)
+                order.append(y)
+            append(k)
+    if len(order) < n:
+        return None
+    return tuple(table), order
+
+
+def standardize(G: FiniteGroup, gen_indices: Sequence[int]) -> Optional[tuple]:
+    """Standardized table of a generating tuple (hashable), or None when the
+    tuple does not generate G.  See :func:`standard_table`."""
+    n = len(G.elements)
+    std = standard_table([mult_table(G, g) for g in gen_indices], n)
+    return None if std is None else std[0]
+
+
 def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     """The subgroup generated by the given elements, as its own FiniteGroup.
 
@@ -661,46 +691,53 @@ def automorphism_exists(G: FiniteGroup, src: Sequence[int],
     """True iff some automorphism of G maps the src tuple to dst componentwise.
 
     Both tuples must generate G; the automorphism, if any, is then the unique
-    extension of src -> dst, so no search is involved.
+    extension of src -> dst, which exists iff the standardized tables agree.
     """
     src, dst = tuple(src), tuple(dst)
     if len(src) != len(dst):
         raise ContractViolation("tuples must have equal length")
-    S = regenerated(G, src)
-    if S.order != len(G.elements):
+    key = standardize(G, src)
+    if key is None:
         raise ContractViolation("src tuple does not generate the group")
-    if len(G._index_closure(dst)) != len(G.elements):
+    other = standardize(G, dst)
+    if other is None:
         raise ContractViolation("dst tuple does not generate the group")
-    return hom_extend(S, G, dst) is not None
+    return key == other
 
 
 def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:
     """Find some isomorphism G1 -> G2, or None.
 
-    Candidate images are pruned by element order and conjugacy class size,
-    which keeps the search tiny for the group orders this package meets.
+    Candidate images of a small generating tuple of G1 are pruned by element
+    order and conjugacy class size, which keeps the search tiny for the group
+    orders this package meets; an assignment is an isomorphism's image iff
+    its standardized table equals that of the tuple.
     """
     n = len(G1.elements)
     if n != len(G2.elements):
         return None
-    fp1 = sorted((G1.order_of(k), G1.conjugacy_classes()[1][k]) for k in range(n))
-    fp2 = sorted((G2.order_of(k), G2.conjugacy_classes()[1][k]) for k in range(n))
+    _, sizes1 = G1.conjugacy_classes()
+    _, sizes2 = G2.conjugacy_classes()
+    fp1 = sorted((G1.order_of(k), sizes1[k]) for k in range(n))
+    fp2 = sorted((G2.order_of(k), sizes2[k]) for k in range(n))
     if fp1 != fp2:
         return None
     gens1 = small_generating_set(G1)
-    S = regenerated(G1, gens1)
-    _, sizes2 = G2.conjugacy_classes()
-    pools = []
-    for g in gens1:
-        o, c = G1.order_of(g), G1.conjugacy_classes()[1][g]
-        pools.append([k for k in range(n)
-                      if G2.order_of(k) == o and sizes2[k] == c])
+    key1, order1 = standard_table([mult_table(G1, g) for g in gens1], n)
+    pools = [[k for k in range(n) if G2.order_of(k) == G1.order_of(g)
+              and sizes2[k] == sizes1[g]] for g in gens1]
+    rows2: dict = {}
     for assignment in iproduct(*pools):
-        if len(G2._index_closure(assignment)) != n:
-            continue
-        hom = hom_extend(S, G2, assignment)
-        if hom is not None and hom.is_bijective():
-            return hom
+        for a in assignment:
+            if a not in rows2:
+                rows2[a] = mult_table(G2, a)
+        std = standard_table([rows2[a] for a in assignment], n)
+        if std is not None and std[0] == key1:
+            images = [0] * n
+            for a, b in zip(order1, std[1]):
+                images[a] = b
+            return GroupHom(G1, G2, tuple(images[g] for g in G1.gen_indices),
+                            tuple(images))
     return None
 
 

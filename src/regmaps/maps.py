@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ContractViolation, TheoremViolation
-from .group import (FiniteGroup, Subgroup, automorphism_exists, hom_extend,
-                    quotient_group, regenerated, subgroup_generated)
+from .group import (FiniteGroup, Subgroup, automorphism_exists, coset_action,
+                    is_primitive, quotient_group, regenerated, standardize,
+                    subgroup_generated)
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
 DEGENERATE_L_EQUALS_T = "l_equals_t"
@@ -255,15 +256,21 @@ class FlaggedMap:
 
 def maps_isomorphic(m1, m2) -> bool:
     """Isomorphism of maps = group isomorphism carrying one defining tuple
-    to the other.  Because the tuples generate, at most one homomorphism can
-    do it, so no search is needed."""
+    to the other.  Because the tuples generate, such an isomorphism exists
+    iff their standardized tables agree, so no search is needed."""
     if m1.kind != m2.kind or m1.degenerate != m2.degenerate:
         return False
     if m1.group.order != m2.group.order:
         return False
-    src = regenerated(m1.group, m1.generator_tuple)
-    hom = hom_extend(src, m2.group, m2.generator_tuple)
-    return hom is not None and hom.is_bijective()
+    return (standardize(m1.group, m1.generator_tuple)
+            == standardize(m2.group, m2.generator_tuple))
+
+
+def vertex_primitive(m) -> bool:
+    """True iff G acts primitively on the vertices (cosets of the vertex
+    subgroup)."""
+    perms, _ = coset_action(m.group, m.vertex_subgroup)
+    return is_primitive(perms, m.group.order // m.vertex_subgroup.order)
 
 
 def quotient_map(m, normal_sub: Subgroup):

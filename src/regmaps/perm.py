@@ -109,7 +109,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

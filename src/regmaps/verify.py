@@ -16,9 +16,8 @@ from .classify import certify_sylow_structure, classify
 from .coset_enum import DEFAULT_MAX_COSETS
 from .errors import RegmapsError
 from .grammar import parse_group_file, realize_group_file
-from .group import (coset_action, is_primitive, isomorphism_search, o_p,
-                    regenerated)
-from .maps import quotient_map
+from .group import isomorphism_search, o_p, regenerated
+from .maps import quotient_map, vertex_primitive
 from .standard import alternating_group, symmetric_group
 
 
@@ -57,11 +56,6 @@ def corpus_text(name: str, directory: Optional[str] = None) -> str:
 
 def _exceptional_label(cl) -> Optional[str]:
     return cl.exceptional_case.label() if cl.exceptional_case else None
-
-
-def _vertex_primitive(m) -> bool:
-    perms, _ = coset_action(m.group, m.vertex_subgroup)
-    return is_primitive(perms, m.group.order // m.vertex_subgroup.order)
 
 
 def _looks_like_quaternion8(G, sub) -> bool:
@@ -192,7 +186,7 @@ def _chk_g2106_chiral(rec: _Recorder, rz) -> None:
     rec.eq("p_k", (cl.p, cl.k), (3, 3))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "chiral")
-    rec.true("primitive", _vertex_primitive(m))
+    rec.true("primitive", vertex_primitive(m))
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
     rec.eq("complement_rank", st.complement_rank, 3)
@@ -208,7 +202,7 @@ def _chk_g216_orientable(rec: _Recorder, rz) -> None:
     rec.eq("p_k", (cl.p, cl.k), (3, 2))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "orientable_normal")
-    rec.true("primitive", _vertex_primitive(m))
+    rec.true("primitive", vertex_primitive(m))
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
     rec.eq("complement_rank", st.complement_rank, 2)
@@ -224,7 +218,7 @@ def _chk_g216_nonorientable(rec: _Recorder, rz) -> None:
     rec.eq("p_k", (cl.p, cl.k), (3, 2))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "nonorientable")
-    rec.true("primitive", _vertex_primitive(m))
+    rec.true("primitive", vertex_primitive(m))
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "central_product_extraspecial")
     rec.eq("extraspecial_order", st.extraspecial_order, 27)

@@ -6,7 +6,7 @@ shortcuts with the package, so the fast code has something honest to be
 measured against.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +168,30 @@ def scan_flagged_triples(G):
                 if len(span(G, (t, r, l))) == G.order:
                     out.append((t, r, l))
     return out
+
+
+def brute_aut_count(G):
+    """|Aut G|: assignments of images to a generating pair (or single
+    generator) that extend, word by word, to a bijective homomorphism."""
+    n = G.order
+    gens = next(list(c) for k in (1, 2) for c in combinations(range(n), k)
+                if len(span(G, c)) == n)
+    count = 0
+    for imgs in product(range(n), repeat=len(gens)):
+        phi = {0: 0}
+        frontier = [0]
+        ok = True
+        while frontier and ok:
+            nxt = []
+            for x in frontier:
+                for g, h in zip(gens, imgs):
+                    y, fy = G.mul(x, g), G.mul(phi[x], h)
+                    if y not in phi:
+                        phi[y] = fy
+                        nxt.append(y)
+                    elif phi[y] != fy:
+                        ok = False
+            frontier = nxt
+        if ok and len(set(phi.values())) == n:
+            count += 1
+    return count

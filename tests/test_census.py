@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import scan_flagged_triples, scan_oriented_pairs
+from oracles import (brute_aut_count, scan_flagged_triples,
+                     scan_oriented_pairs)
 from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                             enumerate_flagged, enumerate_oriented)
 from regmaps.errors import ResourceLimitExceeded
@@ -202,12 +203,18 @@ def test_census_classify_skips_degenerate():
     assert by_tuple[(1, 2, 3)].classification is None
 
 
-def test_thread_count_does_not_change_output(corpus):
-    G = corpus["g72_3map.grp"].group
-    assert _rows(enumerate_oriented(G, threads=4)) \
-        == _rows(enumerate_oriented(G, threads=1))
-    assert _rows(enumerate_flagged(G, threads=4)) \
-        == _rows(enumerate_flagged(G, threads=1))
+@pytest.mark.parametrize("fname", ["s4_3map.grp", "g72_3map.grp"])
+def test_class_sizes_equal_brute_force_aut_order(corpus, fname):
+    # Aut(G) acts freely on generating tuples, so every class has |Aut G|
+    # members and the classes times |Aut G| cover the naive scan.
+    G = corpus[fname].group
+    aut = brute_aut_count(G)
+    for scan, enum in ((scan_oriented_pairs, enumerate_oriented),
+                       (scan_flagged_triples, enumerate_flagged)):
+        entries = enum(G)
+        assert entries
+        assert all(e.class_size == aut for e in entries)
+        assert len(entries) * aut == len(scan(G))
 
 
 def test_order_bound_enforced(corpus):

@@ -12,7 +12,7 @@ from regmaps.group import (automorphism_exists, center, coset_action,
                            omega1, orbits, p_part, prime_factors,
                            quotient_group, regenerated,
                            right_coset_partition, small_generating_set,
-                           subgroup_generated, sylow_p)
+                           standardize, subgroup_generated, sylow_p)
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
@@ -61,6 +61,7 @@ def test_identity_and_arithmetic(name, G):
     for x in range(0, G.order, max(1, G.order // 7)):
         assert G.mul(0, x) == x == G.mul(x, 0)
         assert G.mul(x, G.inv(x)) == 0
+    for x in range(G.order):
         assert G.order_of(x) == oracles.element_order(G, x)
 
 
@@ -257,3 +258,42 @@ def test_generated_subgroup_order_divides(gens):
     H = subgroup_generated(G, gens)
     assert G.order % H.order == 0
     assert H.members == oracles.span(G, gens)
+
+
+@pytest.mark.parametrize("fname", ["g216_orientable.grp", "g384_chiral.grp"])
+def test_order_of_on_corpus_groups(corpus, fname):
+    # realized from coset tables, so order_of reads the cycle through 0
+    G = corpus[fname].group
+    assert G._pt is not None
+    for x in range(G.order):
+        assert G.order_of(x) == oracles.element_order(G, x)
+        assert G.order_of(x) == G.elements[x].order()
+
+
+STANDARDIZE_GROUPS = [
+    ("S4", symmetric_group(4)),
+    ("D6", dihedral_group(6)),
+    ("Q8", quaternion_group()),
+    ("E8", elementary_abelian(2, 3)),
+]
+
+
+@pytest.mark.parametrize("name,G", STANDARDIZE_GROUPS,
+                         ids=[n for n, _ in STANDARDIZE_GROUPS])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_standardize_detects_generation_and_automorphisms(name, G, data):
+    tup = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)
+    a = tuple(data.draw(tup))
+    if data.draw(st.booleans()):
+        b = tuple(data.draw(st.lists(st.integers(0, G.order - 1),
+                                     min_size=len(a), max_size=len(a))))
+    else:  # an inner automorphism's image of a
+        g = data.draw(st.integers(0, G.order - 1))
+        b = tuple(G.conj(x, g) for x in a)
+    ka, kb = standardize(G, a), standardize(G, b)
+    assert (ka is None) == (len(G._index_closure(a)) < G.order)
+    assert (kb is None) == (len(G._index_closure(b)) < G.order)
+    if ka is not None and kb is not None:
+        hom = hom_extend(regenerated(G, a), G, b)
+        assert (ka == kb) == (hom is not None and hom.is_bijective())
