@@ -7,9 +7,12 @@ for r or l, matching the fixed-point-freeness of the actions).  Two
 generating tuples give isomorphic maps iff an automorphism of G carries one
 to the other, i.e. iff their standardized tables are equal (see
 :func:`regmaps.group.standard_table`), so each class is one dict entry keyed
-by that table.  Tuples are scanned in lexicographic order, so the first
-tuple of each class is its lexicographic least representative and the
-classes come out in the order of those representatives.
+by that table.  One standardizing walk per candidate both tests that it
+generates G and yields its key.  Aut(G) acts freely on generating tuples,
+so every class has |Aut G| members; a census whose classes differ in size
+raises TheoremViolation.  Tuples are scanned in lexicographic order, so
+the first tuple of each class is its lexicographic least representative
+and the classes come out in the order of those representatives.
 """
 
 from __future__ import annotations
@@ -37,28 +40,16 @@ class CensusEntry:
     violations: tuple = ()
 
 
-def _generates(tables, n: int, half: int) -> bool:
-    """BFS closure over precomputed tables; stops early once more than half
-    the group is reached (a subgroup bigger than half is the whole group)."""
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = [0]
-    count = 1
-    for x in queue:
-        for tab in tables:
-            y = tab[x]
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                if count > half:
-                    return True
-                queue.append(y)
-    return count == n
+def _generates(tables, n: int) -> Optional[tuple]:
+    """The standardized table of the candidate whose right-multiplication
+    tables are given, or None when it does not generate G.  Called once per
+    scanned candidate."""
+    std = standard_table(tables, n)
+    return None if std is None else std[0]
 
 
-def _add(classes: dict, tables: tuple, n: int, cand: tuple) -> None:
+def _add(classes: dict, key: tuple, cand: tuple) -> None:
     """Count a generating tuple into its class, opening the class if new."""
-    key = standard_table(tables, n)[0]
     rec = classes.get(key)
     if rec is None:
         classes[key] = [cand, 1]
@@ -76,6 +67,11 @@ def _prepare(G: FiniteGroup, max_order: int) -> list:
 
 
 def _entries(G: FiniteGroup, classes: dict, kind: str) -> list:
+    """One entry per class; classes of unequal size breach the law that
+    Aut(G) acts freely on generating tuples."""
+    sizes = sorted({count for _, count in classes.values()})
+    if len(sizes) > 1:
+        raise TheoremViolation(f"census classes differ in size: {sizes}")
     entries = []
     for cand, count in classes.values():
         if kind == "oriented":
@@ -92,15 +88,15 @@ def enumerate_oriented(G: FiniteGroup,
                        max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
     invs = _prepare(G, max_order)
-    n, half = G.order, G.order // 2
+    n = G.order
     inv_tables = {l: mult_table(G, l) for l in invs}
     classes: dict = {}
     for r in range(1, n):
         table_r = mult_table(G, r)
         for l in invs:
-            tables = (table_r, inv_tables[l])
-            if _generates(tables, n, half):
-                _add(classes, tables, n, (r, l))
+            key = _generates((table_r, inv_tables[l]), n)
+            if key is not None:
+                _add(classes, key, (r, l))
     return _entries(G, classes, "oriented")
 
 
@@ -109,7 +105,7 @@ def enumerate_flagged(G: FiniteGroup,
     """All flagged maps on G up to isomorphism (t, r, l involutions with
     t*l = l*t; l = t allowed but tagged degenerate)."""
     invs = _prepare(G, max_order)
-    n, half = G.order, G.order // 2
+    n = G.order
     inv_tables = {l: mult_table(G, l) for l in invs}
     commuting = {t: [l for l in invs
                      if G.mul(t, l) == G.mul(l, t)] for t in invs}
@@ -121,9 +117,9 @@ def enumerate_flagged(G: FiniteGroup,
             for l in commuting[t]:
                 # the key keeps l's table even when l is t or r, so that
                 # the position of a repeated entry is part of the class
-                tables = pair + (inv_tables[l],)
-                if _generates(pair if l in (t, r) else tables, n, half):
-                    _add(classes, tables, n, (t, r, l))
+                key = _generates(pair + (inv_tables[l],), n)
+                if key is not None:
+                    _add(classes, key, (t, r, l))
     return _entries(G, classes, "flagged")
 
 

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ClassificationError, ContractViolation, TheoremViolation
-from .group import (FiniteGroup, center, coset_action, is_cyclic,
-                    is_extraspecial, is_normal, is_primitive, is_solvable,
-                    isomorphism_search, normal_core, o_p, omega1,
-                    prime_factors, quotient_group, regenerated,
+from .group import (FiniteGroup, center, is_cyclic, is_extraspecial,
+                    is_normal, is_solvable, isomorphism_search, normal_core,
+                    o_p, omega1, p_part, prime_factors, quotient_group,
                     subgroup_generated, sylow_p)
-from .maps import DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map
+from .maps import (DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map,
+                   vertex_primitive)
 from .standard import symmetric_group
 
 _SYM4: Optional[FiniteGroup] = None
@@ -134,11 +134,14 @@ def _orientation_status(m, p: int) -> str:
         return "reflexible" if m.is_reflexible() else "chiral"
     if not m.is_orientable():
         return "nonorientable"
-    # only the even-word subgroup matters here; going through
-    # oriented_of_flagged would reject valency-1 maps (trivial rotation)
+    # Is the Sylow p-subgroup of the even-word subgroup normal in it?  It is
+    # iff it holds every p-element, i.e. iff there are exactly as many
+    # p-elements as its order.  Element orders are the same in G.
     G = m.group
-    plus = regenerated(G, (G.mul(m.t, m.r), G.mul(m.t, m.l)))
-    if is_normal(plus, sylow_p(plus, p)):
+    plus = m.even_subgroup
+    p_elements = sum(1 for x in plus.members
+                     if p_part(G.order_of(x), p) == G.order_of(x))
+    if p_elements == p_part(plus.order, p):
         return "orientable_normal"
     return "reflexible"
 
@@ -335,15 +338,13 @@ def certify_sylow_structure(m) -> SylowStructure:
     P = sylow_p(G, p)
     if not is_normal(G, P):
         raise ContractViolation("certification requires a normal map")
-    H = m.vertex_subgroup
-    perms, _ = coset_action(G, H)
-    if not is_primitive(perms, G.order // H.order):
+    if not vertex_primitive(m):
         raise ContractViolation(
             "certification requires a primitive vertex action")
     if m.kind == "flagged" and k % 2 == 1:
         raise TheoremViolation(
             "a flagged normal primitive map needs an even vertex exponent")
-    core = normal_core(G, H)
+    core = normal_core(G, m.vertex_subgroup)
     P0 = G.subgroup_from_members(P.members & core.members)
     if P0.order * p ** k != P.order:
         raise TheoremViolation("vertex kernel has the wrong p-part")

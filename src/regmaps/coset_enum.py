@@ -4,7 +4,8 @@ Cosets are numbered from 0, with coset 0 the subgroup itself.  New cosets
 are created strictly in definition order while relators are traced, which
 makes the whole run deterministic.  Coincidences are merged through a
 union-find representative array; the surviving table is compacted and then
-standardized by a breadth-first renumbering from coset 0.
+standardized (:func:`regmaps.group.standard_table`): a breadth-first
+renumbering from coset 0.
 
 Symbols interleave generators and inverses: generator i is symbol 2i and
 its inverse is 2i + 1, so ``x ^ 1`` flips a symbol.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
-from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure
+from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, standard_table
 from .perm import Perm
 from .words import Presentation, Word
 
@@ -142,25 +143,17 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
                         define(alpha, x)
         alpha += 1
 
-    # Compact to live cosets, then renumber in BFS order from coset 0 so the
-    # final table does not depend on the history of dead definitions.
+    # Compact to live cosets, then standardize: renumber in BFS order from
+    # coset 0, so the final table does not depend on the history of dead
+    # definitions.
     live = [k for k in range(len(table)) if p[k] == k]
     squash = {k: i for i, k in enumerate(live)}
-    rows = [[squash[rep(v)] for v in table[k]] for k in live]
-    order = [0]
-    pos = {0: 0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for x in range(nsym):
-            d = rows[c][x]
-            if d not in pos:
-                pos[d] = len(order)
-                order.append(d)
-    if len(order) != len(rows):
+    cols = [[squash[rep(table[k][x])] for k in live] for x in range(nsym)]
+    std = standard_table(cols, len(live))
+    if std is None:
         raise ContractViolation("coset table is not connected")
-    final = [[pos[v] for v in rows[c]] for c in order]
+    flat = std[0]
+    final = [list(flat[c:c + nsym]) for c in range(0, len(flat), nsym)]
     return CosetTable(ngens, len(final), final)
 
 

@@ -97,6 +97,7 @@ class _Cursor:
         self.toks = toks
         self.lineno = lineno
         self.pos = 0
+        self.depth = 0  # brackets and parentheses open at the cursor
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -133,6 +134,9 @@ class _Cursor:
 # -- word parsing ----------------------------------------------------------
 
 MAX_EXPONENT = 10**6
+# Deepest nesting of brackets and parentheses in one word; the parser
+# recurses once per level.
+MAX_NESTING = 100
 
 
 def _parse_word(cur: _Cursor, names: dict) -> Word:
@@ -174,17 +178,23 @@ def _parse_atom(cur: _Cursor, names: dict) -> Word:
         if t[1] not in names:
             raise ParseError(f"unknown identifier {t[1]!r}", cur.lineno, t[2])
         return Word.gen(names[t[1]])
-    if t[0] == "sym" and t[1] == "(":
+    if t[0] != "sym" or t[1] not in ("(", "["):
+        raise ParseError(f"unexpected {t[1]!r} in word", cur.lineno, t[2])
+    cur.depth += 1
+    if cur.depth > MAX_NESTING:
+        raise ParseError(f"brackets nested deeper than {MAX_NESTING}",
+                         cur.lineno, t[2])
+    if t[1] == "(":
         w = _parse_word(cur, names)
         cur.expect_sym(")")
-        return w
-    if t[0] == "sym" and t[1] == "[":
+    else:
         a = _parse_word(cur, names)
         cur.expect_sym(",")
         b = _parse_word(cur, names)
         cur.expect_sym("]")
-        return Word.commutator(a, b)
-    raise ParseError(f"unexpected {t[1]!r} in word", cur.lineno, t[2])
+        w = Word.commutator(a, b)
+    cur.depth -= 1
+    return w
 
 
 # -- statement parsing -----------------------------------------------------

@@ -282,60 +282,6 @@ def right_coset_partition(G: FiniteGroup, sub: Subgroup) -> tuple[list[int], lis
     return coset_of, reps
 
 
-def left_coset_partition(G: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
-    n = len(G.elements)
-    coset_of = [-1] * n
-    reps = []
-    smem = sub.sorted_members()
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for s in smem:
-            coset_of[G.mul(x, s)] = cid
-    return coset_of, reps
-
-
-def orbits(G: FiniteGroup, sub: Subgroup, action: str = "right_cosets") -> list[list[int]]:
-    """Partition for one of the three supported actions.
-
-    ``right_cosets`` / ``left_cosets`` partition the parent group's element
-    indices; ``points`` partitions {0..degree-1} under the subgroup's natural
-    action.  Each part is sorted and parts are ordered by least member.
-    """
-    if sub.parent is not G:
-        raise ContractViolation("subgroup does not belong to this group")
-    if action in ("right_cosets", "left_cosets"):
-        part = right_coset_partition if action == "right_cosets" else left_coset_partition
-        coset_of, reps = part(G, sub)
-        out: list[list[int]] = [[] for _ in reps]
-        for x, c in enumerate(coset_of):
-            out[c].append(x)
-        return out
-    if action == "points":
-        seen = [False] * G.degree
-        out = []
-        gens = [G.elements[i] for i in sub.gens]
-        for start in range(G.degree):
-            if seen[start]:
-                continue
-            orb = [start]
-            seen[start] = True
-            qi = 0
-            while qi < len(orb):
-                x = orb[qi]
-                qi += 1
-                for g in gens:
-                    y = g.images[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orb.append(y)
-            out.append(sorted(orb))
-        return out
-    raise ContractViolation(f"unknown action kind {action!r}")
-
-
 def coset_action(G: FiniteGroup, sub: Subgroup) -> tuple[list[Perm], list[int]]:
     """Permutations induced by G's generators on the right cosets of sub.
 
@@ -351,26 +297,22 @@ def coset_action(G: FiniteGroup, sub: Subgroup) -> tuple[list[Perm], list[int]]:
 def normal_core(G: FiniteGroup, sub: Subgroup) -> Subgroup:
     """Largest normal subgroup of G contained in sub.
 
-    Computed as the kernel of the action on right cosets of sub, by
-    propagating coset permutations along the closure's parent edges.
+    The core is the intersection of the conjugates of sub.  Each pass drops
+    every member whose conjugate by some generator of G leaves the current
+    set, which intersects it with its conjugates; a pass that drops nothing
+    leaves a finite set mapped into itself by every generator, hence normal.
     """
     if sub.parent is not G:
         raise ContractViolation("subgroup does not belong to this group")
     if sub.order == 1 or sub.is_improper():
         return sub
-    coset_of, reps = right_coset_partition(G, sub)
-    nc = len(reps)
-    gen_imgs = [tuple(coset_of[G.mul(r, gi)] for r in reps) for gi in G.gen_indices]
-    ident = tuple(range(nc))
-    n = len(G.elements)
-    img: list = [None] * n
-    img[0] = ident
-    for k in range(1, n):
-        j, i = G.parent[k]
-        gi = gen_imgs[i]
-        img[k] = tuple(map(gi.__getitem__, img[j]))
-    members = [k for k in range(n) if img[k] == ident]
-    return G.subgroup_from_members(members)
+    kept = set(sub.members)
+    gens = G.gen_indices
+    while True:
+        drop = [m for m in kept if any(G.conj(m, g) not in kept for g in gens)]
+        if not drop:
+            return G.subgroup_from_members(kept)
+        kept.difference_update(drop)
 
 
 def is_normal(G: FiniteGroup, sub: Subgroup) -> bool:
@@ -508,35 +450,12 @@ def is_solvable(G: FiniteGroup) -> bool:
     return G.cache["solvable"]
 
 
-def center(G_or_sub) -> Subgroup:
-    """Center of a group, or of a subgroup within its parent."""
-    if isinstance(G_or_sub, FiniteGroup):
-        G = G_or_sub
-        gens = G.gen_indices
-        scope = range(len(G.elements))
-    else:
-        G = G_or_sub.parent
-        gens = list(G_or_sub.gens)
-        scope = G_or_sub.sorted_members()
-    members = [x for x in scope
-               if all(G.mul(x, g) == G.mul(g, x) for g in gens)]
-    return G.subgroup_from_members(members)
-
-
-def nilpotency_class(sub: Subgroup) -> int:
-    """Length of the upper central series (0 for the trivial group)."""
+def center(sub: Subgroup) -> Subgroup:
+    """Center of a subgroup, as a subgroup of its parent."""
     G = sub.parent
-    gens = list(sub.gens)
-    Z = {0}
-    cls = 0
-    while len(Z) < sub.order:
-        Znext = {x for x in sub.members
-                 if all(G.comm(x, g) in Z for g in gens)}
-        if len(Znext) == len(Z):
-            raise ContractViolation("subgroup is not nilpotent")
-        Z = Znext
-        cls += 1
-    return cls
+    members = [x for x in sub.sorted_members()
+               if all(G.mul(x, g) == G.mul(g, x) for g in sub.gens)]
+    return G.subgroup_from_members(members)
 
 
 def omega1(sub: Subgroup, p: int) -> Subgroup:
@@ -590,9 +509,6 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         members = [k for k, v in enumerate(self.images) if v == 0]
         return self.source.subgroup_from_members(members)
-
-    def image_subgroup(self) -> Subgroup:
-        return self.target.subgroup_from_members(set(self.images))
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == len(self.target.elements)
@@ -743,20 +659,9 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:
 
 def small_generating_set(G: FiniteGroup) -> tuple:
     """A short generating tuple found greedily in index order."""
-    if "small_gens" in G.cache:
-        return G.cache["small_gens"]
-    gens: list[int] = []
-    closed = {0}
-    n = len(G.elements)
-    for m in range(n):
-        if m not in closed:
-            gens.append(m)
-            closed = set(G._index_closure(gens))
-            if len(closed) == n:
-                break
-    result = tuple(gens)
-    G.cache["small_gens"] = result
-    return result
+    if "small_gens" not in G.cache:
+        G.cache["small_gens"] = G.subgroup_from_members(range(len(G))).gens
+    return G.cache["small_gens"]
 
 
 # -- primitivity -----------------------------------------------------------
@@ -813,11 +718,6 @@ def is_primitive(perms: Sequence[Perm], npoints: int) -> bool:
 
 
 # -- misc structure tests --------------------------------------------------
-
-
-def is_abelian(G: FiniteGroup) -> bool:
-    gi = G.gen_indices
-    return all(G.mul(a, b) == G.mul(b, a) for a in gi for b in gi)
 
 
 def is_cyclic(sub: Subgroup) -> bool:

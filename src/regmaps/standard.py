@@ -3,8 +3,6 @@ reference groups the classifier compares against."""
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .errors import ContractViolation
 from .group import FiniteGroup, closure
 from .perm import Perm

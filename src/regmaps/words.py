@@ -78,16 +78,6 @@ class Word:
             out = G.mul(out, g if x > 0 else G.inv(g))
         return out
 
-    def evaluate_perm(self, gen_perms) -> "object":
-        from .perm import Perm
-        if not gen_perms:
-            raise ContractViolation("no generators to evaluate over")
-        out = Perm.identity(gen_perms[0].degree)
-        for x in self.letters:
-            g = gen_perms[abs(x) - 1]
-            out = out * (g if x > 0 else g.inverse())
-        return out
-
 
 @dataclass(frozen=True)
 class Presentation:

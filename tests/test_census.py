@@ -2,9 +2,10 @@ import pytest
 
 from oracles import (brute_aut_count, scan_flagged_triples,
                      scan_oriented_pairs)
-from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
-                            enumerate_flagged, enumerate_oriented)
-from regmaps.errors import ResourceLimitExceeded
+from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _entries,
+                            census_classify, enumerate_flagged,
+                            enumerate_oriented)
+from regmaps.errors import ResourceLimitExceeded, TheoremViolation
 from regmaps.maps import FlaggedMap, OrientedMap, maps_isomorphic
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
@@ -225,3 +226,17 @@ def test_order_bound_enforced(corpus):
     assert exc.value.limit_value == DEFAULT_CENSUS_MAX_ORDER
     with pytest.raises(ResourceLimitExceeded):
         enumerate_flagged(symmetric_group(4), max_order=10)
+
+
+def test_unequal_class_sizes_raise():
+    """Aut(G) acts freely on generating tuples, so a census whose classes
+    differ in size is refused."""
+    G = symmetric_group(4)
+    a, b = enumerate_oriented(G)
+    assert a.class_size == b.class_size == 24
+    classes = {"a": [a.tuple_, 24], "b": [b.tuple_, 23]}
+    with pytest.raises(TheoremViolation, match="differ in size"):
+        _entries(G, classes, "oriented")
+    classes["b"][1] = 24
+    assert [e.tuple_ for e in _entries(G, classes, "oriented")] == \
+        [a.tuple_, b.tuple_]

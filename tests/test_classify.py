@@ -1,14 +1,18 @@
 import pytest
 
-from regmaps.classify import (ExceptionalCase, certify_sylow_structure,
-                              classify, detect_p_map, identify_dipole,
+from regmaps.census import enumerate_flagged
+from regmaps.classify import (ExceptionalCase, _orientation_status,
+                              certify_sylow_structure, classify,
+                              detect_p_map, identify_dipole,
                               identify_exceptional, identify_semistar,
                               verify_classification_law)
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import subgroup_generated
+from regmaps.group import (closure, is_normal, regenerated,
+                           subgroup_generated, sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap
+from regmaps.perm import Perm
 from regmaps.standard import (dihedral_group, elementary_abelian,
                               klein_four_group)
 
@@ -208,3 +212,34 @@ def test_certify_corpus_structures(corpus):
     st = certify_sylow_structure(corpus["g216_nonorientable.grp"].maps["m"])
     assert st.case_tag == "central_product_extraspecial"
     assert st.extraspecial_order == 27 and st.p0_order == 3
+
+
+def _s4_x_c2():
+    """S4 x C2 on 4 + 2 points; its flagged census holds the cube, whose
+    even-word subgroup S4 has a nonnormal Sylow 2-subgroup."""
+    return closure(6, [Perm((1, 0, 2, 3, 4, 5)), Perm((1, 2, 3, 0, 4, 5)),
+                       Perm((0, 1, 2, 3, 5, 4))])
+
+
+@pytest.mark.parametrize("name", ["s4_3map.grp", "g72_3map.grp",
+                                  "g216_orientable.grp",
+                                  "g216_nonorientable.grp", "S4xC2"])
+def test_orientation_status_matches_closed_even_subgroup(corpus, name):
+    """The p-element count agrees with closing the even-word subgroup as its
+    own group and testing its Sylow p-subgroup for normality."""
+    G = _s4_x_c2() if name == "S4xC2" else corpus[name].group
+    seen = []
+    for entry in enumerate_flagged(G):
+        m = entry.map
+        pk = detect_p_map(m)
+        if m.degenerate or pk is None or not m.is_orientable():
+            continue
+        p = pk[0]
+        plus = regenerated(G, (G.mul(m.t, m.r), G.mul(m.t, m.l)))
+        want = ("orientable_normal" if is_normal(plus, sylow_p(plus, p))
+                else "reflexible")
+        assert _orientation_status(m, p) == want
+        seen.append(want)
+    assert seen
+    if name == "S4xC2":
+        assert sorted(set(seen)) == ["orientable_normal", "reflexible"]

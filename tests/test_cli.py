@@ -76,6 +76,17 @@ def test_parse_error_exit_status(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_deep_nesting_exit_status(tmp_path, capsys):
+    depth = 3000  # far past the parser's limit and Python's stack
+    f = tmp_path / "deep.grp"
+    f.write_text("group deep\ngens a\nrel " + "(" * depth + "a"
+                 + ")" * depth + "\n", encoding="utf-8")
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert ret == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested deeper" in err
+
+
 def test_missing_file_exit_status(tmp_path, capsys):
     ret, _, err = _run(capsys, ["analyze", str(tmp_path / "nope.grp")])
     assert ret == 3

@@ -65,10 +65,11 @@ def test_limit_raises_resource_error():
 def test_gen_perms_satisfy_relators():
     gf = parse_group_file(corpus_text("s4_presentation.grp"))
     ct = todd_coxeter(gf.presentation)
-    perms = ct.gen_perms()
+    G = perms_from_table(ct)
     for rel in gf.presentation.relators:
-        assert rel.evaluate_perm(perms).is_identity()
+        assert rel.evaluate(G, G.gen_indices) == 0
     # regular representation: independent closure has the same order
+    perms = ct.gen_perms()
     assert len(oracles.brute_closure([p.images for p in perms])) == ct.n
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from regmaps.errors import ContractViolation, ParseError
-from regmaps.grammar import (format_group_file, format_word, load_group_file,
-                             matrix_group, parse_group_file,
+from regmaps.grammar import (MAX_NESTING, format_group_file, format_word,
+                             load_group_file, matrix_group, parse_group_file,
                              realize_group_file)
 from regmaps.words import Word
 
@@ -150,3 +150,13 @@ def test_load_group_file(tmp_path):
     p = tmp_path / "t.grp"
     p.write_text(GOOD, encoding="utf-8")
     assert load_group_file(p) == parse_group_file(GOOD)
+
+
+@pytest.mark.parametrize("opens,closes", [("(", ")"), ("[a, ", "]")])
+def test_nesting_limit(opens, closes):
+    def text(depth):
+        return ("group g\ngens a\nrel "
+                + opens * depth + "a" + closes * depth + "\n")
+    parse_group_file(text(MAX_NESTING))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_group_file(text(MAX_NESTING + 1))

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from regmaps.errors import ContractViolation
 from regmaps.group import (automorphism_exists, center, coset_action,
                            derived_series, derived_subgroup, exponent,
-                           hom_extend, is_abelian, is_cyclic, is_extraspecial,
-                           is_normal, is_primitive, is_solvable, is_transitive,
-                           isomorphism_search, left_coset_partition,
-                           nilpotency_class, normal_closure, normal_core, o_p,
-                           omega1, orbits, p_part, prime_factors,
+                           hom_extend, is_cyclic, is_extraspecial, is_normal,
+                           is_primitive, is_solvable, is_transitive,
+                           isomorphism_search, normal_closure, normal_core,
+                           o_p, omega1, p_part, prime_factors,
                            quotient_group, regenerated,
                            right_coset_partition, small_generating_set,
                            standardize, subgroup_generated, sylow_p)
@@ -93,20 +92,10 @@ def test_lagrange_and_cosets():
     for gens in [(1,), (1, 2), (G.gen_indices[1],), tuple(G.gen_indices)]:
         H = subgroup_generated(G, gens)
         assert G.order % H.order == 0
-        for part in (right_coset_partition(G, H), left_coset_partition(G, H)):
-            coset_of, reps = part
-            assert len(reps) == G.order // H.order
-            assert all(c == H.order for c in Counter(coset_of).values())
-            assert coset_of[0] == 0 and reps[0] == 0  # the subgroup itself
-
-
-def test_orbits_cover_cosets():
-    G = symmetric_group(4)
-    H = subgroup_generated(G, [G.gen_indices[0]])
-    parts = orbits(G, H)  # each part is one right coset of H
-    assert len(parts) == G.order // H.order
-    assert sorted(x for p in parts for x in p) == list(range(G.order))
-    assert all(len(p) == H.order for p in parts)
+        coset_of, reps = right_coset_partition(G, H)
+        assert len(reps) == G.order // H.order
+        assert all(c == H.order for c in Counter(coset_of).values())
+        assert coset_of[0] == 0 and reps[0] == 0  # the subgroup itself
 
 
 # -- the brute-force equivalence block (seed list, orders <= 100) ----------
@@ -158,11 +147,9 @@ def test_quotient_group_and_hom():
     assert isomorphism_search(Q, symmetric_group(3)) is not None
 
 
-def test_center_and_nilpotency():
+def test_center_and_extraspecial():
     q8 = quaternion_group()
-    assert center(q8).order == 2
-    assert nilpotency_class(q8.improper_subgroup()) == 2
-    assert nilpotency_class(cyclic_group(8).improper_subgroup()) == 1
+    assert center(q8.improper_subgroup()).order == 2
     assert is_extraspecial(q8.improper_subgroup(), 2)
     assert not is_extraspecial(cyclic_group(8).improper_subgroup(), 2)
     assert not is_extraspecial(elementary_abelian(3, 3).improper_subgroup(), 3)
@@ -232,7 +219,7 @@ def test_coset_action_transitive_and_primitivity():
     # D4 on cosets of a reflection is 4 points with diagonal blocks
     D4 = dihedral_group(4)
     refl = next(g for g in range(1, D4.order)
-                if D4.order_of(g) == 2 and not center(D4).contains(g))
+                if D4.order_of(g) == 2 and not center(D4.improper_subgroup()).contains(g))
     perms, _ = coset_action(D4, subgroup_generated(D4, [refl]))
     assert is_transitive(perms, 4)
     assert not is_primitive(perms, 4)
@@ -244,9 +231,7 @@ def test_p_part_and_prime_factors():
     assert prime_factors(2106) == [2, 3, 13]
 
 
-def test_is_abelian_is_cyclic():
-    assert is_abelian(cyclic_group(12))
-    assert not is_abelian(symmetric_group(4))
+def test_is_cyclic():
     assert is_cyclic(cyclic_group(12).improper_subgroup())
     assert not is_cyclic(klein_four_group().improper_subgroup())
 

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regmaps.errors import ContractViolation
-from regmaps.perm import Perm
 from regmaps.standard import symmetric_group
 from regmaps.words import (MAX_WORD_LETTERS, Presentation, Word,
                            relator_from_equality)
@@ -64,14 +63,6 @@ def test_evaluate_in_group():
     w = Word.commutator(Word.gen(0), Word.gen(1))
     assert w.evaluate(G, [a, b]) == G.comm(a, b)
     assert (Word.gen(0) ** G.order_of(a)).evaluate(G, [a, b]) == 0
-
-
-def test_evaluate_perm_matches_group_evaluate():
-    G = symmetric_group(4)
-    a, b = G.gen_indices
-    gp = [G.elements[a], G.elements[b]]
-    w = (Word.gen(0) * Word.gen(1) ** 2).conj(Word.gen(1))
-    assert w.evaluate_perm(gp) == G.elements[w.evaluate(G, [a, b])]
 
 
 @given(words, words)
