@@ -9,6 +9,10 @@ renumbering from coset 0.
 
 Symbols interleave generators and inverses: generator i is symbol 2i and
 its inverse is 2i + 1, so ``x ^ 1`` flips a symbol.
+
+:func:`presentation_group` realizes a presentation as a permutation group:
+on the cosets of the cyclic subgroup of one generator, the smallest such
+action that is faithful, else on the cosets of the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -162,7 +166,51 @@ def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> Fini
 
     For an enumeration over the trivial subgroup this is the regular
     representation, so the group order equals the coset count.
+    :func:`presentation_group` falls back to it when no smaller action of
+    the presentation is faithful.
     """
     if ct.ngens == 0:
         return closure(1, [], max_order=max_order)
     return closure(ct.n, ct.gen_perms(), max_order=max_order)
+
+
+def presentation_group(pres: Presentation,
+                       max_cosets: int = DEFAULT_MAX_COSETS,
+                       max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """The group a presentation defines, on a small faithful coset action.
+
+    The enumeration over the trivial subgroup fixes the order n, and it is
+    the run that `max_cosets` bounds.  A generator g of order m (the length
+    of its cycle through coset 0 of that table) offers the action on the
+    n / m cosets of <g>.  The generators are tried by increasing n / m, ties
+    by position, and the first action whose closure has order n is faithful
+    and gives the group; when none is, it is the regular representation
+    (:func:`perms_from_table`).  Closure numbers elements by the group and
+    the order of its generators alone, so every faithful action gives the
+    same element indices and the same generator table.
+    """
+    ct = todd_coxeter(pres, (), max_cosets=max_cosets)
+    n = ct.n
+    if n > max_order:
+        raise ResourceLimitExceeded(
+            f"group order {n} exceeds max_order={max_order}",
+            "max_order", max_order)
+
+    degrees = []
+    for i in range(ct.ngens):
+        m, x = 1, ct.rows[0][2 * i]
+        while x != 0:
+            m, x = m + 1, ct.rows[x][2 * i]
+        degrees.append(n // m)
+    # sorted() is stable, so ties keep generator order
+    for i in sorted(range(ct.ngens), key=degrees.__getitem__):
+        if degrees[i] == n:
+            break  # <g> is trivial: its cosets give the regular action
+        try:
+            sub = todd_coxeter(pres, (Word.gen(i),), max_cosets=max_cosets)
+        except ResourceLimitExceeded:
+            continue  # an enumeration may pass through more cosets than n
+        G = closure(sub.n, sub.gen_perms(), max_order=n + 1)
+        if G.order == n:
+            return G
+    return perms_from_table(ct, max_order=max_order)

@@ -19,11 +19,12 @@ atom ``w^v`` (meaning v^-1 w v) and commutators ``[a, b]``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .coset_enum import DEFAULT_MAX_COSETS, perms_from_table, todd_coxeter
-from .errors import ContractViolation, ParseError
+from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
+from .errors import ContractViolation, ParseError, ResourceLimitExceeded
 from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, is_prime
 from .maps import FlaggedMap, OrientedMap
 from .perm import Perm
@@ -197,6 +198,16 @@ def _parse_atom(cur: _Cursor, names: dict) -> Word:
     return w
 
 
+@contextmanager
+def _word_length_checked(lineno: int, col: int):
+    """Report a word that outgrows ``MAX_WORD_LETTERS`` (raised by a product
+    in :class:`Word`) as a parse error of the statement."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ParseError(str(exc), lineno, col) from None
+
+
 # -- statement parsing -----------------------------------------------------
 
 
@@ -254,14 +265,15 @@ def parse_group_file(text: str) -> GroupFile:
         elif head == "rel":
             if mode != "gens":
                 raise ParseError("'rel' requires a 'gens' declaration", lineno, col)
-            lhs = _parse_word(cur, names)
-            t = cur.peek()
-            if t is not None and t[0] == "sym" and t[1] == "=":
-                cur.next()
-                rhs = _parse_word(cur, names)
-                rel = relator_from_equality(lhs, rhs)
-            else:
-                rel = lhs
+            with _word_length_checked(lineno, col):
+                lhs = _parse_word(cur, names)
+                t = cur.peek()
+                if t is not None and t[0] == "sym" and t[1] == "=":
+                    cur.next()
+                    rhs = _parse_word(cur, names)
+                    rel = relator_from_equality(lhs, rhs)
+                else:
+                    rel = lhs
             cur.require_done()
             if not rel.is_empty():
                 relators.append(rel)
@@ -348,7 +360,8 @@ def parse_group_file(text: str) -> GroupFile:
                 if t[0] != "ident" or t[1] != fname:
                     raise ParseError(f"expected {fname}=<word>", lineno, t[2])
                 cur.expect_sym("=")
-                fields.append((fname, _parse_word(cur, names)))
+                with _word_length_checked(lineno, col):
+                    fields.append((fname, _parse_word(cur, names)))
             cur.require_done()
             maps.append(MapDecl(mapname, mkind, tuple(fields)))
         else:
@@ -415,7 +428,16 @@ def format_group_file(gf: GroupFile) -> str:
 
 def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Group generated by invertible 2x2 matrices over GF(p), acting on the
-    p^2 - 1 nonzero column vectors (in lexicographic order)."""
+    p^2 - 1 nonzero column vectors (in lexicographic order).
+
+    `max_order` bounds the number of points as well as the order: an action
+    on more than `max_order` points is refused before p is tested for
+    primality or any vector is listed.
+    """
+    if p * p - 1 > max_order:
+        raise ResourceLimitExceeded(
+            f"matrix action on {p * p - 1} points exceeds"
+            f" max_order={max_order}", "max_order", max_order)
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
     vecs = [(x, y) for x in range(p) for y in range(p)][1:]
@@ -446,9 +468,15 @@ class Realization:
 
 def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
                        max_order: int = DEFAULT_MAX_ORDER) -> Realization:
+    """Enumerate the file's group and evaluate its maps in it.
+
+    A presentation is realized on a small faithful coset action
+    (:func:`regmaps.coset_enum.presentation_group`), permutations on the
+    points their cycles name, matrices on the nonzero vectors.  Generator
+    i is element ``group.gen_indices[i]`` in every mode.
+    """
     if gf.mode == "gens":
-        ct = todd_coxeter(gf.presentation, (), max_cosets=max_cosets)
-        G = perms_from_table(ct, max_order=max_order)
+        G = presentation_group(gf.presentation, max_cosets, max_order)
     elif gf.mode == "perm":
         degree = 1
         for cycles in gf.perm_cycles:

@@ -5,18 +5,24 @@ element.  The closure is a breadth-first walk from the identity, multiplying
 by generators in input order, which fixes a deterministic element numbering:
 element 0 is always the identity, and every later element k records a parent
 edge (j, i) with ``elements[k] == elements[j] * gens[i]``.  That edge list is
-what makes homomorphism extension a single linear pass.
+what makes homomorphism extension a single linear pass.  The numbering
+depends only on the group and the order of its generators, not on the
+points it acts on.
 
-Two multiplication paths exist.  If the base point 0 has a free orbit (the
-map element -> image-of-0 is injective, which holds for every group realized
-from a coset table), products reduce to three array lookups.  Otherwise we
-compose image tuples and look the product up, which is fine at small degree.
+Products are read from base images.  A base is a short list of points
+whose pointwise stabilizer is trivial, so an element is determined by where
+it sends the base points.  ``mul(i, j)`` reads element j's images of
+element i's base images and looks that tuple up in one dict, whatever the
+degree.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
+regular group has base ``(0,)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded, TheoremViolation
@@ -29,35 +35,54 @@ def closure(degree: int, generators: Sequence[Perm],
             max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
     """Enumerate the group generated by `generators` inside Sym(degree)."""
     gens = tuple(generators)
+    if degree < 1:
+        raise ContractViolation("a group acts on at least one point")
     for g in gens:
         if g.degree != degree:
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
-    ident = Perm.identity(degree)
-    elements = [ident]
-    index = {ident: 0}
+    # Products are built and looked up as image tuples, elements[k] * g as
+    # itemgetter(*elements[k].images)(g.images); a Perm is made only for
+    # each new element.  On one point every image tuple is (0,).
+    ident = tuple(range(degree))
+    elements = [Perm._raw(ident)]
+    seen = {ident: 0}
     parent = [(-1, -1)]
     gen_table: list[list[int]] = []
-    k = 0
-    while k < len(elements):
-        ek = elements[k]
+    gen_images = [g.images for g in gens]
+    for k, ek in enumerate(elements):
+        times = itemgetter(*ek.images) if degree > 1 else tuple
         row = []
-        for i, g in enumerate(gens):
-            prod = ek * g
-            j = index.get(prod)
+        for i, g in enumerate(gen_images):
+            prod = times(g)
+            j = seen.get(prod)
             if j is None:
                 j = len(elements)
                 if j >= max_order:
                     raise ResourceLimitExceeded(
                         f"closure exceeded max_order={max_order}",
                         "max_order", max_order)
-                elements.append(prod)
-                index[prod] = j
+                elements.append(Perm._raw(prod))
+                seen[prod] = j
                 parent.append((k, i))
             row.append(j)
         gen_table.append(row)
-        k += 1
+    index = {e: k for k, e in enumerate(elements)}
     return FiniteGroup(degree, gens, elements, index, gen_table, parent)
+
+
+def _greedy_base(elements: Sequence[Perm]) -> tuple:
+    """A base grown greedily from point 0: while some non-identity element
+    fixes every base point, append the least point the first such element
+    moves.  The identity is elements[0]."""
+    base = [0]
+    fixing = [e.images for e in elements[1:] if e.images[0] == 0]
+    while fixing:
+        img = fixing[0]
+        b = next(x for x, y in enumerate(img) if x != y)
+        base.append(b)
+        fixing = [e for e in fixing if e[b] == b]
+    return tuple(base)
 
 
 class FiniteGroup:
@@ -73,18 +98,14 @@ class FiniteGroup:
         self.cache: dict = {}
         self._inv: list[Optional[int]] = [None] * len(elements)
         self._orders: list[Optional[int]] = [None] * len(elements)
-        # Fast multiplication is available when element -> image-of-point-0
-        # is injective (the orbit of 0 is free).
-        pts = [e.images[0] for e in elements] if degree > 0 else []
-        if len(set(pts)) == len(elements):
-            self._pt = pts
-            elem_at = [-1] * degree
-            for k, p in enumerate(pts):
-                elem_at[p] = k
-            self._elem_at = elem_at
-        else:
-            self._pt = None
-            self._elem_at = None
+        self.base = _greedy_base(elements)
+        # _get[i] reads off, from the images of an element g, the images of
+        # element i's base images: the base images of elements[i] * g.
+        # Applied to the identity (elements[0]) it gives element i's own.
+        self._get = [itemgetter(*(e.images[b] for b in self.base))
+                     for e in elements]
+        ident = elements[0].images
+        self._at = {get(ident): k for k, get in enumerate(self._get)}
 
     # -- basic arithmetic on element indices ------------------------------
 
@@ -101,9 +122,7 @@ class FiniteGroup:
         return self.gen_table[0] if self.gen_table else []
 
     def mul(self, i: int, j: int) -> int:
-        if self._elem_at is not None:
-            return self._elem_at[self.elements[j].images[self._pt[i]]]
-        return self.index[self.elements[i] * self.elements[j]]
+        return self._at[self._get[i](self.elements[j].images)]
 
     def inv(self, i: int) -> int:
         v = self._inv[i]
@@ -133,16 +152,17 @@ class FiniteGroup:
     def order_of(self, i: int) -> int:
         v = self._orders[i]
         if v is None:
-            if self._pt is None:
-                v = self.elements[i].order()
-            else:
-                # The orbit of 0 is free, so g^k = 1 iff g^k fixes 0: the
-                # order is the length of the cycle through 0.
-                img = self.elements[i].images
-                v, x = 1, img[0]
-                while x != 0:
+            # The base stabilizer is trivial, so g^k = 1 iff g^k fixes every
+            # base point: the order is the lcm of the cycle lengths through
+            # the base points.
+            img = self.elements[i].images
+            v = 1
+            for b in self.base:
+                k, x = 1, img[b]
+                while x != b:
                     x = img[x]
-                    v += 1
+                    k += 1
+                v = lcm(v, k)
             self._orders[i] = v
         return v
 
@@ -590,8 +610,10 @@ def standardize(G: FiniteGroup, gen_indices: Sequence[int]) -> Optional[tuple]:
 def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     """The subgroup generated by the given elements, as its own FiniteGroup.
 
-    Elements keep their permutation form (and degree); only the numbering
-    changes, to the BFS order of the new generating set.
+    Elements keep their permutation form and G's degree, which for a group
+    realized from a presentation is that of its small coset action; the
+    numbering changes to the BFS order of the new generating set, and the
+    subgroup grows its own base.
     """
     key = ("regen", tuple(gen_indices))
     if key in G.cache:
@@ -726,7 +748,6 @@ def is_cyclic(sub: Subgroup) -> bool:
 
 
 def exponent(sub: Subgroup) -> int:
-    from math import lcm
     G = sub.parent
     out = 1
     for m in sub.members:

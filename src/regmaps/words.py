@@ -14,7 +14,8 @@ from typing import Sequence
 
 from .errors import ContractViolation
 
-# Hard cap on expanded word length; generous for any sane presentation.
+# Hard cap on expanded word length, checked by every product and power;
+# generous for any sane presentation.
 MAX_WORD_LETTERS = 10**6
 
 
@@ -44,11 +45,27 @@ class Word:
     def gen(cls, i: int) -> "Word":
         return cls((i + 1,))
 
+    @classmethod
+    def _reduced(cls, letters: tuple) -> "Word":
+        # Internal fast path: caller guarantees letters are valid and
+        # freely reduced.
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        if len(a) + len(b) > MAX_WORD_LETTERS:
+            raise ContractViolation(
+                f"word longer than {MAX_WORD_LETTERS} letters")
+        # Both factors are reduced, so letters cancel only at the seam.
+        k = 0
+        while k < len(a) and k < len(b) and a[-1 - k] == -b[k]:
+            k += 1
+        return Word._reduced(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
+        return Word._reduced(tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "Word":
         if abs(e) * len(self.letters) > MAX_WORD_LETTERS:

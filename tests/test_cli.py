@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,35 @@ def test_deep_nesting_exit_status(tmp_path, capsys):
     assert ret == 2
     assert out == ""
     assert err.startswith("error: ") and "nested deeper" in err
+
+
+def test_nested_commutators_exit_status(tmp_path, capsys):
+    # each level doubles the word: 20 levels would give 3,145,726 letters
+    word = "a"
+    for k in range(20):
+        word = f"[{'ba'[k % 2]}, {word}]"
+    f = tmp_path / "comm.grp"
+    f.write_text(f"group comm\ngens a, b\nrel {word}\n", encoding="utf-8")
+    start = time.perf_counter()
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert time.perf_counter() - start < 1.0
+    assert ret == 2
+    assert out == ""
+    assert err.startswith("error: ") and "letters" in err
+
+
+def test_huge_matrix_modulus_exit_status(tmp_path, capsys):
+    f = tmp_path / "huge.grp"
+    f.write_text("group huge\n"
+                 "mat a = [[2,1],[1,0]] mod 1000000000039\n"
+                 "mat b = [[0,1],[1,0]] mod 1000000000039\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    start = time.perf_counter()
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert time.perf_counter() - start < 1.0
+    assert ret == 5
+    assert out == ""
+    assert err.startswith("error: ") and "max_order" in err
 
 
 def test_missing_file_exit_status(tmp_path, capsys):

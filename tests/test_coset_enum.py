@@ -1,7 +1,7 @@
 import pytest
 
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
-                                todd_coxeter)
+                                presentation_group, todd_coxeter)
 from regmaps.errors import ResourceLimitExceeded
 from regmaps.verify import corpus_text
 from regmaps.grammar import parse_group_file
@@ -85,3 +85,60 @@ def test_perms_from_table_builds_regular_group():
     G = perms_from_table(todd_coxeter(gf.presentation))
     assert G.order == 24
     assert G.degree == 24
+
+
+# Degree of the coset action each corpus presentation is realized on.
+CORPUS_DEGREES = {
+    "s4_presentation.grp": 8, "g72_3map.grp": 36, "g384_chiral.grp": 96,
+    "g2106_chiral.grp": 81, "g216_orientable.grp": 54,
+    "g216_nonorientable.grp": 54,
+}
+
+
+@pytest.mark.parametrize("fname,order", CORPUS_ORDERS,
+                         ids=[f for f, _ in CORPUS_ORDERS])
+def test_presentation_group_numbers_like_regular(fname, order):
+    # a faithful coset action numbers every element as the regular one does
+    pres = parse_group_file(corpus_text(fname)).presentation
+    G = presentation_group(pres)
+    R = perms_from_table(todd_coxeter(pres))
+    assert G.order == R.order == order
+    assert G.degree == CORPUS_DEGREES[fname] < R.degree
+    assert G.gen_table == R.gen_table
+    assert G.parent == R.parent
+
+
+def test_presentation_group_falls_back_to_regular():
+    # In Q8 every cyclic subgroup holds the center, so no action on the
+    # cosets of <a> or <b> is faithful.
+    a, b = Word.gen(0), Word.gen(1)
+    pres = Presentation(("a", "b"), (
+        a ** 4, a ** 2 * (b ** 2).inverse(), a.conj(b) * a))
+    G = presentation_group(pres)
+    assert G.order == G.degree == 8
+    assert G.gen_table == perms_from_table(todd_coxeter(pres)).gen_table
+
+
+def test_presentation_group_skips_refused_subgroup_runs(monkeypatch):
+    # a subgroup enumeration that hits max_cosets only drops that action
+    import regmaps.coset_enum as ce
+    real = ce.todd_coxeter
+
+    def refuse_subgroups(pres, subgroup_words=(), max_cosets=100):
+        if subgroup_words:
+            raise ResourceLimitExceeded("refused", "max_cosets", max_cosets)
+        return real(pres, subgroup_words, max_cosets)
+
+    monkeypatch.setattr(ce, "todd_coxeter", refuse_subgroups)
+    pres = parse_group_file(corpus_text("g72_3map.grp")).presentation
+    G = presentation_group(pres)
+    assert G.degree == G.order == 72
+    assert G.gen_table == perms_from_table(real(pres)).gen_table
+
+
+def test_presentation_group_order_bound():
+    pres = parse_group_file(corpus_text("g72_3map.grp")).presentation
+    assert presentation_group(pres, max_order=72).order == 72
+    with pytest.raises(ResourceLimitExceeded) as e:
+        presentation_group(pres, max_order=71)
+    assert e.value.limit_name == "max_order"

@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regmaps.errors import ContractViolation, ParseError
-from regmaps.grammar import (MAX_NESTING, format_group_file, format_word,
-                             load_group_file, matrix_group, parse_group_file,
+from regmaps.errors import (ContractViolation, ParseError, RegmapsError,
+                            ResourceLimitExceeded)
+from regmaps.grammar import (MAX_NESTING, GroupFile, MapDecl,
+                             format_group_file, format_word, load_group_file,
+                             matrix_group, parse_group_file,
                              realize_group_file)
-from regmaps.words import Word
+from regmaps.perm import Perm
+from regmaps.verify import corpus_names, corpus_text
+from regmaps.words import Presentation, Word
 
 GOOD = """\
 group sample
@@ -123,6 +129,15 @@ def test_matrix_group_realization():
         matrix_group(4, (((1, 0), (0, 1)),))
 
 
+def test_matrix_group_point_bound():
+    # refused on the number of points, before any vector or closure
+    with pytest.raises(ResourceLimitExceeded) as e:
+        matrix_group(101, (((2, 1), (1, 0)),), max_order=2000)
+    assert e.value.limit_name == "max_order"
+    with pytest.raises(ResourceLimitExceeded):
+        matrix_group(10**12 + 39, (((2, 1), (1, 0)),))
+
+
 def test_realize_perm_mode_and_evaluate():
     gf = parse_group_file(
         "group klein\nperm a = (1 2)\nperm b = (3 4)\n"
@@ -160,3 +175,86 @@ def test_nesting_limit(opens, closes):
     parse_group_file(text(MAX_NESTING))
     with pytest.raises(ParseError, match="nested deeper"):
         parse_group_file(text(MAX_NESTING + 1))
+
+
+# -- properties --------------------------------------------------------------
+
+ALPHABET = "abglmprt \t\n()[]*^,=:#-_019é"
+TOKENS = ("a", "b", "l", "r", "0", "1", "-2", "99", "(", ")", "[", "]", ",",
+          "*", "^", "=", ":", " ", "#", "\n", "é", "gens", "rel", "perm",
+          "mat", "mod", "map", "oriented", "flagged")
+CORPUS_LINES = [corpus_text(n).splitlines() for n in corpus_names()]
+
+
+@st.composite
+def corrupted_corpus_text(draw):
+    """A corpus file with a short span of one or two statements replaced
+    by a few tokens."""
+    lines = list(draw(st.sampled_from(CORPUS_LINES)))
+    statements = [k for k, line in enumerate(lines)
+                  if line and not line.startswith("#")]
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.sampled_from(statements))
+        i = draw(st.integers(0, len(lines[k])))
+        j = draw(st.integers(i, min(len(lines[k]), i + 4)))
+        new = "".join(draw(st.lists(st.sampled_from(TOKENS), max_size=3)))
+        lines[k] = lines[k][:i] + new + lines[k][j:]
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.text(alphabet=ALPHABET, max_size=120),
+                 corrupted_corpus_text()))
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_or_raises_package_error(text):
+    try:
+        parse_group_file(text)
+    except RegmapsError:
+        pass
+
+
+# Identifiers, keywords among them: a name is never read as a keyword.
+NAMES = st.sampled_from(
+    ("a", "b", "x1", "y_2", "r", "l", "mod", "rel", "map", "group"))
+
+
+@st.composite
+def group_files(draw):
+    """A GroupFile in any of the three modes, with up to two maps."""
+    mode = draw(st.sampled_from(("gens", "perm", "mat")))
+    gen_names = tuple(draw(st.lists(NAMES, min_size=1, max_size=3,
+                                    unique=True)))
+    n = len(gen_names)
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    word = st.lists(letter, min_size=1, max_size=8).map(
+        lambda ls: Word(tuple(ls))).filter(lambda w: not w.is_empty())
+    presentation, perm_cycles, matrices, modulus = None, (), (), None
+    if mode == "gens":
+        presentation = Presentation(gen_names, tuple(
+            draw(st.lists(word, max_size=4))))
+    elif mode == "perm":
+        degree = draw(st.integers(1, 6))
+        perm_cycles = tuple(
+            tuple(Perm(draw(st.permutations(range(degree)))).cycles())
+            for _ in gen_names)
+    else:
+        modulus = draw(st.sampled_from((2, 3, 5, 7)))
+        entry = st.integers(-9, 9)
+        matrices = tuple(
+            tuple(tuple(draw(st.lists(entry, min_size=2, max_size=2)))
+                  for _ in range(2))
+            for _ in gen_names)
+    maps = []
+    for name in draw(st.lists(NAMES, max_size=2, unique=True)):
+        kind = draw(st.sampled_from(("oriented", "flagged")))
+        fields = ("r", "l") if kind == "oriented" else ("t", "r", "l")
+        maps.append(MapDecl(name, kind,
+                            tuple((f, draw(word)) for f in fields)))
+    return GroupFile(name=draw(NAMES), mode=mode, gen_names=gen_names,
+                     presentation=presentation, perm_cycles=perm_cycles,
+                     matrices=matrices, modulus=modulus, maps=tuple(maps))
+
+
+@given(group_files())
+@settings(max_examples=60, deadline=None)
+def test_parse_inverts_format(gf):
+    assert parse_group_file(format_group_file(gf)) == gf

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmaps.errors import ContractViolation
+from regmaps.grammar import matrix_group
 from regmaps.group import (automorphism_exists, center, coset_action,
                            derived_series, derived_subgroup, exponent,
                            hom_extend, is_cyclic, is_extraspecial, is_normal,
@@ -247,12 +248,37 @@ def test_generated_subgroup_order_divides(gens):
 
 @pytest.mark.parametrize("fname", ["g216_orientable.grp", "g384_chiral.grp"])
 def test_order_of_on_corpus_groups(corpus, fname):
-    # realized from coset tables, so order_of reads the cycle through 0
+    # realized on a coset action; order_of reads the cycles through the base
     G = corpus[fname].group
-    assert G._pt is not None
+    assert G.base[0] == 0 and len(G.base) > 1
     for x in range(G.order):
         assert G.order_of(x) == oracles.element_order(G, x)
         assert G.order_of(x) == G.elements[x].order()
+
+
+BASE_GROUPS = {
+    "S4": lambda corpus: symmetric_group(4),
+    "D6": lambda corpus: dihedral_group(6),
+    "gl23": lambda corpus: corpus["gl23_reflexible.grp"].group,
+    "mod5": lambda corpus: matrix_group(
+        5, (((2, 1), (1, 0)), ((0, 1), (1, 0)))),
+    "g72": lambda corpus: corpus["g72_3map.grp"].group,
+}
+
+
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_mul_and_order_of_read_base_images(corpus, name):
+    G = BASE_GROUPS[name](corpus)
+    images = [tuple(e.images[b] for b in G.base) for e in G.elements]
+    assert len(set(images)) == G.order
+    # greedy: every base point is needed, as some non-identity element
+    # fixes all the points before it
+    for k in range(1, len(G.base)):
+        assert any(im[:k] == images[0][:k] for im in images[1:])
+    for i, x in enumerate(G.elements):
+        assert G.order_of(i) == x.order()
+        for j, y in enumerate(G.elements):
+            assert G.mul(i, j) == G.index[x * y]
 
 
 STANDARDIZE_GROUPS = [

@@ -68,6 +68,7 @@ def test_evaluate_in_group():
 @given(words, words)
 def test_product_reduces_to_concatenation(u, v):
     w = u * v
+    assert w == Word(u.letters + v.letters)
     # reduction only cancels at the seam
     assert len(w.letters) >= abs(len(u.letters) - len(v.letters))
     assert (u * u.inverse()).is_empty()
@@ -85,3 +86,14 @@ def test_power_evaluates_consistently(w, e):
     gens = [G.gen_indices[0], G.gen_indices[1], G.mul(*G.gen_indices)]
     val = w.evaluate(G, gens)
     assert (w ** e).evaluate(G, gens) == G.power(val, e)
+
+
+def test_product_expansion_limit():
+    half = Word.gen(0) ** (MAX_WORD_LETTERS // 2)
+    assert len((half * half).letters) == 2 * (MAX_WORD_LETTERS // 2)
+    with pytest.raises(ContractViolation):
+        half * half * Word.gen(1) * Word.gen(1)
+    with pytest.raises(ContractViolation):
+        Word.commutator(half, Word.gen(1))
+    with pytest.raises(ContractViolation):
+        Word.gen(1).conj(half)
