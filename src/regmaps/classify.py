@@ -29,7 +29,7 @@ from .errors import ClassificationError, ContractViolation, TheoremViolation
 from .group import (FiniteGroup, center, is_cyclic, is_extraspecial,
                     is_normal, is_solvable, isomorphism_search, normal_core,
                     o_p, omega1, p_part, prime_factors, quotient_group,
-                    subgroup_generated, sylow_p)
+                    sylow_p)
 from .maps import (DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map,
                    vertex_primitive)
 from .standard import symmetric_group
@@ -307,7 +307,7 @@ def _elementary_complement(G: FiniteGroup, P, P0, p: int, k: int):
             continue
         if any(G.mul(x, g) != G.mul(g, x) for g in p0_gens):
             continue
-        cand = subgroup_generated(G, tuple(T.gens) + (x,))
+        cand = G.subgroup(tuple(T.gens) + (x,))
         if cand.order != T.order * p:
             continue
         if len(cand.members & P0.members) != 1:
@@ -315,7 +315,7 @@ def _elementary_complement(G: FiniteGroup, P, P0, p: int, k: int):
         T = cand
     if T.order != target:
         return None
-    whole = subgroup_generated(G, tuple(T.gens) + p0_gens)
+    whole = G.subgroup(tuple(T.gens) + p0_gens)
     if whole.members != P.members:
         return None
     return T
@@ -358,7 +358,7 @@ def certify_sylow_structure(m) -> SylowStructure:
         E = omega1(P, p)
         if (Z.members == P0.members and is_extraspecial(E, p)
                 and E.order == p ** (k + 1)):
-            whole = subgroup_generated(G, tuple(E.gens) + tuple(P0.gens))
+            whole = G.subgroup(tuple(E.gens) + tuple(P0.gens))
             if whole.members == P.members:
                 return SylowStructure("central_product_extraspecial",
                                       P0.order, None, E.order)

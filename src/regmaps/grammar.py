@@ -459,11 +459,7 @@ class Realization:
 
     gf: GroupFile
     group: FiniteGroup
-    gen_elements: tuple
     maps: dict
-
-    def evaluate(self, w: Word) -> int:
-        return w.evaluate(self.group, self.gen_elements)
 
 
 def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
@@ -489,10 +485,9 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
     else:
         raise ContractViolation(f"unknown mode {gf.mode!r}")
 
-    gen_elements = tuple(G.gen_indices)
     realized_maps = {}
     for md in gf.maps:
-        vals = {f: w.evaluate(G, gen_elements) for f, w in md.words}
+        vals = {f: w.evaluate(G, G.gen_indices) for f, w in md.words}
         try:
             if md.kind == "oriented":
                 realized_maps[md.name] = OrientedMap(G, vals["r"], vals["l"])
@@ -501,7 +496,7 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
                                                     vals["l"])
         except ContractViolation as exc:
             raise ContractViolation(f"map {md.name!r}: {exc}") from exc
-    return Realization(gf, G, gen_elements, realized_maps)
+    return Realization(gf, G, realized_maps)
 
 
 def load_group_file(path) -> GroupFile:

@@ -1,8 +1,14 @@
 """Finite permutation groups by full enumeration.
 
 Groups here are small enough (a few thousand elements) that we list every
-element.  The closure is a breadth-first walk from the identity, multiplying
-by generators in input order, which fixes a deterministic element numbering:
+element, each as its image tuple: ``elements[k][x]`` is the image of point
+x; a :class:`~regmaps.perm.Perm` is only the validated form of a generator.
+Products read left to right, ``(g*h)(x) == h(g(x))``, so a word like
+``t*r`` means "apply t, then r", as for group words everywhere else in the
+package.
+
+The closure is a breadth-first walk from the identity, multiplying by
+generators in input order, which fixes a deterministic element numbering:
 element 0 is always the identity, and every later element k records a parent
 edge (j, i) with ``elements[k] == elements[j] * gens[i]``.  That edge list is
 what makes homomorphism extension a single linear pass.  The numbering
@@ -41,17 +47,16 @@ def closure(degree: int, generators: Sequence[Perm],
         if g.degree != degree:
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
-    # Products are built and looked up as image tuples, elements[k] * g as
-    # itemgetter(*elements[k].images)(g.images); a Perm is made only for
-    # each new element.  On one point every image tuple is (0,).
+    # elements[k] * g is itemgetter(*elements[k])(g.images).  On one point
+    # every image tuple is (0,).
     ident = tuple(range(degree))
-    elements = [Perm._raw(ident)]
+    elements = [ident]
     seen = {ident: 0}
     parent = [(-1, -1)]
     gen_table: list[list[int]] = []
     gen_images = [g.images for g in gens]
     for k, ek in enumerate(elements):
-        times = itemgetter(*ek.images) if degree > 1 else tuple
+        times = itemgetter(*ek) if degree > 1 else tuple
         row = []
         for i, g in enumerate(gen_images):
             prod = times(g)
@@ -62,24 +67,22 @@ def closure(degree: int, generators: Sequence[Perm],
                     raise ResourceLimitExceeded(
                         f"closure exceeded max_order={max_order}",
                         "max_order", max_order)
-                elements.append(Perm._raw(prod))
+                elements.append(prod)
                 seen[prod] = j
                 parent.append((k, i))
             row.append(j)
         gen_table.append(row)
-    index = {e: k for k, e in enumerate(elements)}
-    return FiniteGroup(degree, gens, elements, index, gen_table, parent)
+    return FiniteGroup(degree, gens, elements, gen_table, parent)
 
 
-def _greedy_base(elements: Sequence[Perm]) -> tuple:
+def _greedy_base(elements: Sequence[tuple]) -> tuple:
     """A base grown greedily from point 0: while some non-identity element
     fixes every base point, append the least point the first such element
     moves.  The identity is elements[0]."""
     base = [0]
-    fixing = [e.images for e in elements[1:] if e.images[0] == 0]
+    fixing = [e for e in elements[1:] if e[0] == 0]
     while fixing:
-        img = fixing[0]
-        b = next(x for x, y in enumerate(img) if x != y)
+        b = next(x for x, y in enumerate(fixing[0]) if x != y)
         base.append(b)
         fixing = [e for e in fixing if e[b] == b]
     return tuple(base)
@@ -88,11 +91,10 @@ def _greedy_base(elements: Sequence[Perm]) -> tuple:
 class FiniteGroup:
     """A fully enumerated permutation group.  Use :func:`closure` to build one."""
 
-    def __init__(self, degree, gens, elements, index, gen_table, parent):
+    def __init__(self, degree, gens, elements, gen_table, parent):
         self.degree = degree
         self.gens = gens
         self.elements = elements
-        self.index = index
         self.gen_table = gen_table
         self.parent = parent
         self.cache: dict = {}
@@ -102,10 +104,8 @@ class FiniteGroup:
         # _get[i] reads off, from the images of an element g, the images of
         # element i's base images: the base images of elements[i] * g.
         # Applied to the identity (elements[0]) it gives element i's own.
-        self._get = [itemgetter(*(e.images[b] for b in self.base))
-                     for e in elements]
-        ident = elements[0].images
-        self._at = {get(ident): k for k, get in enumerate(self._get)}
+        self._get = [itemgetter(*(e[b] for b in self.base)) for e in elements]
+        self._at = {get(elements[0]): k for k, get in enumerate(self._get)}
 
     # -- basic arithmetic on element indices ------------------------------
 
@@ -122,13 +122,15 @@ class FiniteGroup:
         return self.gen_table[0] if self.gen_table else []
 
     def mul(self, i: int, j: int) -> int:
-        return self._at[self._get[i](self.elements[j].images)]
+        return self._at[self._get[i](self.elements[j])]
 
     def inv(self, i: int) -> int:
         v = self._inv[i]
         if v is None:
-            v = self.index[self.elements[i].inverse()]
-            self._inv[i] = v
+            # The inverse sends base point b to elements[i].index(b); the key
+            # is built as _get builds it, a bare int on a one-point base.
+            key = tuple(map(self.elements[i].index, self.base))
+            v = self._inv[i] = self._at[key if len(key) > 1 else key[0]]
         return v
 
     def conj(self, i: int, by: int) -> int:
@@ -155,7 +157,7 @@ class FiniteGroup:
             # The base stabilizer is trivial, so g^k = 1 iff g^k fixes every
             # base point: the order is the lcm of the cycle lengths through
             # the base points.
-            img = self.elements[i].images
+            img = self.elements[i]
             v = 1
             for b in self.base:
                 k, x = 1, img[b]
@@ -278,10 +280,6 @@ class Subgroup:
 # -- subgroup and structure operations --------------------------------------
 
 
-def subgroup_generated(G: FiniteGroup, gen_indices: Sequence[int]) -> Subgroup:
-    return G.subgroup(gen_indices)
-
-
 def right_coset_partition(G: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
     """Label every element with a coset id for the right cosets ``sub * x``.
 
@@ -363,7 +361,31 @@ def prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    return prime_factors(n) == [n]
+    """Miller-Rabin with the primes up to 41 as bases, which no composite
+    below 3,317,044,064,679,887,385,961,981 passes (Sorenson and Webster,
+    2017), so the answer is exact; larger n are refused."""
+    if n >= 3317044064679887385961981:
+        raise ContractViolation(f"cannot decide whether {n} is prime")
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
@@ -422,8 +444,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupHom"
     Q = closure(max(1, len(G.elements) // N.order), perms)
     if Q.order * N.order != len(G.elements):
         raise TheoremViolation("quotient order mismatch")
-    gen_images = tuple(Q.index[p] for p in perms)
-    hom = hom_extend(G, Q, gen_images)
+    hom = hom_extend(G, Q, Q.gen_indices)
     if hom is None:
         raise TheoremViolation("canonical projection failed to extend")
     return Q, hom
@@ -442,14 +463,13 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
                    seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing `seeds` normalized by <ambient_gens>."""
     gens = sorted(set(seeds) - {0})
-    members = set(G._index_closure(gens))
     while True:
-        new = [G.conj(m, a) for m in gens for a in ambient_gens
-               if G.conj(m, a) not in members]
+        result = G.subgroup(gens)
+        new = {c for m in gens for a in ambient_gens
+               if (c := G.conj(m, a)) not in result.members}
         if not new:
-            return Subgroup(G, frozenset(members), tuple(gens))
-        gens.extend(sorted(set(new)))
-        members = set(G._index_closure(gens))
+            return result
+        gens.extend(sorted(new))
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
@@ -482,10 +502,10 @@ def omega1(sub: Subgroup, p: int) -> Subgroup:
     """Subgroup generated by all elements of order dividing p."""
     G = sub.parent
     gens = [m for m in sub.sorted_members() if m != 0 and G.power(m, p) == 0]
-    members = G._index_closure(gens)
-    if any(m not in sub.members for m in members):
+    result = G.subgroup(gens)
+    if not result.members <= sub.members:
         raise ContractViolation("omega1 escaped the subgroup; input not a group?")
-    return Subgroup(G, frozenset(members), tuple(gens))
+    return result
 
 
 def frattini_p(sub: Subgroup, p: int) -> Subgroup:
@@ -495,8 +515,7 @@ def frattini_p(sub: Subgroup, p: int) -> Subgroup:
         raise ContractViolation("frattini_p requires a p-group")
     der = derived_subgroup(G, sub)
     gens = sorted(set(der.gens) | ({G.power(m, p) for m in sub.members} - {0}))
-    members = G._index_closure(gens)
-    return Subgroup(G, frozenset(members), tuple(gens))
+    return G.subgroup(gens)
 
 
 def is_extraspecial(sub: Subgroup, p: int) -> bool:
@@ -618,7 +637,7 @@ def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     key = ("regen", tuple(gen_indices))
     if key in G.cache:
         return G.cache[key]
-    result = closure(G.degree, [G.elements[i] for i in gen_indices],
+    result = closure(G.degree, [Perm._raw(G.elements[i]) for i in gen_indices],
                      max_order=len(G.elements) + 1)
     G.cache[key] = result
     return result
@@ -745,11 +764,3 @@ def is_primitive(perms: Sequence[Perm], npoints: int) -> bool:
 def is_cyclic(sub: Subgroup) -> bool:
     G = sub.parent
     return any(G.order_of(m) == sub.order for m in sub.members)
-
-
-def exponent(sub: Subgroup) -> int:
-    G = sub.parent
-    out = 1
-    for m in sub.members:
-        out = lcm(out, G.order_of(m))
-    return out

@@ -19,8 +19,7 @@ from typing import Optional
 
 from .errors import ContractViolation, TheoremViolation
 from .group import (FiniteGroup, Subgroup, automorphism_exists, coset_action,
-                    is_primitive, quotient_group, regenerated, standardize,
-                    subgroup_generated)
+                    is_primitive, quotient_group, regenerated, standardize)
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
 DEGENERATE_L_EQUALS_T = "l_equals_t"
@@ -70,7 +69,7 @@ class OrientedMap:
             raise ContractViolation("rotation must not be the identity")
         if l == 0 or group.mul(l, l) != 0:
             raise ContractViolation("edge reversal must be an involution")
-        if not subgroup_generated(group, (r, l)).is_improper():
+        if not group.subgroup((r, l)).is_improper():
             raise ContractViolation(
                 "rotation and reversal do not generate the group")
         self.group = group
@@ -85,7 +84,7 @@ class OrientedMap:
 
     def _sub(self, key: str, gens: tuple) -> Subgroup:
         if key not in self._cache:
-            self._cache[key] = subgroup_generated(self.group, gens)
+            self._cache[key] = self.group.subgroup(gens)
         return self._cache[key]
 
     @property
@@ -160,7 +159,7 @@ class FlaggedMap:
             raise ContractViolation("l must square to the identity")
         if group.mul(t, l) != group.mul(l, t):
             raise ContractViolation("t and l must commute")
-        if not subgroup_generated(group, (t, r, l)).is_improper():
+        if not group.subgroup((t, r, l)).is_improper():
             raise ContractViolation("t, r, l do not generate the group")
         self.group = group
         self.t = t
@@ -181,7 +180,7 @@ class FlaggedMap:
 
     def _sub(self, key: str, gens: tuple) -> Subgroup:
         if key not in self._cache:
-            self._cache[key] = subgroup_generated(self.group, gens)
+            self._cache[key] = self.group.subgroup(gens)
         return self._cache[key]
 
     @property

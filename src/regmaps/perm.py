@@ -1,15 +1,14 @@
-"""Permutations of {0, ..., n-1} as immutable image tuples.
+"""Permutations of {0, ..., n-1}: the validated input type of the kernel.
 
-Products read left to right: ``(p * q)(x) == q(p(x))``, so a word like
-``t*r`` means "apply t, then r".  This matches the convention used for
-group words everywhere else in the package.  External notation (cycle
-strings in group files) is 1-based; the conversion happens at parse and
-print time only.
+A :class:`Perm` wraps an image tuple that has been checked to be a
+bijection.  Generators reach :func:`regmaps.group.closure` as Perms; the
+group then stores and multiplies bare image tuples, so products live in
+:mod:`regmaps.group`, not here.  External notation (cycle strings in group
+files) is 1-based; the conversion happens at parse and print time only.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
@@ -38,10 +37,6 @@ class Perm:
         return p
 
     @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls._raw(tuple(range(degree)))
-
-    @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Perm":
         """Build a permutation from disjoint 0-based cycles."""
         images = list(range(degree))
@@ -61,37 +56,7 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.images) != len(other.images):
-            raise ContractViolation("degree mismatch in product")
-        return Perm._raw(tuple(map(other.images.__getitem__, self.images)))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Perm._raw(tuple(inv))
-
-    def __pow__(self, e: int) -> "Perm":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Perm.identity(len(self.images))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def conj(self, by: "Perm") -> "Perm":
-        """self conjugated by `by`: by^-1 * self * by."""
-        return by.inverse() * self * by
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         out = []
         seen = [False] * len(self.images)
         for start in range(len(self.images)):
@@ -104,12 +69,9 @@ class Perm:
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

@@ -14,7 +14,7 @@ from regmaps.grammar import parse_group_file
 from regmaps.group import (automorphism_exists, coset_action, is_normal,
                            is_primitive, is_solvable, isomorphism_search,
                            normal_core, o_p, prime_factors, regenerated,
-                           subgroup_generated, sylow_p)
+                           sylow_p)
 from regmaps.maps import oriented_of_flagged, quotient_map
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
@@ -271,7 +271,7 @@ def test_c11_oracle_equivalence():
                 mismatches.append((G.order, f"o_{p}"))
             checked += 1
         for x in range(1, min(G.order, 6)):
-            H = subgroup_generated(G, (x,))
+            H = G.subgroup((x,))
             if sorted(normal_core(G, H).members) != \
                     sorted(brute_core(G, H.members)):
                 mismatches.append((G.order, f"core_of_elt_{x}"))

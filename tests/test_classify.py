@@ -9,8 +9,7 @@ from regmaps.classify import (ExceptionalCase, _orientation_status,
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import (closure, is_normal, regenerated,
-                           subgroup_generated, sylow_p)
+from regmaps.group import closure, is_normal, regenerated, sylow_p
 from regmaps.maps import FlaggedMap, OrientedMap
 from regmaps.perm import Perm
 from regmaps.standard import (dihedral_group, elementary_abelian,
@@ -57,11 +56,11 @@ def test_detect_p_map_rejects_mixed_vertex_count():
     rot = next(g for g in range(D6.order) if D6.order_of(g) == 6)
     refl = next(g for g in range(1, D6.order)
                 if D6.mul(g, g) == 0
-                and not subgroup_generated(D6, (rot,)).contains(g))
+                and not D6.subgroup((rot,)).contains(g))
     m = OrientedMap(D6, refl, next(
         h for h in range(1, D6.order)
         if D6.mul(h, h) == 0 and h != refl
-        and subgroup_generated(D6, (refl, h)).is_improper()))
+        and D6.subgroup((refl, h)).is_improper()))
     assert m.vef_counts()[0] == 6
     assert detect_p_map(m) is None
     with pytest.raises(ContractViolation):
@@ -159,7 +158,7 @@ def test_identify_dipole_rejections(corpus):
     rot = next(g for g in range(D4.order) if D4.order_of(g) == 4)
     refl = next(g for g in range(1, D4.order)
                 if D4.mul(g, g) == 0
-                and not subgroup_generated(D4, (rot,)).contains(g))
+                and not D4.subgroup((rot,)).contains(g))
     with pytest.raises(ClassificationError):
         identify_dipole(OrientedMap(D4, rot, refl))
 
@@ -182,7 +181,7 @@ def test_certify_preconditions(corpus):
     D4 = dihedral_group(4)
     refls = [g for g in range(1, D4.order) if D4.mul(g, g) == 0]
     t, l = next((t, l) for t in refls for l in refls
-                if t != l and subgroup_generated(D4, (t, l)).is_improper())
+                if t != l and D4.subgroup((t, l)).is_improper())
     m = OrientedMap(D4, t, l)
     assert m.vef_counts()[0] == 4
     with pytest.raises(ContractViolation):

@@ -117,6 +117,31 @@ def test_huge_matrix_modulus_exit_status(tmp_path, capsys):
     assert err.startswith("error: ") and "max_order" in err
 
 
+def test_huge_prime_modulus_exit_status(tmp_path, capsys):
+    # 10**18 + 3 is prime: the parser decides so at once, and the action on
+    # its p**2 - 1 points is refused before any vector is listed
+    f = tmp_path / "huge.grp"
+    f.write_text("group huge\n"
+                 "mat a = [[2,1],[1,0]] mod 1000000000000000003\n",
+                 encoding="utf-8")
+    start = time.perf_counter()
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert time.perf_counter() - start < 1.0
+    assert ret == 5
+    assert out == ""
+    assert err.startswith("error: ") and "max_order" in err
+
+
+def test_quotient_by_huge_prime(corpus_file, capsys):
+    # as for --p 5: a trivial p-core and no exceptional shape (exit 4)
+    start = time.perf_counter()
+    ret, out, _ = _run(capsys, ["quotient", "--p", "1000000000000000003",
+                                "--json", corpus_file("s4_3map.grp")])
+    assert time.perf_counter() - start < 1.0
+    assert ret == 4
+    assert json.loads(out)["group"]["p_core_order"] == 1
+
+
 def test_missing_file_exit_status(tmp_path, capsys):
     ret, _, err = _run(capsys, ["analyze", str(tmp_path / "nope.grp")])
     assert ret == 3

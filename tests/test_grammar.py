@@ -144,12 +144,11 @@ def test_realize_perm_mode_and_evaluate():
         "map m : flagged t=a r=b l=a*b\n")
     rz = realize_group_file(gf)
     assert rz.group.order == 4
-    assert rz.evaluate(Word.gen(0) * Word.gen(0)) == 0
+    a, b = rz.group.gen_indices
+    assert (Word.gen(0) * Word.gen(0)).evaluate(rz.group, (a, b)) == 0
     assert "m" in rz.maps
     m = rz.maps["m"]
-    assert sorted((m.t, m.r, m.l)) == sorted(
-        (rz.gen_elements[0], rz.gen_elements[1],
-         rz.group.mul(rz.gen_elements[0], rz.gen_elements[1])))
+    assert sorted((m.t, m.r, m.l)) == sorted((a, b, rz.group.mul(a, b)))
 
 
 def test_realize_rejects_broken_map():

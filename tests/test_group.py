@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,14 +7,14 @@ from hypothesis import strategies as st
 from regmaps.errors import ContractViolation
 from regmaps.grammar import matrix_group
 from regmaps.group import (automorphism_exists, center, coset_action,
-                           derived_series, derived_subgroup, exponent,
-                           hom_extend, is_cyclic, is_extraspecial, is_normal,
+                           derived_series, derived_subgroup, hom_extend,
+                           is_cyclic, is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
                            isomorphism_search, normal_closure, normal_core,
                            o_p, omega1, p_part, prime_factors,
                            quotient_group, regenerated,
                            right_coset_partition, small_generating_set,
-                           standardize, subgroup_generated, sylow_p)
+                           standardize, sylow_p)
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
@@ -50,14 +52,14 @@ EXPECTED_ORDERS = {
 @pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
 def test_seed_orders_against_brute_closure(name, G):
     assert G.order == EXPECTED_ORDERS[name]
-    gens = [G.elements[i].images for i in G.gen_indices]
+    gens = [G.elements[i] for i in G.gen_indices]
     if gens:
         assert len(oracles.brute_closure(gens, G.degree)) == G.order
 
 
 @pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
 def test_identity_and_arithmetic(name, G):
-    assert G.elements[0].is_identity()
+    assert G.elements[0] == tuple(range(G.degree))
     for x in range(0, G.order, max(1, G.order // 7)):
         assert G.mul(0, x) == x == G.mul(x, 0)
         assert G.mul(x, G.inv(x)) == 0
@@ -69,8 +71,8 @@ def test_mul_matches_permutation_composition():
     G = symmetric_group(4)
     for a in range(G.order):
         for b in range(G.order):
-            want = oracles.compose(G.elements[a].images, G.elements[b].images)
-            assert G.elements[G.mul(a, b)].images == want
+            want = oracles.compose(G.elements[a], G.elements[b])
+            assert G.elements[G.mul(a, b)] == want
 
 
 def test_conjugacy_classes_partition():
@@ -91,7 +93,7 @@ def test_lagrange_and_cosets():
     from collections import Counter
     G = symmetric_group(4)
     for gens in [(1,), (1, 2), (G.gen_indices[1],), tuple(G.gen_indices)]:
-        H = subgroup_generated(G, gens)
+        H = G.subgroup(gens)
         assert G.order % H.order == 0
         coset_of, reps = right_coset_partition(G, H)
         assert len(reps) == G.order // H.order
@@ -121,7 +123,7 @@ def test_o_p_matches_brute_force(name, G):
 def test_normal_core_matches_brute_force(name, G):
     probes = [G.gen_indices[:1], G.gen_indices[:2], [1]]
     for gens in probes:
-        H = subgroup_generated(G, gens)
+        H = G.subgroup(gens)
         assert normal_core(G, H).members == oracles.brute_core(G, H.members)
 
 
@@ -161,8 +163,10 @@ def test_omega1_and_exponent():
     assert omega1(C9.improper_subgroup(), 3).order == 3
     E9 = elementary_abelian(3, 2)
     assert omega1(E9.improper_subgroup(), 3).order == 9
-    assert exponent(E9.improper_subgroup()) == 3
-    assert exponent(symmetric_group(4).improper_subgroup()) == 12
+    # the exponent, as the lcm of the element orders
+    assert lcm(*map(E9.order_of, range(E9.order))) == 3
+    S4 = symmetric_group(4)
+    assert lcm(*map(S4.order_of, range(S4.order))) == 12
 
 
 def test_normal_closure_of_odd_part():
@@ -205,14 +209,14 @@ def test_regenerated_and_small_generating_set():
     assert sub.order == G.order
     gens = small_generating_set(G)
     assert len(gens) <= 2
-    assert subgroup_generated(G, gens).is_improper()
+    assert G.subgroup(gens).is_improper()
 
 
 def test_coset_action_transitive_and_primitivity():
     # S4 on cosets of a point stabilizer is the natural 4-point action
     G = symmetric_group(4)
-    fix3 = [g for g in range(G.order) if G.elements[g].images[3] == 3]
-    S3 = subgroup_generated(G, [g for g in fix3 if G.order_of(g) in (2, 3)])
+    fix3 = [g for g in range(G.order) if G.elements[g][3] == 3]
+    S3 = G.subgroup([g for g in fix3 if G.order_of(g) in (2, 3)])
     assert S3.order == 6
     perms, _ = coset_action(G, S3)
     assert is_transitive(perms, 4)
@@ -221,7 +225,7 @@ def test_coset_action_transitive_and_primitivity():
     D4 = dihedral_group(4)
     refl = next(g for g in range(1, D4.order)
                 if D4.order_of(g) == 2 and not center(D4.improper_subgroup()).contains(g))
-    perms, _ = coset_action(D4, subgroup_generated(D4, [refl]))
+    perms, _ = coset_action(D4, D4.subgroup([refl]))
     assert is_transitive(perms, 4)
     assert not is_primitive(perms, 4)
 
@@ -230,6 +234,17 @@ def test_p_part_and_prime_factors():
     assert p_part(72, 2) == 8 and p_part(72, 3) == 9 and p_part(72, 5) == 1
     assert prime_factors(1) == []
     assert prime_factors(2106) == [2, 3, 13]
+
+
+def test_is_prime_is_exact():
+    assert all(is_prime(n) == (prime_factors(n) == [n]) for n in range(20000))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**18 + 3) and is_prime(1000000000039)
+    assert not is_prime(1000000000039 * 1000000000061)
+    with pytest.raises(ContractViolation):
+        is_prime(3317044064679887385961981)
 
 
 def test_is_cyclic():
@@ -241,7 +256,7 @@ def test_is_cyclic():
 @settings(max_examples=40, deadline=None)
 def test_generated_subgroup_order_divides(gens):
     G = symmetric_group(4)
-    H = subgroup_generated(G, gens)
+    H = G.subgroup(gens)
     assert G.order % H.order == 0
     assert H.members == oracles.span(G, gens)
 
@@ -253,10 +268,11 @@ def test_order_of_on_corpus_groups(corpus, fname):
     assert G.base[0] == 0 and len(G.base) > 1
     for x in range(G.order):
         assert G.order_of(x) == oracles.element_order(G, x)
-        assert G.order_of(x) == G.elements[x].order()
+        assert G.order_of(x) == oracles.tuple_order(G.elements[x])
 
 
 BASE_GROUPS = {
+    "C12": lambda corpus: cyclic_group(12),  # regular: the base is (0,)
     "S4": lambda corpus: symmetric_group(4),
     "D6": lambda corpus: dihedral_group(6),
     "gl23": lambda corpus: corpus["gl23_reflexible.grp"].group,
@@ -269,16 +285,18 @@ BASE_GROUPS = {
 @pytest.mark.parametrize("name", BASE_GROUPS)
 def test_mul_and_order_of_read_base_images(corpus, name):
     G = BASE_GROUPS[name](corpus)
-    images = [tuple(e.images[b] for b in G.base) for e in G.elements]
+    assert (len(G.base) == 1) == (name == "C12")
+    images = [tuple(e[b] for b in G.base) for e in G.elements]
     assert len(set(images)) == G.order
     # greedy: every base point is needed, as some non-identity element
     # fixes all the points before it
     for k in range(1, len(G.base)):
         assert any(im[:k] == images[0][:k] for im in images[1:])
     for i, x in enumerate(G.elements):
-        assert G.order_of(i) == x.order()
+        assert G.order_of(i) == oracles.tuple_order(x)
+        assert G.mul(i, G.inv(i)) == 0
         for j, y in enumerate(G.elements):
-            assert G.mul(i, j) == G.index[x * y]
+            assert G.elements[G.mul(i, j)] == oracles.compose(x, y)
 
 
 STANDARDIZE_GROUPS = [
