@@ -8,11 +8,21 @@ generating tuples give isomorphic maps iff an automorphism of G carries one
 to the other, i.e. iff their standardized tables are equal (see
 :func:`regmaps.group.standard_table`), so each class is one dict entry keyed
 by that table.  One standardizing walk per candidate both tests that it
-generates G and yields its key.  Aut(G) acts freely on generating tuples,
-so every class has |Aut G| members; a census whose classes differ in size
-raises TheoremViolation.  Tuples are scanned in lexicographic order, so
-the first tuple of each class is its lexicographic least representative
-and the classes come out in the order of those representatives.
+generates G and yields its key.
+
+Inner automorphisms are automorphisms, so the first entry (r, or t) is
+scanned only over the least member of each conjugacy class, in increasing
+order, and the other entries in full; each generating tuple found counts
+the size of its first entry's conjugacy class.  Every conjugate of a
+class's lexicographic least tuple lies in the class, so that tuple's first
+entry is least in its conjugacy class: the first tuple met in each class
+is still its lexicographic least representative, and the classes come out
+in the order of those representatives.  Conjugation by G
+maps the tuples of a class with first entry x one-to-one onto those with
+first entry any conjugate of x, so the weighted count of a class is its
+full size.  Aut(G) acts freely on generating tuples, so every class has
+|Aut G| members; a census whose classes differ in size raises
+TheoremViolation.
 """
 
 from __future__ import annotations
@@ -48,13 +58,14 @@ def _generates(tables, n: int) -> Optional[tuple]:
     return None if std is None else std[0]
 
 
-def _add(classes: dict, key: tuple, cand: tuple) -> None:
-    """Count a generating tuple into its class, opening the class if new."""
+def _add(classes: dict, key: tuple, cand: tuple, weight: int) -> None:
+    """Count `weight` generating tuples into a class, opening the class with
+    `cand` as its representative if new."""
     rec = classes.get(key)
     if rec is None:
-        classes[key] = [cand, 1]
+        classes[key] = [cand, weight]
     else:
-        rec[1] += 1
+        rec[1] += weight
 
 
 def _prepare(G: FiniteGroup, max_order: int) -> list:
@@ -64,6 +75,17 @@ def _prepare(G: FiniteGroup, max_order: int) -> list:
             f"census group order {G.order} exceeds the bound {max_order}",
             "max_order", max_order)
     return [x for x in range(1, G.order) if G.mul(x, x) == 0]
+
+
+def _class_minima(G: FiniteGroup, members) -> tuple[list, list]:
+    """The least of `members` in each conjugacy class they meet, in
+    increasing order, and the conjugacy class size of every element.
+    `members` is increasing and closed under conjugation."""
+    class_id, sizes = G.conjugacy_classes()
+    least: dict = {}
+    for x in members:
+        least.setdefault(class_id[x], x)
+    return list(least.values()), sizes
 
 
 def _entries(G: FiniteGroup, classes: dict, kind: str) -> list:
@@ -89,14 +111,15 @@ def enumerate_oriented(G: FiniteGroup,
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
     invs = _prepare(G, max_order)
     n = G.order
+    firsts, sizes = _class_minima(G, range(1, n))
     inv_tables = {l: mult_table(G, l) for l in invs}
     classes: dict = {}
-    for r in range(1, n):
+    for r in firsts:
         table_r = mult_table(G, r)
         for l in invs:
             key = _generates((table_r, inv_tables[l]), n)
             if key is not None:
-                _add(classes, key, (r, l))
+                _add(classes, key, (r, l), sizes[r])
     return _entries(G, classes, "oriented")
 
 
@@ -106,11 +129,12 @@ def enumerate_flagged(G: FiniteGroup,
     t*l = l*t; l = t allowed but tagged degenerate)."""
     invs = _prepare(G, max_order)
     n = G.order
+    firsts, sizes = _class_minima(G, invs)
     inv_tables = {l: mult_table(G, l) for l in invs}
     commuting = {t: [l for l in invs
-                     if G.mul(t, l) == G.mul(l, t)] for t in invs}
+                     if G.mul(t, l) == G.mul(l, t)] for t in firsts}
     classes: dict = {}
-    for t in invs:
+    for t in firsts:
         table_t = inv_tables[t]
         for r in invs:
             pair = (table_t, inv_tables[r])
@@ -119,7 +143,7 @@ def enumerate_flagged(G: FiniteGroup,
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (inv_tables[l],), n)
                 if key is not None:
-                    _add(classes, key, (t, r, l))
+                    _add(classes, key, (t, r, l), sizes[t])
     return _entries(G, classes, "flagged")
 
 

@@ -34,12 +34,12 @@ def _read(path: str) -> str:
         raise ContractViolation(f"cannot read {path}: {exc}") from exc
 
 
-def _realize(text: str, args):
+def _realize(text: str, args, default_order: int = DEFAULT_MAX_ORDER):
     gf = parse_group_file(text)
     return realize_group_file(
         gf,
         max_cosets=args.max_cosets or DEFAULT_MAX_COSETS,
-        max_order=getattr(args, "max_order", None) or DEFAULT_MAX_ORDER)
+        max_order=args.max_order or default_order)
 
 
 def _select_map(rz, wanted):
@@ -150,8 +150,10 @@ def cmd_quotient(args) -> int:
 
 def cmd_census(args) -> int:
     text = _read(args.file)
-    rz = _realize(text, args)
+    # Realize under the census bound, so that a group too large for the
+    # census is refused there, not closed up to the 10^6 default first.
     bound = args.max_order or DEFAULT_CENSUS_MAX_ORDER
+    rz = _realize(text, args, bound)
     if args.kind == "oriented":
         entries = enumerate_oriented(rz.group, max_order=bound)
     else:

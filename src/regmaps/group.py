@@ -35,11 +35,19 @@ from .errors import ContractViolation, ResourceLimitExceeded, TheoremViolation
 from .perm import Perm
 
 DEFAULT_MAX_ORDER = 10**6
+# Closure holds one image tuple of `degree` entries per element, so it
+# refuses a group before order * degree passes this many cells (about 160 MB
+# of tuple slots), whatever the order bound.
+MAX_CLOSURE_CELLS = 2 * 10**7
 
 
 def closure(degree: int, generators: Sequence[Perm],
             max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
-    """Enumerate the group generated by `generators` inside Sym(degree)."""
+    """Enumerate the group generated by `generators` inside Sym(degree).
+
+    Refuses (ResourceLimitExceeded) a group of more than `max_order`
+    elements, or of more than MAX_CLOSURE_CELLS // degree elements.
+    """
     gens = tuple(generators)
     if degree < 1:
         raise ContractViolation("a group acts on at least one point")
@@ -55,6 +63,7 @@ def closure(degree: int, generators: Sequence[Perm],
     parent = [(-1, -1)]
     gen_table: list[list[int]] = []
     gen_images = [g.images for g in gens]
+    limit = min(max_order, MAX_CLOSURE_CELLS // degree)
     for k, ek in enumerate(elements):
         times = itemgetter(*ek) if degree > 1 else tuple
         row = []
@@ -63,10 +72,15 @@ def closure(degree: int, generators: Sequence[Perm],
             j = seen.get(prod)
             if j is None:
                 j = len(elements)
-                if j >= max_order:
+                if j >= limit:
+                    if limit == max_order:
+                        raise ResourceLimitExceeded(
+                            f"closure exceeded max_order={max_order}",
+                            "max_order", max_order)
                     raise ResourceLimitExceeded(
-                        f"closure exceeded max_order={max_order}",
-                        "max_order", max_order)
+                        f"closure exceeded max_cells={MAX_CLOSURE_CELLS}:"
+                        f" {limit} elements on {degree} points",
+                        "max_cells", MAX_CLOSURE_CELLS)
                 elements.append(prod)
                 seen[prod] = j
                 parent.append((k, i))

@@ -3,10 +3,15 @@
 Everything here is deliberately naive: plain BFS over raw permutation
 tuples, quadratic scans, intersections over all conjugates.  No shared
 shortcuts with the package, so the fast code has something honest to be
-measured against.
+measured against.  The one exception is the full-scan census, which keys
+classes by the package's standardized tables: it is the census before the
+first entries were cut down to conjugacy-class minima.
 """
 
 from itertools import combinations, product
+
+from regmaps.group import mult_table, standard_table
+from regmaps.maps import FlaggedMap, OrientedMap
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,35 @@ def scan_flagged_triples(G):
                 if len(span(G, (t, r, l))) == G.order:
                     out.append((t, r, l))
     return out
+
+
+def _full_census(G, candidates, make):
+    """Rows (tuple, class size, degenerate tags) of the census that scans
+    every candidate in the given order and counts each generating tuple
+    once, in classes keyed by standardized table."""
+    n = G.order
+    tables = [mult_table(G, g) for g in range(n)]
+    classes = {}
+    for cand in candidates:
+        std = standard_table([tables[x] for x in cand], n)
+        if std is not None:
+            classes.setdefault(std[0], [cand, 0])[1] += 1
+    return [(cand, count, tuple(sorted(make(G, *cand).degenerate)))
+            for cand, count in classes.values()]
+
+
+def full_census_oriented(G):
+    """The oriented census with every r != 1 as first entry."""
+    inv = involutions(G)
+    return _full_census(G, ((r, l) for r in range(1, G.order) for l in inv),
+                        OrientedMap)
+
+
+def full_census_flagged(G):
+    """The flagged census with every involution as first entry."""
+    inv = involutions(G)
+    return _full_census(G, ((t, r, l) for t in inv for r in inv for l in inv
+                            if G.mul(t, l) == G.mul(l, t)), FlaggedMap)
 
 
 def brute_aut_count(G):

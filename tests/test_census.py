@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (brute_aut_count, scan_flagged_triples,
+from oracles import (brute_aut_count, full_census_flagged,
+                     full_census_oriented, scan_flagged_triples,
                      scan_oriented_pairs)
 from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _entries,
                             census_classify, enumerate_flagged,
                             enumerate_oriented)
 from regmaps.errors import ResourceLimitExceeded, TheoremViolation
+from regmaps.group import closure
 from regmaps.maps import FlaggedMap, OrientedMap, maps_isomorphic
+from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
@@ -116,6 +121,40 @@ def test_census_matches_quadratic_scan(factory):
             assert e.tuple_ == min(members)
 
 
+FULL_SCANS = {"oriented": (enumerate_oriented, full_census_oriented),
+              "flagged": (enumerate_flagged, full_census_flagged)}
+
+
+@pytest.mark.parametrize("kind", FULL_SCANS)
+def test_census_matches_full_scan_on_corpus(corpus, kind):
+    # Scanning first entries over conjugacy-class minima, weighted by class
+    # size, lists the same classes, representatives and sizes as scanning
+    # every first entry once.
+    enum, full = FULL_SCANS[kind]
+    checked = 0
+    for fname, rz in corpus.items():
+        if rz.group.order < 500:
+            assert _rows(enum(rz.group)) == full(rz.group), fname
+            checked += 1
+    assert checked == 9
+
+
+# Two permutations of degree at most 5 reach groups with outer
+# automorphisms (C4, C5, V4, D4, D5, A5, ...), where a class holds tuples
+# with first entries from several conjugacy classes.
+TWO_PERMUTATION_GROUPS = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=2, max_size=2)
+).map(lambda ps: closure(len(ps[0]), [Perm(p) for p in ps]))
+
+
+@given(st.one_of(TWO_PERMUTATION_GROUPS,
+                 st.integers(2, 12).map(dihedral_group)))
+@settings(max_examples=25, deadline=None)
+def test_census_matches_full_scan_on_small_groups(G):
+    for enum, full in FULL_SCANS.values():
+        assert _rows(enum(G)) == full(G)
+
+
 @pytest.mark.parametrize("fname,reflexible_classes",
                          [("s4_3map.grp", 2), ("gl23_reflexible.grp", 4)])
 def test_mirror_closure(corpus, fname, reflexible_classes):
@@ -216,6 +255,16 @@ def test_class_sizes_equal_brute_force_aut_order(corpus, fname):
         assert entries
         assert all(e.class_size == aut for e in entries)
         assert len(entries) * aut == len(scan(G))
+
+
+def test_g2106_oriented_census(corpus):
+    # 8 classes of |Aut G| = 4212 tuples, from 2,160 scanned candidates
+    entries = enumerate_oriented(corpus["g2106_chiral.grp"].group,
+                                 max_order=3000)
+    assert [e.tuple_ for e in entries] == [
+        (10, 1026), (40, 1026), (215, 1026), (330, 1026), (516, 1026),
+        (603, 1026), (1108, 1026), (1352, 1026)]
+    assert all(e.class_size == 4212 for e in entries)
 
 
 def test_order_bound_enforced(corpus):

@@ -231,6 +231,33 @@ def test_resource_limit_exit_status(corpus_file, capsys):
     assert "error:" in err
 
 
+def test_census_refuses_on_the_order_before_listing_elements(corpus_file,
+                                                             capsys):
+    # the group is realized under the census bound, so the presentation is
+    # refused on the order its regular coset enumeration gives
+    ret, out, err = _run(capsys, ["census", "--kind", "oriented",
+                                  corpus_file("g2106_chiral.grp")])
+    assert ret == 5
+    assert out == ""
+    assert err == "error: group order 2106 exceeds max_order=2000\n"
+
+
+def test_large_matrix_group_hits_the_cell_bound(tmp_path, capsys):
+    # 10200 points: under the default order bound, closure stops at
+    # MAX_CLOSURE_CELLS // 10200 elements instead of exhausting memory
+    f = tmp_path / "big_mod101.grp"
+    f.write_text("group big_mod101\n"
+                 "mat a = [[2,1],[1,0]] mod 101\n"
+                 "mat b = [[0,1],[1,0]] mod 101\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    start = time.perf_counter()
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert time.perf_counter() - start < 10.0
+    assert ret == 5
+    assert out == ""
+    assert err.startswith("error: ") and "max_cells" in err
+
+
 def test_census_human_output(corpus_file, capsys):
     ret, out, _ = _run(capsys, ["census", "--kind", "flagged",
                                 corpus_file("s4_3map.grp")])

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regmaps.errors import ContractViolation
+import regmaps.group
+from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group
-from regmaps.group import (automorphism_exists, center, coset_action,
+from regmaps.group import (automorphism_exists, center, closure, coset_action,
                            derived_series, derived_subgroup, hom_extend,
                            is_cyclic, is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
@@ -15,6 +16,7 @@ from regmaps.group import (automorphism_exists, center, coset_action,
                            quotient_group, regenerated,
                            right_coset_partition, small_generating_set,
                            standardize, sylow_p)
+from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
@@ -87,6 +89,21 @@ def test_conjugacy_classes_partition():
         for g in range(G.order):
             assert class_id[G.conj(x, g)] == class_id[x]
     assert class_id[0] == 0 and size_of[0] == 1
+
+
+def test_closure_bounds_order_and_cells(monkeypatch):
+    # S5 on 5 points; a cell bound of 250 admits 50 elements
+    gens = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
+    assert closure(5, gens).order == 120
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 250)
+    with pytest.raises(ResourceLimitExceeded) as e:
+        closure(5, gens)
+    assert (e.value.limit_name, e.value.limit_value) == ("max_cells", 250)
+    assert "max_cells=250: 50 elements on 5 points" in str(e.value)
+    with pytest.raises(ResourceLimitExceeded) as e:
+        closure(5, gens, max_order=20)
+    assert (e.value.limit_name, e.value.limit_value) == ("max_order", 20)
+    assert closure(5, gens[:1]).order == 5
 
 
 def test_lagrange_and_cosets():
