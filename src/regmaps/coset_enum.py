@@ -8,7 +8,11 @@ standardized (:func:`regmaps.group.standard_table`): a breadth-first
 renumbering from coset 0.
 
 Symbols interleave generators and inverses: generator i is symbol 2i and
-its inverse is 2i + 1, so ``x ^ 1`` flips a symbol.
+its inverse is 2i + 1, so ``x ^ 1`` flips a symbol.  The table is one list
+per symbol, indexed by coset, and each relator is turned once into the
+lists of its letters' columns and of their inverses' columns, so tracing a
+letter is one subscript.  A relator ``x^2`` or ``x^-2`` gives x and x^-1 one
+shared column, which holds that relator by itself, so it is not traced.
 
 :func:`presentation_group` realizes a presentation as a permutation group:
 on the cosets of the cyclic subgroup of one generator, the smallest such
@@ -34,15 +38,18 @@ def _to_symbols(word: Word) -> list[int]:
 
 @dataclass
 class CosetTable:
-    """A completed enumeration: `n` cosets, one row of 2*ngens entries each."""
+    """A completed enumeration: `n` cosets; ``cols[x][k]`` is coset k * x."""
 
     ngens: int
     n: int
-    rows: list
+    cols: list
+
+    @property
+    def rows(self) -> list:
+        return [[col[k] for col in self.cols] for k in range(self.n)]
 
     def gen_perms(self) -> list[Perm]:
-        return [Perm(tuple(row[2 * i] for row in self.rows))
-                for i in range(self.ngens)]
+        return [Perm(col) for col in self.cols[::2]]
 
 
 def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
@@ -55,9 +62,18 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     """
     ngens = pres.ngens
     if ngens == 0:
-        return CosetTable(0, 1, [[]])
+        return CosetTable(0, 1, [])
     nsym = 2 * ngens
-    table: list[list] = [[None] * nsym]
+    relators = [_to_symbols(r) for r in pres.relators]
+    # x^2 or x^-2 gives x and x^-1 one column, which holds it untraced
+    invol = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
+    cols = [[None] for _ in range(nsym)]
+    for i in invol:
+        cols[2 * i + 1] = cols[2 * i]
+    # (column, inverse column) of each symbol with a column of its own
+    pairs = [(cols[x], cols[x ^ 1]) for x in range(nsym)
+             if x % 2 == 0 or cols[x] is not cols[x ^ 1]]
+    owned = [fc for fc, _ in pairs]
     p = [0]
 
     def rep(k: int) -> int:
@@ -67,18 +83,6 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
         while p[k] != root:
             p[k], k = root, p[k]
         return root
-
-    def define(alpha: int, x: int) -> int:
-        if len(table) >= max_cosets:
-            raise ResourceLimitExceeded(
-                f"coset table exceeded max_cosets={max_cosets}",
-                "max_cosets", max_cosets)
-        beta = len(table)
-        table.append([None] * nsym)
-        p.append(beta)
-        table[alpha][x] = beta
-        table[beta][x ^ 1] = alpha
-        return beta
 
     def merge(a: int, b: int, queue: list) -> None:
         a, b = rep(a), rep(b)
@@ -90,75 +94,91 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     def coincidence(alpha: int, beta: int) -> None:
         queue: list = []
         merge(alpha, beta, queue)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            for x in range(nsym):
-                delta = table[gamma][x]
-                if delta is None:
+        for gamma in queue:
+            for fc, ic in pairs:
+                if (delta := fc[gamma]) is None:
                     continue
-                table[delta][x ^ 1] = None
+                ic[delta] = None
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
+                if fc[mu] is not None:
+                    merge(nu, fc[mu], queue)
+                elif ic[nu] is not None:
+                    merge(mu, ic[nu], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    fc[mu] = nu
+                    ic[nu] = mu
 
-    def scan_and_fill(alpha: int, word: list) -> None:
+    def refusal() -> ResourceLimitExceeded:
+        live = sum(k == r for k, r in enumerate(p))
+        return ResourceLimitExceeded(
+            f"coset table exceeded max_cosets={max_cosets} ({live} live)",
+            "max_cosets", max_cosets)
+
+    def scan_and_fill(alpha: int, fw: list, bw: list) -> None:
+        # fw[i] is the column of the word's i-th symbol, bw[i] of its inverse
         f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        b, j = alpha, len(fw) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
-                i += 1
+            while i <= j and (g := fw[i][f]) is not None:
+                f, i = g, i + 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
-                j -= 1
+            while j >= i and (g := bw[j][b]) is not None:
+                b, j = g, j - 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                fw[i][f] = b
+                bw[i][b] = f
                 return
-            define(f, word[i])
+            beta = len(p)  # define f * word[i] as a new coset
+            if beta == max_cosets:
+                raise refusal()
+            p.append(beta)
+            for col in owned:
+                col.append(None)
+            fw[i][f] = beta
+            bw[i][beta] = f
 
-    relators = [_to_symbols(r) for r in pres.relators]
+    def scan(word: list) -> tuple:
+        return [cols[x] for x in word], [cols[x ^ 1] for x in word]
+
+    scans = [scan(w) for w in relators if len(w) != 2 or w[0] != w[1]]
     for w in subgroup_words:
-        scan_and_fill(0, _to_symbols(w))
+        scan_and_fill(0, *scan(_to_symbols(w)))
     alpha = 0
-    while alpha < len(table):
+    while alpha < len(p):
         if p[alpha] == alpha:
-            for w in relators:
-                scan_and_fill(alpha, w)
+            for fw, bw in scans:
+                scan_and_fill(alpha, fw, bw)
                 if p[alpha] != alpha:
                     break
-            if p[alpha] == alpha:
-                for x in range(nsym):
-                    if table[alpha][x] is None:
-                        define(alpha, x)
+            else:
+                for fc, ic in pairs:
+                    if fc[alpha] is None:
+                        beta = len(p)
+                        if beta == max_cosets:
+                            raise refusal()
+                        p.append(beta)
+                        for col in owned:
+                            col.append(None)
+                        fc[alpha] = beta
+                        ic[beta] = alpha
         alpha += 1
 
-    # Compact to live cosets, then standardize: renumber in BFS order from
-    # coset 0, so the final table does not depend on the history of dead
-    # definitions.
-    live = [k for k in range(len(table)) if p[k] == k]
+    # Compact to live cosets, then standardize, so the final table does not
+    # depend on the history of dead definitions.
+    live = [k for k, r in enumerate(p) if k == r]
     squash = {k: i for i, k in enumerate(live)}
-    cols = [[squash[rep(table[k][x])] for k in live] for x in range(nsym)]
-    std = standard_table(cols, len(live))
+    std = standard_table([[squash[rep(col[k])] for k in live] for col in cols],
+                         len(live))
     if std is None:
         raise ContractViolation("coset table is not connected")
     flat = std[0]
-    final = [list(flat[c:c + nsym]) for c in range(0, len(flat), nsym)]
-    return CosetTable(ngens, len(final), final)
+    return CosetTable(ngens, len(live), [flat[x::nsym] for x in range(nsym)])
 
 
 def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -197,10 +217,10 @@ def presentation_group(pres: Presentation,
             "max_order", max_order)
 
     degrees = []
-    for i in range(ct.ngens):
-        m, x = 1, ct.rows[0][2 * i]
+    for col in ct.cols[::2]:
+        m, x = 1, col[0]
         while x != 0:
-            m, x = m + 1, ct.rows[x][2 * i]
+            m, x = m + 1, col[x]
         degrees.append(n // m)
     # sorted() is stable, so ties keep generator order
     for i in sorted(range(ct.ngens), key=degrees.__getitem__):

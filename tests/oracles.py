@@ -5,11 +5,14 @@ tuples, quadratic scans, intersections over all conjugates.  No shared
 shortcuts with the package, so the fast code has something honest to be
 measured against.  The one exception is the full-scan census, which keys
 classes by the package's standardized tables: it is the census before the
-first entries were cut down to conjugacy-class minima.
+first entries were cut down to conjugacy-class minima.  So is the
+reference coset enumerator, which standardizes its table the same way: it
+is the row-per-coset HLT kernel from before the per-generator columns.
 """
 
 from itertools import combinations, product
 
+from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import mult_table, standard_table
 from regmaps.maps import FlaggedMap, OrientedMap
 
@@ -229,3 +232,118 @@ def brute_aut_count(G):
         if ok and len(set(phi.values())) == n:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration
+
+def todd_coxeter_rows(pres, subgroup_words=(), max_cosets=200_000):
+    """Standardized rows of the coset table of <subgroup_words>: HLT with
+    one list of 2 * ngens entries per coset (generator i is symbol 2i, its
+    inverse 2i + 1) and both columns kept for every generator."""
+    ngens = pres.ngens
+    if ngens == 0:
+        return [[]]
+    nsym = 2 * ngens
+    table = [[None] * nsym]
+    p = [0]
+
+    def to_symbols(word):
+        return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
+                for x in word.letters]
+
+    def rep(k):
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def define(alpha, x):
+        if len(table) >= max_cosets:
+            raise ResourceLimitExceeded(
+                f"coset table exceeded max_cosets={max_cosets}",
+                "max_cosets", max_cosets)
+        beta = len(table)
+        table.append([None] * nsym)
+        p.append(beta)
+        table[alpha][x] = beta
+        table[beta][x ^ 1] = alpha
+        return beta
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            p[hi] = lo
+            queue.append(hi)
+
+    def coincidence(alpha, beta):
+        queue = []
+        merge(alpha, beta, queue)
+        qi = 0
+        while qi < len(queue):
+            gamma = queue[qi]
+            qi += 1
+            for x in range(nsym):
+                delta = table[gamma][x]
+                if delta is None:
+                    continue
+                table[delta][x ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(alpha, word):
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    relators = [to_symbols(r) for r in pres.relators]
+    for w in subgroup_words:
+        scan_and_fill(0, to_symbols(w))
+    alpha = 0
+    while alpha < len(table):
+        if p[alpha] == alpha:
+            for w in relators:
+                scan_and_fill(alpha, w)
+                if p[alpha] != alpha:
+                    break
+            if p[alpha] == alpha:
+                for x in range(nsym):
+                    if table[alpha][x] is None:
+                        define(alpha, x)
+        alpha += 1
+
+    live = [k for k in range(len(table)) if p[k] == k]
+    squash = {k: i for i, k in enumerate(live)}
+    cols = [[squash[rep(table[k][x])] for k in live] for x in range(nsym)]
+    std = standard_table(cols, len(live))
+    if std is None:
+        raise ContractViolation("coset table is not connected")
+    flat = std[0]
+    return [list(flat[c:c + nsym]) for c in range(0, len(flat), nsym)]

@@ -231,6 +231,14 @@ def test_resource_limit_exit_status(corpus_file, capsys):
     assert "error:" in err
 
 
+def test_coset_refusal_says_how_many_cosets_live(corpus_file, capsys):
+    for extra in ([], ["--json"]):
+        ret, out, err = _run(capsys, ["analyze", "--max-cosets", "100",
+                                      corpus_file("g72_3map.grp")] + extra)
+        assert (ret, out) == (5, "")
+        assert err == "error: coset table exceeded max_cosets=100 (94 live)\n"
+
+
 def test_census_refuses_on_the_order_before_listing_elements(corpus_file,
                                                              capsys):
     # the group is realized under the census bound, so the presentation is

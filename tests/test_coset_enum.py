@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
                                 presentation_group, todd_coxeter)
@@ -142,3 +146,89 @@ def test_presentation_group_order_bound():
     with pytest.raises(ResourceLimitExceeded) as e:
         presentation_group(pres, max_order=71)
     assert e.value.limit_name == "max_order"
+
+
+# Random presentations on 2 or 3 generators: a power of each generator
+# (x^2 and x^-2 among them, which share one column), then one to three
+# short products, commutators and powers; and at most one subgroup word.
+EXPONENTS = (2, -2, 3, -3, 4, 5)
+
+
+@st.composite
+def presentations(draw):
+    ngens = draw(st.integers(2, 3))
+    letters = st.sampled_from([s * g for g in range(1, ngens + 1)
+                               for s in (1, -1)])
+
+    def words(lo, hi):
+        return st.lists(letters, min_size=lo, max_size=hi).map(
+            lambda xs: Word(tuple(xs)))
+
+    extra = st.one_of(st.builds(pow, words(1, 4), st.sampled_from(EXPONENTS)),
+                      st.builds(Word.commutator, words(1, 1), words(1, 1)),
+                      words(2, 6))
+    rels = [Word.gen(i) ** draw(st.sampled_from(EXPONENTS))
+            for i in range(ngens)]
+    rels += draw(st.lists(extra, min_size=1, max_size=3))
+    rels = [r for r in rels if not r.is_empty()]
+    sub = draw(st.one_of(st.just(()), words(1, 4).map(lambda w: (w,))))
+    return Presentation(tuple("abc"[:ngens]), tuple(rels)), sub
+
+
+def _rows_or_none(enumerate_rows, pres, sub):
+    try:
+        return enumerate_rows(pres, sub, max_cosets=2000)
+    except ResourceLimitExceeded:
+        return None
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_enumerator(case):
+    pres, sub = case
+    got = _rows_or_none(lambda *a, **k: todd_coxeter(*a, **k).rows, pres, sub)
+    want = _rows_or_none(oracles.todd_coxeter_rows, pres, sub)
+    event("compared" if got and want else "refused")
+    if got is not None and want is not None:
+        assert got == want
+
+
+def test_shared_involution_columns():
+    a, b = Word.gen(0), Word.gen(1)
+    # a^2 and a^3 make a trivial
+    assert todd_coxeter(Presentation(("a",), (a ** 2, a ** 3))).rows == [[0, 0]]
+    # a relator a^-2 shares the column as a^2 does: S4 and D4
+    for rels, n in [((a ** -2, b ** 3, (a * b) ** 4), 24),
+                    ((a ** 2, b ** -2, (a * b) ** 4), 8)]:
+        pres = Presentation(("a", "b"), rels)
+        ct = todd_coxeter(pres)
+        assert ct.n == n and ct.cols[0] == ct.cols[1]
+        assert ct.rows == oracles.todd_coxeter_rows(pres)
+    # <s> in S4 = <s, u | s^2, u^3, (s u)^4>
+    pres = parse_group_file(corpus_text("s4_presentation.grp")).presentation
+    ct = todd_coxeter(pres, (Word.gen(0),))
+    assert ct.n == 12
+    assert ct.rows == oracles.todd_coxeter_rows(pres, (Word.gen(0),))
+
+
+def test_refusal_says_how_many_cosets_live():
+    pres = parse_group_file(corpus_text("g72_3map.grp")).presentation
+    with pytest.raises(ResourceLimitExceeded) as e:
+        todd_coxeter(pres, max_cosets=100)
+    assert str(e.value) == "coset table exceeded max_cosets=100 (94 live)"
+    assert (e.value.limit_name, e.value.limit_value) == ("max_cosets", 100)
+
+
+def test_refusal_memory_per_coset():
+    # the bound limits memory too: C2 * C3 is infinite, so the table fills
+    # to max_cosets and is refused there
+    a, b = Word.gen(0), Word.gen(1)
+    pres = Presentation(("a", "b"), (a ** 2, b ** 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitExceeded):
+            todd_coxeter(pres, max_cosets=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * 20_000
