@@ -61,8 +61,6 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     (which is also what a presentation of an infinite group runs into).
     """
     ngens = pres.ngens
-    if ngens == 0:
-        return CosetTable(0, 1, [])
     nsym = 2 * ngens
     relators = [_to_symbols(r) for r in pres.relators]
     # x^2 or x^-2 gives x and x^-1 one column, which holds it untraced
@@ -189,8 +187,6 @@ def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> Fini
     :func:`presentation_group` falls back to it when no smaller action of
     the presentation is faithful.
     """
-    if ct.ngens == 0:
-        return closure(1, [], max_order=max_order)
     return closure(ct.n, ct.gen_perms(), max_order=max_order)
 
 

@@ -9,11 +9,11 @@ package.
 
 The closure is a breadth-first walk from the identity, multiplying by
 generators in input order, which fixes a deterministic element numbering:
-element 0 is always the identity, and every later element k records a parent
-edge (j, i) with ``elements[k] == elements[j] * gens[i]``.  That edge list is
-what makes homomorphism extension a single linear pass.  The numbering
-depends only on the group and the order of its generators, not on the
-points it acts on.
+element 0 is always the identity, and elements are numbered as the walk
+meets them.  The numbering depends only on the group and the order of its
+generators, not on the points it acts on.  A group keeps its elements, the
+indices of its generators and the base lookups below; whatever else it
+needs, such as a row of the multiplication table, it computes from those.
 
 Products are read from base images.  A base is a short list of points
 whose pointwise stabilizer is trivial, so an element is determined by where
@@ -60,17 +60,13 @@ def closure(degree: int, generators: Sequence[Perm],
     ident = tuple(range(degree))
     elements = [ident]
     seen = {ident: 0}
-    parent = [(-1, -1)]
-    gen_table: list[list[int]] = []
     gen_images = [g.images for g in gens]
     limit = min(max_order, MAX_CLOSURE_CELLS // degree)
-    for k, ek in enumerate(elements):
+    for ek in elements:
         times = itemgetter(*ek) if degree > 1 else tuple
-        row = []
-        for i, g in enumerate(gen_images):
+        for g in gen_images:
             prod = times(g)
-            j = seen.get(prod)
-            if j is None:
+            if prod not in seen:
                 j = len(elements)
                 if j >= limit:
                     if limit == max_order:
@@ -83,10 +79,7 @@ def closure(degree: int, generators: Sequence[Perm],
                         "max_cells", MAX_CLOSURE_CELLS)
                 elements.append(prod)
                 seen[prod] = j
-                parent.append((k, i))
-            row.append(j)
-        gen_table.append(row)
-    return FiniteGroup(degree, gens, elements, gen_table, parent)
+    return FiniteGroup(degree, elements, [seen[g] for g in gen_images])
 
 
 def _greedy_base(elements: Sequence[tuple]) -> tuple:
@@ -105,12 +98,10 @@ def _greedy_base(elements: Sequence[tuple]) -> tuple:
 class FiniteGroup:
     """A fully enumerated permutation group.  Use :func:`closure` to build one."""
 
-    def __init__(self, degree, gens, elements, gen_table, parent):
+    def __init__(self, degree, elements, gen_indices):
         self.degree = degree
-        self.gens = gens
         self.elements = elements
-        self.gen_table = gen_table
-        self.parent = parent
+        self.gen_indices = gen_indices
         self.cache: dict = {}
         self._inv: list[Optional[int]] = [None] * len(elements)
         self._orders: list[Optional[int]] = [None] * len(elements)
@@ -129,11 +120,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def gen_indices(self) -> list[int]:
-        """Indices of the generators themselves (row 0 of the product table)."""
-        return self.gen_table[0] if self.gen_table else []
 
     def mul(self, i: int, j: int) -> int:
         return self._at[self._get[i](self.elements[j])]
@@ -449,15 +435,21 @@ def o_p(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupHom"]:
-    """The quotient G/N as a permutation group on cosets, with the projection."""
+    """The quotient G/N as a permutation group on cosets, with the projection.
+
+    G/1 is G itself: its regular action would close to the same numbering.
+    """
     if N.parent is not G:
         raise ContractViolation("subgroup does not belong to this group")
     if not is_normal(G, N):
         raise ContractViolation("quotient by a non-normal subgroup")
-    perms, _reps = coset_action(G, N)
-    Q = closure(max(1, len(G.elements) // N.order), perms)
-    if Q.order * N.order != len(G.elements):
-        raise TheoremViolation("quotient order mismatch")
+    if N.order == 1:
+        Q = G
+    else:
+        perms, _reps = coset_action(G, N)
+        Q = closure(len(G.elements) // N.order, perms)
+        if Q.order * N.order != len(G.elements):
+            raise TheoremViolation("quotient order mismatch")
     hom = hom_extend(G, Q, Q.gen_indices)
     if hom is None:
         raise TheoremViolation("canonical projection failed to extend")
@@ -575,25 +567,30 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
                gen_images: Sequence[int]) -> Optional[GroupHom]:
     """Extend generator images to a homomorphism, or return None.
 
-    Images are propagated along the closure's parent edges, then every
-    product edge of the Cayley graph is checked; any inconsistency means
-    no homomorphism with these generator images exists.
+    One breadth-first walk from the identity crosses every edge x -> x * g
+    of the source's Cayley graph.  An element met for the first time gets
+    the image ``img[x] * t``, where t is the image of g; on every other
+    edge that product must equal the image already there, or no
+    homomorphism with these generator images exists.
     """
     gen_images = tuple(gen_images)
-    if len(gen_images) != len(source.gens):
+    if len(gen_images) != len(source.gen_indices):
         raise ContractViolation("one image per generator required")
     for t in gen_images:
         if not (0 <= t < len(target.elements)):
             raise ContractViolation(f"image index {t} out of range")
-    n = len(source.elements)
-    img = [0] * n
-    for k in range(1, n):
-        j, i = source.parent[k]
-        img[k] = target.mul(img[j], gen_images[i])
-    for k in range(n):
-        row = source.gen_table[k]
-        for i, t in enumerate(gen_images):
-            if img[row[i]] != target.mul(img[k], t):
+    edges = list(zip(source.gen_indices, gen_images))
+    img: list[Optional[int]] = [None] * len(source.elements)
+    img[0] = 0
+    order = [0]
+    for x in order:
+        for g, t in edges:
+            y = source.mul(x, g)
+            image = target.mul(img[x], t)
+            if img[y] is None:
+                img[y] = image
+                order.append(y)
+            elif img[y] != image:
                 return None
     return GroupHom(source, target, gen_images, tuple(img))
 

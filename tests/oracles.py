@@ -234,6 +234,31 @@ def brute_aut_count(G):
     return count
 
 
+def brute_hom(source, target, gen_images):
+    """Images of every source element under the homomorphism that sends
+    source.gen_indices to gen_images, or None when there is none.  Images
+    spread depth first, along products with the generators, and are then
+    checked against f(xy) == f(x)f(y) on every pair."""
+    gens = list(zip(source.gen_indices, gen_images))
+    f = {0: 0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g, t in gens:
+            y = source.mul(x, g)
+            if y not in f:
+                f[y] = target.mul(f[x], t)
+                stack.append(y)
+    if any(f[g] != t for g, t in gens):
+        return None
+    n = source.order
+    for x in range(n):
+        for y in range(n):
+            if f[source.mul(x, y)] != target.mul(f[x], f[y]):
+                return None
+    return tuple(f[x] for x in range(n))
+
+
 # ---------------------------------------------------------------------------
 # coset enumeration
 

@@ -184,6 +184,22 @@ def test_quotient_trivial_core_keeps_map(corpus_file, capsys):
     assert "exceptional family: C(3,2)" in out
 
 
+def test_quotient_trivial_core_of_a_large_group(tmp_path, capsys):
+    # order 9792 on 288 points with a trivial 3-core: the quotient is the
+    # group itself, not a closure on 9792 points past the cell bound
+    f = tmp_path / "mod17.grp"
+    f.write_text("group mod17\n"
+                 "mat a = [[2,1],[1,0]] mod 17\n"
+                 "mat b = [[0,1],[1,0]] mod 17\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    ret, out, err = _run(capsys, ["quotient", "--p", "3", "--json", str(f)])
+    assert ret == 0, err
+    doc = json.loads(out)
+    assert doc["group"]["p_core_order"] == 1
+    assert [(m["name"], m["group_order"]) for m in doc["maps"]] == [
+        ("m/core", 9792)]
+
+
 def test_quotient_normal_map_has_no_exceptional_shape(corpus_file, capsys):
     ret, out, _ = _run(capsys,
                        ["quotient", "--p", "3",

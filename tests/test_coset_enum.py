@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
                                 presentation_group, todd_coxeter)
 from regmaps.errors import ResourceLimitExceeded
+from regmaps.group import closure
+from regmaps.perm import Perm
 from regmaps.verify import corpus_text
 from regmaps.grammar import parse_group_file
 from regmaps.words import Presentation, Word
@@ -38,6 +40,7 @@ def test_cyclic_and_trivial():
     assert todd_coxeter(Presentation(("a",), (a ** 5,))).n == 5
     assert todd_coxeter(Presentation(("a",), (a,))).n == 1
     assert todd_coxeter(Presentation((), ())).n == 1
+    assert presentation_group(Presentation((), ())).order == 1
 
 
 def test_subgroup_enumeration_counts_cosets():
@@ -91,6 +94,12 @@ def test_perms_from_table_builds_regular_group():
     assert G.degree == 24
 
 
+def generator_rows(G):
+    """Row k lists k * g for each generator g: equal tables of two groups
+    mean the same element numbering."""
+    return [[G.mul(k, g) for g in G.gen_indices] for k in range(G.order)]
+
+
 # Degree of the coset action each corpus presentation is realized on.
 CORPUS_DEGREES = {
     "s4_presentation.grp": 8, "g72_3map.grp": 36, "g384_chiral.grp": 96,
@@ -108,8 +117,7 @@ def test_presentation_group_numbers_like_regular(fname, order):
     R = perms_from_table(todd_coxeter(pres))
     assert G.order == R.order == order
     assert G.degree == CORPUS_DEGREES[fname] < R.degree
-    assert G.gen_table == R.gen_table
-    assert G.parent == R.parent
+    assert generator_rows(G) == generator_rows(R)
 
 
 def test_presentation_group_falls_back_to_regular():
@@ -120,7 +128,8 @@ def test_presentation_group_falls_back_to_regular():
         a ** 4, a ** 2 * (b ** 2).inverse(), a.conj(b) * a))
     G = presentation_group(pres)
     assert G.order == G.degree == 8
-    assert G.gen_table == perms_from_table(todd_coxeter(pres)).gen_table
+    R = perms_from_table(todd_coxeter(pres))
+    assert generator_rows(G) == generator_rows(R)
 
 
 def test_presentation_group_skips_refused_subgroup_runs(monkeypatch):
@@ -137,7 +146,7 @@ def test_presentation_group_skips_refused_subgroup_runs(monkeypatch):
     pres = parse_group_file(corpus_text("g72_3map.grp")).presentation
     G = presentation_group(pres)
     assert G.degree == G.order == 72
-    assert G.gen_table == perms_from_table(real(pres)).gen_table
+    assert generator_rows(G) == generator_rows(perms_from_table(real(pres)))
 
 
 def test_presentation_group_order_bound():
@@ -232,3 +241,19 @@ def test_refusal_memory_per_coset():
     finally:
         tracemalloc.stop()
     assert peak <= 120 * 20_000
+
+
+def test_closure_memory_per_element():
+    # a closed group keeps its elements and base lookups, and no product
+    # table: g2106 on 81 points holds about 960 B an element
+    pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
+    H = presentation_group(pres)
+    gens = [Perm._raw(H.elements[g]) for g in H.gen_indices]
+    tracemalloc.start()
+    try:
+        G = closure(H.degree, gens)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (G.order, G.degree) == (2106, 81)
+    assert held <= 1080 * G.order

@@ -1,7 +1,7 @@
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import regmaps.group
@@ -343,3 +343,23 @@ def test_standardize_detects_generation_and_automorphisms(name, G, data):
     if ka is not None and kb is not None:
         hom = hom_extend(regenerated(G, a), G, b)
         assert (ka == kb) == (hom is not None and hom.is_bijective())
+
+
+HOM_TARGETS = [symmetric_group(3), symmetric_group(4), cyclic_group(4)]
+
+
+@pytest.mark.parametrize("name,G", STANDARDIZE_GROUPS,
+                         ids=[n for n, _ in STANDARDIZE_GROUPS])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_extend_matches_brute_force(name, G, data):
+    H = data.draw(st.sampled_from(HOM_TARGETS))
+    images = data.draw(st.lists(st.integers(0, H.order - 1),
+                                min_size=len(G.gen_indices),
+                                max_size=len(G.gen_indices)))
+    hom = hom_extend(G, H, images)
+    want = oracles.brute_hom(G, H, images)
+    event("homomorphism" if want is not None else "none")
+    assert (hom is None) == (want is None)
+    if hom is not None:
+        assert hom.images == want
