@@ -13,10 +13,10 @@ from .errors import (ClassificationError, ContractViolation, ParseError,
 from .grammar import (GroupFile, MapDecl, Realization, format_group_file,
                       format_word, load_group_file, matrix_group,
                       parse_group_file, realize_group_file)
-from .group import (DEFAULT_MAX_ORDER, FiniteGroup, GroupHom, Subgroup,
-                    closure, coset_action, derived_subgroup, hom_extend,
-                    is_solvable, isomorphism_search, normal_core, o_p,
-                    quotient_group, standardize, sylow_p)
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, closure,
+                    coset_action, derived_subgroup, is_solvable,
+                    isomorphism_search, normal_core, o_p, quotient_group,
+                    standardize, sylow_p)
 from .maps import (FlaggedMap, MapReport, OrientedMap, maps_isomorphic,
                    oriented_of_flagged, quotient_map)
 from .perm import Perm
@@ -31,7 +31,7 @@ __all__ = [
     "CensusEntry", "CheckRow", "ClassificationError", "ContractViolation",
     "CosetTable", "DEFAULT_CENSUS_MAX_ORDER", "DEFAULT_MAX_COSETS",
     "DEFAULT_MAX_ORDER", "ExceptionalCase", "FiniteGroup", "FlaggedMap",
-    "GroupFile", "GroupHom", "LawCheck", "MapDecl", "MapReport",
+    "GroupFile", "LawCheck", "MapDecl", "MapReport",
     "OrientedMap", "PMapClassification", "ParseError", "Perm",
     "Presentation", "Realization", "RegmapsError", "ReportDocument",
     "ResourceLimitExceeded", "Subgroup", "SylowStructure",
@@ -39,7 +39,7 @@ __all__ = [
     "census_classify", "certify_sylow_structure", "classify", "closure",
     "coset_action", "derived_subgroup", "detect_p_map",
     "enumerate_flagged", "enumerate_oriented", "format_group_file",
-    "format_word", "hom_extend", "identify_exceptional", "input_digest",
+    "format_word", "identify_exceptional", "input_digest",
     "is_solvable", "isomorphism_search", "load_group_file", "map_section",
     "maps_isomorphic", "matrix_group", "new_document", "normal_core",
     "o_p", "oriented_of_flagged", "parse_group_file", "perms_from_table",

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit statuses: 0 success, 1 verification mismatch, 2 parse error,
-3 contract violation, 4 theorem-violation diagnostic, 5 resource limit.
+3 contract violation (also an unreadable input or a closed stdout),
+4 theorem-violation diagnostic, 5 resource limit.
 Environment variables are never consulted; all knobs are flags.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -123,7 +125,7 @@ def cmd_quotient(args) -> int:
     rz = _realize(text, args)
     m, name = _select_map(rz, args.map)
     core = o_p(rz.group, args.p)
-    qm, _ = quotient_map(m, core)
+    qm = quotient_map(m, core)
     doc = new_document("quotient", text, rz.group)
     doc.group["p"] = args.p
     doc.group["p_core_order"] = core.order
@@ -307,7 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # Point fd 1 at the null device, so that the flush at interpreter
+        # exit does not fail a second time on the output still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 3
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -273,21 +273,21 @@ def vertex_primitive(m) -> bool:
 
 
 def quotient_map(m, normal_sub: Subgroup):
-    """The induced map on G/N, returned with the projection hom.
+    """The induced map on G/N.
 
     Oriented maps require the reversal to survive; flagged maps require t
     and r to survive, while a collapsing l only marks the result degenerate.
     """
-    Q, hom = quotient_group(m.group, normal_sub)
+    Q, proj = quotient_group(m.group, normal_sub)
     if m.kind == "oriented":
-        rq, lq = hom.apply(m.r), hom.apply(m.l)
+        rq, lq = proj[m.r], proj[m.l]
         if lq == 0:
             raise ContractViolation("edge reversal collapses in the quotient")
-        return OrientedMap(Q, rq, lq), hom
-    tq, rq, lq = hom.apply(m.t), hom.apply(m.r), hom.apply(m.l)
+        return OrientedMap(Q, rq, lq)
+    tq, rq, lq = proj[m.t], proj[m.r], proj[m.l]
     if tq == 0 or rq == 0:
         raise ContractViolation("a flag reflection collapses in the quotient")
-    return FlaggedMap(Q, tq, rq, lq), hom
+    return FlaggedMap(Q, tq, rq, lq)
 
 
 def oriented_of_flagged(m: FlaggedMap) -> OrientedMap:

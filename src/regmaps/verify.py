@@ -18,7 +18,7 @@ from .errors import RegmapsError
 from .grammar import parse_group_file, realize_group_file
 from .group import isomorphism_search, o_p, regenerated
 from .maps import quotient_map, vertex_primitive
-from .standard import alternating_group, symmetric_group
+from .standard import alternating_group, quaternion_group, symmetric_group
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ def _exceptional_label(cl) -> Optional[str]:
     return cl.exceptional_case.label() if cl.exceptional_case else None
 
 
-def _looks_like_quaternion8(G, sub) -> bool:
-    invs = [x for x in sub.members if x != 0 and G.mul(x, x) == 0]
-    return sub.order == 8 and len(invs) == 1
-
-
 def _chk_s4_3map(rec: _Recorder, rz) -> None:
     G = rz.group
     rec.eq("group_order", G.order, 24)
@@ -90,14 +85,14 @@ def _chk_g72_3map(rec: _Recorder, rz) -> None:
     rec.eq("crosscap", (rep.genus_kind, rep.genus), ("crosscap_number", 7))
     core = o_p(G, 3)
     rec.eq("o3_order", core.order, 3)
-    qm, _ = quotient_map(m, core)
+    qm = quotient_map(m, core)
     rec.eq("quotient_vertices", qm.vef_counts()[0], 3)
     cl = classify(m)
     rec.eq("normal", cl.normal, False)
     rec.eq("exceptional", _exceptional_label(cl), "C(3,2)")
     rec.eq("quotient_order", cl.quotient_order, 24)
     rec.true("quotient_is_s4",
-             isomorphism_search(qm.group, symmetric_group(4)) is not None)
+             isomorphism_search(qm.group, symmetric_group(4)))
 
 
 def _chk_g384_chiral(rec: _Recorder, rz) -> None:
@@ -129,7 +124,8 @@ def _chk_gl23_reflexible(rec: _Recorder, rz) -> None:
     rec.eq("euler", rep.euler, -10)
     rec.eq("reflexible", rep.reflexible, True)
     core = o_p(G, 2)
-    rec.true("o2_is_quaternion", _looks_like_quaternion8(G, core))
+    rec.true("o2_is_quaternion",
+             isomorphism_search(regenerated(G, core.gens), quaternion_group()))
     cl = classify(m)
     rec.eq("normal", cl.normal, False)
     rec.eq("exceptional", _exceptional_label(cl), "D(3,2)")
@@ -146,7 +142,7 @@ def _chk_s4_projective(rec: _Recorder, rz) -> None:
     rec.eq("crosscap", (rep.genus_kind, rep.genus), ("crosscap_number", 1))
     core = o_p(G, 2)
     rec.eq("o2_order", core.order, 4)
-    qm, _ = quotient_map(m, core)
+    qm = quotient_map(m, core)
     rec.eq("quotient_degenerate", qm.degenerate, frozenset(("l_trivial",)))
     cl = classify(m)
     rec.eq("normal", cl.normal, False)
@@ -167,7 +163,7 @@ def _chk_s4_sphere(rec: _Recorder, rz) -> None:
     rec.eq("even_index", G.order // even.order, 2)
     rec.true("even_is_a4",
              isomorphism_search(regenerated(G, even.gens),
-                                alternating_group(4)) is not None)
+                                alternating_group(4)))
     cl = classify(m)
     rec.eq("normal", cl.normal, False)
     rec.eq("exceptional", _exceptional_label(cl), "EM(6)")

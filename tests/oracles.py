@@ -13,7 +13,8 @@ is the row-per-coset HLT kernel from before the per-generator columns.
 from itertools import combinations, product
 
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import mult_table, standard_table
+from regmaps.group import (mult_table, regenerated, small_generating_set,
+                           standard_table)
 from regmaps.maps import FlaggedMap, OrientedMap
 
 
@@ -257,6 +258,19 @@ def brute_hom(source, target, gen_images):
             if f[source.mul(x, y)] != target.mul(f[x], f[y]):
                 return None
     return tuple(f[x] for x in range(n))
+
+
+def brute_isomorphic(G1, G2):
+    """True iff some image tuple in G2 of small_generating_set(G1) extends,
+    by brute_hom, to a bijection: every tuple of G2 is tried."""
+    if G1.order != G2.order:
+        return False
+    src = regenerated(G1, small_generating_set(G1))
+    for images in product(range(G2.order), repeat=len(src.gen_indices)):
+        f = brute_hom(src, G2, images)
+        if f is not None and len(set(f)) == G2.order:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

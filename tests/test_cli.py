@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +385,31 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert TOOL_VERSION in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "s4_3map.grp", "--json"],
+    ["census", "s4_3map.grp", "--kind", "oriented"],
+    # over 8 KiB of JSON: the write fails inside print, not in the flush
+    ["tc", "g384_chiral.grp", "--export-perms", "--json"],
+], ids=["analyze-json", "census-text", "tc-json"])
+def test_closed_stdout_exits_3_without_a_traceback(corpus_file, argv):
+    argv = [corpus_file(a) if a.endswith(".grp") else a for a in argv]
+    # Block-buffered stdout, as for any pipe: small reports then fail only
+    # in the final flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from regmaps.cli import main; sys.exit(main())",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: cannot write to stdout")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import regmaps.group
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.grammar import matrix_group
+from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
 from regmaps.group import (automorphism_exists, center, closure, coset_action,
                            derived_series, derived_subgroup, hom_extend,
                            is_cyclic, is_extraspecial, is_normal, is_prime,
@@ -20,6 +20,7 @@ from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
+from regmaps.verify import corpus_text
 
 import oracles
 
@@ -160,11 +161,11 @@ def test_quotient_group_and_hom():
     G = symmetric_group(4)
     N = o_p(G, 2)  # the Klein four subgroup of double transpositions
     assert N.order == 4
-    Q, hom = quotient_group(G, N)
+    Q, proj = quotient_group(G, N)
     assert Q.order == 6
-    assert hom.kernel().members == N.members
-    assert hom.is_surjective()
-    assert isomorphism_search(Q, symmetric_group(3)) is not None
+    assert {x for x, q in enumerate(proj) if q == 0} == N.members
+    assert set(proj) == set(range(Q.order))
+    assert isomorphism_search(Q, symmetric_group(3))
 
 
 def test_center_and_extraspecial():
@@ -214,10 +215,10 @@ def test_automorphism_exists_on_conjugate_tuples():
 
 
 def test_isomorphism_search_distinguishes():
-    assert isomorphism_search(dihedral_group(6), cyclic_group(12)) is None
-    assert isomorphism_search(dihedral_group(6), dihedral_group(6)) is not None
+    assert isomorphism_search(dihedral_group(6), cyclic_group(12)) is False
+    assert isomorphism_search(dihedral_group(6), dihedral_group(6)) is True
     assert isomorphism_search(elementary_abelian(2, 3),
-                              cyclic_group(8)) is None
+                              cyclic_group(8)) is False
 
 
 def test_regenerated_and_small_generating_set():
@@ -363,3 +364,73 @@ def test_hom_extend_matches_brute_force(name, G, data):
     assert (hom is None) == (want is None)
     if hom is not None:
         assert hom.images == want
+
+
+def _realized(text):
+    return realize_group_file(parse_group_file(text)).group
+
+
+PROJECTION_GROUPS = [
+    ("S4", symmetric_group(4)),
+    ("D6", dihedral_group(6)),
+    ("D12", dihedral_group(12)),
+    ("Q8", quaternion_group()),
+    ("E8", elementary_abelian(2, 3)),
+    ("G72", _realized(corpus_text("g72_3map.grp"))),
+]
+
+
+@pytest.mark.parametrize("name,G", PROJECTION_GROUPS,
+                         ids=[n for n, _ in PROJECTION_GROUPS])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_quotient_projection_matches_coset_oracle(name, G, data):
+    n = G.order
+    x = data.draw(st.integers(0, n - 1))
+    N = data.draw(st.sampled_from(
+        [o_p(G, p) for p in prime_factors(n)]
+        + [derived_subgroup(G), center(G.improper_subgroup()),
+           normal_closure(G, G.gen_indices, [x])]))
+    event(f"|N| = {N.order}")
+    Q, proj = quotient_group(G, N)
+    assert tuple(proj) == oracles.brute_hom(
+        G, Q, [proj[g] for g in G.gen_indices])
+    for a in range(n):
+        for b in range(n):
+            assert (proj[a] == proj[b]) == (G.mul(a, G.inv(b)) in N.members)
+    assert {a for a in range(n) if proj[a] == 0} == N.members
+    assert set(proj) == set(range(Q.order))
+
+
+C4_BY_C4 = _realized("group c4c4\ngens a, b\nrel a^4\nrel b^4\n"
+                     "rel b^-1*a*b*a\n")
+C2_X_Q8 = _realized("group c2q8\ngens a, b, c\nrel a^4\nrel a^2*b^-2\n"
+                    "rel b^-1*a*b*a\nrel c^2\nrel a^-1*c^-1*a*c\n"
+                    "rel b^-1*c^-1*b*c\n")
+ISOMORPHISM_PAIRS = [
+    ("C4:C4-C2xQ8", C4_BY_C4, C2_X_Q8),
+    ("C4:C4-C4:C4", C4_BY_C4, C4_BY_C4),
+    ("D4-Q8", dihedral_group(4), quaternion_group()),
+    ("D3-S3", dihedral_group(3), symmetric_group(3)),
+    ("C6-S3", cyclic_group(6), symmetric_group(3)),
+    ("D6-A4", dihedral_group(6), alternating_group(4)),
+    ("E8-C8", elementary_abelian(2, 3), cyclic_group(8)),
+    ("V4-E4", klein_four_group(), elementary_abelian(2, 2)),
+    ("S4-S4", symmetric_group(4),
+     _realized(corpus_text("s4_presentation.grp"))),
+]
+
+
+@pytest.mark.parametrize("name,G1,G2", ISOMORPHISM_PAIRS,
+                         ids=[n for n, _, _ in ISOMORPHISM_PAIRS])
+def test_isomorphism_search_matches_brute_force(name, G1, G2):
+    assert isomorphism_search(G1, G2) is oracles.brute_isomorphic(G1, G2)
+
+
+def test_c4_by_c4_and_c2_x_q8_pass_the_pruning():
+    # Equal sorted (element order, class size) lists, so that the first
+    # isomorphism pair reaches the search over generator images.
+    def fingerprint(G):
+        _, sizes = G.conjugacy_classes()
+        return sorted((G.order_of(k), sizes[k]) for k in range(G.order))
+    assert fingerprint(C4_BY_C4) == fingerprint(C2_X_Q8)
