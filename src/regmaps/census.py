@@ -10,19 +10,33 @@ to the other, i.e. iff their standardized tables are equal (see
 by that table.  One standardizing walk per candidate both tests that it
 generates G and yields its key.
 
-Inner automorphisms are automorphisms, so the first entry (r, or t) is
-scanned only over the least member of each conjugacy class, in increasing
-order, and the other entries in full; each generating tuple found counts
-the size of its first entry's conjugacy class.  Every conjugate of a
-class's lexicographic least tuple lies in the class, so that tuple's first
-entry is least in its conjugacy class: the first tuple met in each class
-is still its lexicographic least representative, and the classes come out
-in the order of those representatives.  Conjugation by G
-maps the tuples of a class with first entry x one-to-one onto those with
-first entry any conjugate of x, so the weighted count of a class is its
-full size.  Aut(G) acts freely on generating tuples, so every class has
-|Aut G| members; a census whose classes differ in size raises
-TheoremViolation.
+Inner automorphisms are automorphisms, so the scan is cut down on two
+levels.  The first entry x (r, or t) runs only over the least member of
+each conjugacy class, in increasing order.  For each such x the second
+entry y runs only over the least member of each orbit of the centralizer
+C_G(x) acting by conjugation, in increasing order; the third entry of a
+flagged tuple (l) still runs over every involution commuting with t.  Each
+generating tuple found counts |class(x)| * |orbit of y| tuples.
+
+The first tuple met in each class is still its lexicographic least member
+(x*, y*, ...), so representatives and the order of the classes do not
+change.  Every conjugate of that tuple lies in the class, so x* is least
+in its conjugacy class.  Conjugating by c in C_G(x*) fixes x* and keeps
+the tuple in its class, so y* <= y*^c: y* is least in its C_G(x*)-orbit.
+So the tuple is scanned, and the scan runs in lexicographic order.
+
+The weighted count of a class is its full size.  Conjugation by G maps the
+tuples of a class with first entry x one-to-one onto those with first
+entry any conjugate of x.  Among those with first entry x, conjugation by
+a c in C_G(x) with y^c = y' maps the tuples with second entry y one-to-one
+onto those with second entry y', inside the class; for a flagged tuple c
+centralizes t, so l commutes with t iff l^c does.  Any subgroup of C_G(x)
+would give the same output; the full centralizer prunes the most.
+
+Aut(G) acts freely on generating tuples, so every class has |Aut G|
+members; a census whose classes differ in size raises TheoremViolation.
+Class sizes are sums of the weights, so that check covers the orbit
+weights too.
 """
 
 from __future__ import annotations
@@ -106,20 +120,50 @@ def _entries(G: FiniteGroup, classes: dict, kind: str) -> list:
     return entries
 
 
+class _Rows(dict):
+    """Right-multiplication rows of G's elements, each built on first use."""
+
+    def __init__(self, G: FiniteGroup):
+        super().__init__()
+        self.G = G
+
+    def __missing__(self, g: int) -> list:
+        row = self[g] = mult_table(self.G, g)
+        return row
+
+
+def _orbit_minima(G: FiniteGroup, sub: list, members, rows: dict) -> list:
+    """(y, orbit size) for the least member y of each orbit of the subgroup
+    with member list `sub` acting on `members` by conjugation, in increasing
+    order of y.  `members` is increasing and closed under that action;
+    rows[y] is y's right-multiplication row, so y^c = rows[y][c^-1] * c."""
+    mul, inv = G.mul, G.inv
+    pairs = [(inv(c), c) for c in sub]
+    seen: set = set()
+    minima = []
+    for y in members:
+        if y not in seen:
+            row = rows[y]
+            orbit = {mul(row[ci], c) for ci, c in pairs}
+            seen |= orbit
+            minima.append((y, len(orbit)))
+    return minima
+
+
 def enumerate_oriented(G: FiniteGroup,
                        max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
     invs = _prepare(G, max_order)
     n = G.order
     firsts, sizes = _class_minima(G, range(1, n))
-    inv_tables = {l: mult_table(G, l) for l in invs}
+    rows = _Rows(G)
     classes: dict = {}
     for r in firsts:
-        table_r = mult_table(G, r)
-        for l in invs:
-            key = _generates((table_r, inv_tables[l]), n)
+        table_r = rows[r]
+        for l, orbit in _orbit_minima(G, G.centralizer(r), invs, rows):
+            key = _generates((table_r, rows[l]), n)
             if key is not None:
-                _add(classes, key, (r, l), sizes[r])
+                _add(classes, key, (r, l), sizes[r] * orbit)
     return _entries(G, classes, "oriented")
 
 
@@ -130,20 +174,21 @@ def enumerate_flagged(G: FiniteGroup,
     invs = _prepare(G, max_order)
     n = G.order
     firsts, sizes = _class_minima(G, invs)
-    inv_tables = {l: mult_table(G, l) for l in invs}
-    commuting = {t: [l for l in invs
-                     if G.mul(t, l) == G.mul(l, t)] for t in firsts}
+    inv_set = set(invs)
+    rows = _Rows(G)
     classes: dict = {}
     for t in firsts:
-        table_t = inv_tables[t]
-        for r in invs:
-            pair = (table_t, inv_tables[r])
-            for l in commuting[t]:
+        cent = G.centralizer(t)
+        commuting = [l for l in cent if l in inv_set]
+        for r, orbit in _orbit_minima(G, cent, invs, rows):
+            pair = (rows[t], rows[r])
+            weight = sizes[t] * orbit
+            for l in commuting:
                 # the key keeps l's table even when l is t or r, so that
                 # the position of a repeated entry is part of the class
-                key = _generates(pair + (inv_tables[l],), n)
+                key = _generates(pair + (rows[l],), n)
                 if key is not None:
-                    _add(classes, key, (t, r, l), sizes[t])
+                    _add(classes, key, (t, r, l), weight)
     return _entries(G, classes, "flagged")
 
 

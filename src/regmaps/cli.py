@@ -36,12 +36,19 @@ def _read(path: str) -> str:
         raise ContractViolation(f"cannot read {path}: {exc}") from exc
 
 
-def _realize(text: str, args, default_order: int = DEFAULT_MAX_ORDER):
-    gf = parse_group_file(text)
-    return realize_group_file(
-        gf,
-        max_cosets=args.max_cosets or DEFAULT_MAX_COSETS,
-        max_order=args.max_order or default_order)
+def _realize(text: str, args):
+    return realize_group_file(parse_group_file(text),
+                              max_cosets=args.max_cosets,
+                              max_order=args.max_order)
+
+
+def _check_bounds(args) -> None:
+    """Refuse a --max-cosets or --max-order below 1, which no run fits in."""
+    for name in ("max_cosets", "max_order"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ContractViolation(f"{flag} must be at least 1, got {value}")
 
 
 def _select_map(rz, wanted):
@@ -152,14 +159,14 @@ def cmd_quotient(args) -> int:
 
 def cmd_census(args) -> int:
     text = _read(args.file)
-    # Realize under the census bound, so that a group too large for the
-    # census is refused there, not closed up to the 10^6 default first.
-    bound = args.max_order or DEFAULT_CENSUS_MAX_ORDER
-    rz = _realize(text, args, bound)
+    # Realize under the census bound (the --max-order default of census), so
+    # that a group too large for the census is refused there, not closed up
+    # to the 10^6 default first.
+    rz = _realize(text, args)
     if args.kind == "oriented":
-        entries = enumerate_oriented(rz.group, max_order=bound)
+        entries = enumerate_oriented(rz.group, max_order=args.max_order)
     else:
-        entries = enumerate_flagged(rz.group, max_order=bound)
+        entries = enumerate_flagged(rz.group, max_order=args.max_order)
     census_classify(entries)
     doc = new_document("census", text, rz.group)
     rows = []
@@ -205,7 +212,7 @@ def cmd_census(args) -> int:
 
 def cmd_verify_corpus(args) -> int:
     rows = verify_corpus(directory=args.corpus_dir,
-                         max_cosets=args.max_cosets or DEFAULT_MAX_COSETS)
+                         max_cosets=args.max_cosets)
     ok = all_passed(rows)
     if args.json:
         print(json.dumps({
@@ -229,8 +236,7 @@ def cmd_tc(args) -> int:
     gf = parse_group_file(text)
     if gf.mode != "gens":
         raise ContractViolation("tc needs a presentation-mode file")
-    ct = todd_coxeter(gf.presentation, (),
-                      max_cosets=args.max_cosets or DEFAULT_MAX_COSETS)
+    ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
     exported = None
     if args.export_perms:
         perm_gf = GroupFile(
@@ -259,33 +265,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, max_order=True):
+    def common(sp, order_default=None):
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
-        sp.add_argument("--max-cosets", type=int, default=None,
-                        help="coset enumeration bound")
-        if max_order:
-            sp.add_argument("--max-order", type=int, default=None,
-                            help="group order bound")
+        sp.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                        help="coset enumeration bound, at least 1"
+                             " (default %(default)s)")
+        if order_default is not None:
+            sp.add_argument("--max-order", type=int, default=order_default,
+                            help="group order bound, at least 1"
+                                 " (default %(default)s)")
 
     a = sub.add_parser("analyze", help="report on one declared map")
     a.add_argument("file")
     a.add_argument("--map", default=None, help="map name to analyze")
-    common(a)
+    common(a, DEFAULT_MAX_ORDER)
     a.set_defaults(func=cmd_analyze)
 
     q = sub.add_parser("quotient", help="quotient a map by its p-core")
     q.add_argument("file")
     q.add_argument("--map", default=None)
     q.add_argument("--p", type=int, required=True, help="the prime p")
-    common(q)
+    common(q, DEFAULT_MAX_ORDER)
     q.set_defaults(func=cmd_quotient)
 
     c = sub.add_parser("census", help="all maps on the group, up to"
                                       " isomorphism")
     c.add_argument("file")
     c.add_argument("--kind", choices=("oriented", "flagged"), required=True)
-    common(c)
+    common(c, DEFAULT_CENSUS_MAX_ORDER)
     c.set_defaults(func=cmd_census)
 
     v = sub.add_parser("verify-corpus", help="run the pinned regression"
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--corpus-dir", default=None,
                    help="read corpus files from a directory instead of the"
                         " package data")
-    common(v, max_order=False)
+    common(v)
     v.set_defaults(func=cmd_verify_corpus)
 
     t = sub.add_parser("tc", help="coset enumeration on a presentation")
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--export-perms", action="store_true",
                    help="print the enumerated generators as a"
                         " permutation-mode group file")
-    common(t, max_order=False)
+    common(t)
     t.set_defaults(func=cmd_tc)
     return p
 
@@ -309,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         status = args.func(args)
         sys.stdout.flush()
         return status

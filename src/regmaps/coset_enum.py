@@ -59,7 +59,11 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     With no subgroup words this enumerates the whole group.  Raises a
     resource error naming `max_cosets` if the table grows past the limit
     (which is also what a presentation of an infinite group runs into).
+    A `max_cosets` below 1 is a ContractViolation.
     """
+    if max_cosets < 1:
+        raise ContractViolation(
+            f"max_cosets must be at least 1, got {max_cosets}")
     ngens = pres.ngens
     nsym = 2 * ngens
     relators = [_to_symbols(r) for r in pres.relators]

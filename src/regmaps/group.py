@@ -46,11 +46,14 @@ def closure(degree: int, generators: Sequence[Perm],
     """Enumerate the group generated by `generators` inside Sym(degree).
 
     Refuses (ResourceLimitExceeded) a group of more than `max_order`
-    elements, or of more than MAX_CLOSURE_CELLS // degree elements.
+    elements, or of more than MAX_CLOSURE_CELLS // degree elements; a
+    `max_order` below 1 is a ContractViolation.
     """
     gens = tuple(generators)
     if degree < 1:
         raise ContractViolation("a group acts on at least one point")
+    if max_order < 1:
+        raise ContractViolation(f"max_order must be at least 1, got {max_order}")
     for g in gens:
         if g.degree != degree:
             raise ContractViolation(
@@ -197,6 +200,14 @@ class FiniteGroup:
             nclasses += 1
         self.cache["classes"] = (class_id, sizes)
         return class_id, sizes
+
+    def centralizer(self, x: int) -> list[int]:
+        """The members of C_G(x), in increasing order.  c commutes with x iff
+        x*c and c*x have the same base images, which are read off the two
+        image tuples without a lookup."""
+        get_x, img_x, elements = self._get[x], self.elements[x], self.elements
+        return [c for c, get_c in enumerate(self._get)
+                if get_x(elements[c]) == get_c(img_x)]
 
     # -- subgroups ---------------------------------------------------------
 
@@ -588,8 +599,10 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
 
 
 def mult_table(G: FiniteGroup, g: int) -> list:
-    """Row x -> x*g of the multiplication table, for tight loops."""
-    return [G.mul(x, g) for x in range(len(G.elements))]
+    """Row x -> x*g of the multiplication table, for tight loops.  Each
+    entry is :meth:`FiniteGroup.mul` inlined."""
+    at, images = G._at, G.elements[g]
+    return [at[get(images)] for get in G._get]
 
 
 def standard_table(rows: Sequence[Sequence[int]], n: int):

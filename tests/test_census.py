@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_aut_count, full_census_flagged,
                      full_census_oriented, scan_flagged_triples,
                      scan_oriented_pairs)
+import regmaps.census
 from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _entries,
                             census_classify, enumerate_flagged,
                             enumerate_oriented)
@@ -147,8 +148,36 @@ TWO_PERMUTATION_GROUPS = st.integers(1, 5).flatmap(
 ).map(lambda ps: closure(len(ps[0]), [Perm(p) for p in ps]))
 
 
+def _direct_product(A, B):
+    """A x B, acting on the disjoint union of their points."""
+    a, b = A.degree, B.degree
+    fix_a, fix_b = tuple(range(a)), tuple(range(a, a + b))
+    gens = [Perm(A.elements[g] + fix_b) for g in A.gen_indices]
+    gens += [Perm(fix_a + tuple(a + y for y in B.elements[g]))
+             for g in B.gen_indices]
+    return closure(a + b, gens)
+
+
+# Nonabelian groups with large centralizers: the second entries fall into
+# large orbits, so a class holds tuples from several orbits of several
+# first-entry classes, and both factors of a weight matter.  D4 x C2 and
+# Q8 x C2 need three generators, so they carry no oriented map, and the
+# three involutions of Q8 x C2 are central, so it carries no flagged map
+# either: there the pruned scan must find nothing.
+DIRECT_PRODUCTS = [
+    _direct_product(symmetric_group(3), symmetric_group(3)),
+    _direct_product(dihedral_group(4), cyclic_group(2)),
+    _direct_product(quaternion_group(), cyclic_group(2)),
+    _direct_product(symmetric_group(4), cyclic_group(2)),
+]
+
+
 @given(st.one_of(TWO_PERMUTATION_GROUPS,
                  st.integers(2, 12).map(dihedral_group)))
+@example(DIRECT_PRODUCTS[0])
+@example(DIRECT_PRODUCTS[1])
+@example(DIRECT_PRODUCTS[2])
+@example(DIRECT_PRODUCTS[3])
 @settings(max_examples=25, deadline=None)
 def test_census_matches_full_scan_on_small_groups(G):
     for enum, full in FULL_SCANS.values():
@@ -257,10 +286,54 @@ def test_class_sizes_equal_brute_force_aut_order(corpus, fname):
         assert len(entries) * aut == len(scan(G))
 
 
-def test_g2106_oriented_census(corpus):
-    # 8 classes of |Aut G| = 4212 tuples, from 2,160 scanned candidates
+def _count_candidates(monkeypatch):
+    """Count the candidates the census scans: the calls of _generates."""
+    calls = []
+    real = regmaps.census._generates
+
+    def counted(tables, n):
+        calls.append(n)
+        return real(tables, n)
+    monkeypatch.setattr(regmaps.census, "_generates", counted)
+    return calls
+
+
+# (file, oriented candidates, flagged candidates).  Per first-entry
+# conjugacy class, the scan tests one candidate for each orbit of the
+# centralizer on the second entries, times |commuting[t]| for flagged.
+# These are group invariants, so they hold for any generator order.
+SCAN_COUNTS = [
+    ("g216_nonorientable.grp", 90, 231),
+    ("g216_orientable.grp", 102, 245),
+    ("g384_chiral.grp", 185, 943),
+    ("g72_3map.grp", 38, 63),
+    ("gl23_reflexible.grp", 32, 50),
+    ("s4_3map.grp", 16, 35),
+    ("s4_presentation.grp", 16, 35),
+    ("s4_projective.grp", 16, 35),
+    ("s4_sphere.grp", 16, 35),
+]
+
+
+@pytest.mark.parametrize("fname,oriented,flagged", SCAN_COUNTS,
+                         ids=[row[0] for row in SCAN_COUNTS])
+def test_scan_candidate_counts(corpus, monkeypatch, fname, oriented,
+                               flagged):
+    G = corpus[fname].group
+    calls = _count_candidates(monkeypatch)
+    enumerate_oriented(G)
+    assert len(calls) == oriented
+    del calls[:]
+    enumerate_flagged(G)
+    assert len(calls) == flagged
+
+
+def test_g2106_oriented_census(corpus, monkeypatch):
+    # 8 classes of |Aut G| = 4212 tuples, from 155 scanned candidates
+    calls = _count_candidates(monkeypatch)
     entries = enumerate_oriented(corpus["g2106_chiral.grp"].group,
                                  max_order=3000)
+    assert len(calls) == 155
     assert [e.tuple_ for e in entries] == [
         (10, 1026), (40, 1026), (215, 1026), (330, 1026), (516, 1026),
         (603, 1026), (1108, 1026), (1352, 1026)]

@@ -1,15 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import regmaps.cli as cli
 from regmaps.errors import TheoremViolation
 from regmaps.grammar import parse_group_file, realize_group_file
+from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
 from regmaps.verify import REGISTRY, corpus_text
 
@@ -219,6 +224,26 @@ def test_quotient_rejects_composite_p(corpus_file, capsys):
     assert "must be a prime" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "s4_3map.grp", "--max-order"],
+    ["analyze", "s4_3map.grp", "--max-cosets"],
+    ["quotient", "s4_3map.grp", "--p", "2", "--max-order"],
+    ["census", "s4_3map.grp", "--kind", "oriented", "--max-order"],
+    ["census", "s4_3map.grp", "--kind", "flagged", "--max-cosets"],
+    ["tc", "s4_presentation.grp", "--max-cosets"],
+    ["verify-corpus", "--max-cosets"],
+], ids=lambda a: "-".join(w for w in a if not w.endswith(".grp")))
+def test_bounds_below_one_are_refused(corpus_file, capsys, argv, value):
+    # a bound below 1 is neither the default nor a limit: exit 3 before any
+    # work, with one error line and nothing on stdout
+    argv = [corpus_file(a) if a.endswith(".grp") else a for a in argv]
+    for extra in ([], ["--json"]):
+        ret, out, err = _run(capsys, argv + [value] + extra)
+        assert (ret, out) == (3, "")
+        assert err == f"error: {argv[-1]} must be at least 1, got {value}\n"
+
+
 def test_analyze_reports_structure_breach(corpus_file, capsys, monkeypatch):
     def boom(m):
         raise TheoremViolation("forced structure breach")
@@ -413,3 +438,112 @@ def test_closed_stdout_exits_3_without_a_traceback(corpus_file, argv):
     assert proc.returncode == 3, err
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: cannot write to stdout")
+
+
+# -- every input ends in a documented exit code -----------------------------
+
+GEN_NAMES = ("a", "b", "c")
+# mostly words over the two generators every file declares; c and z are
+# unknown in some files and in all
+WORDS = st.sampled_from(["a", "b", "a*b", "b^-1", "a^2", "[a, b]", "b^a",
+                         "(a*b)^3", "a*b*a", "c", "z"])
+
+
+def _perm_line(name, images):
+    cycles = [c for c in Perm(tuple(images)).cycles() if len(c) > 1]
+    text = "".join("(" + " ".join(str(x + 1) for x in c) + ")"
+                   for c in cycles)
+    return f"perm {name} = {text or '()'}"
+
+
+def _cycle(order, length):
+    """The cycle through the first `length` points of `order`."""
+    images = list(range(len(order)))
+    for i in range(length):
+        images[order[i]] = order[(i + 1) % length]
+    return images
+
+
+def _involution(order, pairs):
+    """The product of transpositions of consecutive points of `order`."""
+    images = list(range(len(order)))
+    for i in range(0, 2 * min(pairs, len(order) // 2), 2):
+        images[order[i]], images[order[i + 1]] = order[i + 1], order[i]
+    return images
+
+
+# a is a cycle and b, c are involutions, so that many declared maps are
+# valid
+PERM_LINES = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(
+        st.tuples(st.permutations(range(d)), st.integers(2, d)),
+        st.lists(st.tuples(st.permutations(range(d)), st.integers(1, 3)),
+                 min_size=1, max_size=2))
+).map(lambda ab: [_perm_line("a", _cycle(*ab[0]))] + [
+    _perm_line(n, _involution(*inv)) for n, inv in zip("bc", ab[1])])
+
+MAT_LINES = st.tuples(
+    st.sampled_from([2, 3, 4, 5, 7]),
+    st.lists(st.lists(st.integers(-1, 4), min_size=4, max_size=4),
+             min_size=2, max_size=3),
+).map(lambda pm: [f"mat {n} = [[{w},{x}],[{y},{z}]] mod {pm[0]}"
+                  for n, (w, x, y, z) in zip(GEN_NAMES, pm[1])])
+
+MAP_LINES = st.lists(
+    st.one_of(st.tuples(st.just("oriented"), WORDS, WORDS),
+              st.tuples(st.just("flagged"), WORDS, WORDS, WORDS)),
+    min_size=1, max_size=2,
+).map(lambda ms: [
+    f"map m{i} : {m[0]} " + " ".join(
+        f"{f}={w}" for f, w in zip(("r", "l") if m[0] == "oriented"
+                                   else ("t", "r", "l"), m[1:]))
+    for i, m in enumerate(ms)])
+
+GROUP_FILES = st.tuples(st.one_of(PERM_LINES, MAT_LINES), MAP_LINES).map(
+    lambda gm: "\n".join(["group g"] + gm[0] + gm[1]) + "\n")
+
+# bounds from 120 down to -2; hypothesis favours the first of the range,
+# so most runs get a usable bound and some get one below 1
+BOUND = st.integers(0, 122).map(lambda k: 120 - k)
+COMMANDS = st.one_of(
+    st.tuples(st.just(["analyze"]), BOUND, BOUND),
+    st.tuples(st.sampled_from([["quotient", "--p", "2"],
+                               ["quotient", "--p", "3"],
+                               ["quotient", "--p", "4"]]), BOUND, BOUND),
+    st.tuples(st.sampled_from([["census", "--kind", "oriented"],
+                               ["census", "--kind", "flagged"]]),
+              BOUND, BOUND),
+    st.tuples(st.just(["tc"]), st.none(), BOUND),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "g.grp"
+
+
+@given(text=GROUP_FILES, command=COMMANDS, as_json=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_generated_inputs_end_in_a_documented_exit_code(scratch_file, text,
+                                                        command, as_json):
+    # Small perm and mat files under tight bounds, some below 1: every run
+    # ends in exit 0, 2, 3, 4 or 5, raises nothing out of main, and a run
+    # that prints an error prints nothing else.
+    scratch_file.write_text(text, encoding="utf-8")
+    words, max_order, max_cosets = command
+    argv = words + [str(scratch_file), "--max-cosets", str(max_cosets)]
+    if max_order is not None:
+        argv += ["--max-order", str(max_order)]
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        ret = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{words[0]} exit {ret}")
+    assert ret in (0, 2, 3, 4, 5), (argv, text, err)
+    if ret in (2, 3, 5):
+        assert err.startswith("error: "), (argv, text)
+    if err:
+        assert out == "", (argv, text, err)
+        assert err.count("\n") == 1 and err.startswith("error: "), err

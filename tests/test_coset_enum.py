@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
                                 presentation_group, todd_coxeter)
-from regmaps.errors import ResourceLimitExceeded
+from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import closure
 from regmaps.perm import Perm
 from regmaps.verify import corpus_text
@@ -67,6 +67,23 @@ def test_limit_raises_resource_error():
         todd_coxeter(pres, max_cosets=500)
     assert e.value.limit_name == "max_cosets"
     assert e.value.limit_value == 500
+
+
+@pytest.mark.parametrize("bound", [0, -1, -3])
+def test_bounds_below_one_are_refused(bound):
+    # a finite presentation, so that a missing check ends in a wrong
+    # answer, not in an unbounded run
+    pres = parse_group_file(corpus_text("s4_presentation.grp")).presentation
+    with pytest.raises(ContractViolation,
+                       match=f"max_cosets must be at least 1, got {bound}"):
+        todd_coxeter(pres, max_cosets=bound)
+
+
+def test_one_coset_is_a_usable_bound():
+    a = Word.gen(0)
+    assert todd_coxeter(Presentation(("a",), (a,)), max_cosets=1).n == 1
+    with pytest.raises(ResourceLimitExceeded):
+        todd_coxeter(Presentation(("a",), (a ** 2,)), max_cosets=1)
 
 
 def test_gen_perms_satisfy_relators():

@@ -107,6 +107,14 @@ def test_closure_bounds_order_and_cells(monkeypatch):
     assert closure(5, gens[:1]).order == 5
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_closure_refuses_bounds_below_one(bound):
+    with pytest.raises(ContractViolation,
+                       match=f"max_order must be at least 1, got {bound}"):
+        closure(3, [Perm((1, 2, 0))], max_order=bound)
+    assert closure(3, [], max_order=1).order == 1
+
+
 def test_lagrange_and_cosets():
     from collections import Counter
     G = symmetric_group(4)
