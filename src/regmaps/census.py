@@ -8,7 +8,9 @@ generating tuples give isomorphic maps iff an automorphism of G carries one
 to the other, i.e. iff their standardized tables are equal (see
 :func:`regmaps.group.standard_table`), so each class is one dict entry keyed
 by that table.  One standardizing walk per candidate both tests that it
-generates G and yields its key.
+generates G and yields its key.  A class opens with its map, built from
+the first tuple met, and is keyed by that map's own `key`, so each class's
+table is held once.
 
 Inner automorphisms are automorphisms, so the scan is cut down on two
 levels.  The first entry x (r, or t) runs only over the least member of
@@ -72,12 +74,14 @@ def _generates(tables, n: int) -> Optional[tuple]:
     return None if std is None else std[0]
 
 
-def _add(classes: dict, key: tuple, cand: tuple, weight: int) -> None:
-    """Count `weight` generating tuples into a class, opening the class with
-    `cand` as its representative if new."""
+def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
+         cand: tuple) -> None:
+    """Count `weight` generating tuples into the class keyed `key`, opening
+    it with the map cls(G, *cand) if new."""
     rec = classes.get(key)
     if rec is None:
-        classes[key] = [cand, weight]
+        m = cls(G, *cand)
+        classes[m.key] = [m, weight]
     else:
         rec[1] += weight
 
@@ -102,22 +106,16 @@ def _class_minima(G: FiniteGroup, members) -> tuple[list, list]:
     return list(least.values()), sizes
 
 
-def _entries(G: FiniteGroup, classes: dict, kind: str) -> list:
+def _entries(classes: dict) -> list:
     """One entry per class; classes of unequal size breach the law that
     Aut(G) acts freely on generating tuples."""
     sizes = sorted({count for _, count in classes.values()})
     if len(sizes) > 1:
         raise TheoremViolation(f"census classes differ in size: {sizes}")
-    entries = []
-    for cand, count in classes.values():
-        if kind == "oriented":
-            m = OrientedMap(G, cand[0], cand[1])
-        else:
-            m = FlaggedMap(G, cand[0], cand[1], cand[2])
-        entries.append(CensusEntry(kind=kind, tuple_=cand,
-                                   degenerate=tuple(sorted(m.degenerate)),
-                                   class_size=count, map=m))
-    return entries
+    return [CensusEntry(kind=m.kind, tuple_=m.generator_tuple,
+                        degenerate=tuple(sorted(m.degenerate)),
+                        class_size=count, map=m)
+            for m, count in classes.values()]
 
 
 class _Rows(dict):
@@ -163,8 +161,8 @@ def enumerate_oriented(G: FiniteGroup,
         for l, orbit in _orbit_minima(G, G.centralizer(r), invs, rows):
             key = _generates((table_r, rows[l]), n)
             if key is not None:
-                _add(classes, key, (r, l), sizes[r] * orbit)
-    return _entries(G, classes, "oriented")
+                _add(classes, key, sizes[r] * orbit, OrientedMap, G, (r, l))
+    return _entries(classes)
 
 
 def enumerate_flagged(G: FiniteGroup,
@@ -188,8 +186,8 @@ def enumerate_flagged(G: FiniteGroup,
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (rows[l],), n)
                 if key is not None:
-                    _add(classes, key, (t, r, l), weight)
-    return _entries(G, classes, "flagged")
+                    _add(classes, key, weight, FlaggedMap, G, (t, r, l))
+    return _entries(classes)
 
 
 def census_classify(entries: list) -> list:

@@ -22,7 +22,7 @@ extraspecial group omega_1(P) of order p^(k+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ClassificationError, ContractViolation, TheoremViolation
@@ -105,12 +105,7 @@ class SylowStructure:
     extraspecial_order: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "case_tag": self.case_tag,
-            "p0_order": self.p0_order,
-            "complement_rank": self.complement_rank,
-            "extraspecial_order": self.extraspecial_order,
-        }
+        return asdict(self)
 
 
 def detect_p_map(m) -> Optional[tuple]:
@@ -127,6 +122,17 @@ def detect_p_map(m) -> Optional[tuple]:
         v //= p
         k += 1
     return p, k
+
+
+def _p_map(m, done: str) -> tuple:
+    """(p, k) of a nondegenerate p-map; otherwise ContractViolation, whose
+    message says degenerate maps are not `done`."""
+    if m.degenerate:
+        raise ContractViolation(f"degenerate maps are not {done}")
+    pk = detect_p_map(m)
+    if pk is None:
+        raise ContractViolation("vertex count is not a prime power")
+    return pk
 
 
 def _orientation_status(m, p: int) -> str:
@@ -148,12 +154,7 @@ def _orientation_status(m, p: int) -> str:
 
 def classify(m) -> PMapClassification:
     """Full classification of a p-map; degenerate maps are refused."""
-    if m.degenerate:
-        raise ContractViolation("degenerate maps are not classified")
-    pk = detect_p_map(m)
-    if pk is None:
-        raise ContractViolation("vertex count is not a prime power")
-    p, k = pk
+    p, k = _p_map(m, "classified")
     G = m.group
     if not is_solvable(G):
         raise TheoremViolation(f"group of a {p}-map must be solvable")
@@ -247,12 +248,7 @@ def verify_classification_law(m) -> LawCheck:
     """Independently check the structure law on the group side: solvable,
     and if the Sylow p-subgroup is not normal then p in {2, 3} and the
     p-free quotient is odd-cyclic-by-(Z2 or Klein) resp. S4-shaped."""
-    if m.degenerate:
-        raise ContractViolation("degenerate maps are not classified")
-    pk = detect_p_map(m)
-    if pk is None:
-        raise ContractViolation("vertex count is not a prime power")
-    p, k = pk
+    p, k = _p_map(m, "classified")
     G = m.group
     if not is_solvable(G):
         raise TheoremViolation(f"group of a {p}-map must be solvable")
@@ -328,12 +324,7 @@ def certify_sylow_structure(m) -> SylowStructure:
     genuine p-map) are the caller's obligation and raise ContractViolation;
     shape conclusions that the theory forbids raise TheoremViolation.
     """
-    if m.degenerate:
-        raise ContractViolation("degenerate maps are not certified")
-    pk = detect_p_map(m)
-    if pk is None:
-        raise ContractViolation("vertex count is not a prime power")
-    p, k = pk
+    p, k = _p_map(m, "certified")
     G = m.group
     P = sylow_p(G, p)
     if not is_normal(G, P):

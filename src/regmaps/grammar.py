@@ -26,11 +26,9 @@ from typing import Optional
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
 from .errors import ContractViolation, ParseError, ResourceLimitExceeded
 from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, is_prime
-from .maps import FlaggedMap, OrientedMap
+from .maps import MAP_TYPES
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
-
-_KIND_FIELDS = {"oriented": ("r", "l"), "flagged": ("t", "r", "l")}
 
 
 @dataclass(frozen=True)
@@ -351,11 +349,11 @@ def parse_group_file(text: str) -> GroupFile:
             map_names.add(mapname)
             cur.expect_sym(":")
             t = cur.next()
-            if t[0] != "ident" or t[1] not in _KIND_FIELDS:
+            if t[0] != "ident" or t[1] not in MAP_TYPES:
                 raise ParseError("expected 'oriented' or 'flagged'", lineno, t[2])
             mkind = t[1]
             fields = []
-            for fname in _KIND_FIELDS[mkind]:
+            for fname in MAP_TYPES[mkind].fields:
                 t = cur.next()
                 if t[0] != "ident" or t[1] != fname:
                     raise ParseError(f"expected {fname}=<word>", lineno, t[2])
@@ -487,13 +485,10 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
 
     realized_maps = {}
     for md in gf.maps:
-        vals = {f: w.evaluate(G, G.gen_indices) for f, w in md.words}
+        cls = MAP_TYPES[md.kind]
+        vals = [md.word(f).evaluate(G, G.gen_indices) for f in cls.fields]
         try:
-            if md.kind == "oriented":
-                realized_maps[md.name] = OrientedMap(G, vals["r"], vals["l"])
-            else:
-                realized_maps[md.name] = FlaggedMap(G, vals["t"], vals["r"],
-                                                    vals["l"])
+            realized_maps[md.name] = cls(G, *vals)
         except ContractViolation as exc:
             raise ContractViolation(f"map {md.name!r}: {exc}") from exc
     return Realization(gf, G, realized_maps)

@@ -450,9 +450,12 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     """The quotient Q = G/N on the cosets, and the projection: ``proj[x]``
     is the index in Q of the coset N*x.
 
-    Q acts regularly, so its base is ``(0,)`` and N*x is the element whose
-    base image is x's coset label.  G/1 is G itself, with the identity
-    projection: its regular action would close to the same numbering.
+    The projection is the coset labelling itself.  :func:`closure` walks
+    G/N breadth-first over G's generators in order, as it walked G.  A
+    coset first meets a new coset only through its least member m: for any
+    other member x, x*g lies in N*(m*g), met when m was walked before x.
+    So Q numbers the cosets in the order of their least members, which is
+    the labelling of :func:`right_coset_partition`.  G/1 is G itself.
     """
     if N.parent is not G:
         raise ContractViolation("subgroup does not belong to this group")
@@ -464,7 +467,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     Q = closure(len(G.elements) // N.order, perms)
     if Q.order * N.order != len(G.elements):
         raise TheoremViolation("quotient order mismatch")
-    return Q, [Q._at[c] for c in coset_of]
+    return Q, coset_of
 
 
 def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None) -> Subgroup:
@@ -657,25 +660,6 @@ def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
                      max_order=len(G.elements) + 1)
     G.cache[key] = result
     return result
-
-
-def automorphism_exists(G: FiniteGroup, src: Sequence[int],
-                        dst: Sequence[int]) -> bool:
-    """True iff some automorphism of G maps the src tuple to dst componentwise.
-
-    Both tuples must generate G; the automorphism, if any, is then the unique
-    extension of src -> dst, which exists iff the standardized tables agree.
-    """
-    src, dst = tuple(src), tuple(dst)
-    if len(src) != len(dst):
-        raise ContractViolation("tuples must have equal length")
-    key = standardize(G, src)
-    if key is None:
-        raise ContractViolation("src tuple does not generate the group")
-    other = standardize(G, dst)
-    if other is None:
-        raise ContractViolation("dst tuple does not generate the group")
-    return key == other
 
 
 def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:

@@ -14,12 +14,12 @@ but tagged as degenerate, since they no longer describe a closed surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ContractViolation, TheoremViolation
-from .group import (FiniteGroup, Subgroup, automorphism_exists, coset_action,
-                    is_primitive, quotient_group, regenerated, standardize)
+from .group import (FiniteGroup, Subgroup, coset_action, is_primitive,
+                    quotient_group, regenerated, standard_table, standardize)
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
 DEGENERATE_L_EQUALS_T = "l_equals_t"
@@ -43,49 +43,77 @@ class MapReport:
     degenerate: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "faces": self.faces,
-            "euler": self.euler,
-            "orientable": self.orientable,
-            "genus_kind": self.genus_kind,
-            "genus": self.genus,
-            "simple_graph": self.simple_graph,
-            "reflexible": self.reflexible,
-            "valency": self.valency,
-            "degenerate": list(self.degenerate),
-        }
+        d = asdict(self)
+        d["degenerate"] = list(self.degenerate)
+        return d
 
 
-class OrientedMap:
-    """M(G; r, l) with G acting regularly on darts by right multiplication."""
+class _Map:
+    """What every map is: a group G and a defining tuple of element indices,
+    named by `fields`, that generates G.
 
-    kind = "oriented"
+    The tuple's standardized table (:func:`regmaps.group.standard_table`) is
+    kept as `key`.  Computing it shows that the tuple generates G, and two
+    maps are isomorphic iff their keys are equal.
+    """
 
-    def __init__(self, group: FiniteGroup, r: int, l: int):
-        if r == 0:
-            raise ContractViolation("rotation must not be the identity")
-        if l == 0 or group.mul(l, l) != 0:
-            raise ContractViolation("edge reversal must be an involution")
-        if not group.subgroup((r, l)).is_improper():
-            raise ContractViolation(
-                "rotation and reversal do not generate the group")
+    kind: str
+    fields: tuple
+    spanning: str  # how a contract error names the tuple
+    degenerate: frozenset = frozenset()
+
+    def __init__(self, group: FiniteGroup, *gens: int):
+        # every index is checked before _check, the kind's own contract,
+        # forms the first product
+        n = group.order
+        for name, x in zip(self.fields, gens):
+            if not 0 <= x < n:
+                raise ContractViolation(
+                    f"{name}={x} is not an element of a group of order {n}")
+            setattr(self, name, x)
+        self._check(group, *gens)
+        key = standardize(group, gens)
+        if key is None:
+            raise ContractViolation(f"{self.spanning} do not generate the group")
         self.group = group
-        self.r = r
-        self.l = l
-        self.generator_tuple = (r, l)
+        self.generator_tuple = gens
+        self.key = key
         self._cache: dict = {}
-        self.degenerate: frozenset = frozenset()
 
     def __repr__(self) -> str:
-        return f"OrientedMap(|G|={self.group.order}, r={self.r}, l={self.l})"
+        entries = "".join(f", {name}={x}"
+                          for name, x in zip(self.fields, self.generator_tuple))
+        return f"{type(self).__name__}(|G|={self.group.order}{entries})"
 
     def _sub(self, key: str, gens: tuple) -> Subgroup:
         if key not in self._cache:
             self._cache[key] = self.group.subgroup(gens)
         return self._cache[key]
+
+    def vef_counts(self) -> tuple:
+        n = self.group.order
+        return (n // self.vertex_subgroup.order,
+                n // self.edge_subgroup.order,
+                n // self.face_subgroup.order)
+
+    def euler_characteristic(self) -> int:
+        v, e, f = self.vef_counts()
+        return v - e + f
+
+
+class OrientedMap(_Map):
+    """M(G; r, l) with G acting regularly on darts by right multiplication."""
+
+    kind = "oriented"
+    fields = ("r", "l")
+    spanning = "rotation and reversal"
+
+    @staticmethod
+    def _check(G: FiniteGroup, r: int, l: int) -> None:
+        if r == 0:
+            raise ContractViolation("rotation must not be the identity")
+        if l == 0 or G.mul(l, l) != 0:
+            raise ContractViolation("edge reversal must be an involution")
 
     @property
     def vertex_subgroup(self) -> Subgroup:
@@ -98,16 +126,6 @@ class OrientedMap:
     @property
     def face_subgroup(self) -> Subgroup:
         return self._sub("f", (self.group.mul(self.r, self.l),))
-
-    def vef_counts(self) -> tuple:
-        n = self.group.order
-        return (n // self.vertex_subgroup.order,
-                n // self.edge_subgroup.order,
-                n // self.face_subgroup.order)
-
-    def euler_characteristic(self) -> int:
-        v, e, f = self.vef_counts()
-        return v - e + f
 
     def valency(self) -> int:
         return self.group.order_of(self.r)
@@ -123,10 +141,20 @@ class OrientedMap:
         return V & conj == frozenset((0,))
 
     def is_reflexible(self) -> bool:
-        """True when some automorphism inverts r while fixing l, i.e. the
-        map is isomorphic to its mirror image."""
-        return automorphism_exists(self.group, (self.r, self.l),
-                                   (self.group.inv(self.r), self.l))
+        """True when the map is isomorphic to its mirror image (r^-1, l),
+        i.e. when some automorphism inverts r while fixing l.
+
+        The key lists, for each element in its standardized order, the
+        labels of its products with r and with l.  Inverting r's column
+        gives the products with r^-1, so one walk over that column and l's
+        column yields the mirror's key without touching G.
+        """
+        key = self.key
+        r_col, l_col = key[0::2], key[1::2]
+        r_inv = [0] * len(r_col)
+        for x, y in enumerate(r_col):
+            r_inv[y] = x
+        return standard_table((r_inv, l_col), len(r_col))[0] == key
 
     def mirror(self) -> "OrientedMap":
         return OrientedMap(self.group, self.group.inv(self.r), self.l)
@@ -145,43 +173,31 @@ class OrientedMap:
             degenerate=())
 
 
-class FlaggedMap:
+class FlaggedMap(_Map):
     """M(G; t, r, l) with G acting regularly on flags."""
 
     kind = "flagged"
+    fields = ("t", "r", "l")
+    spanning = "t, r, l"
 
-    def __init__(self, group: FiniteGroup, t: int, r: int, l: int):
-        if t == 0 or group.mul(t, t) != 0:
+    @staticmethod
+    def _check(G: FiniteGroup, t: int, r: int, l: int) -> None:
+        if t == 0 or G.mul(t, t) != 0:
             raise ContractViolation("t must be an involution")
-        if r == 0 or group.mul(r, r) != 0:
+        if r == 0 or G.mul(r, r) != 0:
             raise ContractViolation("r must be an involution")
-        if group.mul(l, l) != 0:
+        if G.mul(l, l) != 0:
             raise ContractViolation("l must square to the identity")
-        if group.mul(t, l) != group.mul(l, t):
+        if G.mul(t, l) != G.mul(l, t):
             raise ContractViolation("t and l must commute")
-        if not group.subgroup((t, r, l)).is_improper():
-            raise ContractViolation("t, r, l do not generate the group")
-        self.group = group
-        self.t = t
-        self.r = r
-        self.l = l
-        self.generator_tuple = (t, r, l)
-        tags = []
-        if l == 0:
-            tags.append(DEGENERATE_L_TRIVIAL)
-        elif l == t:
-            tags.append(DEGENERATE_L_EQUALS_T)
-        self.degenerate = frozenset(tags)
-        self._cache: dict = {}
 
-    def __repr__(self) -> str:
-        return (f"FlaggedMap(|G|={self.group.order}, t={self.t}, r={self.r},"
-                f" l={self.l})")
-
-    def _sub(self, key: str, gens: tuple) -> Subgroup:
-        if key not in self._cache:
-            self._cache[key] = self.group.subgroup(gens)
-        return self._cache[key]
+    @property
+    def degenerate(self) -> frozenset:
+        if self.l == 0:
+            return frozenset((DEGENERATE_L_TRIVIAL,))
+        if self.l == self.t:
+            return frozenset((DEGENERATE_L_EQUALS_T,))
+        return frozenset()
 
     @property
     def vertex_subgroup(self) -> Subgroup:
@@ -201,16 +217,6 @@ class FlaggedMap:
         G = self.group
         return self._sub("even", (G.mul(self.t, self.r),
                                   G.mul(self.r, self.l)))
-
-    def vef_counts(self) -> tuple:
-        n = self.group.order
-        return (n // self.vertex_subgroup.order,
-                n // self.edge_subgroup.order,
-                n // self.face_subgroup.order)
-
-    def euler_characteristic(self) -> int:
-        v, e, f = self.vef_counts()
-        return v - e + f
 
     def valency(self) -> int:
         return self.vertex_subgroup.order // 2
@@ -253,16 +259,14 @@ class FlaggedMap:
             valency=self.valency(), degenerate=tuple(sorted(self.degenerate)))
 
 
+MAP_TYPES = {cls.kind: cls for cls in (OrientedMap, FlaggedMap)}
+
+
 def maps_isomorphic(m1, m2) -> bool:
     """Isomorphism of maps = group isomorphism carrying one defining tuple
     to the other.  Because the tuples generate, such an isomorphism exists
-    iff their standardized tables agree, so no search is needed."""
-    if m1.kind != m2.kind or m1.degenerate != m2.degenerate:
-        return False
-    if m1.group.order != m2.group.order:
-        return False
-    return (standardize(m1.group, m1.generator_tuple)
-            == standardize(m2.group, m2.generator_tuple))
+    iff their standardized tables agree, so this compares the maps' keys."""
+    return m1.kind == m2.kind and m1.key == m2.key
 
 
 def vertex_primitive(m) -> bool:
@@ -279,15 +283,12 @@ def quotient_map(m, normal_sub: Subgroup):
     and r to survive, while a collapsing l only marks the result degenerate.
     """
     Q, proj = quotient_group(m.group, normal_sub)
-    if m.kind == "oriented":
-        rq, lq = proj[m.r], proj[m.l]
-        if lq == 0:
-            raise ContractViolation("edge reversal collapses in the quotient")
-        return OrientedMap(Q, rq, lq)
-    tq, rq, lq = proj[m.t], proj[m.r], proj[m.l]
-    if tq == 0 or rq == 0:
+    images = [proj[x] for x in m.generator_tuple]
+    if m.kind == "oriented" and images[1] == 0:
+        raise ContractViolation("edge reversal collapses in the quotient")
+    if m.kind == "flagged" and 0 in images[:2]:
         raise ContractViolation("a flag reflection collapses in the quotient")
-    return FlaggedMap(Q, tq, rq, lq)
+    return type(m)(Q, *images)
 
 
 def oriented_of_flagged(m: FlaggedMap) -> OrientedMap:

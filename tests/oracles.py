@@ -260,6 +260,17 @@ def brute_hom(source, target, gen_images):
     return tuple(f[x] for x in range(n))
 
 
+def brute_automorphism(G, src, dst):
+    """True iff some automorphism of G sends the generating tuple src to
+    dst entrywise: brute_hom from <src>, renumbered as its own group with
+    src as generators, into G must exist and be a bijection."""
+    S = regenerated(G, src)
+    if S.order != G.order:
+        raise ContractViolation("src does not generate the group")
+    f = brute_hom(S, G, dst)
+    return f is not None and len(set(f)) == G.order
+
+
 def brute_isomorphic(G1, G2):
     """True iff some image tuple in G2 of small_generating_set(G1) extends,
     by brute_hom, to a bijection: every tuple of G2 is tried."""

@@ -5,16 +5,16 @@ One test per numbered criterion; each prints a single measured-result line
 integer or label equality.
 """
 
-from oracles import brute_core, brute_is_solvable, int_p_part, is_p_subgroup
+from oracles import (brute_automorphism, brute_core, brute_is_solvable,
+                     int_p_part, is_p_subgroup)
 from regmaps.census import (census_classify, enumerate_flagged,
                             enumerate_oriented)
 from regmaps.classify import certify_sylow_structure, classify
 from regmaps.coset_enum import todd_coxeter
 from regmaps.grammar import parse_group_file
-from regmaps.group import (automorphism_exists, coset_action, is_normal,
-                           is_primitive, is_solvable, isomorphism_search,
-                           normal_core, o_p, prime_factors, regenerated,
-                           sylow_p)
+from regmaps.group import (coset_action, is_normal, is_primitive, is_solvable,
+                           isomorphism_search, normal_core, o_p,
+                           prime_factors, regenerated, sylow_p)
 from regmaps.maps import oriented_of_flagged, quotient_map
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
@@ -74,7 +74,7 @@ def test_c03_g384_chiral_dipole_quotient(corpus):
     m = rz.maps["m"]
     rep = m.report()
     cl = classify(m)
-    mirror = automorphism_exists(G, (m.r, m.l), (G.inv(m.r), m.l))
+    mirror = brute_automorphism(G, (m.r, m.l), (G.inv(m.r), m.l))
     case = cl.exceptional_case
     got = (m.vef_counts(), rep.genus_kind, rep.genus, mirror, rep.reflexible,
            cl.orientation_status, (case.kind, case.m, case.e),
@@ -95,8 +95,8 @@ def test_c04_gl23_reflexible_dipole_quotient(corpus):
     rep = m.report()
     cl = classify(m)
     z = G.power(m.r, 3)
-    sigma = automorphism_exists(G, (m.r, m.l), (m.r, G.mul(z, m.l)))
-    composite = automorphism_exists(G, (m.r, m.l), (G.inv(m.r), m.l))
+    sigma = brute_automorphism(G, (m.r, m.l), (m.r, G.mul(z, m.l)))
+    composite = brute_automorphism(G, (m.r, m.l), (G.inv(m.r), m.l))
     core = o_p(G, 2)
     q8 = _iso(G, core, quaternion_group())
     got = (G.order, G.order_of(m.r), G.order_of(G.mul(m.r, m.l)),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_aut_count, full_census_flagged,
+from oracles import (brute_aut_count, brute_automorphism, full_census_flagged,
                      full_census_oriented, scan_flagged_triples,
                      scan_oriented_pairs)
 import regmaps.census
@@ -205,6 +205,23 @@ def test_mirror_closure(corpus, fname, reflexible_classes):
         == reflexible_classes
 
 
+def test_reflexibility_matches_brute_automorphism(corpus):
+    # is_reflexible reads the mirror's key off the map's own key; the
+    # oracle looks for an automorphism inverting r and fixing l directly.
+    seen = chiral = 0
+    for rz in corpus.values():
+        G = rz.group
+        if G.order > 384:
+            continue
+        for e in enumerate_oriented(G):
+            m = e.map
+            want = brute_automorphism(G, (m.r, m.l), (G.inv(m.r), m.l))
+            assert m.is_reflexible() == want, (rz.gf.name, e.tuple_)
+            seen += 1
+            chiral += not want
+    assert (seen, chiral) == (26, 4)
+
+
 def test_g384_census_chiral_pairs(g384_oriented):
     entries = g384_oriented
     rows = []
@@ -356,9 +373,8 @@ def test_unequal_class_sizes_raise():
     G = symmetric_group(4)
     a, b = enumerate_oriented(G)
     assert a.class_size == b.class_size == 24
-    classes = {"a": [a.tuple_, 24], "b": [b.tuple_, 23]}
+    classes = {a.map.key: [a.map, 24], b.map.key: [b.map, 23]}
     with pytest.raises(TheoremViolation, match="differ in size"):
-        _entries(G, classes, "oriented")
-    classes["b"][1] = 24
-    assert [e.tuple_ for e in _entries(G, classes, "oriented")] == \
-        [a.tuple_, b.tuple_]
+        _entries(classes)
+    classes[b.map.key][1] = 24
+    assert [e.tuple_ for e in _entries(classes)] == [a.tuple_, b.tuple_]

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import regmaps.group
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
-from regmaps.group import (automorphism_exists, center, closure, coset_action,
-                           derived_series, derived_subgroup, hom_extend,
-                           is_cyclic, is_extraspecial, is_normal, is_prime,
+from regmaps.group import (center, closure, coset_action, derived_series,
+                           derived_subgroup, hom_extend, is_cyclic,
+                           is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
                            isomorphism_search, normal_closure, normal_core,
                            o_p, omega1, p_part, prime_factors,
@@ -211,15 +211,6 @@ def test_hom_extend_finds_and_refuses():
     three = next(g for g in range(G.order) if G.order_of(g) == 3)
     bad = hom_extend(G, G, [three] + gens[1:])
     assert bad is None
-
-
-def test_automorphism_exists_on_conjugate_tuples():
-    G = symmetric_group(4)
-    a, b = G.gen_indices
-    g = 5
-    assert automorphism_exists(G, (a, b), (G.conj(a, g), G.conj(b, g)))
-    three = next(x for x in range(G.order) if G.order_of(x) == 3)
-    assert not automorphism_exists(G, (a, b), (three, b))
 
 
 def test_isomorphism_search_distinguishes():

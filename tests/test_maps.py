@@ -46,6 +46,21 @@ def test_flagged_contract_checks():
         FlaggedMap(klein_four_group(), 1, 1, 1)   # <t,r,l> proper
 
 
+@pytest.mark.parametrize("bad", [24, -1])
+def test_element_indices_are_range_checked(bad):
+    # every index is checked before any product is formed, so an index
+    # outside the group is a contract error, not an IndexError
+    G = symmetric_group(4)
+    inv = _involutions(G)[0]
+    for make in (lambda: OrientedMap(G, inv, bad),
+                 lambda: OrientedMap(G, bad, inv),
+                 lambda: FlaggedMap(G, bad, inv, inv),
+                 lambda: FlaggedMap(G, inv, bad, inv),
+                 lambda: FlaggedMap(G, inv, inv, bad)):
+        with pytest.raises(ContractViolation, match="not an element"):
+            make()
+
+
 def test_s4_flagged_geometry(corpus):
     m = corpus["s4_3map.grp"].maps["m"]
     assert m.vef_counts() == (3, 6, 4)
