@@ -175,11 +175,10 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     # depend on the history of dead definitions.
     live = [k for k, r in enumerate(p) if k == r]
     squash = {k: i for i, k in enumerate(live)}
-    std = standard_table([[squash[rep(col[k])] for k in live] for col in cols],
-                         len(live))
-    if std is None:
+    squashed = [[squash[rep(col[k])] for k in live] for col in cols]
+    flat = standard_table(squashed, len(live))
+    if flat is None:
         raise ContractViolation("coset table is not connected")
-    flat = std[0]
     return CosetTable(ngens, len(live), [flat[x::nsym] for x in range(nsym)])
 
 

@@ -25,7 +25,8 @@ from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
 from .errors import ContractViolation, ParseError, ResourceLimitExceeded
-from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, is_prime
+from .group import (DEFAULT_MAX_ORDER, MAX_CLOSURE_CELLS, FiniteGroup,
+                    closure, is_prime)
 from .maps import MAP_TYPES
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
@@ -77,11 +78,14 @@ def _lex_line(line: str, lineno: int) -> list:
                 j += 1
             toks.append(("ident", line[i:j], col))
             i = j
-        elif ch.isdigit() or (ch == "-" and i + 1 < n and line[i + 1].isdigit()):
+        elif "0" <= ch <= "9" or (ch == "-" and "0" <= line[i + 1:i + 2] <= "9"):
             j = i + 1
-            while j < n and line[j].isdigit():
+            while j < n and "0" <= line[j] <= "9":
                 j += 1
-            toks.append(("int", int(line[i:j]), col))
+            try:
+                toks.append(("int", int(line[i:j]), col))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal too long", lineno, col) from None
             i = j
         elif ch in "*^()[],=:":
             toks.append(("sym", ch, col))
@@ -476,6 +480,10 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
         for cycles in gf.perm_cycles:
             for cyc in cycles:
                 degree = max(degree, max(cyc) + 1)
+        if degree > MAX_CLOSURE_CELLS:  # not even the identity would fit
+            raise ResourceLimitExceeded(
+                f"perm degree {degree} exceeds max_cells={MAX_CLOSURE_CELLS}",
+                "max_cells", MAX_CLOSURE_CELLS)
         perms = [Perm.from_cycles(cycles, degree) for cycles in gf.perm_cycles]
         G = closure(degree, perms, max_order=max_order)
     elif gf.mode == "mat":

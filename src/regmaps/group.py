@@ -12,8 +12,9 @@ generators in input order, which fixes a deterministic element numbering:
 element 0 is always the identity, and elements are numbered as the walk
 meets them.  The numbering depends only on the group and the order of its
 generators, not on the points it acts on.  A group keeps its elements, the
-indices of its generators and the base lookups below; whatever else it
-needs, such as a row of the multiplication table, it computes from those.
+indices of its generators and the base lookups below.  Inverses, element
+orders and rows of the multiplication table (:meth:`FiniteGroup.row`) are
+computed from those on first use and kept.
 
 Products are read from base images.  A base is a short list of points
 whose pointwise stabilizer is trivial, so an element is determined by where
@@ -108,6 +109,7 @@ class FiniteGroup:
         self.cache: dict = {}
         self._inv: list[Optional[int]] = [None] * len(elements)
         self._orders: list[Optional[int]] = [None] * len(elements)
+        self._rows: list[Optional[list]] = [None] * len(elements)
         self.base = _greedy_base(elements)
         # _get[i] reads off, from the images of an element g, the images of
         # element i's base images: the base images of elements[i] * g.
@@ -135,6 +137,15 @@ class FiniteGroup:
             key = tuple(map(self.elements[i].index, self.base))
             v = self._inv[i] = self._at[key if len(key) > 1 else key[0]]
         return v
+
+    def row(self, g: int) -> list:
+        """The row x -> x*g of the multiplication table, for tight loops.
+        Each entry is :meth:`mul` inlined."""
+        r = self._rows[g]
+        if r is None:
+            at, images = self._at, self.elements[g]
+            r = self._rows[g] = [at[get(images)] for get in self._get]
+        return r
 
     def conj(self, i: int, by: int) -> int:
         return self.mul(self.mul(self.inv(by), i), by)
@@ -572,12 +583,14 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
                gen_images: Sequence[int]) -> Optional[GroupHom]:
     """Extend generator images to a homomorphism, or return None.
 
-    No package code path calls this; it is the reference that
-    :func:`standardize` is tested against.  One breadth-first walk from the identity crosses every edge x -> x * g
-    of the source's Cayley graph.  An element met for the first time gets
-    the image ``img[x] * t``, where t is the image of g; on every other
-    edge that product must equal the image already there, or no
-    homomorphism with these generator images exists.
+    No package code path calls this.  It stays because the benchmark wraps
+    it as a span (perfbench/spans.py) and the tests use it as the reference
+    that :func:`standardize` is checked against.  One breadth-first walk
+    from the identity crosses every edge x -> x * g of the source's Cayley
+    graph.  An element met for the first time gets the image
+    ``img[x] * t``, where t is the image of g; on every other edge that
+    product must equal the image already there, or no homomorphism with
+    these generator images exists.
     """
     gen_images = tuple(gen_images)
     if len(gen_images) != len(source.gen_indices):
@@ -601,23 +614,15 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
     return GroupHom(source, target, gen_images, tuple(img))
 
 
-def mult_table(G: FiniteGroup, g: int) -> list:
-    """Row x -> x*g of the multiplication table, for tight loops.  Each
-    entry is :meth:`FiniteGroup.mul` inlined."""
-    at, images = G._at, G.elements[g]
-    return [at[get(images)] for get in G._get]
-
-
-def standard_table(rows: Sequence[Sequence[int]], n: int):
+def standard_table(rows: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
     """Standardize a tuple given by its right-multiplication rows.
 
     A breadth-first walk from the identity multiplies on the right by the
     tuple's entries in order and numbers elements as it meets them.  Returns
-    (the relabelled table, flattened as a tuple, and the elements in BFS
-    order), or None when fewer than n elements are reached.  Two generating
-    tuples of isomorphic groups have equal tables iff some isomorphism maps
-    one tuple to the other, and it sends the k-th element of one BFS order
-    to the k-th of the other.
+    the relabelled table, flattened as a tuple, or None when fewer than n
+    elements are reached.  Two generating tuples of isomorphic groups have
+    equal tables iff some isomorphism maps one tuple to the other, and it
+    sends the k-th element met in one walk to the k-th met in the other.
     """
     label = [-1] * n
     label[0] = 0
@@ -632,17 +637,13 @@ def standard_table(rows: Sequence[Sequence[int]], n: int):
                 k = label[y] = len(order)
                 order.append(y)
             append(k)
-    if len(order) < n:
-        return None
-    return tuple(table), order
+    return tuple(table) if len(order) == n else None
 
 
 def standardize(G: FiniteGroup, gen_indices: Sequence[int]) -> Optional[tuple]:
     """Standardized table of a generating tuple (hashable), or None when the
     tuple does not generate G.  See :func:`standard_table`."""
-    n = len(G.elements)
-    std = standard_table([mult_table(G, g) for g in gen_indices], n)
-    return None if std is None else std[0]
+    return standard_table([G.row(g) for g in gen_indices], len(G.elements))
 
 
 def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
@@ -683,15 +684,8 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
     key1 = standardize(G1, gens1)
     pools = [[k for k in range(n) if G2.order_of(k) == G1.order_of(g)
               and sizes2[k] == sizes1[g]] for g in gens1]
-    rows2: dict = {}
-    for assignment in iproduct(*pools):
-        for a in assignment:
-            if a not in rows2:
-                rows2[a] = mult_table(G2, a)
-        std = standard_table([rows2[a] for a in assignment], n)
-        if std is not None and std[0] == key1:
-            return True
-    return False
+    return any(standard_table([G2.row(a) for a in assignment], n) == key1
+               for assignment in iproduct(*pools))
 
 
 def small_generating_set(G: FiniteGroup) -> tuple:

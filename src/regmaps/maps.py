@@ -154,7 +154,7 @@ class OrientedMap(_Map):
         r_inv = [0] * len(r_col)
         for x, y in enumerate(r_col):
             r_inv[y] = x
-        return standard_table((r_inv, l_col), len(r_col))[0] == key
+        return standard_table((r_inv, l_col), len(r_col)) == key
 
     def mirror(self) -> "OrientedMap":
         return OrientedMap(self.group, self.group.inv(self.r), self.l)

@@ -13,8 +13,7 @@ is the row-per-coset HLT kernel from before the per-generator columns.
 from itertools import combinations, product
 
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import (mult_table, regenerated, small_generating_set,
-                           standard_table)
+from regmaps.group import regenerated, small_generating_set, standard_table
 from regmaps.maps import FlaggedMap, OrientedMap
 
 
@@ -184,12 +183,11 @@ def _full_census(G, candidates, make):
     every candidate in the given order and counts each generating tuple
     once, in classes keyed by standardized table."""
     n = G.order
-    tables = [mult_table(G, g) for g in range(n)]
     classes = {}
     for cand in candidates:
-        std = standard_table([tables[x] for x in cand], n)
-        if std is not None:
-            classes.setdefault(std[0], [cand, 0])[1] += 1
+        key = standard_table([G.row(x) for x in cand], n)
+        if key is not None:
+            classes.setdefault(key, [cand, 0])[1] += 1
     return [(cand, count, tuple(sorted(make(G, *cand).degenerate)))
             for cand, count in classes.values()]
 
@@ -392,8 +390,7 @@ def todd_coxeter_rows(pres, subgroup_words=(), max_cosets=200_000):
     live = [k for k in range(len(table)) if p[k] == k]
     squash = {k: i for i, k in enumerate(live)}
     cols = [[squash[rep(table[k][x])] for k in live] for x in range(nsym)]
-    std = standard_table(cols, len(live))
-    if std is None:
+    flat = standard_table(cols, len(live))
+    if flat is None:
         raise ContractViolation("coset table is not connected")
-    flat = std[0]
     return [list(flat[c:c + nsym]) for c in range(0, len(flat), nsym)]

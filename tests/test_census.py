@@ -178,6 +178,8 @@ DIRECT_PRODUCTS = [
 @example(DIRECT_PRODUCTS[1])
 @example(DIRECT_PRODUCTS[2])
 @example(DIRECT_PRODUCTS[3])
+@example(dihedral_group(45))
+@example(dihedral_group(60))  # flagged classes with l = t
 @settings(max_examples=25, deadline=None)
 def test_census_matches_full_scan_on_small_groups(G):
     for enum, full in FULL_SCANS.values():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -309,6 +310,24 @@ def test_large_matrix_group_hits_the_cell_bound(tmp_path, capsys):
     assert ret == 5
     assert out == ""
     assert err.startswith("error: ") and "max_cells" in err
+
+
+def test_huge_perm_degree_hits_the_cell_bound(tmp_path, capsys):
+    # a point number of 10^9 is refused before any per-point list exists
+    f = tmp_path / "huge_perm.grp"
+    f.write_text("group huge_perm\nperm a = (1 1000000000)\n",
+                 encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ret, out, err = _run(capsys, ["analyze", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ret == 5
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_cells" in err
+    assert peak < 10**7
 
 
 def test_census_human_output(corpus_file, capsys):

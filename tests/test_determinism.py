@@ -5,9 +5,12 @@ The seed-0 `pipeline` and `census` jobs of the benchmark
 written by ``workloads.generate``.  Each outcome goes through
 ``checks.check`` against perfbench/data/expected.json: the exit code, the
 canonical JSON form, equal census class sizes and, at seed 0, the recorded
-SHA-256 of the whole document.  The benchmark files are only read.
+SHA-256 of the whole document.  One larger input is pinned beside them:
+the oriented census of the order-2640 ladder group, 88 classes.  The
+benchmark files are only read.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 
 import regmaps.cli as cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
@@ -40,3 +44,13 @@ def test_job_output_matches_record(argvs, capsys, workload, k):
     why = checks.check(job, SEED, rc, out, err,
                        checks.load_expected(workload))
     assert why is None, why
+
+
+def test_ladder_census_output_is_pinned(capsys):
+    path = PERFBENCH / "data" / "ladder" / "ladder_p11.grp"
+    rc = cli.main(["census", str(path), "--kind", "oriented",
+                   "--max-order", "30000", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a40dd8b2fe66aad3f213d8090df7c72743820ce896482a3ceb59757ace931248")

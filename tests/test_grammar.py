@@ -90,6 +90,10 @@ def test_lexer_position_reporting():
     ("group t\nmat a = [[1,0],[0,1]] mod 3\nmat b = [[1,0],[0,1]] mod 5\n",
      "share one modulus"),
     ("group t\ngens a\nrel a^2000000000\n", "exponent overflow"),
+    # a digit outside ASCII, and a literal past int()'s digit limit
+    ("group t\ngens a\nrel a^\u00b2\n", "column 7: unexpected character"),
+    pytest.param("group t\ngens a\nrel a^" + "9" * 5000 + "\n",
+                 "column 7: integer literal too long", id="5000-digit literal"),
     ("group t\ngens a\nrel a^2 junk\n", "unexpected trailing"),
 ])
 def test_rejections(text, fragment):
@@ -178,7 +182,7 @@ def test_nesting_limit(opens, closes):
 
 # -- properties --------------------------------------------------------------
 
-ALPHABET = "abglmprt \t\n()[]*^,=:#-_019é"
+ALPHABET = "abglmprt \t\n()[]*^,=:#-_019é²"
 TOKENS = ("a", "b", "l", "r", "0", "1", "-2", "99", "(", ")", "[", "]", ",",
           "*", "^", "=", ":", " ", "#", "\n", "é", "gens", "rel", "perm",
           "mat", "mod", "map", "oriented", "flagged")

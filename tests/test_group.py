@@ -78,6 +78,17 @@ def test_mul_matches_permutation_composition():
             assert G.elements[G.mul(a, b)] == want
 
 
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2)))
+@settings(max_examples=30, deadline=None)
+def test_row_is_right_multiplication_and_kept(perms):
+    G = closure(len(perms[0]), [Perm(p) for p in perms])
+    for g in range(G.order):
+        row = G.row(g)
+        assert row == [G.mul(x, g) for x in range(G.order)]
+        assert G.row(g) is row
+
+
 def test_conjugacy_classes_partition():
     G = symmetric_group(4)
     class_id, size_of = G.conjugacy_classes()  # both are per element
