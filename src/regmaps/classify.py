@@ -23,6 +23,7 @@ extraspecial group omega_1(P) of order p^(k+1).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import ClassificationError, ContractViolation, TheoremViolation
@@ -34,14 +35,10 @@ from .maps import (DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map,
                    vertex_primitive)
 from .standard import symmetric_group
 
-_SYM4: Optional[FiniteGroup] = None
 
-
+@cache
 def _sym4() -> FiniteGroup:
-    global _SYM4
-    if _SYM4 is None:
-        _SYM4 = symmetric_group(4)
-    return _SYM4
+    return symmetric_group(4)
 
 
 @dataclass(frozen=True)
@@ -74,16 +71,8 @@ class PMapClassification:
     quotient_order: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "solvable": self.solvable,
-            "normal": self.normal,
-            "orientation_status": self.orientation_status,
-            "exceptional_case": (self.exceptional_case.label()
-                                 if self.exceptional_case else None),
-            "quotient_order": self.quotient_order,
-        }
+        case = self.exceptional_case
+        return dict(asdict(self), exceptional_case=case and case.label())
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
@@ -36,9 +37,8 @@ def _read(path: str) -> str:
         raise ContractViolation(f"cannot read {path}: {exc}") from exc
 
 
-def _realize(text: str, args):
-    return realize_group_file(parse_group_file(text),
-                              max_cosets=args.max_cosets,
+def _realize(gf: GroupFile, args):
+    return realize_group_file(gf, max_cosets=args.max_cosets,
                               max_order=args.max_order)
 
 
@@ -51,15 +51,16 @@ def _check_bounds(args) -> None:
             raise ContractViolation(f"{flag} must be at least 1, got {value}")
 
 
-def _select_map(rz, wanted):
+def _select_map(gf: GroupFile, wanted) -> str:
+    """The declared map to work on, named before the group is realized."""
+    names = [md.name for md in gf.maps]
     if wanted is not None:
-        if wanted not in rz.maps:
+        if wanted not in names:
             raise ContractViolation(f"no map named {wanted!r} in the file")
-        return rz.maps[wanted], wanted
-    if len(rz.maps) == 1:
-        name = next(iter(rz.maps))
-        return rz.maps[name], name
-    if not rz.maps:
+        return wanted
+    if len(names) == 1:
+        return names[0]
+    if not names:
         raise ContractViolation("the file declares no maps")
     raise ContractViolation("several maps declared; pick one with --map")
 
@@ -101,8 +102,10 @@ def _emit(doc, args) -> None:
 
 def cmd_analyze(args) -> int:
     text = _read(args.file)
-    rz = _realize(text, args)
-    m, name = _select_map(rz, args.map)
+    gf = parse_group_file(text)
+    name = _select_map(gf, args.map)
+    rz = _realize(gf, args)
+    m = rz.maps[name]
     doc = new_document("analyze", text, rz.group)
     status = 0
     cl = st = None
@@ -129,8 +132,10 @@ def cmd_quotient(args) -> int:
     if not is_prime(args.p):
         raise ContractViolation(f"--p must be a prime, got {args.p}")
     text = _read(args.file)
-    rz = _realize(text, args)
-    m, name = _select_map(rz, args.map)
+    gf = parse_group_file(text)
+    name = _select_map(gf, args.map)
+    rz = _realize(gf, args)
+    m = rz.maps[name]
     core = o_p(rz.group, args.p)
     qm = quotient_map(m, core)
     doc = new_document("quotient", text, rz.group)
@@ -162,7 +167,7 @@ def cmd_census(args) -> int:
     # Realize under the census bound (the --max-order default of census), so
     # that a group too large for the census is refused there, not closed up
     # to the 10^6 default first.
-    rz = _realize(text, args)
+    rz = _realize(parse_group_file(text), args)
     if args.kind == "oriented":
         entries = enumerate_oriented(rz.group, max_order=args.max_order)
     else:
@@ -218,8 +223,7 @@ def cmd_verify_corpus(args) -> int:
         print(json.dumps({
             "tool_version": TOOL_VERSION,
             "passed": ok,
-            "checks": [{"example": r.example, "check": r.check,
-                        "ok": r.ok, "detail": r.detail} for r in rows],
+            "checks": [asdict(r) for r in rows],
         }, sort_keys=True, indent=2))
     else:
         for r in rows:

@@ -14,7 +14,8 @@ meets them.  The numbering depends only on the group and the order of its
 generators, not on the points it acts on.  A group keeps its elements, the
 indices of its generators and the base lookups below.  Inverses, element
 orders and rows of the multiplication table (:meth:`FiniteGroup.row`) are
-computed from those on first use and kept.
+computed from those on first use and kept in lists; other per-group results
+are kept by :func:`_kept`, and :func:`_orbits` labels classes and orbits.
 
 Products are read from base images.  A base is a short list of points
 whose pointwise stabilizer is trivial, so an element is determined by where
@@ -26,9 +27,11 @@ regular group has base ``(0,)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import product as iproduct
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -86,6 +89,37 @@ def closure(degree: int, generators: Sequence[Perm],
     return FiniteGroup(degree, elements, [seen[g] for g in gen_images])
 
 
+def _kept(fn):
+    """Compute ``fn(G, *args)`` once per group and keep it in ``G.cache``
+    under ``(fn.__name__, *args)``; arguments are positional and hashable."""
+    @wraps(fn)
+    def kept(G, *args):
+        key = (fn.__name__, *args)
+        if key not in G.cache:
+            G.cache[key] = fn(G, *args)
+        return G.cache[key]
+    return kept
+
+
+def _orbits(n: int, moves: Sequence[Sequence[int]]) -> list[int]:
+    """Label each of 0..n-1 with its orbit under the index maps `moves`
+    (x goes to ``move[x]``), numbering orbits in order of least member."""
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] < 0:
+            label[start] = count
+            orbit = [start]
+            for x in orbit:
+                for move in moves:
+                    y = move[x]
+                    if label[y] < 0:
+                        label[y] = count
+                        orbit.append(y)
+            count += 1
+    return label
+
+
 def _greedy_base(elements: Sequence[tuple]) -> tuple:
     """A base grown greedily from point 0: while some non-identity element
     fixes every base point, append the least point the first such element
@@ -118,9 +152,6 @@ class FiniteGroup:
         self._at = {get(elements[0]): k for k, get in enumerate(self._get)}
 
     # -- basic arithmetic on element indices ------------------------------
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     @property
     def order(self) -> int:
@@ -182,35 +213,14 @@ class FiniteGroup:
             self._orders[i] = v
         return v
 
+    @_kept
     def conjugacy_classes(self) -> tuple[list[int], list[int]]:
         """Return (class_id per element, class_size per element)."""
-        cached = self.cache.get("classes")
-        if cached is not None:
-            return cached
         n = len(self.elements)
-        class_id = [-1] * n
-        sizes = [0] * n
-        nclasses = 0
-        gidx = self.gen_indices
-        for start in range(n):
-            if class_id[start] >= 0:
-                continue
-            orbit = [start]
-            class_id[start] = nclasses
-            qi = 0
-            while qi < len(orbit):
-                x = orbit[qi]
-                qi += 1
-                for g in gidx:
-                    y = self.conj(x, g)
-                    if class_id[y] < 0:
-                        class_id[y] = nclasses
-                        orbit.append(y)
-            for x in orbit:
-                sizes[x] = len(orbit)
-            nclasses += 1
-        self.cache["classes"] = (class_id, sizes)
-        return class_id, sizes
+        class_id = _orbits(n, [[self.conj(x, g) for x in range(n)]
+                               for g in self.gen_indices])
+        size = Counter(class_id)
+        return class_id, [size[c] for c in class_id]
 
     def centralizer(self, x: int) -> list[int]:
         """The members of C_G(x), in increasing order.  c commutes with x iff
@@ -261,13 +271,10 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset([0]), ())
 
+    @_kept
     def improper_subgroup(self) -> "Subgroup":
-        sub = self.cache.get("improper")
-        if sub is None:
-            sub = Subgroup(self, frozenset(range(len(self.elements))),
-                           tuple(self.gen_indices))
-            self.cache["improper"] = sub
-        return sub
+        return Subgroup(self, frozenset(range(len(self.elements))),
+                        tuple(self.gen_indices))
 
 
 @dataclass(frozen=True)
@@ -411,6 +418,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@_kept
 def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically.
 
@@ -420,9 +428,6 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     (P is proper in its normalizer inside any Sylow subgroup above it), so
     the loop provably reaches a Sylow subgroup.
     """
-    key = ("sylow", p)
-    if key in G.cache:
-        return G.cache[key]
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
     target = p_part(len(G.elements), p)
@@ -443,23 +448,18 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
             raise TheoremViolation(
                 f"Sylow search ended at order {P.order}, expected {target}")
         P = G.subgroup(P.gens + (found,))
-    G.cache[key] = P
     return P
 
 
+@_kept
 def o_p(G: FiniteGroup, p: int) -> Subgroup:
     """Largest normal p-subgroup: the core of any Sylow p-subgroup."""
-    key = ("o_p", p)
-    if key in G.cache:
-        return G.cache[key]
-    result = normal_core(G, sylow_p(G, p))
-    G.cache[key] = result
-    return result
+    return normal_core(G, sylow_p(G, p))
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """The quotient Q = G/N on the cosets, and the projection: ``proj[x]``
-    is the index in Q of the coset N*x.
+    """The quotient Q = G/N, and the projection: ``proj[x]`` is the index
+    in Q of the coset N*x.
 
     The projection is the coset labelling itself.  :func:`closure` walks
     G/N breadth-first over G's generators in order, as it walked G.  A
@@ -467,6 +467,12 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     other member x, x*g lies in N*(m*g), met when m was walked before x.
     So Q numbers the cosets in the order of their least members, which is
     the labelling of :func:`right_coset_partition`.  G/1 is G itself.
+
+    N is normal, so G permutes the N-orbits of its points, with N in the
+    kernel: the action has order at most |G:N|, and exactly |G:N| iff its
+    kernel is N.  On k < |G:N| orbits with |G:N| dividing k! (which a
+    faithful action on k points needs), Q is this action when faithful,
+    else the regular one; the walk above numbers both alike.
     """
     if N.parent is not G:
         raise ContractViolation("subgroup does not belong to this group")
@@ -475,7 +481,16 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     if N.order == 1:
         return G, list(range(len(G.elements)))
     perms, coset_of = coset_action(G, N)
-    Q = closure(len(G.elements) // N.order, perms)
+    index = len(G.elements) // N.order
+    orbit = _orbits(G.degree, [G.elements[m] for m in N.gens])
+    reps = list(dict(zip(orbit, range(G.degree))).values())  # one per orbit
+    Q = None
+    if len(reps) < index and factorial(len(reps)) % index == 0:
+        on_orbits = [Perm._raw(tuple(orbit[G.elements[g][x]] for x in reps))
+                     for g in G.gen_indices]
+        Q = closure(len(reps), on_orbits, max_order=index)
+    if Q is None or Q.order < index:
+        Q = closure(index, perms)
     if Q.order * N.order != len(G.elements):
         raise TheoremViolation("quotient order mismatch")
     return Q, coset_of
@@ -515,10 +530,9 @@ def derived_series(G: FiniteGroup) -> list[Subgroup]:
     return series
 
 
+@_kept
 def is_solvable(G: FiniteGroup) -> bool:
-    if "solvable" not in G.cache:
-        G.cache["solvable"] = derived_series(G)[-1].order == 1
-    return G.cache["solvable"]
+    return derived_series(G)[-1].order == 1
 
 
 def center(sub: Subgroup) -> Subgroup:
@@ -652,15 +666,14 @@ def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     Elements keep their permutation form and G's degree, which for a group
     realized from a presentation is that of its small coset action; the
     numbering changes to the BFS order of the new generating set, and the
-    subgroup grows its own base.
+    subgroup grows its own base.  The result is kept in ``G.cache`` here,
+    not by :func:`_kept`, because callers may pass lists, which are no keys.
     """
     key = ("regen", tuple(gen_indices))
-    if key in G.cache:
-        return G.cache[key]
-    result = closure(G.degree, [Perm._raw(G.elements[i]) for i in gen_indices],
-                     max_order=len(G.elements) + 1)
-    G.cache[key] = result
-    return result
+    if key not in G.cache:
+        gens = [Perm._raw(G.elements[i]) for i in gen_indices]
+        G.cache[key] = closure(G.degree, gens, max_order=len(G.elements) + 1)
+    return G.cache[key]
 
 
 def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
@@ -688,11 +701,10 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
                for assignment in iproduct(*pools))
 
 
+@_kept
 def small_generating_set(G: FiniteGroup) -> tuple:
     """A short generating tuple found greedily in index order."""
-    if "small_gens" not in G.cache:
-        G.cache["small_gens"] = G.subgroup_from_members(range(len(G))).gens
-    return G.cache["small_gens"]
+    return G.subgroup_from_members(range(G.order)).gens
 
 
 # -- primitivity -----------------------------------------------------------
@@ -721,21 +733,8 @@ def _minimal_block_size(perms: Sequence[Perm], npoints: int, beta: int) -> int:
 
 
 def is_transitive(perms: Sequence[Perm], npoints: int) -> bool:
-    if npoints == 0:
-        return False
-    seen = [False] * npoints
-    seen[0] = True
-    queue = [0]
-    count = 1
-    while queue:
-        x = queue.pop()
-        for g in perms:
-            y = g.images[x]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == npoints
+    return (npoints > 0
+            and max(_orbits(npoints, [g.images for g in perms])) == 0)
 
 
 def is_primitive(perms: Sequence[Perm], npoints: int) -> bool:

@@ -15,6 +15,7 @@ but tagged as degenerate, since they no longer describe a closed surface.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import ContractViolation, TheoremViolation
@@ -78,17 +79,11 @@ class _Map:
         self.group = group
         self.generator_tuple = gens
         self.key = key
-        self._cache: dict = {}
 
     def __repr__(self) -> str:
         entries = "".join(f", {name}={x}"
                           for name, x in zip(self.fields, self.generator_tuple))
         return f"{type(self).__name__}(|G|={self.group.order}{entries})"
-
-    def _sub(self, key: str, gens: tuple) -> Subgroup:
-        if key not in self._cache:
-            self._cache[key] = self.group.subgroup(gens)
-        return self._cache[key]
 
     def vef_counts(self) -> tuple:
         n = self.group.order
@@ -115,17 +110,17 @@ class OrientedMap(_Map):
         if l == 0 or G.mul(l, l) != 0:
             raise ContractViolation("edge reversal must be an involution")
 
-    @property
+    @cached_property
     def vertex_subgroup(self) -> Subgroup:
-        return self._sub("v", (self.r,))
+        return self.group.subgroup((self.r,))
 
-    @property
+    @cached_property
     def edge_subgroup(self) -> Subgroup:
-        return self._sub("e", (self.l,))
+        return self.group.subgroup((self.l,))
 
-    @property
+    @cached_property
     def face_subgroup(self) -> Subgroup:
-        return self._sub("f", (self.group.mul(self.r, self.l),))
+        return self.group.subgroup((self.group.mul(self.r, self.l),))
 
     def valency(self) -> int:
         return self.group.order_of(self.r)
@@ -199,24 +194,23 @@ class FlaggedMap(_Map):
             return frozenset((DEGENERATE_L_EQUALS_T,))
         return frozenset()
 
-    @property
+    @cached_property
     def vertex_subgroup(self) -> Subgroup:
-        return self._sub("v", (self.t, self.r))
+        return self.group.subgroup((self.t, self.r))
 
-    @property
+    @cached_property
     def edge_subgroup(self) -> Subgroup:
-        return self._sub("e", (self.t, self.l))
+        return self.group.subgroup((self.t, self.l))
 
-    @property
+    @cached_property
     def face_subgroup(self) -> Subgroup:
-        return self._sub("f", (self.r, self.l))
+        return self.group.subgroup((self.r, self.l))
 
-    @property
+    @cached_property
     def even_subgroup(self) -> Subgroup:
         """Words of even length in the reflections; index 1 or 2."""
         G = self.group
-        return self._sub("even", (G.mul(self.t, self.r),
-                                  G.mul(self.r, self.l)))
+        return G.subgroup((G.mul(self.t, self.r), G.mul(self.r, self.l)))
 
     def valency(self) -> int:
         return self.vertex_subgroup.order // 2

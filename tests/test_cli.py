@@ -132,7 +132,8 @@ def test_huge_prime_modulus_exit_status(tmp_path, capsys):
     # its p**2 - 1 points is refused before any vector is listed
     f = tmp_path / "huge.grp"
     f.write_text("group huge\n"
-                 "mat a = [[2,1],[1,0]] mod 1000000000000000003\n",
+                 "mat a = [[2,1],[1,0]] mod 1000000000000000003\n"
+                 "map m : oriented r=a l=a\n",
                  encoding="utf-8")
     start = time.perf_counter()
     ret, out, err = _run(capsys, ["analyze", str(f)])
@@ -315,8 +316,8 @@ def test_large_matrix_group_hits_the_cell_bound(tmp_path, capsys):
 def test_huge_perm_degree_hits_the_cell_bound(tmp_path, capsys):
     # a point number of 10^9 is refused before any per-point list exists
     f = tmp_path / "huge_perm.grp"
-    f.write_text("group huge_perm\nperm a = (1 1000000000)\n",
-                 encoding="utf-8")
+    f.write_text("group huge_perm\nperm a = (1 1000000000)\n"
+                 "map m : oriented r=a l=a\n", encoding="utf-8")
     tracemalloc.start()
     try:
         ret, out, err = _run(capsys, ["analyze", str(f)])
@@ -328,6 +329,42 @@ def test_huge_perm_degree_hits_the_cell_bound(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "max_cells" in err
     assert peak < 10**7
+
+
+def test_a_map_less_file_is_refused_before_its_group_is_built(tmp_path,
+                                                             capsys):
+    # 5,000,000 points would take about 480 MB to close; the map is chosen
+    # from the declarations first
+    f = tmp_path / "no_map.grp"
+    f.write_text("group big\nperm a = (1 5000000)\n", encoding="utf-8")
+    for argv in (["analyze", str(f)], ["quotient", "--p", "2", str(f)]):
+        tracemalloc.start()
+        try:
+            ret, out, err = _run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ret == 3
+        assert out == ""
+        assert err == "error: the file declares no maps\n"
+        assert peak < 10**7
+
+
+def test_ladder_quotient_closes_on_the_core_orbits(tmp_path, capsys):
+    # order 13680 on 360 points with O_2 of order 2: G/O_2 acts faithfully
+    # on the 180 orbits of O_2, while its regular action on 6840 cosets
+    # passes the cell bound
+    f = tmp_path / "ladder19.grp"
+    f.write_text("group ladder19\n"
+                 "mat a = [[2,1],[1,0]] mod 19\n"
+                 "mat b = [[0,1],[1,0]] mod 19\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    ret, out, err = _run(capsys, ["quotient", "--p", "2", "--json", str(f)])
+    assert ret == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["group"]["p_core_order"] == 2
+    assert doc["maps"][0]["group_order"] == 6840
 
 
 def test_census_human_output(corpus_file, capsys):

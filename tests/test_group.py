@@ -78,8 +78,12 @@ def test_mul_matches_permutation_composition():
             assert G.elements[G.mul(a, b)] == want
 
 
-@given(st.integers(1, 5).flatmap(
-    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2)))
+# one or two permutations of at most 5 points
+SMALL_PERM_GROUPS = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2))
+
+
+@given(SMALL_PERM_GROUPS)
 @settings(max_examples=30, deadline=None)
 def test_row_is_right_multiplication_and_kept(perms):
     G = closure(len(perms[0]), [Perm(p) for p in perms])
@@ -101,6 +105,42 @@ def test_conjugacy_classes_partition():
         for g in range(G.order):
             assert class_id[G.conj(x, g)] == class_id[x]
     assert class_id[0] == 0 and size_of[0] == 1
+
+
+@given(SMALL_PERM_GROUPS)
+@settings(max_examples=30, deadline=None)
+def test_classes_and_transitivity_match_brute_force(perms):
+    G = closure(len(perms[0]), [Perm(p) for p in perms])
+    index = {e: k for k, e in enumerate(G.elements)}
+    want, classes = [-1] * G.order, []
+    for x in range(G.order):
+        if want[x] < 0:
+            # the set {c^-1 x c}, by composing image tuples
+            members = {index[oracles.compose(oracles.compose(
+                tuple(sorted(range(G.degree), key=c.__getitem__)),
+                G.elements[x]), c)] for c in G.elements}
+            for y in members:
+                want[y] = len(classes)
+            classes.append(members)
+    assert G.conjugacy_classes() == (want, [len(classes[c]) for c in want])
+    orbit0 = {e[0] for e in G.elements}
+    assert (is_transitive([Perm(p) for p in perms], G.degree)
+            == (len(orbit0) == G.degree))
+
+
+def test_kept_results_are_returned_again(corpus):
+    G = corpus["g72_3map.grp"].group
+    for kept in (lambda: sylow_p(G, 3), lambda: o_p(G, 2),
+                 G.conjugacy_classes, G.improper_subgroup,
+                 lambda: small_generating_set(G), lambda: is_solvable(G)):
+        assert kept() is kept()
+    for m in (corpus["g72_3map.grp"].maps["m"],
+              corpus["g384_chiral.grp"].maps["m"]):
+        names = ["vertex_subgroup", "edge_subgroup", "face_subgroup"]
+        if m.kind == "flagged":
+            names.append("even_subgroup")
+        for name in names:
+            assert getattr(m, name) is getattr(m, name)
 
 
 def test_closure_bounds_order_and_cells(monkeypatch):
@@ -410,6 +450,26 @@ def test_quotient_projection_matches_coset_oracle(name, G, data):
             assert (proj[a] == proj[b]) == (G.mul(a, G.inv(b)) in N.members)
     assert {a for a in range(n) if proj[a] == 0} == N.members
     assert set(proj) == set(range(Q.order))
+
+
+@pytest.mark.parametrize("text,p,points", [
+    (corpus_text("g72_3map.grp"), 3, 12),
+    ("group l\nmat a = [[2,1],[1,0]] mod 11\n"
+     "mat b = [[0,1],[1,0]] mod 11\n", 2, 60),
+    (None, 2, 6),
+], ids=["G72", "ladder11", "S4"])
+def test_quotient_on_core_orbits_matches_the_regular_action(text, p, points):
+    # G72 and the ladder close G/O_p on the orbits of O_p; O_2 of S4 is V4,
+    # transitive on the 4 points, so S4/V4 takes the regular action
+    G = _realized(text) if text else symmetric_group(4)
+    N = o_p(G, p)
+    Q, proj = quotient_group(G, N)
+    perms, coset_of = coset_action(G, N)
+    R = closure(G.order // N.order, perms)
+    assert Q.degree == points
+    assert proj == coset_of
+    assert ([[Q.mul(k, g) for g in Q.gen_indices] for k in range(Q.order)]
+            == [[R.mul(k, g) for g in R.gen_indices] for k in range(R.order)])
 
 
 C4_BY_C4 = _realized("group c4c4\ngens a, b\nrel a^4\nrel b^4\n"
