@@ -13,12 +13,14 @@ the first tuple met, and is keyed by that map's own `key`, so each class's
 table is held once.
 
 Inner automorphisms are automorphisms, so the scan is cut down on two
-levels.  The first entry x (r, or t) runs only over the least member of
-each conjugacy class, in increasing order.  For each such x the second
-entry y runs only over the least member of each orbit of the centralizer
-C_G(x) acting by conjugation, in increasing order; the third entry of a
-flagged tuple (l) still runs over every involution commuting with t.  Each
-generating tuple found counts |class(x)| * |orbit of y| tuples.
+levels by one orbit walk, :func:`_orbit_minima`.  The first entry x (r, or
+t) runs only over the least member of each conjugacy class, the orbits of
+G acting on itself by conjugation, in increasing order.  For each such x
+the second entry y runs only over the least member of each orbit of the
+centralizer C_G(x) acting by conjugation, in increasing order; the third
+entry of a flagged tuple (l) still runs over every involution commuting
+with t.  Each generating tuple found counts |class(x)| * |orbit of y|
+tuples.
 
 The first tuple met in each class is still its lexicographic least member
 (x*, y*, ...), so representatives and the order of the classes do not
@@ -94,17 +96,6 @@ def _prepare(G: FiniteGroup, max_order: int) -> list:
     return [x for x in range(1, G.order) if G.mul(x, x) == 0]
 
 
-def _class_minima(G: FiniteGroup, members) -> tuple[list, list]:
-    """The least of `members` in each conjugacy class they meet, in
-    increasing order, and the conjugacy class size of every element.
-    `members` is increasing and closed under conjugation."""
-    class_id, sizes = G.conjugacy_classes()
-    least: dict = {}
-    for x in members:
-        least.setdefault(class_id[x], x)
-    return list(least.values()), sizes
-
-
 def _entries(classes: dict) -> list:
     """One entry per class; classes of unequal size breach the law that
     Aut(G) acts freely on generating tuples."""
@@ -140,14 +131,13 @@ def enumerate_oriented(G: FiniteGroup,
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
     invs = _prepare(G, max_order)
     n = G.order
-    firsts, sizes = _class_minima(G, range(1, n))
     classes: dict = {}
-    for r in firsts:
+    for r, size in _orbit_minima(G, range(n), range(1, n)):
         row_r = G.row(r)
         for l, orbit in _orbit_minima(G, G.centralizer(r), invs):
             key = _generates((row_r, G.row(l)), n)
             if key is not None:
-                _add(classes, key, sizes[r] * orbit, OrientedMap, G, (r, l))
+                _add(classes, key, size * orbit, OrientedMap, G, (r, l))
     return _entries(classes)
 
 
@@ -157,15 +147,14 @@ def enumerate_flagged(G: FiniteGroup,
     t*l = l*t; l = t allowed but tagged degenerate)."""
     invs = _prepare(G, max_order)
     n = G.order
-    firsts, sizes = _class_minima(G, invs)
     inv_set = set(invs)
     classes: dict = {}
-    for t in firsts:
+    for t, size in _orbit_minima(G, range(n), invs):
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
         for r, orbit in _orbit_minima(G, cent, invs):
             pair = (G.row(t), G.row(r))
-            weight = sizes[t] * orbit
+            weight = size * orbit
             for l in commuting:
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class

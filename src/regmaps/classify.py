@@ -17,12 +17,13 @@ when its Sylow p-subgroup is normal.  A nonnormal p-map forces p to be 2 or
 For normal maps whose vertex action is primitive, the Sylow subgroup P
 splits over the vertex-kernel part P0: either P = P0 x T with T elementary
 abelian of rank k, or (p odd) P is a central product of P0 = Z(P) with the
-extraspecial group omega_1(P) of order p^(k+1).
+extraspecial group omega_1(P) of order p^(k+1).  Both shapes are tested
+exactly, so a Sylow subgroup of any other shape breaches the theory.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -72,7 +73,7 @@ class PMapClassification:
 
     def to_dict(self) -> dict:
         case = self.exceptional_case
-        return dict(asdict(self), exceptional_case=case and case.label())
+        return dict(vars(self), exceptional_case=case and case.label())
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class SylowStructure:
-    case_tag: str  # "direct_product_elementary" | "central_product_extraspecial" | "other"
+    case_tag: str  # "direct_product_elementary" | "central_product_extraspecial"
     p0_order: int
     complement_rank: Optional[int]
     extraspecial_order: Optional[int]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def detect_p_map(m) -> Optional[tuple]:
@@ -277,33 +278,28 @@ def verify_classification_law(m) -> LawCheck:
     raise TheoremViolation(f"nonnormal p-map with p = {p}")
 
 
-def _elementary_complement(G: FiniteGroup, P, P0, p: int, k: int):
-    """Greedy elementary-abelian complement to P0 inside P.  Complete when
-    P is abelian (subspace complement in omega_1); a heuristic otherwise."""
-    T = G.trivial_subgroup()
-    p0_gens = tuple(P0.gens)
-    target = p ** k
-    for x in P.sorted_members():
-        if T.order == target:
-            break
-        if x == 0 or G.power(x, p) != 0:
-            continue
-        if any(G.mul(x, g) != G.mul(g, x) for g in T.gens):
-            continue
-        if any(G.mul(x, g) != G.mul(g, x) for g in p0_gens):
-            continue
-        cand = G.subgroup(tuple(T.gens) + (x,))
-        if cand.order != T.order * p:
-            continue
-        if len(cand.members & P0.members) != 1:
-            continue
-        T = cand
-    if T.order != target:
-        return None
-    whole = G.subgroup(tuple(T.gens) + p0_gens)
-    if whole.members != P.members:
-        return None
-    return T
+def _splits_elementary(G: FiniteGroup, P, P0, p: int) -> bool:
+    """Whether P = P0 x T for some elementary abelian T, where P0 is normal
+    in the p-group P.  With C = C_P(P0) and Z0 = C meet P0 = Z(P0), this
+    holds iff C is abelian, |P0||C| = |P||Z0| and the p-th powers of C are
+    exactly those of Z0.
+
+    (=>) C = Z0 x T, so C is abelian, |C| = |Z0||T| = |Z0||P|/|P0|, and
+    (zt)^p = z^p.  (<=) Write C additively.  pC = pZ0 gives p^iC = p^iZ0
+    for every i, so Z0 meets p^iC in p^iZ0: Z0 is pure in C, and a bounded
+    pure subgroup of an abelian group is a direct summand (Pruefer-Baer).
+    So C = Z0 x T with T isomorphic to C/Z0, which pC = pZ0 makes of
+    exponent p.  T centralizes P0 and meets it in T meet Z0 = 1, and
+    |P0 T| = |P0||C|/|Z0| = |P|, so P = P0 x T.
+    """
+    C = G.subgroup_from_members(
+        x for x in P.members
+        if all(G.mul(x, g) == G.mul(g, x) for g in P0.gens))
+    Z0 = C.members & P0.members
+    return (center(C).order == C.order
+            and P0.order * C.order == P.order * len(Z0)
+            and {G.power(c, p) for c in C.members}
+            == {G.power(z, p) for z in Z0})
 
 
 def certify_sylow_structure(m) -> SylowStructure:
@@ -329,17 +325,16 @@ def certify_sylow_structure(m) -> SylowStructure:
     if P0.order * p ** k != P.order:
         raise TheoremViolation("vertex kernel has the wrong p-part")
 
-    T = _elementary_complement(G, P, P0, p, k)
-    if T is not None:
+    if _splits_elementary(G, P, P0, p):
         return SylowStructure("direct_product_elementary", P0.order, k, None)
-
     if p > 2:
-        Z = center(P)
         E = omega1(P, p)
-        if (Z.members == P0.members and is_extraspecial(E, p)
-                and E.order == p ** (k + 1)):
-            whole = G.subgroup(tuple(E.gens) + tuple(P0.gens))
-            if whole.members == P.members:
-                return SylowStructure("central_product_extraspecial",
-                                      P0.order, None, E.order)
-    return SylowStructure("other", P0.order, None, None)
+        if (center(P).members == P0.members and E.order == p ** (k + 1)
+                and is_extraspecial(E, p)
+                and G.subgroup(E.gens + P0.gens).members == P.members):
+            return SylowStructure("central_product_extraspecial",
+                                  P0.order, None, E.order)
+    raise TheoremViolation(
+        f"Sylow {p}-subgroup of order {P.order} splits neither as"
+        f" P0 x (C{p})^{k} nor as P0 = Z(P) times an extraspecial group of"
+        f" order {p}^{k + 1} (P0 has order {P0.order})")

@@ -553,26 +553,15 @@ def omega1(sub: Subgroup, p: int) -> Subgroup:
     return result
 
 
-def frattini_p(sub: Subgroup, p: int) -> Subgroup:
-    """Frattini subgroup of a p-group: derived subgroup times p-th powers."""
-    G = sub.parent
-    if p_part(sub.order, p) != sub.order:
-        raise ContractViolation("frattini_p requires a p-group")
-    der = derived_subgroup(G, sub)
-    gens = sorted(set(der.gens) | ({G.power(m, p) for m in sub.members} - {0}))
-    return G.subgroup(gens)
-
-
 def is_extraspecial(sub: Subgroup, p: int) -> bool:
-    """Center, derived and Frattini subgroups coincide and have order p."""
-    if p_part(sub.order, p) != sub.order or sub.order <= p:
+    """Whether `sub` is an extraspecial p-group: Z = P' = Phi, of order p.
+    Phi = P'P^p in a p-group, and P^p lies in Z once P' = Z has order p:
+    then [x^p, y] = [x, y]^p = 1.  So |Z| = p and P' = Z suffice."""
+    if p_part(sub.order, p) != sub.order:
         return False
     Z = center(sub)
-    if Z.order != p:
-        return False
-    D = derived_subgroup(sub.parent, sub)
-    F = frattini_p(sub, p)
-    return Z.members == D.members == F.members
+    return (Z.order == p
+            and derived_subgroup(sub.parent, sub).members == Z.members)
 
 
 # -- homomorphisms ---------------------------------------------------------

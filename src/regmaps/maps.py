@@ -14,7 +14,7 @@ but tagged as degenerate, since they no longer describe a closed surface.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,9 +44,7 @@ class MapReport:
     degenerate: tuple
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["degenerate"] = list(self.degenerate)
-        return d
+        return dict(vars(self), degenerate=list(self.degenerate))
 
 
 class _Map:

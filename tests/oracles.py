@@ -143,6 +143,68 @@ def brute_o_p(G, p, sylow_members):
 
 
 # ---------------------------------------------------------------------------
+# p-group structure
+
+def brute_elementary_complement(G, P, P0, p):
+    """Members of an elementary abelian T with P = P0 x T, or None.
+
+    A backtracking search over the order-p elements of C_P(P0): T grows by
+    one element at a time that commutes with T, and only while T meets P0
+    trivially.  Each T is met once, by its greedy basis: the element added
+    must be the least of those it brings into T.
+    """
+    P0m, Pm = set(P0.members), set(P.members)
+    target = len(Pm) // len(P0m)
+    pool = [x for x in sorted(Pm) if x != 0 and element_order(G, x) == p
+            and all(G.mul(x, g) == G.mul(g, x) for g in P0m)]
+
+    def extend(basis, T, start):
+        if len(T) == target:
+            return T
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if x in T or any(G.mul(x, b) != G.mul(b, x) for b in basis):
+                continue
+            bigger = span(G, basis + [x])
+            if min(bigger - T) != x or bigger & P0m != {0}:
+                continue
+            found = extend(basis + [x], bigger, i + 1)
+            if found is not None:
+                return found
+        return None
+
+    T = extend([], frozenset([0]), 0)
+    assert T is None or span(G, T | P0m) == Pm
+    return T
+
+
+def brute_frattini(G, members):
+    """Intersection of the maximal subgroups of the subgroup `members`,
+    found among all its subgroups, grown one element at a time."""
+    whole = frozenset(members)
+    subgroups = {frozenset([0])}
+    frontier = list(subgroups)
+    while frontier:
+        grown = {span(G, H | {x}) for H in frontier for x in whole - H}
+        frontier = list(grown - subgroups)
+        subgroups |= grown
+    proper = subgroups - {whole}
+    maximal = [H for H in proper if not any(H < K for K in proper)]
+    return frozenset.intersection(whole, *maximal)
+
+
+def brute_is_extraspecial(G, members, p):
+    """A p-group whose center, derived and Frattini subgroups are one group
+    of order p."""
+    if not is_p_subgroup(G, members, p):
+        return False
+    Z = frozenset(x for x in members
+                  if all(G.mul(x, y) == G.mul(y, x) for y in members))
+    return (len(Z) == p and brute_derived(G, members) == Z
+            and brute_frattini(G, members) == Z)
+
+
+# ---------------------------------------------------------------------------
 # quadratic census scans
 
 def involutions(G):

@@ -1,19 +1,25 @@
+from importlib import import_module
+
 import pytest
 
 from regmaps.census import enumerate_flagged
 from regmaps.classify import (ExceptionalCase, _orientation_status,
-                              certify_sylow_structure, classify,
-                              detect_p_map, identify_dipole,
+                              _splits_elementary, certify_sylow_structure,
+                              classify, detect_p_map, identify_dipole,
                               identify_exceptional, identify_semistar,
                               verify_classification_law)
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import closure, is_normal, regenerated, sylow_p
+from regmaps.group import (closure, is_extraspecial, is_normal, regenerated,
+                           sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap
 from regmaps.perm import Perm
-from regmaps.standard import (dihedral_group, elementary_abelian,
-                              klein_four_group)
+from regmaps.standard import (cyclic_group, dihedral_group,
+                              elementary_abelian, klein_four_group,
+                              quaternion_group)
+
+import oracles
 
 # A flagged dipole carrier: C15 x| (C2 x C2), the two involutions acting
 # as inversion on the 3-part and the 5-part separately.
@@ -242,3 +248,114 @@ def test_orientation_status_matches_closed_even_subgroup(corpus, name):
     assert seen
     if name == "S4xC2":
         assert sorted(set(seen)) == ["orientable_normal", "reflexible"]
+
+
+# -- the certifier's two criteria on hand-built p-groups -----------------------
+
+def _presented(text):
+    return realize_group_file(parse_group_file(text)).group
+
+
+HE3 = """\
+group he3
+gens a, b
+rel a^3
+rel b^3
+rel [a, b]^3
+rel [[a, b], a]
+rel [[a, b], b]
+"""
+
+# the extraspecial group of order 27 and exponent 9
+M27 = """\
+group m27
+gens a, b
+rel a^9
+rel b^3
+rel a^b = a^4
+"""
+
+# the central product of D8 and C4 (the Pauli group), order 16
+D8oC4 = """\
+group pauli
+gens a, b, c
+rel a^4
+rel b^2
+rel a^b = a^3
+rel c^2 = a^2
+rel [a, c]
+rel [b, c]
+"""
+
+
+def _direct(*factors):
+    """Direct product of permutation groups, each factor on its own points."""
+    degree = sum(G.degree for G in factors)
+    gens, shift = [], 0
+    for G in factors:
+        for g in G.gen_indices:
+            img = tuple(shift + x for x in G.elements[g])
+            gens.append(Perm(tuple(range(shift)) + img
+                             + tuple(range(shift + G.degree, degree))))
+        shift += G.degree
+    return closure(degree, gens)
+
+
+@pytest.fixture(scope="module")
+def p_groups():
+    """Name -> (group, p) for the hand-built p-groups of order 8 to 81."""
+    C2, C3, C4, C9 = (cyclic_group(n) for n in (2, 3, 4, 9))
+    D8, Q8, He3 = dihedral_group(4), quaternion_group(), _presented(HE3)
+    return {
+        "C2xC4": (_direct(C2, C4), 2), "C4xC4": (_direct(C4, C4), 2),
+        "D8": (D8, 2), "Q8": (Q8, 2), "D16": (dihedral_group(8), 2),
+        "C2xD8": (_direct(C2, D8), 2), "C2xQ8": (_direct(C2, Q8), 2),
+        "C2^3": (elementary_abelian(2, 3), 2),
+        "C3xC9": (_direct(C3, C9), 3), "He3": (He3, 3),
+        "He3xC3": (_direct(He3, C3), 3), "C9xC9": (_direct(C9, C9), 3),
+        "C4xD8": (_direct(C4, D8), 2), "C2xC2xC4": (_direct(C2, C2, C4), 2),
+        "M27": (_presented(M27), 3), "D8oC4": (_presented(D8oC4), 2),
+    }
+
+
+def _normal_2_generated(G):
+    """Every normal subgroup of G generated by at most two elements."""
+    found = {}
+    for a in range(G.order):
+        for b in range(a, G.order):
+            N = G.subgroup((a, b))
+            if N.members not in found and is_normal(G, N):
+                found[N.members] = N
+    return list(found.values())
+
+
+def test_splits_elementary_matches_backtracking_oracle(p_groups):
+    pairs = 0
+    for name, (G, p) in p_groups.items():
+        P = G.improper_subgroup()
+        for P0 in _normal_2_generated(G):
+            want = oracles.brute_elementary_complement(G, P, P0, p)
+            got = _splits_elementary(G, P, P0, p)
+            assert got == (want is not None), (name, P0.order)
+            pairs += 1
+    assert pairs >= 200
+
+
+def test_is_extraspecial_matches_brute_force(p_groups):
+    for name, want in [("Q8", True), ("D8", True), ("He3", True),
+                       ("M27", True), ("C2xQ8", False), ("He3xC3", False),
+                       ("D8oC4", False)]:
+        G, p = p_groups[name]
+        P = G.improper_subgroup()
+        assert oracles.brute_is_extraspecial(G, P.members, p) == want, name
+        assert is_extraspecial(P, p) == want, name
+
+
+def test_certify_refuses_a_sylow_of_neither_shape(corpus, monkeypatch):
+    # g216_orientable has an abelian Sylow 3-subgroup, so without the
+    # direct split no extraspecial branch can apply either.  The module is
+    # looked up by import, since regmaps.classify names the function.
+    monkeypatch.setattr(import_module("regmaps.classify"),
+                        "_splits_elementary", lambda *args: False)
+    with pytest.raises(TheoremViolation, match="splits neither"):
+        certify_sylow_structure(corpus["g216_orientable.grp"].maps["m"])

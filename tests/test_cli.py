@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,18 @@ def test_analyze_reports_structure_breach(corpus_file, capsys, monkeypatch):
     ret, out, _ = _run(capsys, ["analyze", corpus_file("s4_3map.grp")])
     assert ret == 4
     assert "diagnostic: forced structure breach" in out
+
+
+def test_analyze_refuses_a_sylow_of_neither_shape(corpus_file, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(import_module("regmaps.classify"),
+                        "_splits_elementary", lambda *args: False)
+    ret, out, _ = _run(capsys, ["analyze",
+                                corpus_file("g216_orientable.grp")])
+    assert ret == 4
+    assert ("diagnostic: Sylow 3-subgroup of order 27 splits neither as"
+            " P0 x (C3)^2 nor as P0 = Z(P) times an extraspecial group of"
+            " order 3^3 (P0 has order 3)") in out
 
 
 def test_main_maps_theorem_violation_to_exit_4(corpus_file, capsys,
