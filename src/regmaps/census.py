@@ -9,8 +9,8 @@ to the other, i.e. iff their standardized tables are equal (see
 :func:`regmaps.group.standard_table`), so each class is one dict entry keyed
 by that table.  One standardizing walk per candidate both tests that it
 generates G and yields its key.  A class opens with its map, built from
-the first tuple met, and is keyed by that map's own `key`, so each class's
-table is held once.
+the first tuple met and given that key, so each class's table is walked
+and held once.
 
 Inner automorphisms are automorphisms, so the scan is cut down on two
 levels by one orbit walk, :func:`_orbit_minima`.  The first entry x (r, or
@@ -78,11 +78,10 @@ def _generates(rows, n: int) -> Optional[tuple]:
 def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
          cand: tuple) -> None:
     """Count `weight` generating tuples into the class keyed `key`, opening
-    it with the map cls(G, *cand) if new, whose walk reuses the scan's rows."""
+    it with the map cls(G, *cand) if new, which keeps `key` as its own."""
     rec = classes.get(key)
     if rec is None:
-        m = cls(G, *cand)
-        classes[m.key] = [m, weight]
+        classes[key] = [cls(G, *cand, key=key), weight]
     else:
         rec[1] += weight
 

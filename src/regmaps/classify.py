@@ -32,8 +32,7 @@ from .group import (FiniteGroup, center, is_cyclic, is_extraspecial,
                     is_normal, is_solvable, isomorphism_search, normal_core,
                     o_p, omega1, p_part, prime_factors, quotient_group,
                     sylow_p)
-from .maps import (DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map,
-                   vertex_primitive)
+from .maps import DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map
 from .standard import symmetric_group
 
 
@@ -127,7 +126,7 @@ def _p_map(m, done: str) -> tuple:
 
 def _orientation_status(m, p: int) -> str:
     if m.kind == "oriented":
-        return "reflexible" if m.is_reflexible() else "chiral"
+        return "reflexible" if m.reflexible else "chiral"
     if not m.is_orientable():
         return "nonorientable"
     # Is the Sylow p-subgroup of the even-word subgroup normal in it?  It is
@@ -314,7 +313,7 @@ def certify_sylow_structure(m) -> SylowStructure:
     P = sylow_p(G, p)
     if not is_normal(G, P):
         raise ContractViolation("certification requires a normal map")
-    if not vertex_primitive(m):
+    if not m.vertex_primitive:
         raise ContractViolation(
             "certification requires a primitive vertex action")
     if m.kind == "flagged" and k % 2 == 1:

@@ -25,7 +25,7 @@ from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
 from .grammar import (GroupFile, format_group_file, parse_group_file,
                       realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
-from .maps import quotient_map, vertex_primitive
+from .maps import quotient_map
 from .reporting import TOOL_VERSION, map_section, new_document
 from .verify import all_passed, verify_corpus
 
@@ -109,20 +109,17 @@ def cmd_analyze(args) -> int:
     doc = new_document("analyze", text, rz.group)
     status = 0
     cl = st = None
-    primitive = None
-    if not m.degenerate:
-        primitive = vertex_primitive(m)
-        if detect_p_map(m) is not None:
-            try:
-                cl = classify(m)
-                if cl.normal and primitive:
-                    st = certify_sylow_structure(m)
-            except TheoremViolation as exc:
-                doc.diagnostics.append(str(exc))
-                status = 4
+    if not m.degenerate and detect_p_map(m) is not None:
+        try:
+            cl = classify(m)
+            if cl.normal and m.vertex_primitive:
+                st = certify_sylow_structure(m)
+        except TheoremViolation as exc:
+            doc.diagnostics.append(str(exc))
+            status = 4
     section = map_section(name, m, cl, st)
-    if primitive is not None:
-        section["vertex_primitive"] = primitive
+    if not m.degenerate:
+        section["vertex_primitive"] = m.vertex_primitive
     doc.maps.append(section)
     _emit(doc, args)
     return status
@@ -177,11 +174,7 @@ def cmd_census(args) -> int:
     rows = []
     status = 0
     for entry in entries:
-        row = {
-            "tuple": list(entry.tuple_),
-            "class_size": entry.class_size,
-            "degenerate": list(entry.degenerate),
-        }
+        row = {"tuple": list(entry.tuple_), "class_size": entry.class_size}
         row.update(entry.report.to_dict())
         if entry.classification is not None:
             row.update(entry.classification.to_dict())

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
 from .errors import ContractViolation, ParseError, ResourceLimitExceeded
-from .group import (DEFAULT_MAX_ORDER, MAX_CLOSURE_CELLS, FiniteGroup,
-                    closure, is_prime)
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit, closure,
+                    is_prime)
 from .maps import MAP_TYPES
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
@@ -480,10 +480,8 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
         for cycles in gf.perm_cycles:
             for cyc in cycles:
                 degree = max(degree, max(cyc) + 1)
-        if degree > MAX_CLOSURE_CELLS:  # not even the identity would fit
-            raise ResourceLimitExceeded(
-                f"perm degree {degree} exceeds max_cells={MAX_CLOSURE_CELLS}",
-                "max_cells", MAX_CLOSURE_CELLS)
+        # refuses points too many for even the identity, before any list
+        cell_limit(degree, len(gf.perm_cycles))
         perms = [Perm.from_cycles(cycles, degree) for cycles in gf.perm_cycles]
         G = closure(degree, perms, max_order=max_order)
     elif gf.mode == "mat":

@@ -39,10 +39,24 @@ from .errors import ContractViolation, ResourceLimitExceeded, TheoremViolation
 from .perm import Perm
 
 DEFAULT_MAX_ORDER = 10**6
-# Closure holds one image tuple of `degree` entries per element, so it
-# refuses a group before order * degree passes this many cells (about 160 MB
-# of tuple slots), whatever the order bound.
+# Closure refuses a group before the 8-byte cells it holds pass this many
+# (about 160 MB), whatever the order bound.  Each listed element is a tuple
+# of `degree` cells.  Each point costs up to POINT_CELLS more for every
+# generator and for the identity (tracemalloc: 10 in all for one generator,
+# 16 for two): its int object, a generator's tuple, closure's arguments.
 MAX_CLOSURE_CELLS = 2 * 10**7
+POINT_CELLS = 6
+
+
+def cell_limit(degree: int, ngens: int) -> int:
+    """The most elements closure may list on `degree` points from `ngens`
+    generators; refuses when not even the identity fits."""
+    limit = MAX_CLOSURE_CELLS // degree - POINT_CELLS * (ngens + 1)
+    if limit < 1:
+        raise ResourceLimitExceeded(
+            f"a group on {degree} points exceeds"
+            f" max_cells={MAX_CLOSURE_CELLS}", "max_cells", MAX_CLOSURE_CELLS)
+    return limit
 
 
 def closure(degree: int, generators: Sequence[Perm],
@@ -50,8 +64,8 @@ def closure(degree: int, generators: Sequence[Perm],
     """Enumerate the group generated by `generators` inside Sym(degree).
 
     Refuses (ResourceLimitExceeded) a group of more than `max_order`
-    elements, or of more than MAX_CLOSURE_CELLS // degree elements; a
-    `max_order` below 1 is a ContractViolation.
+    elements, or of more than ``cell_limit(degree, len(generators))``
+    elements; a `max_order` below 1 is a ContractViolation.
     """
     gens = tuple(generators)
     if degree < 1:
@@ -62,13 +76,13 @@ def closure(degree: int, generators: Sequence[Perm],
         if g.degree != degree:
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
+    limit = min(max_order, cell_limit(degree, len(gens)))
     # elements[k] * g is itemgetter(*elements[k])(g.images).  On one point
     # every image tuple is (0,).
     ident = tuple(range(degree))
     elements = [ident]
     seen = {ident: 0}
     gen_images = [g.images for g in gens]
-    limit = min(max_order, MAX_CLOSURE_CELLS // degree)
     for ek in elements:
         times = itemgetter(*ek) if degree > 1 else tuple
         for g in gen_images:
@@ -234,13 +248,9 @@ class FiniteGroup:
 
     def _index_closure(self, gen_indices: Iterable[int]) -> list[int]:
         """Members (in discovery order) of the subgroup the indices generate."""
-        members = {0}
-        order = [0]
-        gi = [g for g in gen_indices]
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
+        gi = list(gen_indices)
+        members, order = {0}, [0]
+        for x in order:
             for g in gi:
                 y = self.mul(x, g)
                 if y not in members:
@@ -268,9 +278,6 @@ class FiniteGroup:
             raise ContractViolation("member set is not closed under products")
         return Subgroup(self, mset, tuple(gens))
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset([0]), ())
-
     @_kept
     def improper_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset(range(len(self.elements))),
@@ -289,12 +296,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, i: int) -> bool:
-        return i in self.members
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
     def is_improper(self) -> bool:
         return len(self.members) == len(self.parent.elements)
 
@@ -309,36 +310,24 @@ class Subgroup:
 # -- subgroup and structure operations --------------------------------------
 
 
-def right_coset_partition(G: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
-    """Label every element with a coset id for the right cosets ``sub * x``.
+def coset_action(G: FiniteGroup, sub: Subgroup) -> tuple[list[Perm], list[int]]:
+    """Permutations induced by G's generators on the right cosets ``sub * x``.
 
-    Coset ids are assigned in order of least member, so id 0 is the subgroup
-    itself and representatives are the least element of each coset.
+    Returns (one permutation per generator, the coset label of every
+    element).  Labels are assigned in order of least member, so label 0 is
+    the subgroup itself and each coset is represented by its least element.
     """
     n = len(G.elements)
     coset_of = [-1] * n
     reps = []
-    smem = sub.sorted_members()
+    smem = sorted(sub.members)
     for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for s in smem:
-            coset_of[G.mul(s, x)] = cid
-    return coset_of, reps
-
-
-def coset_action(G: FiniteGroup, sub: Subgroup) -> tuple[list[Perm], list[int]]:
-    """Permutations induced by G's generators on the right cosets of sub.
-
-    Returns (one permutation per generator, the coset label of every
-    element), with cosets labelled as by :func:`right_coset_partition`.
-    """
-    coset_of, reps = right_coset_partition(G, sub)
-    perms = []
-    for gi in G.gen_indices:
-        perms.append(Perm(tuple(coset_of[G.mul(r, gi)] for r in reps)))
+        if coset_of[x] < 0:
+            for s in smem:
+                coset_of[G.mul(s, x)] = len(reps)
+            reps.append(x)
+    perms = [Perm(tuple(coset_of[G.mul(r, gi)] for r in reps))
+             for gi in G.gen_indices]
     return perms, coset_of
 
 
@@ -430,21 +419,14 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     """
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
-    target = p_part(len(G.elements), p)
-    P = G.trivial_subgroup()
-    n = len(G.elements)
+    target = p_part(G.order, p)
+    P = Subgroup(G, frozenset((0,)), ())
     while P.order < target:
-        found = -1
-        for k in range(1, n):
-            if k in P.members:
-                continue
-            o = G.order_of(k)
-            if p_part(o, p) != o:
-                continue
-            if all(G.conj(m, k) in P.members for m in P.gens):
-                found = k
-                break
-        if found < 0:
+        found = next((k for k in range(1, G.order) if k not in P.members
+                      and p_part(G.order_of(k), p) == G.order_of(k)
+                      and all(G.conj(m, k) in P.members for m in P.gens)),
+                     None)
+        if found is None:
             raise TheoremViolation(
                 f"Sylow search ended at order {P.order}, expected {target}")
         P = G.subgroup(P.gens + (found,))
@@ -457,6 +439,7 @@ def o_p(G: FiniteGroup, p: int) -> Subgroup:
     return normal_core(G, sylow_p(G, p))
 
 
+@_kept
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """The quotient Q = G/N, and the projection: ``proj[x]`` is the index
     in Q of the coset N*x.
@@ -466,7 +449,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     coset first meets a new coset only through its least member m: for any
     other member x, x*g lies in N*(m*g), met when m was walked before x.
     So Q numbers the cosets in the order of their least members, which is
-    the labelling of :func:`right_coset_partition`.  G/1 is G itself.
+    the labelling of :func:`coset_action`.  G/1 is G itself.  The result is
+    kept per (G, N), so every caller shares one Q and one ``proj``.
 
     N is normal, so G permutes the N-orbits of its points, with N in the
     kernel: the action has order at most |G:N|, and exactly |G:N| iff its
@@ -538,7 +522,7 @@ def is_solvable(G: FiniteGroup) -> bool:
 def center(sub: Subgroup) -> Subgroup:
     """Center of a subgroup, as a subgroup of its parent."""
     G = sub.parent
-    members = [x for x in sub.sorted_members()
+    members = [x for x in sorted(sub.members)
                if all(G.mul(x, g) == G.mul(g, x) for g in sub.gens)]
     return G.subgroup_from_members(members)
 
@@ -546,7 +530,7 @@ def center(sub: Subgroup) -> Subgroup:
 def omega1(sub: Subgroup, p: int) -> Subgroup:
     """Subgroup generated by all elements of order dividing p."""
     G = sub.parent
-    gens = [m for m in sub.sorted_members() if m != 0 and G.power(m, p) == 0]
+    gens = [m for m in sorted(sub.members) if m != 0 and G.power(m, p) == 0]
     result = G.subgroup(gens)
     if not result.members <= sub.members:
         raise ContractViolation("omega1 escaped the subgroup; input not a group?")

@@ -53,7 +53,8 @@ class _Map:
 
     The tuple's standardized table (:func:`regmaps.group.standard_table`) is
     kept as `key`.  Computing it shows that the tuple generates G, and two
-    maps are isomorphic iff their keys are equal.
+    maps are isomorphic iff their keys are equal.  A caller that has just
+    computed the table passes it as `key`, and it is not computed again.
     """
 
     kind: str
@@ -61,7 +62,8 @@ class _Map:
     spanning: str  # how a contract error names the tuple
     degenerate: frozenset = frozenset()
 
-    def __init__(self, group: FiniteGroup, *gens: int):
+    def __init__(self, group: FiniteGroup, *gens: int,
+                 key: Optional[tuple] = None):
         # every index is checked before _check, the kind's own contract,
         # forms the first product
         n = group.order
@@ -71,7 +73,7 @@ class _Map:
                     f"{name}={x} is not an element of a group of order {n}")
             setattr(self, name, x)
         self._check(group, *gens)
-        key = standardize(group, gens)
+        key = key or standardize(group, gens)
         if key is None:
             raise ContractViolation(f"{self.spanning} do not generate the group")
         self.group = group
@@ -92,6 +94,40 @@ class _Map:
     def euler_characteristic(self) -> int:
         v, e, f = self.vef_counts()
         return v - e + f
+
+    @cached_property
+    def vertex_primitive(self) -> bool:
+        """True iff G acts primitively on the vertices (cosets of the vertex
+        subgroup)."""
+        V = self.vertex_subgroup
+        perms, _ = coset_action(self.group, V)
+        return is_primitive(perms, self.group.order // V.order)
+
+    def _report(self, orientable: Optional[bool],
+                reflexible: bool) -> MapReport:
+        """The report of a map that is orientable, nonorientable or, for
+        `orientable` None, degenerate."""
+        v, e, f = self.vef_counts()
+        chi = v - e + f
+        if orientable is None:
+            genus_kind, genus = "degenerate", None
+        elif orientable:
+            if chi % 2 != 0 or chi > 2:
+                raise TheoremViolation(
+                    f"Euler characteristic {chi} is impossible for an"
+                    " orientable map")
+            genus_kind, genus = "orientable_genus", (2 - chi) // 2
+        else:
+            if chi > 1:
+                raise TheoremViolation(
+                    f"Euler characteristic {chi} is impossible for a"
+                    " nonorientable map")
+            genus_kind, genus = "crosscap_number", 2 - chi
+        return MapReport(
+            group_order=self.group.order, vertices=v, edges=e, faces=f,
+            euler=chi, orientable=orientable, genus_kind=genus_kind,
+            genus=genus, simple_graph=self.is_simple(), reflexible=reflexible,
+            valency=self.valency(), degenerate=tuple(sorted(self.degenerate)))
 
 
 class OrientedMap(_Map):
@@ -133,7 +169,8 @@ class OrientedMap(_Map):
         conj = frozenset(G.conj(m, self.l) for m in V)
         return V & conj == frozenset((0,))
 
-    def is_reflexible(self) -> bool:
+    @cached_property
+    def reflexible(self) -> bool:
         """True when the map is isomorphic to its mirror image (r^-1, l),
         i.e. when some automorphism inverts r while fixing l.
 
@@ -153,17 +190,7 @@ class OrientedMap(_Map):
         return OrientedMap(self.group, self.group.inv(self.r), self.l)
 
     def report(self) -> MapReport:
-        v, e, f = self.vef_counts()
-        chi = v - e + f
-        if chi % 2 != 0 or chi > 2:
-            raise TheoremViolation(
-                f"Euler characteristic {chi} is impossible for an oriented map")
-        return MapReport(
-            group_order=self.group.order, vertices=v, edges=e, faces=f,
-            euler=chi, orientable=True, genus_kind="orientable_genus",
-            genus=(2 - chi) // 2, simple_graph=self.is_simple(),
-            reflexible=self.is_reflexible(), valency=self.valency(),
-            degenerate=())
+        return self._report(True, self.reflexible)
 
 
 class FlaggedMap(_Map):
@@ -227,28 +254,8 @@ class FlaggedMap(_Map):
         return V & conj == frozenset((0, self.t))
 
     def report(self) -> MapReport:
-        v, e, f = self.vef_counts()
-        chi = v - e + f
-        if self.degenerate:
-            orientable: Optional[bool] = None
-            genus_kind, genus = "degenerate", None
-        elif self.is_orientable():
-            if chi % 2 != 0 or chi > 2:
-                raise TheoremViolation(
-                    f"Euler characteristic {chi} is impossible for an"
-                    " orientable map")
-            orientable, genus_kind, genus = True, "orientable_genus", (2 - chi) // 2
-        else:
-            if chi > 1:
-                raise TheoremViolation(
-                    f"Euler characteristic {chi} is impossible for a"
-                    " nonorientable map")
-            orientable, genus_kind, genus = False, "crosscap_number", 2 - chi
-        return MapReport(
-            group_order=self.group.order, vertices=v, edges=e, faces=f,
-            euler=chi, orientable=orientable, genus_kind=genus_kind,
-            genus=genus, simple_graph=self.is_simple(), reflexible=True,
-            valency=self.valency(), degenerate=tuple(sorted(self.degenerate)))
+        return self._report(
+            None if self.degenerate else self.is_orientable(), True)
 
 
 MAP_TYPES = {cls.kind: cls for cls in (OrientedMap, FlaggedMap)}
@@ -259,13 +266,6 @@ def maps_isomorphic(m1, m2) -> bool:
     to the other.  Because the tuples generate, such an isomorphism exists
     iff their standardized tables agree, so this compares the maps' keys."""
     return m1.kind == m2.kind and m1.key == m2.key
-
-
-def vertex_primitive(m) -> bool:
-    """True iff G acts primitively on the vertices (cosets of the vertex
-    subgroup)."""
-    perms, _ = coset_action(m.group, m.vertex_subgroup)
-    return is_primitive(perms, m.group.order // m.vertex_subgroup.order)
 
 
 def quotient_map(m, normal_sub: Subgroup):

@@ -17,7 +17,7 @@ from .coset_enum import DEFAULT_MAX_COSETS
 from .errors import RegmapsError
 from .grammar import parse_group_file, realize_group_file
 from .group import isomorphism_search, o_p, regenerated
-from .maps import quotient_map, vertex_primitive
+from .maps import quotient_map
 from .standard import alternating_group, quaternion_group, symmetric_group
 
 
@@ -177,12 +177,12 @@ def _chk_g2106_chiral(rec: _Recorder, rz) -> None:
     m = rz.maps["m"]
     rec.eq("r_order", G.order_of(m.r), 78)
     rec.eq("vertices", m.vef_counts()[0], 27)
-    rec.eq("chiral", m.is_reflexible(), False)
+    rec.eq("chiral", m.reflexible, False)
     cl = classify(m)
     rec.eq("p_k", (cl.p, cl.k), (3, 3))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "chiral")
-    rec.true("primitive", vertex_primitive(m))
+    rec.true("primitive", m.vertex_primitive)
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
     rec.eq("complement_rank", st.complement_rank, 3)
@@ -198,7 +198,7 @@ def _chk_g216_orientable(rec: _Recorder, rz) -> None:
     rec.eq("p_k", (cl.p, cl.k), (3, 2))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "orientable_normal")
-    rec.true("primitive", vertex_primitive(m))
+    rec.true("primitive", m.vertex_primitive)
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
     rec.eq("complement_rank", st.complement_rank, 2)
@@ -214,7 +214,7 @@ def _chk_g216_nonorientable(rec: _Recorder, rz) -> None:
     rec.eq("p_k", (cl.p, cl.k), (3, 2))
     rec.eq("normal", cl.normal, True)
     rec.eq("status", cl.orientation_status, "nonorientable")
-    rec.true("primitive", vertex_primitive(m))
+    rec.true("primitive", m.vertex_primitive)
     st = certify_sylow_structure(m)
     rec.eq("sylow_case", st.case_tag, "central_product_extraspecial")
     rec.eq("extraspecial_order", st.extraspecial_order, 27)

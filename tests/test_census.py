@@ -6,6 +6,7 @@ from oracles import (brute_aut_count, brute_automorphism, full_census_flagged,
                      full_census_oriented, scan_flagged_triples,
                      scan_oriented_pairs)
 import regmaps.census
+import regmaps.maps
 from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _entries,
                             census_classify, enumerate_flagged,
                             enumerate_oriented)
@@ -46,6 +47,26 @@ def test_corpus_class_counts(corpus, fname, oc, ot, fc, ft):
     flagged = enumerate_flagged(G)
     assert (len(oriented), sum(e.class_size for e in oriented)) == (oc, ot)
     assert (len(flagged), sum(e.class_size for e in flagged)) == (fc, ft)
+
+
+@pytest.mark.parametrize("fname", ["s4_3map.grp", "g72_3map.grp",
+                                   "g384_chiral.grp"])
+def test_census_walks_each_class_once(corpus, fname, monkeypatch):
+    # each class's map keeps the key its scan computed, so the census
+    # runs no second standardizing walk
+    G = corpus[fname].group
+
+    def censuses():
+        return [[(e.kind, e.tuple_, e.degenerate, e.class_size, e.map.key)
+                 for e in census(G)]
+                for census in (enumerate_oriented, enumerate_flagged)]
+
+    want = censuses()
+
+    def walk(*args):
+        raise AssertionError("the census ran a second walk")
+    monkeypatch.setattr(regmaps.maps, "standardize", walk)
+    assert censuses() == want
 
 
 def test_smallest_censuses():
@@ -202,13 +223,13 @@ def test_mirror_closure(corpus, fname, reflexible_classes):
     assert sorted(partner) == list(range(len(entries)))
     for i, j in enumerate(partner):
         assert partner[j] == i
-        assert (i == j) == entries[i].map.is_reflexible()
+        assert (i == j) == entries[i].map.reflexible
     assert sum(1 for i, j in enumerate(partner) if i == j) \
         == reflexible_classes
 
 
 def test_reflexibility_matches_brute_automorphism(corpus):
-    # is_reflexible reads the mirror's key off the map's own key; the
+    # reflexible reads the mirror's key off the map's own key; the
     # oracle looks for an automorphism inverting r and fixing l directly.
     seen = chiral = 0
     for rz in corpus.values():
@@ -218,7 +239,7 @@ def test_reflexibility_matches_brute_automorphism(corpus):
         for e in enumerate_oriented(G):
             m = e.map
             want = brute_automorphism(G, (m.r, m.l), (G.inv(m.r), m.l))
-            assert m.is_reflexible() == want, (rz.gf.name, e.tuple_)
+            assert m.reflexible == want, (rz.gf.name, e.tuple_)
             seen += 1
             chiral += not want
     assert (seen, chiral) == (26, 4)
@@ -243,7 +264,7 @@ def test_g384_census_chiral_pairs(g384_oriented):
     # on this group is reflexible
     assert maps_isomorphic(entries[0].map.mirror(), entries[3].map)
     assert maps_isomorphic(entries[1].map.mirror(), entries[2].map)
-    assert not any(e.map.is_reflexible() for e in entries)
+    assert not any(e.map.reflexible for e in entries)
     assert all(e.violations == () for e in entries)
 
 

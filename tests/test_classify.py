@@ -62,7 +62,7 @@ def test_detect_p_map_rejects_mixed_vertex_count():
     rot = next(g for g in range(D6.order) if D6.order_of(g) == 6)
     refl = next(g for g in range(1, D6.order)
                 if D6.mul(g, g) == 0
-                and not D6.subgroup((rot,)).contains(g))
+                and g not in D6.subgroup((rot,)).members)
     m = OrientedMap(D6, refl, next(
         h for h in range(1, D6.order)
         if D6.mul(h, h) == 0 and h != refl
@@ -164,7 +164,7 @@ def test_identify_dipole_rejections(corpus):
     rot = next(g for g in range(D4.order) if D4.order_of(g) == 4)
     refl = next(g for g in range(1, D4.order)
                 if D4.mul(g, g) == 0
-                and not D4.subgroup((rot,)).contains(g))
+                and g not in D4.subgroup((rot,)).members)
     with pytest.raises(ClassificationError):
         identify_dipole(OrientedMap(D4, rot, refl))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import import_module
 from pathlib import Path
@@ -14,8 +15,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import regmaps.cli as cli
+import regmaps.group
 from regmaps.errors import TheoremViolation
 from regmaps.grammar import parse_group_file, realize_group_file
+from regmaps.group import MAX_CLOSURE_CELLS, POINT_CELLS, cell_limit
 from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
 from regmaps.verify import REGISTRY, corpus_text
@@ -78,6 +81,26 @@ def test_analyze_certifies_normal_primitive_maps(corpus_file, capsys):
     assert "normal=True" in out
     assert "sylow structure:" in out
     assert "direct_product_elementary" in out
+
+
+def test_analyze_tests_primitivity_once(corpus_file, capsys, monkeypatch):
+    # every binding of the two functions in the package is counted
+    calls = Counter()
+    for name in ("is_primitive", "coset_action"):
+        original = getattr(regmaps.group, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in [m for n, m in sys.modules.items()
+                       if n.startswith("regmaps")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    ret, out, _ = _run(capsys, ["analyze", corpus_file("g2106_chiral.grp")])
+    assert ret == 0
+    assert "vertex action primitive: True" in out
+    assert "direct_product_elementary" in out
+    assert calls == {"is_primitive": 1, "coset_action": 1}
 
 
 def test_parse_error_exit_status(tmp_path, capsys):
@@ -342,6 +365,56 @@ def test_huge_perm_degree_hits_the_cell_bound(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "max_cells" in err
     assert peak < 10**7
+
+
+def test_a_perm_at_half_the_cells_is_refused_before_it_is_built(tmp_path,
+                                                                capsys):
+    # 5,000,000 points hold 10^7 cells as two elements, but the generator
+    # and the identity cost 6 cells a point each on top
+    f = tmp_path / "big_perm.grp"
+    f.write_text("group big_perm\nperm a = (1 5000000)\n"
+                 "map m : oriented r=a l=a\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ret, out, err = _run(capsys, ["analyze", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ret == 5
+    assert out == ""
+    assert err == ("error: a group on 5000000 points exceeds"
+                   f" max_cells={MAX_CLOSURE_CELLS}\n")
+    assert peak < 10**7
+
+
+@pytest.mark.parametrize("order,cycles", [
+    (2, ["(1 {d})"]),
+    (4, ["(1 {d})", "(2 {e})"]),
+], ids=["one_generator", "two_generators"])
+def test_the_largest_perm_groups_the_cells_admit_stay_under_160_mb(
+        monkeypatch, order, cycles):
+    # d is the most points on which the cell bound admits the group.  Every
+    # cost grows with d, so the run uses a tenth of the bound, which keeps
+    # tracemalloc's own bookkeeping small, and the peak must stay under the
+    # same 8 bytes a cell as 160 MB under the full bound.
+    cells = MAX_CLOSURE_CELLS // 10
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
+    gens = len(cycles)
+    d = cells // (order + POINT_CELLS * (gens + 1))
+    assert cell_limit(d, gens) >= order > cell_limit(d + 1, gens)
+    text = "group big\n" + "".join(
+        f"perm g{i} = {c.format(d=d, e=d - 1)}\n"
+        for i, c in enumerate(cycles))
+    text += f"map m : oriented r=g0 l=g{gens - 1}\n"
+    gf = parse_group_file(text)
+    tracemalloc.start()
+    try:
+        rz = realize_group_file(gf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rz.group.order, rz.group.degree) == (order, d)
+    assert peak < 8 * cells
 
 
 def test_a_map_less_file_is_refused_before_its_group_is_built(tmp_path,

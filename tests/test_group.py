@@ -13,8 +13,7 @@ from regmaps.group import (center, closure, coset_action, derived_series,
                            is_primitive, is_solvable, is_transitive,
                            isomorphism_search, normal_closure, normal_core,
                            o_p, omega1, p_part, prime_factors,
-                           quotient_group, regenerated,
-                           right_coset_partition, small_generating_set,
+                           quotient_group, regenerated, small_generating_set,
                            standardize, sylow_p)
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
@@ -144,18 +143,24 @@ def test_kept_results_are_returned_again(corpus):
 
 
 def test_closure_bounds_order_and_cells(monkeypatch):
-    # S5 on 5 points; a cell bound of 250 admits 50 elements
+    # S5 on 5 points; a cell bound of 250 admits 250 // 5 - 6 * 3 = 32
+    # elements, since each point costs 6 cells for each of the two
+    # generators and for the identity; one of 90 admits none
     gens = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
     assert closure(5, gens).order == 120
     monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 250)
     with pytest.raises(ResourceLimitExceeded) as e:
         closure(5, gens)
     assert (e.value.limit_name, e.value.limit_value) == ("max_cells", 250)
-    assert "max_cells=250: 50 elements on 5 points" in str(e.value)
+    assert "max_cells=250: 32 elements on 5 points" in str(e.value)
     with pytest.raises(ResourceLimitExceeded) as e:
         closure(5, gens, max_order=20)
     assert (e.value.limit_name, e.value.limit_value) == ("max_order", 20)
     assert closure(5, gens[:1]).order == 5
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 90)
+    with pytest.raises(ResourceLimitExceeded,
+                       match="a group on 5 points exceeds max_cells=90"):
+        closure(5, gens)
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -172,10 +177,11 @@ def test_lagrange_and_cosets():
     for gens in [(1,), (1, 2), (G.gen_indices[1],), tuple(G.gen_indices)]:
         H = G.subgroup(gens)
         assert G.order % H.order == 0
-        coset_of, reps = right_coset_partition(G, H)
-        assert len(reps) == G.order // H.order
+        _, coset_of = coset_action(G, H)
+        # labels in order of least member
+        assert list(dict.fromkeys(coset_of)) == list(range(G.order // H.order))
         assert all(c == H.order for c in Counter(coset_of).values())
-        assert coset_of[0] == 0 and reps[0] == 0  # the subgroup itself
+        assert {x for x in range(G.order) if coset_of[x] == 0} == H.members
 
 
 # -- the brute-force equivalence block (seed list, orders <= 100) ----------
@@ -292,7 +298,8 @@ def test_coset_action_transitive_and_primitivity():
     # D4 on cosets of a reflection is 4 points with diagonal blocks
     D4 = dihedral_group(4)
     refl = next(g for g in range(1, D4.order)
-                if D4.order_of(g) == 2 and not center(D4.improper_subgroup()).contains(g))
+                if D4.order_of(g) == 2
+                and g not in center(D4.improper_subgroup()).members)
     perms, _ = coset_action(D4, D4.subgroup([refl]))
     assert is_transitive(perms, 4)
     assert not is_primitive(perms, 4)

@@ -1,12 +1,16 @@
 import pytest
 
+import regmaps.maps
+from regmaps.classify import classify
 from regmaps.errors import ContractViolation, TheoremViolation
+from regmaps.grammar import parse_group_file, realize_group_file
 from regmaps.group import is_normal, isomorphism_search, o_p, quotient_group
 from regmaps.maps import (DEGENERATE_L_EQUALS_T, DEGENERATE_L_TRIVIAL,
                           FlaggedMap, OrientedMap, maps_isomorphic,
                           oriented_of_flagged, quotient_map)
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               klein_four_group, symmetric_group)
+from regmaps.verify import corpus_text
 
 
 def _involutions(G):
@@ -97,9 +101,30 @@ def test_oriented_report_and_mirror(corpus):
     assert maps_isomorphic(m, mir.mirror())
 
 
+def test_report_and_classify_share_one_mirror_walk(monkeypatch):
+    # a fresh map, so that no earlier test has read its reflexibility
+    m = realize_group_file(parse_group_file(
+        corpus_text("g384_chiral.grp"))).maps["m"]
+    walks = []
+    walk = regmaps.maps.standard_table
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+    monkeypatch.setattr(regmaps.maps, "standard_table", counted)
+    assert not m.report().reflexible
+    assert classify(m).orientation_status == "chiral"
+    assert len(walks) == 1
+
+
+def test_p_core_quotient_is_kept(corpus):
+    G = corpus["g384_chiral.grp"].group
+    assert quotient_group(G, o_p(G, 2)) is quotient_group(G, o_p(G, 2))
+
+
 def test_reflexible_map_equals_its_mirror(corpus):
     m = corpus["gl23_reflexible.grp"].maps["m"]
-    assert m.is_reflexible()
+    assert m.reflexible
     assert maps_isomorphic(m, m.mirror())
 
 
@@ -132,7 +157,7 @@ def test_quotient_collapse_is_rejected():
     D6 = dihedral_group(6)
     rot = next(g for g in range(D6.order) if D6.order_of(g) == 6)
     refl = next(g for g in _involutions(D6)
-                if not D6.subgroup((rot,)).contains(g))
+                if g not in D6.subgroup((rot,)).members)
     m = OrientedMap(D6, rot, refl)
     full = D6.improper_subgroup()
     with pytest.raises(ContractViolation):
@@ -142,7 +167,7 @@ def test_quotient_collapse_is_rejected():
 def test_flagged_quotient_collapse_is_rejected(corpus):
     m = corpus["s4_3map.grp"].maps["m"]
     V4 = o_p(m.group, 2)
-    assert V4.contains(m.t)  # t is a double transposition
+    assert m.t in V4.members  # t is a double transposition
     with pytest.raises(ContractViolation):
         quotient_map(m, V4)
 
@@ -154,7 +179,7 @@ def test_oriented_of_flagged_sphere(corpus):
     assert om.vef_counts() == (4, 6, 4)
     assert om.report().genus == 0
     # conjugation by t supplies the mirror symmetry
-    assert om.is_reflexible()
+    assert om.reflexible
     assert isomorphism_search(om.group, alternating_group(4))
 
 
