@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                      enumerate_flagged, enumerate_oriented)
@@ -23,18 +22,11 @@ from .coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
 from .grammar import (GroupFile, format_group_file, parse_group_file,
-                      realize_group_file)
+                      read_group_text, realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
 from .maps import quotient_map
 from .reporting import TOOL_VERSION, map_section, new_document
 from .verify import all_passed, verify_corpus
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ContractViolation(f"cannot read {path}: {exc}") from exc
 
 
 def _realize(gf: GroupFile, args):
@@ -101,7 +93,7 @@ def _emit(doc, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    text = _read(args.file)
+    text = read_group_text(args.file)
     gf = parse_group_file(text)
     name = _select_map(gf, args.map)
     rz = _realize(gf, args)
@@ -128,7 +120,7 @@ def cmd_analyze(args) -> int:
 def cmd_quotient(args) -> int:
     if not is_prime(args.p):
         raise ContractViolation(f"--p must be a prime, got {args.p}")
-    text = _read(args.file)
+    text = read_group_text(args.file)
     gf = parse_group_file(text)
     name = _select_map(gf, args.map)
     rz = _realize(gf, args)
@@ -160,7 +152,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_census(args) -> int:
-    text = _read(args.file)
+    text = read_group_text(args.file)
     # Realize under the census bound (the --max-order default of census), so
     # that a group too large for the census is refused there, not closed up
     # to the 10^6 default first.
@@ -229,7 +221,7 @@ def cmd_verify_corpus(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    text = _read(args.file)
+    text = read_group_text(args.file)
     gf = parse_group_file(text)
     if gf.mode != "gens":
         raise ContractViolation("tc needs a presentation-mode file")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
@@ -434,7 +435,7 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
 
     `max_order` bounds the number of points as well as the order: an action
     on more than `max_order` points is refused before p is tested for
-    primality or any vector is listed.
+    primality.
     """
     if p * p - 1 > max_order:
         raise ResourceLimitExceeded(
@@ -442,15 +443,14 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
             f" max_order={max_order}", "max_order", max_order)
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
-    vecs = [(x, y) for x in range(p) for y in range(p)][1:]
-    vindex = {v: i for i, v in enumerate(vecs)}
     perms = []
     for rows in matrices:
         (a, b), (c, d) = rows
         if (a * d - b * c) % p == 0:
             raise ContractViolation(f"singular matrix {rows!r} mod {p}")
-        images = tuple(vindex[((a * x + b * y) % p, (c * x + d * y) % p)]
-                       for x, y in vecs)
+        # vector (x, y) is point x*p + y - 1
+        images = tuple(((a * x + b * y) % p) * p + (c * x + d * y) % p - 1
+                       for x, y in map(divmod, range(1, p * p), repeat(p)))
         perms.append(Perm(images))
     return closure(p * p - 1, perms, max_order=max_order)
 
@@ -500,6 +500,15 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
     return Realization(gf, G, realized_maps)
 
 
+def read_group_text(path) -> str:
+    """The text of a group file; a file that cannot be opened or is not
+    UTF-8 is a :class:`ContractViolation` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"cannot read {path}: {exc}") from exc
+
+
 def load_group_file(path) -> GroupFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_file(fh.read())
+    return parse_group_file(read_group_text(path))

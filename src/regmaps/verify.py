@@ -1,21 +1,26 @@
 """Golden regression suite over the bundled corpus.
 
-Every corpus file has a checker holding its pinned values (orders, V/E/F,
-genus, classification, Sylow structure).  ``verify_corpus`` runs them all
-and reports one row per check; the CLI turns a failing row into exit 1.
+``REGISTRY`` holds, per corpus file, its ordered pinned values: pairs of a
+check name and the value it must take (orders, V/E/F, genus,
+classification, Sylow structure).  ``PROPERTIES`` computes each check name
+in one place, on a :class:`_Subject` that computes the file's report,
+classification and Sylow certificate once each.  ``verify_corpus`` reports
+one row per pair; the CLI turns a failing row into exit 1.  Pinning a new
+corpus file is one ``REGISTRY`` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .classify import certify_sylow_structure, classify
 from .coset_enum import DEFAULT_MAX_COSETS
-from .errors import RegmapsError
-from .grammar import parse_group_file, realize_group_file
+from .errors import ContractViolation, RegmapsError
+from .grammar import parse_group_file, read_group_text, realize_group_file
 from .group import isomorphism_search, o_p, regenerated
 from .maps import quotient_map
 from .standard import alternating_group, quaternion_group, symmetric_group
@@ -29,19 +34,6 @@ class CheckRow:
     detail: str
 
 
-class _Recorder:
-    def __init__(self, example: str):
-        self.example = example
-        self.rows: list = []
-
-    def eq(self, check: str, got, want):
-        self.rows.append(CheckRow(self.example, check, got == want,
-                                  f"got {got!r}, want {want!r}"))
-
-    def true(self, check: str, got):
-        self.eq(check, bool(got), True)
-
-
 def corpus_names() -> list:
     return sorted(p.name for p in resources.files("regmaps.corpus").iterdir()
                   if p.name.endswith(".grp"))
@@ -49,208 +41,147 @@ def corpus_names() -> list:
 
 def corpus_text(name: str, directory: Optional[str] = None) -> str:
     if directory is not None:
-        return (Path(directory) / name).read_text(encoding="utf-8")
+        return read_group_text(Path(directory) / name)
     return (resources.files("regmaps.corpus") / name).read_text(
         encoding="utf-8")
 
 
-def _exceptional_label(cl) -> Optional[str]:
-    return cl.exceptional_case.label() if cl.exceptional_case else None
+class _Subject:
+    """A realized corpus file and its map ``m``; each costly result is
+    computed on first use and kept."""
+
+    def __init__(self, rz):
+        self.group, self.maps = rz.group, rz.maps
+
+    @cached_property
+    def map(self):
+        if "m" not in self.maps:
+            raise ContractViolation("the file declares no map named 'm'")
+        return self.maps["m"]
+
+    @cached_property
+    def report(self):
+        return self.map.report()
+
+    @cached_property
+    def cl(self):
+        return classify(self.map)
+
+    @cached_property
+    def sylow(self):
+        return certify_sylow_structure(self.map)
+
+    @cached_property
+    def quotient(self):
+        """The map's quotient by the p-core of its own prime p."""
+        return quotient_map(self.map, o_p(self.group, self.cl.p))
 
 
-def _chk_s4_3map(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 24)
-    m = rz.maps["m"]
-    rec.eq("vef", m.vef_counts(), (3, 6, 4))
-    rep = m.report()
-    rec.eq("orientable", rep.orientable, False)
-    rec.eq("crosscap", (rep.genus_kind, rep.genus), ("crosscap_number", 1))
-    cl = classify(m)
-    rec.eq("p_k", (cl.p, cl.k), (3, 1))
-    rec.true("solvable", cl.solvable)
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "C(3,2)")
-    rec.eq("quotient_order", cl.quotient_order, 24)
-    rec.eq("status", cl.orientation_status, "nonorientable")
+def _iso(G, sub, reference) -> bool:
+    return isomorphism_search(regenerated(G, sub.gens), reference)
 
 
-def _chk_g72_3map(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 72)
-    m = rz.maps["m"]
-    rec.eq("vef", m.vef_counts(), (9, 18, 4))
-    rep = m.report()
-    rec.eq("orientable", rep.orientable, False)
-    rec.eq("crosscap", (rep.genus_kind, rep.genus), ("crosscap_number", 7))
-    core = o_p(G, 3)
-    rec.eq("o3_order", core.order, 3)
-    qm = quotient_map(m, core)
-    rec.eq("quotient_vertices", qm.vef_counts()[0], 3)
-    cl = classify(m)
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "C(3,2)")
-    rec.eq("quotient_order", cl.quotient_order, 24)
-    rec.true("quotient_is_s4",
-             isomorphism_search(qm.group, symmetric_group(4)))
-
-
-def _chk_g384_chiral(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 384)
-    m = rz.maps["m"]
-    rec.eq("r_order", G.order_of(m.r), 6)
-    rec.eq("rl_order", G.order_of(G.mul(m.r, m.l)), 4)
-    rec.eq("vef", m.vef_counts(), (64, 192, 96))
-    rep = m.report()
-    rec.eq("genus", (rep.genus_kind, rep.genus), ("orientable_genus", 17))
-    rec.eq("chiral", rep.reflexible, False)
-    cl = classify(m)
-    rec.eq("p_k", (cl.p, cl.k), (2, 6))
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "D(3,2)")
-    rec.eq("quotient_order", cl.quotient_order, 6)
-    rec.eq("status", cl.orientation_status, "chiral")
-
-
-def _chk_gl23_reflexible(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 48)
-    m = rz.maps["m"]
-    rec.eq("r_order", G.order_of(m.r), 6)
-    rec.eq("rl_order", G.order_of(G.mul(m.r, m.l)), 8)
-    rec.eq("vef", m.vef_counts(), (8, 24, 6))
-    rep = m.report()
-    rec.eq("euler", rep.euler, -10)
-    rec.eq("reflexible", rep.reflexible, True)
-    core = o_p(G, 2)
-    rec.true("o2_is_quaternion",
-             isomorphism_search(regenerated(G, core.gens), quaternion_group()))
-    cl = classify(m)
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "D(3,2)")
-    rec.eq("quotient_order", cl.quotient_order, 6)
-
-
-def _chk_s4_projective(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 24)
-    m = rz.maps["m"]
-    rec.eq("vef", m.vef_counts(), (4, 6, 3))
-    rep = m.report()
-    rec.eq("orientable", rep.orientable, False)
-    rec.eq("crosscap", (rep.genus_kind, rep.genus), ("crosscap_number", 1))
-    core = o_p(G, 2)
-    rec.eq("o2_order", core.order, 4)
-    qm = quotient_map(m, core)
-    rec.eq("quotient_degenerate", qm.degenerate, frozenset(("l_trivial",)))
-    cl = classify(m)
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "DM(6)")
-    rec.eq("quotient_order", cl.quotient_order, 6)
-    rec.eq("status", cl.orientation_status, "nonorientable")
-
-
-def _chk_s4_sphere(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 24)
-    m = rz.maps["m"]
-    rec.eq("vef", m.vef_counts(), (4, 6, 4))
-    rep = m.report()
-    rec.eq("orientable", rep.orientable, True)
-    rec.eq("genus", (rep.genus_kind, rep.genus), ("orientable_genus", 0))
-    even = m.even_subgroup
-    rec.eq("even_index", G.order // even.order, 2)
-    rec.true("even_is_a4",
-             isomorphism_search(regenerated(G, even.gens),
-                                alternating_group(4)))
-    cl = classify(m)
-    rec.eq("normal", cl.normal, False)
-    rec.eq("exceptional", _exceptional_label(cl), "EM(6)")
-    rec.eq("quotient_order", cl.quotient_order, 6)
-    rec.eq("status", cl.orientation_status, "orientable_normal")
-
-
-def _chk_g2106_chiral(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 2106)
-    m = rz.maps["m"]
-    rec.eq("r_order", G.order_of(m.r), 78)
-    rec.eq("vertices", m.vef_counts()[0], 27)
-    rec.eq("chiral", m.reflexible, False)
-    cl = classify(m)
-    rec.eq("p_k", (cl.p, cl.k), (3, 3))
-    rec.eq("normal", cl.normal, True)
-    rec.eq("status", cl.orientation_status, "chiral")
-    rec.true("primitive", m.vertex_primitive)
-    st = certify_sylow_structure(m)
-    rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
-    rec.eq("complement_rank", st.complement_rank, 3)
-
-
-def _chk_g216_orientable(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 216)
-    m = rz.maps["m"]
-    rec.eq("vertices", m.vef_counts()[0], 9)
-    rec.eq("even_index", G.order // m.even_subgroup.order, 2)
-    cl = classify(m)
-    rec.eq("p_k", (cl.p, cl.k), (3, 2))
-    rec.eq("normal", cl.normal, True)
-    rec.eq("status", cl.orientation_status, "orientable_normal")
-    rec.true("primitive", m.vertex_primitive)
-    st = certify_sylow_structure(m)
-    rec.eq("sylow_case", st.case_tag, "direct_product_elementary")
-    rec.eq("complement_rank", st.complement_rank, 2)
-
-
-def _chk_g216_nonorientable(rec: _Recorder, rz) -> None:
-    G = rz.group
-    rec.eq("group_order", G.order, 216)
-    m = rz.maps["m"]
-    rec.eq("vertices", m.vef_counts()[0], 9)
-    rec.eq("orientable", m.is_orientable(), False)
-    cl = classify(m)
-    rec.eq("p_k", (cl.p, cl.k), (3, 2))
-    rec.eq("normal", cl.normal, True)
-    rec.eq("status", cl.orientation_status, "nonorientable")
-    rec.true("primitive", m.vertex_primitive)
-    st = certify_sylow_structure(m)
-    rec.eq("sylow_case", st.case_tag, "central_product_extraspecial")
-    rec.eq("extraspecial_order", st.extraspecial_order, 27)
-
-
-def _chk_s4_presentation(rec: _Recorder, rz) -> None:
-    rec.eq("group_order", rz.group.order, 24)
+PROPERTIES = {
+    "group_order": lambda s: s.group.order,
+    "r_order": lambda s: s.group.order_of(s.map.r),
+    "rl_order": lambda s: s.group.order_of(s.group.mul(s.map.r, s.map.l)),
+    "vef": lambda s: (s.report.vertices, s.report.edges, s.report.faces),
+    "vertices": lambda s: s.report.vertices,
+    "euler": lambda s: s.report.euler,
+    "orientable": lambda s: s.report.orientable,
+    "genus": lambda s: (s.report.genus_kind, s.report.genus),
+    "reflexible": lambda s: s.report.reflexible,
+    "even_index": lambda s: s.group.order // s.map.even_subgroup.order,
+    "even_is_a4": lambda s: _iso(s.group, s.map.even_subgroup,
+                                 alternating_group(4)),
+    "o2_order": lambda s: o_p(s.group, 2).order,
+    "o3_order": lambda s: o_p(s.group, 3).order,
+    "o2_is_quaternion": lambda s: _iso(s.group, o_p(s.group, 2),
+                                       quaternion_group()),
+    "p_k": lambda s: (s.cl.p, s.cl.k),
+    "solvable": lambda s: s.cl.solvable,
+    "normal": lambda s: s.cl.normal,
+    "status": lambda s: s.cl.orientation_status,
+    "exceptional": lambda s: (s.cl.exceptional_case.label()
+                              if s.cl.exceptional_case else None),
+    "quotient_order": lambda s: s.cl.quotient_order,
+    "quotient_vertices": lambda s: s.quotient.vef_counts()[0],
+    "quotient_degenerate": lambda s: s.quotient.degenerate,
+    "quotient_is_s4": lambda s: isomorphism_search(s.quotient.group,
+                                                   symmetric_group(4)),
+    "primitive": lambda s: s.map.vertex_primitive,
+    "sylow_case": lambda s: s.sylow.case_tag,
+    "complement_rank": lambda s: s.sylow.complement_rank,
+    "extraspecial_order": lambda s: s.sylow.extraspecial_order,
+}
+# names under which a file pins the same property
+PROPERTIES["crosscap"] = PROPERTIES["genus"]
+PROPERTIES["chiral"] = PROPERTIES["reflexible"]
 
 
 REGISTRY = {
-    "s4_3map.grp": _chk_s4_3map,
-    "g72_3map.grp": _chk_g72_3map,
-    "g384_chiral.grp": _chk_g384_chiral,
-    "gl23_reflexible.grp": _chk_gl23_reflexible,
-    "s4_projective.grp": _chk_s4_projective,
-    "s4_sphere.grp": _chk_s4_sphere,
-    "g2106_chiral.grp": _chk_g2106_chiral,
-    "g216_orientable.grp": _chk_g216_orientable,
-    "g216_nonorientable.grp": _chk_g216_nonorientable,
-    "s4_presentation.grp": _chk_s4_presentation,
+    "s4_3map.grp": (("group_order", 24), ("vef", (3, 6, 4)),
+        ("orientable", False), ("crosscap", ("crosscap_number", 1)),
+        ("p_k", (3, 1)), ("solvable", True), ("normal", False),
+        ("exceptional", "C(3,2)"), ("quotient_order", 24),
+        ("status", "nonorientable")),
+    "g72_3map.grp": (("group_order", 72), ("vef", (9, 18, 4)),
+        ("orientable", False), ("crosscap", ("crosscap_number", 7)),
+        ("o3_order", 3), ("quotient_vertices", 3), ("normal", False),
+        ("exceptional", "C(3,2)"), ("quotient_order", 24),
+        ("quotient_is_s4", True)),
+    "g384_chiral.grp": (("group_order", 384), ("r_order", 6), ("rl_order", 4),
+        ("vef", (64, 192, 96)), ("genus", ("orientable_genus", 17)),
+        ("chiral", False), ("p_k", (2, 6)), ("normal", False),
+        ("exceptional", "D(3,2)"), ("quotient_order", 6),
+        ("status", "chiral")),
+    "gl23_reflexible.grp": (("group_order", 48), ("r_order", 6),
+        ("rl_order", 8), ("vef", (8, 24, 6)), ("euler", -10),
+        ("reflexible", True), ("o2_is_quaternion", True), ("normal", False),
+        ("exceptional", "D(3,2)"), ("quotient_order", 6)),
+    "s4_projective.grp": (("group_order", 24), ("vef", (4, 6, 3)),
+        ("orientable", False), ("crosscap", ("crosscap_number", 1)),
+        ("o2_order", 4), ("quotient_degenerate", frozenset(("l_trivial",))),
+        ("normal", False), ("exceptional", "DM(6)"), ("quotient_order", 6),
+        ("status", "nonorientable")),
+    "s4_sphere.grp": (("group_order", 24), ("vef", (4, 6, 4)),
+        ("orientable", True), ("genus", ("orientable_genus", 0)),
+        ("even_index", 2), ("even_is_a4", True), ("normal", False),
+        ("exceptional", "EM(6)"), ("quotient_order", 6),
+        ("status", "orientable_normal")),
+    "g2106_chiral.grp": (("group_order", 2106), ("r_order", 78),
+        ("vertices", 27), ("chiral", False), ("p_k", (3, 3)), ("normal", True),
+        ("status", "chiral"), ("primitive", True),
+        ("sylow_case", "direct_product_elementary"), ("complement_rank", 3)),
+    "g216_orientable.grp": (("group_order", 216), ("vertices", 9),
+        ("even_index", 2), ("p_k", (3, 2)), ("normal", True),
+        ("status", "orientable_normal"), ("primitive", True),
+        ("sylow_case", "direct_product_elementary"), ("complement_rank", 2)),
+    "g216_nonorientable.grp": (("group_order", 216), ("vertices", 9),
+        ("orientable", False), ("p_k", (3, 2)), ("normal", True),
+        ("status", "nonorientable"), ("primitive", True),
+        ("sylow_case", "central_product_extraspecial"),
+        ("extraspecial_order", 27)),
+    "s4_presentation.grp": (("group_order", 24),),
 }
 
 
 def verify_corpus(directory: Optional[str] = None,
                   max_cosets: int = DEFAULT_MAX_COSETS) -> list:
-    """Run every registered checker; returns all check rows."""
+    """Evaluate every pinned value; returns one check row per pair, and a
+    failing ``realization`` row where a file stops with a package error."""
     rows: list = []
-    for name, checker in REGISTRY.items():
-        rec = _Recorder(name)
+    for name, pins in REGISTRY.items():
         try:
-            gf = parse_group_file(corpus_text(name, directory))
-            rz = realize_group_file(gf, max_cosets=max_cosets)
-            checker(rec, rz)
+            s = _Subject(realize_group_file(
+                parse_group_file(corpus_text(name, directory)),
+                max_cosets=max_cosets))
+            for check, want in pins:
+                got = PROPERTIES[check](s)
+                rows.append(CheckRow(name, check, got == want,
+                                     f"got {got!r}, want {want!r}"))
         except RegmapsError as exc:
-            rec.rows.append(CheckRow(name, "realization", False, str(exc)))
-        rows.extend(rec.rows)
+            rows.append(CheckRow(name, "realization", False, str(exc)))
     return rows
 
 

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regmaps.cli as cli
 from regmaps.errors import (ContractViolation, ParseError, RegmapsError,
                             ResourceLimitExceeded)
 from regmaps.grammar import (MAX_NESTING, GroupFile, MapDecl,
                              format_group_file, format_word, load_group_file,
                              matrix_group, parse_group_file,
-                             realize_group_file)
+                             read_group_text, realize_group_file)
 from regmaps.perm import Perm
 from regmaps.verify import corpus_names, corpus_text
 from regmaps.words import Presentation, Word
@@ -168,6 +171,42 @@ def test_load_group_file(tmp_path):
     p = tmp_path / "t.grp"
     p.write_text(GOOD, encoding="utf-8")
     assert load_group_file(p) == parse_group_file(GOOD)
+
+
+@pytest.mark.parametrize("content", [None, b"group \xff\n"],
+                         ids=["missing", "not_utf8"])
+def test_an_unreadable_file_is_a_contract_violation(tmp_path, capsys,
+                                                    content):
+    p = tmp_path / "bad.grp"
+    if content is not None:
+        p.write_bytes(content)
+    for read in (read_group_text, load_group_file):
+        with pytest.raises(ContractViolation, match="^cannot read "):
+            read(p)
+    assert cli.main(["analyze", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {p}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", [701, 997])
+def test_a_refused_matrix_action_peaks_under_160_mb(tmp_path, capsys, p):
+    # the p**2 - 1 points are numbered by arithmetic, not by a vector list;
+    # what is allocated is the generators and closure up to max_cells
+    f = tmp_path / "big.grp"
+    f.write_text(f"group big\nmat a = [[2,1],[1,0]] mod {p}\n"
+                 f"mat b = [[0,1],[1,0]] mod {p}\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ret = cli.main(["analyze", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ret == 5
+    assert "max_cells" in capsys.readouterr().err
+    assert peak < 160 * 10**6
 
 
 @pytest.mark.parametrize("opens,closes", [("(", ")"), ("[a, ", "]")])
