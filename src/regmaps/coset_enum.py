@@ -14,18 +14,28 @@ lists of its letters' columns and of their inverses' columns, so tracing a
 letter is one subscript.  A relator ``x^2`` or ``x^-2`` gives x and x^-1 one
 shared column, which holds that relator by itself, so it is not traced.
 
-:func:`presentation_group` realizes a presentation as a permutation group:
-on the cosets of the cyclic subgroup of one generator, the smallest such
-action that is faithful, else on the cosets of the trivial subgroup.
+:func:`presentation_group` realizes a presentation as a permutation group,
+and one enumeration, over the trivial subgroup, is its whole cost.  The
+table is the regular representation: the cosets of the cyclic subgroup <g>
+of a generator are the cycles of left multiplication by g, read off the
+table, and the smallest such action that is faithful gives the group, else
+the regular one.  The kernel core(<g>) lies in the cyclic <g>, so the
+action is faithful iff g acts on the cosets with the order it has in the
+group.  Elements are numbered by a breadth-first walk over the table, the
+numbering :func:`regmaps.group.closure` would give, without a closure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from math import lcm
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
-from .group import DEFAULT_MAX_ORDER, FiniteGroup, closure, standard_table
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, _orbits, cell_limit,
+                    cells_exceeded, standard_table)
 from .perm import Perm
 from .words import Presentation, Word
 
@@ -182,15 +192,86 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     return CosetTable(ngens, len(live), [flat[x::nsym] for x in range(nsym)])
 
 
-def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """The permutation group the table induces on its cosets.
+def _realize(ct: CosetTable, images: Sequence[Sequence[int]],
+             degree: int) -> FiniteGroup:
+    """The group of the regular table `ct`, acting on `degree` points where
+    generator i acts as ``images[i]``, numbered as :func:`closure` numbers
+    it.
 
-    For an enumeration over the trivial subgroup this is the regular
-    representation, so the group order equals the coset count.
-    :func:`presentation_group` falls back to it when no smaller action of
-    the presentation is faithful.
+    A breadth-first walk over the table's generator columns meets the
+    elements in closure's order, and each new element's image tuple is one
+    product from the element it was met from.  Closure's cell bound applies
+    before any tuple is built.
     """
-    return closure(ct.n, ct.gen_perms(), max_order=max_order)
+    n = ct.n
+    limit = cell_limit(degree, ct.ngens)
+    if n > limit:
+        raise cells_exceeded(limit, degree)
+    gen_cols = ct.cols[::2]
+    num = [-1] * n
+    num[0] = 0
+    order = [0]
+    elements = [tuple(range(degree))]
+    # A product is only ever taken in a group of order n > 1, which acts on
+    # at least two points, so itemgetter returns a tuple.
+    for i, x in enumerate(order):
+        times = itemgetter(*elements[i])
+        for col, img in zip(gen_cols, images):
+            y = col[x]
+            if num[y] < 0:
+                num[y] = len(order)
+                order.append(y)
+                elements.append(times(img))
+    return FiniteGroup(degree, elements, [num[col[0]] for col in gen_cols])
+
+
+def _cyclic_coset_action(ct: CosetTable, i: int, m: int) -> Optional[list]:
+    """The images of the generators on the right cosets of <g>, g =
+    generator i of order m, with the cosets numbered as
+    ``todd_coxeter(pres, (g,))`` numbers them; None when that action is not
+    faithful.
+
+    <g>x is the cycle through x of left multiplication by g, which is
+    walked from ``g * 1 = g`` along the table: ``g(xs) = (gx)s``.  The
+    kernel core(<g>) lies in the cyclic <g>, so it is trivial iff g acts
+    with order m.
+    """
+    n, cols, gen_cols = ct.n, ct.cols, ct.cols[::2]
+    left = [-1] * n
+    left[0] = cols[2 * i][0]
+    walk = [0]
+    for x in walk:
+        for col in gen_cols:
+            y = col[x]
+            if left[y] < 0:
+                left[y] = col[left[x]]
+                walk.append(y)
+    coset = _orbits(n, [left])  # <g> itself, through 0, is coset 0
+    reps = list(dict(zip(coset, range(n))).values())  # one per coset
+    act = [[coset[col[r]] for r in reps] for col in cols]
+    if lcm(*Counter(_orbits(len(reps), [act[2 * i]])).values()) != m:
+        return None
+    flat = standard_table(act, len(reps))
+    return [flat[x::len(cols)] for x in range(0, len(cols), 2)]
+
+
+def _check_order(n: int, max_order: int) -> None:
+    if n > max_order:
+        raise ResourceLimitExceeded(
+            f"group order {n} exceeds max_order={max_order}",
+            "max_order", max_order)
+
+
+def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """The regular representation of the group whose table `ct` is.
+
+    `ct` must come from an enumeration over the trivial subgroup, so that
+    its cosets are the group's elements and the group order equals the
+    coset count.  :func:`presentation_group` falls back to it when no
+    smaller action of the presentation is faithful.
+    """
+    _check_order(ct.n, max_order)
+    return _realize(ct, ct.cols[::2], ct.n)
 
 
 def presentation_group(pres: Presentation,
@@ -198,38 +279,31 @@ def presentation_group(pres: Presentation,
                        max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The group a presentation defines, on a small faithful coset action.
 
-    The enumeration over the trivial subgroup fixes the order n, and it is
-    the run that `max_cosets` bounds.  A generator g of order m (the length
-    of its cycle through coset 0 of that table) offers the action on the
-    n / m cosets of <g>.  The generators are tried by increasing n / m, ties
-    by position, and the first action whose closure has order n is faithful
-    and gives the group; when none is, it is the regular representation
-    (:func:`perms_from_table`).  Closure numbers elements by the group and
-    the order of its generators alone, so every faithful action gives the
-    same element indices and the same generator table.
+    One enumeration, over the trivial subgroup, is the whole cost: it fixes
+    the order n, it is the run that `max_cosets` bounds, and every action
+    below is read off its table.  A generator g of order m (the length of
+    its cycle through coset 0) offers the action on the n / m cosets of
+    <g>.  The generators are tried by increasing n / m, ties by position.
+    The kernel core(<g>) lies in the cyclic <g>, so the action is faithful
+    iff g acts on those cosets with order m, and the first faithful one
+    gives the group; when none is, it is the regular representation
+    (:func:`perms_from_table`).  Elements are numbered as :func:`closure`
+    numbers them, by the group and the order of its generators alone, so
+    every faithful action gives the same element indices.
     """
     ct = todd_coxeter(pres, (), max_cosets=max_cosets)
-    n = ct.n
-    if n > max_order:
-        raise ResourceLimitExceeded(
-            f"group order {n} exceeds max_order={max_order}",
-            "max_order", max_order)
-
+    _check_order(ct.n, max_order)
     degrees = []
     for col in ct.cols[::2]:
         m, x = 1, col[0]
         while x != 0:
             m, x = m + 1, col[x]
-        degrees.append(n // m)
+        degrees.append(ct.n // m)
     # sorted() is stable, so ties keep generator order
     for i in sorted(range(ct.ngens), key=degrees.__getitem__):
-        if degrees[i] == n:
+        if degrees[i] == ct.n:
             break  # <g> is trivial: its cosets give the regular action
-        try:
-            sub = todd_coxeter(pres, (Word.gen(i),), max_cosets=max_cosets)
-        except ResourceLimitExceeded:
-            continue  # an enumeration may pass through more cosets than n
-        G = closure(sub.n, sub.gen_perms(), max_order=n + 1)
-        if G.order == n:
-            return G
+        images = _cyclic_coset_action(ct, i, ct.n // degrees[i])
+        if images is not None:
+            return _realize(ct, images, degrees[i])
     return perms_from_table(ct, max_order=max_order)

@@ -41,22 +41,38 @@ from .perm import Perm
 DEFAULT_MAX_ORDER = 10**6
 # Closure refuses a group before the 8-byte cells it holds pass this many
 # (about 160 MB), whatever the order bound.  Each listed element is a tuple
-# of `degree` cells.  Each point costs up to POINT_CELLS more for every
-# generator and for the identity (tracemalloc: 10 in all for one generator,
-# 16 for two): its int object, a generator's tuple, closure's arguments.
+# of `degree` cells and costs ELEMENT_CELLS more: its tuple header, its
+# entries in closure's `seen` and the group's `_at`, and its `_get`
+# itemgetter (tracemalloc: 54 cells with a base of 6 or 7 points, 77 with
+# a base of 16; a base of b points needs 2**b elements, so no group within
+# the bound has a base of more than 17).  Each point costs up to
+# POINT_CELLS more for every generator and for the identity (10 in all for
+# one generator, 16 for two): its int object, a generator's tuple,
+# closure's arguments.
 MAX_CLOSURE_CELLS = 2 * 10**7
+ELEMENT_CELLS = 80
 POINT_CELLS = 6
 
 
 def cell_limit(degree: int, ngens: int) -> int:
     """The most elements closure may list on `degree` points from `ngens`
     generators; refuses when not even the identity fits."""
-    limit = MAX_CLOSURE_CELLS // degree - POINT_CELLS * (ngens + 1)
+    limit = ((MAX_CLOSURE_CELLS - POINT_CELLS * (ngens + 1) * degree)
+             // (degree + ELEMENT_CELLS))
     if limit < 1:
         raise ResourceLimitExceeded(
             f"a group on {degree} points exceeds"
             f" max_cells={MAX_CLOSURE_CELLS}", "max_cells", MAX_CLOSURE_CELLS)
     return limit
+
+
+def cells_exceeded(limit: int, degree: int) -> ResourceLimitExceeded:
+    """The refusal of a group of more than `limit` elements on `degree`
+    points, where ``limit == cell_limit(degree, ngens)``."""
+    return ResourceLimitExceeded(
+        f"closure exceeded max_cells={MAX_CLOSURE_CELLS}:"
+        f" {limit} elements on {degree} points",
+        "max_cells", MAX_CLOSURE_CELLS)
 
 
 def closure(degree: int, generators: Sequence[Perm],
@@ -94,10 +110,7 @@ def closure(degree: int, generators: Sequence[Perm],
                         raise ResourceLimitExceeded(
                             f"closure exceeded max_order={max_order}",
                             "max_order", max_order)
-                    raise ResourceLimitExceeded(
-                        f"closure exceeded max_cells={MAX_CLOSURE_CELLS}:"
-                        f" {limit} elements on {degree} points",
-                        "max_cells", MAX_CLOSURE_CELLS)
+                    raise cells_exceeded(limit, degree)
                 elements.append(prod)
                 seen[prod] = j
     return FiniteGroup(degree, elements, [seen[g] for g in gen_images])

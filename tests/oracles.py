@@ -7,14 +7,20 @@ measured against.  The one exception is the full-scan census, which keys
 classes by the package's standardized tables: it is the census before the
 first entries were cut down to conjugacy-class minima.  So is the
 reference coset enumerator, which standardizes its table the same way: it
-is the row-per-coset HLT kernel from before the per-generator columns.
+is the row-per-coset HLT kernel from before the per-generator columns.  And
+so is the reference realization of a presentation, which runs the package's
+enumerator and closure: it enumerates again over each cyclic subgroup it
+tries and closes that action, where the package reads both off one table.
 """
 
 from itertools import combinations, product
 
+from regmaps.coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import regenerated, small_generating_set, standard_table
+from regmaps.group import (DEFAULT_MAX_ORDER, closure, regenerated,
+                           small_generating_set, standard_table)
 from regmaps.maps import FlaggedMap, OrientedMap
+from regmaps.words import Word
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +462,45 @@ def todd_coxeter_rows(pres, subgroup_words=(), max_cosets=200_000):
     if flat is None:
         raise ContractViolation("coset table is not connected")
     return [list(flat[c:c + nsym]) for c in range(0, len(flat), nsym)]
+
+
+def presentation_group_by_closure(pres, max_cosets=DEFAULT_MAX_COSETS,
+                                  max_order=DEFAULT_MAX_ORDER):
+    """The group a presentation defines, on a small faithful coset action.
+
+    The enumeration over the trivial subgroup fixes the order n, and it is
+    the run that `max_cosets` bounds.  A generator g of order m (the length
+    of its cycle through coset 0 of that table) offers the action on the
+    n / m cosets of <g>.  The generators are tried by increasing n / m, ties
+    by position, and the first action whose closure has order n is faithful
+    and gives the group; when none is, it is the regular representation.
+    Closure numbers elements by the group and the order of its generators
+    alone, so every faithful action gives the same element indices and the
+    same generator table.  Each action is a second enumeration, over <g>,
+    and a closure of its permutations.
+    """
+    ct = todd_coxeter(pres, (), max_cosets=max_cosets)
+    n = ct.n
+    if n > max_order:
+        raise ResourceLimitExceeded(
+            f"group order {n} exceeds max_order={max_order}",
+            "max_order", max_order)
+
+    degrees = []
+    for col in ct.cols[::2]:
+        m, x = 1, col[0]
+        while x != 0:
+            m, x = m + 1, col[x]
+        degrees.append(n // m)
+    # sorted() is stable, so ties keep generator order
+    for i in sorted(range(ct.ngens), key=degrees.__getitem__):
+        if degrees[i] == n:
+            break  # <g> is trivial: its cosets give the regular action
+        try:
+            sub = todd_coxeter(pres, (Word.gen(i),), max_cosets=max_cosets)
+        except ResourceLimitExceeded:
+            continue  # an enumeration may pass through more cosets than n
+        G = closure(sub.n, sub.gen_perms(), max_order=n + 1)
+        if G.order == n:
+            return G
+    return closure(ct.n, ct.gen_perms(), max_order=max_order)

@@ -18,7 +18,8 @@ import regmaps.cli as cli
 import regmaps.group
 from regmaps.errors import TheoremViolation
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import MAX_CLOSURE_CELLS, POINT_CELLS, cell_limit
+from regmaps.group import (ELEMENT_CELLS, MAX_CLOSURE_CELLS, POINT_CELLS,
+                           cell_limit)
 from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
 from regmaps.verify import REGISTRY, corpus_text
@@ -400,7 +401,7 @@ def test_the_largest_perm_groups_the_cells_admit_stay_under_160_mb(
     cells = MAX_CLOSURE_CELLS // 10
     monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
     gens = len(cycles)
-    d = cells // (order + POINT_CELLS * (gens + 1))
+    d = (cells - order * ELEMENT_CELLS) // (order + POINT_CELLS * (gens + 1))
     assert cell_limit(d, gens) >= order > cell_limit(d + 1, gens)
     text = "group big\n" + "".join(
         f"perm g{i} = {c.format(d=d, e=d - 1)}\n"

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
                                 presentation_group, todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import closure
+from regmaps.group import ELEMENT_CELLS, closure
 from regmaps.perm import Perm
 from regmaps.verify import corpus_text
 from regmaps.grammar import parse_group_file
@@ -149,21 +150,54 @@ def test_presentation_group_falls_back_to_regular():
     assert generator_rows(G) == generator_rows(R)
 
 
-def test_presentation_group_skips_refused_subgroup_runs(monkeypatch):
-    # a subgroup enumeration that hits max_cosets only drops that action
+def test_presentation_group_enumerates_once(monkeypatch):
+    # the regular enumeration is the whole cost: no run over a subgroup and
+    # no closure of the action it picks
     import regmaps.coset_enum as ce
-    real = ce.todd_coxeter
+    import regmaps.group
+    calls = Counter()
 
-    def refuse_subgroups(pres, subgroup_words=(), max_cosets=100):
-        if subgroup_words:
-            raise ResourceLimitExceeded("refused", "max_cosets", max_cosets)
-        return real(pres, subgroup_words, max_cosets)
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(ce, "todd_coxeter", refuse_subgroups)
-    pres = parse_group_file(corpus_text("g72_3map.grp")).presentation
+    monkeypatch.setattr(ce, "todd_coxeter", counted(ce.todd_coxeter))
+    monkeypatch.setattr(regmaps.group, "closure",
+                        counted(regmaps.group.closure))
+    assert not hasattr(ce, "closure")
+    for fname, order in CORPUS_ORDERS:
+        calls.clear()
+        pres = parse_group_file(corpus_text(fname)).presentation
+        assert presentation_group(pres).order == order
+        assert calls == {"todd_coxeter": 1}, fname
+
+
+def _same_group(G, H):
+    return ((G.elements, G.gen_indices, G.base, G.degree, G.order)
+            == (H.elements, H.gen_indices, H.base, H.degree, H.order))
+
+
+A, B = Word.gen(0), Word.gen(1)
+# <a> is normal in D4, so its action is not faithful and <b> gives 4
+# points; in Q8 every cyclic subgroup holds the center, so the action is
+# the regular one
+SMALL_PRESENTATIONS = {
+    "d4": Presentation(("a", "b"), (A ** 4, B ** 2, (A * B) ** 2)),
+    "q8": Presentation(("a", "b"), (
+        A ** 4, A ** 2 * (B ** 2).inverse(), A.conj(B) * A)),
+}
+
+
+@pytest.mark.parametrize("name,degree",
+                         [*CORPUS_DEGREES.items(), ("d4", 4), ("q8", 8)])
+def test_presentation_group_matches_the_closure_oracle(name, degree):
+    pres = SMALL_PRESENTATIONS.get(name) or parse_group_file(
+        corpus_text(name)).presentation
     G = presentation_group(pres)
-    assert G.degree == G.order == 72
-    assert generator_rows(G) == generator_rows(perms_from_table(real(pres)))
+    assert G.degree == degree
+    assert _same_group(G, oracles.presentation_group_by_closure(pres))
 
 
 def test_presentation_group_order_bound():
@@ -199,6 +233,24 @@ def presentations(draw):
     rels = [r for r in rels if not r.is_empty()]
     sub = draw(st.one_of(st.just(()), words(1, 4).map(lambda w: (w,))))
     return Presentation(tuple("abc"[:ngens]), tuple(rels)), sub
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_presentation_group_matches_closure_on_random_presentations(case):
+    # the oracle enumerates again over each <g> it tries, which may pass
+    # through more cosets than the group has elements, so it gets the
+    # default bound; only groups both realize are compared
+    pres, _ = case
+    try:
+        G = presentation_group(pres, max_cosets=2000)
+        want = oracles.presentation_group_by_closure(pres)
+    except ResourceLimitExceeded:
+        event("refused")
+        return
+    event("trivial" if G.order == 1 else
+          "regular" if G.degree == G.order else "on the cosets of <g>")
+    assert _same_group(G, want)
 
 
 def _rows_or_none(enumerate_rows, pres, sub):
@@ -258,6 +310,36 @@ def test_refusal_memory_per_coset():
     finally:
         tracemalloc.stop()
     assert peak <= 120 * 20_000
+
+
+def test_realization_is_refused_before_its_elements_are_built(monkeypatch):
+    # g2106 on 81 points needs 2106 * (81 + ELEMENT_CELLS) cells; under half
+    # of that, the table is refused with closure's own message, before a
+    # tuple is built.  The enumeration runs untraced: the peak is that of
+    # what follows it.
+    import regmaps.coset_enum as ce
+    import regmaps.group
+    pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
+    H = presentation_group(pres)
+    gens = [Perm._raw(H.elements[g]) for g in H.gen_indices]
+    ct = todd_coxeter(pres)
+    cells = 2106 * (81 + ELEMENT_CELLS) // 2
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
+    with pytest.raises(ResourceLimitExceeded) as want:
+        closure(81, gens)
+    monkeypatch.setattr(ce, "todd_coxeter", lambda *args, **kwargs: ct)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitExceeded) as got:
+            presentation_group(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(" elements on 81 points")
+    assert (got.value.limit_name, got.value.limit_value) == ("max_cells", cells)
+    # the elements would hold 8 bytes a cell, 1.4 MB in all
+    assert peak < 2106 * 81 * 8 // 10
 
 
 def test_closure_memory_per_element():

@@ -1,4 +1,6 @@
-from math import lcm
+import tracemalloc
+from itertools import islice
+from math import lcm, prod
 
 import pytest
 from hypothesis import event, given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 import regmaps.group
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
-from regmaps.group import (center, closure, coset_action, derived_series,
+from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
+                           closure, coset_action, derived_series,
                            derived_subgroup, hom_extend, is_cyclic,
                            is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
@@ -143,16 +146,17 @@ def test_kept_results_are_returned_again(corpus):
 
 
 def test_closure_bounds_order_and_cells(monkeypatch):
-    # S5 on 5 points; a cell bound of 250 admits 250 // 5 - 6 * 3 = 32
-    # elements, since each point costs 6 cells for each of the two
-    # generators and for the identity; one of 90 admits none
+    # S5 on 5 points; a cell bound of 3000 admits (3000 - 6 * 3 * 5) //
+    # (5 + 80) = 34 elements, since each point costs 6 cells for each of the
+    # two generators and for the identity, and each element 80 on top of
+    # its 5 images; one of 90 admits none
     gens = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
     assert closure(5, gens).order == 120
-    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 250)
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 3000)
     with pytest.raises(ResourceLimitExceeded) as e:
         closure(5, gens)
-    assert (e.value.limit_name, e.value.limit_value) == ("max_cells", 250)
-    assert "max_cells=250: 32 elements on 5 points" in str(e.value)
+    assert (e.value.limit_name, e.value.limit_value) == ("max_cells", 3000)
+    assert "max_cells=3000: 34 elements on 5 points" in str(e.value)
     with pytest.raises(ResourceLimitExceeded) as e:
         closure(5, gens, max_order=20)
     assert (e.value.limit_name, e.value.limit_value) == ("max_order", 20)
@@ -161,6 +165,41 @@ def test_closure_bounds_order_and_cells(monkeypatch):
     with pytest.raises(ResourceLimitExceeded,
                        match="a group on 5 points exceeds max_cells=90"):
         closure(5, gens)
+
+
+@pytest.mark.parametrize("cycle_lengths,one_generator", [
+    ((2, 3, 5, 7, 11, 13), True),
+    ((2,) * 14, False),
+], ids=["cyclic_30030_base_6", "elementary_2_14_base_14"])
+def test_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
+        monkeypatch, cycle_lengths, one_generator):
+    # many elements on few points: the cost of each element beyond its
+    # images (tuple header, dict entries, base lookup) is what the bound
+    # must charge.  The bound is set to the fewest cells that admit the
+    # group, and the peak must stay under 8 bytes a cell.
+    degree = sum(cycle_lengths)
+    points = iter(range(degree))
+    cycles = [tuple(islice(points, k)) for k in cycle_lengths]
+    # disjoint cycles: as one generator they have the lcm of their lengths
+    # as order, as one generator each they give the direct product
+    if one_generator:
+        gens, order = [Perm.from_cycles(cycles, degree)], lcm(*cycle_lengths)
+    else:
+        gens = [Perm.from_cycles((c,), degree) for c in cycles]
+        order = prod(cycle_lengths)
+    ngens = len(gens)
+    cells = (order * (degree + ELEMENT_CELLS)
+             + POINT_CELLS * (ngens + 1) * degree)
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
+    assert cell_limit(degree, ngens) == order
+    tracemalloc.start()
+    try:
+        G = closure(degree, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == order
+    assert peak < 8 * cells
 
 
 @pytest.mark.parametrize("bound", [0, -1])
