@@ -1,11 +1,15 @@
 """Coset enumeration over a finite presentation (HLT strategy).
 
-Cosets are numbered from 0, with coset 0 the subgroup itself.  New cosets
-are created strictly in definition order while relators are traced, which
-makes the whole run deterministic.  Coincidences are merged through a
-union-find representative array; the surviving table is compacted and then
-standardized (:func:`regmaps.group.standard_table`): a breadth-first
-renumbering from coset 0.
+In the returned table cosets are numbered from 0, with coset 0 the
+subgroup itself.  During the run the subgroup is coset 1 and coset 0 is a
+sink that every column maps to itself, so an undefined entry holds 0 and a
+walk that meets one stays at 0.  A relator is therefore first walked bare
+from a coset, and traced and filled in only when the walk does not come
+back.  New cosets are created strictly in definition order while relators
+are traced, which makes the whole run deterministic.  Coincidences are
+merged through a union-find representative array; the surviving table is
+compacted and then standardized (:func:`regmaps.group.standard_table`): a
+breadth-first renumbering from the subgroup's coset.
 
 Symbols interleave generators and inverses: generator i is symbol 2i and
 its inverse is 2i + 1, so ``x ^ 1`` flips a symbol.  The table is one list
@@ -13,6 +17,8 @@ per symbol, indexed by coset, and each relator is turned once into the
 lists of its letters' columns and of their inverses' columns, so tracing a
 letter is one subscript.  A relator ``x^2`` or ``x^-2`` gives x and x^-1 one
 shared column, which holds that relator by itself, so it is not traced.
+The columns grow by blocks of undefined entries, never past
+``max_cosets + 1`` entries, the sink included.
 
 :func:`presentation_group` realizes a presentation as a permutation group,
 and one enumeration, over the trivial subgroup, is its whole cost.  The
@@ -40,6 +46,9 @@ from .perm import Perm
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 200_000
+# The table grows by blocks of an eighth of its size, at least this many
+# rows, up to max_cosets + 1 rows in all.
+_BLOCK_MIN = 64
 
 
 def _to_symbols(word: Word) -> list[int]:
@@ -79,14 +88,15 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     relators = [_to_symbols(r) for r in pres.relators]
     # x^2 or x^-2 gives x and x^-1 one column, which holds it untraced
     invol = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
-    cols = [[None] for _ in range(nsym)]
+    cols = [[0, 0] for _ in range(nsym)]
     for i in invol:
         cols[2 * i + 1] = cols[2 * i]
     # (column, inverse column) of each symbol with a column of its own
     pairs = [(cols[x], cols[x ^ 1]) for x in range(nsym)
              if x % 2 == 0 or cols[x] is not cols[x ^ 1]]
     owned = [fc for fc, _ in pairs]
-    p = [0]
+    p = [0, 1]
+    dead = 0
 
     def rep(k: int) -> int:
         root = k
@@ -104,40 +114,46 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
             queue.append(hi)
 
     def coincidence(alpha: int, beta: int) -> None:
+        nonlocal dead
         queue: list = []
         merge(alpha, beta, queue)
         for gamma in queue:
             for fc, ic in pairs:
-                if (delta := fc[gamma]) is None:
+                if not (delta := fc[gamma]):
                     continue
-                ic[delta] = None
+                ic[delta] = 0
                 mu, nu = rep(gamma), rep(delta)
-                if fc[mu] is not None:
-                    merge(nu, fc[mu], queue)
-                elif ic[nu] is not None:
-                    merge(mu, ic[nu], queue)
+                if g := fc[mu]:
+                    merge(nu, g, queue)
+                elif g := ic[nu]:
+                    merge(mu, g, queue)
                 else:
                     fc[mu] = nu
                     ic[nu] = mu
+        dead += len(queue)
 
-    def refusal() -> ResourceLimitExceeded:
-        live = sum(k == r for k, r in enumerate(p))
-        return ResourceLimitExceeded(
-            f"coset table exceeded max_cosets={max_cosets} ({live} live)",
-            "max_cosets", max_cosets)
+    def grow(size: int) -> None:
+        # the table is full: add a block of undefined rows, or refuse
+        if size > max_cosets:
+            raise ResourceLimitExceeded(
+                f"coset table exceeded max_cosets={max_cosets}"
+                f" ({size - 1 - dead} live)", "max_cosets", max_cosets)
+        block = [0] * min(max(size >> 3, _BLOCK_MIN), max_cosets + 1 - size)
+        for col in owned:
+            col.extend(block)
 
     def scan_and_fill(alpha: int, fw: list, bw: list) -> None:
         # fw[i] is the column of the word's i-th symbol, bw[i] of its inverse
         f, i = alpha, 0
         b, j = alpha, len(fw) - 1
         while True:
-            while i <= j and (g := fw[i][f]) is not None:
+            while i <= j and (g := fw[i][f]):
                 f, i = g, i + 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and (g := bw[j][b]) is not None:
+            while j >= i and (g := bw[j][b]):
                 b, j = g, j - 1
             if j < i:
                 coincidence(f, b)
@@ -147,11 +163,9 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
                 bw[i][b] = f
                 return
             beta = len(p)  # define f * word[i] as a new coset
-            if beta == max_cosets:
-                raise refusal()
+            if beta == len(fw[i]):
+                grow(beta)
             p.append(beta)
-            for col in owned:
-                col.append(None)
             fw[i][f] = beta
             bw[i][beta] = f
 
@@ -160,32 +174,43 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
 
     scans = [scan(w) for w in relators if len(w) != 2 or w[0] != w[1]]
     for w in subgroup_words:
-        scan_and_fill(0, *scan(_to_symbols(w)))
-    alpha = 0
+        scan_and_fill(1, *scan(_to_symbols(w)))
+    alpha = 1
     while alpha < len(p):
         if p[alpha] == alpha:
             for fw, bw in scans:
-                scan_and_fill(alpha, fw, bw)
-                if p[alpha] != alpha:
-                    break
+                # a walk that meets an undefined entry ends in the sink, so
+                # it ends at alpha iff the relator already holds there
+                f = alpha
+                for c in fw:
+                    f = c[f]
+                if f != alpha:
+                    scan_and_fill(alpha, fw, bw)
+                    if p[alpha] != alpha:
+                        break
             else:
                 for fc, ic in pairs:
-                    if fc[alpha] is None:
+                    if not fc[alpha]:
                         beta = len(p)
-                        if beta == max_cosets:
-                            raise refusal()
+                        if beta == len(fc):
+                            grow(beta)
                         p.append(beta)
-                        for col in owned:
-                            col.append(None)
                         fc[alpha] = beta
                         ic[beta] = alpha
         alpha += 1
 
     # Compact to live cosets, then standardize, so the final table does not
-    # depend on the history of dead definitions.
-    live = [k for k, r in enumerate(p) if k == r]
-    squash = {k: i for i, k in enumerate(live)}
-    squashed = [[squash[rep(col[k])] for k in live] for col in cols]
+    # depend on the history of dead definitions.  p[k] <= k, so one
+    # increasing pass sends every coset to its root.
+    live = []
+    squash = [0] * len(p)
+    for k in range(1, len(p)):
+        if p[k] == k:
+            squash[k] = len(live)
+            live.append(k)
+        else:
+            squash[k] = squash[p[k]]
+    squashed = [[squash[col[k]] for k in live] for col in cols]
     flat = standard_table(squashed, len(live))
     if flat is None:
         raise ContractViolation("coset table is not connected")

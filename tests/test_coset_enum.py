@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 
@@ -304,11 +305,13 @@ def test_refusal_memory_per_coset():
     pres = Presentation(("a", "b"), (a ** 2, b ** 3))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitExceeded):
+        with pytest.raises(ResourceLimitExceeded) as e:
             todd_coxeter(pres, max_cosets=20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert str(e.value) == (
+        "coset table exceeded max_cosets=20000 (20000 live)")
     assert peak <= 120 * 20_000
 
 
@@ -356,3 +359,54 @@ def test_closure_memory_per_element():
         tracemalloc.stop()
     assert (G.order, G.degree) == (2106, 81)
     assert held <= 1080 * G.order
+
+
+# The smallest --max-cosets under which each corpus presentation completes,
+# and the refusal one below it.  HLT defines its cosets in one fixed order,
+# so these pin that order: a change to it moves a user's bound outcome.
+SMALLEST_BOUNDS = [
+    ("g2106_chiral.grp", 10280, 2110),
+    ("g216_nonorientable.grp", 405, 224),
+    ("g216_orientable.grp", 391, 219),
+    ("g384_chiral.grp", 701, 387),
+    ("g72_3map.grp", 124, 85),
+    ("s4_presentation.grp", 26, 25),
+]
+
+
+@pytest.mark.parametrize("fname,bound,live", SMALLEST_BOUNDS,
+                         ids=[f for f, _, _ in SMALLEST_BOUNDS])
+def test_smallest_bound_that_completes(fname, bound, live):
+    pres = parse_group_file(corpus_text(fname)).presentation
+    assert todd_coxeter(pres, max_cosets=bound).n == dict(CORPUS_ORDERS)[fname]
+    with pytest.raises(ResourceLimitExceeded) as e:
+        todd_coxeter(pres, max_cosets=bound - 1)
+    assert str(e.value) == (
+        f"coset table exceeded max_cosets={bound - 1} ({live} live)")
+
+
+def test_completed_enumeration_memory():
+    # g2106 defines 10,280 cosets, 2106 of them live at the end; the rows
+    # the table adds ahead of need, an eighth of its size at a time, keep
+    # its peak within 2.2 MB (doubling the table would take 2.5 MB)
+    pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
+    tracemalloc.start()
+    try:
+        assert todd_coxeter(pres).n == 2106
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_200_000
+
+
+@pytest.mark.parametrize("fname", [f for f, _ in CORPUS_ORDERS])
+def test_table_does_not_depend_on_relator_order(fname):
+    # a complete table is standardized from the subgroup's coset, so the
+    # order in which relators are traced does not show in it
+    pres = parse_group_file(corpus_text(fname)).presentation
+    want = todd_coxeter(pres).cols
+    for seed in range(3):
+        rels = list(pres.relators)
+        random.Random(seed).shuffle(rels)
+        shuffled = Presentation(pres.gen_names, tuple(rels))
+        assert todd_coxeter(shuffled).cols == want
