@@ -107,7 +107,9 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
         return root
 
     def merge(a: int, b: int, queue: list) -> None:
-        a, b = rep(a), rep(b)
+        # a is a root: between coincidences every table entry is live, and
+        # inside one, a is mu or nu; rep is called only on a dead coset
+        b = b if p[b] == b else rep(b)
         if a != b:
             lo, hi = (a, b) if a < b else (b, a)
             p[hi] = lo
@@ -122,7 +124,8 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
                 if not (delta := fc[gamma]):
                     continue
                 ic[delta] = 0
-                mu, nu = rep(gamma), rep(delta)
+                mu = rep(gamma)  # gamma is dead
+                nu = delta if p[delta] == delta else rep(delta)
                 if g := fc[mu]:
                     merge(nu, g, queue)
                 elif g := ic[nu]:

@@ -452,7 +452,8 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
         images = tuple(((a * x + b * y) % p) * p + (c * x + d * y) % p - 1
                        for x, y in map(divmod, range(1, p * p), repeat(p)))
         perms.append(Perm(images))
-    return closure(p * p - 1, perms, max_order=max_order)
+    # only the identity fixes the vectors (0, 1) and (1, 0), points 0 and p - 1
+    return closure(p * p - 1, perms, max_order=max_order, base=(0, p - 1))
 
 
 @dataclass

@@ -22,7 +22,10 @@ whose pointwise stabilizer is trivial, so an element is determined by where
 it sends the base points.  ``mul(i, j)`` reads element j's images of
 element i's base images and looks that tuple up in one dict, whatever the
 degree.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
-regular group has base ``(0,)``.
+regular group has base ``(0,)``.  A caller that knows a base before the
+group is listed passes it to :func:`closure`, which then looks products
+up the same way; :func:`is_primitive` likewise takes the stabilizer of
+point 0, if known, and tests one point of each of its orbits.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ DEFAULT_MAX_ORDER = 10**6
 # Closure refuses a group before the 8-byte cells it holds pass this many
 # (about 160 MB), whatever the order bound.  Each listed element is a tuple
 # of `degree` cells and costs ELEMENT_CELLS more: its tuple header, its
-# entries in closure's `seen` and the group's `_at`, and its `_get`
+# entries in closure's `seen` (keyed by base images when the base is known,
+# and freed before the group is built) and the group's `_at`, and its `_get`
 # itemgetter (tracemalloc: 54 cells with a base of 6 or 7 points, 77 with
 # a base of 16; a base of b points needs 2**b elements, so no group within
 # the bound has a base of more than 17).  Each point costs up to
@@ -76,8 +80,15 @@ def cells_exceeded(limit: int, degree: int) -> ResourceLimitExceeded:
 
 
 def closure(degree: int, generators: Sequence[Perm],
-            max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
+            max_order: int = DEFAULT_MAX_ORDER,
+            base: Sequence[int] = ()) -> "FiniteGroup":
     """Enumerate the group generated by `generators` inside Sym(degree).
+
+    A caller that knows a `base` of the group, points whose pointwise
+    stabilizer in it is trivial, passes it: each product is then looked
+    up by its images of the base points, and its full image tuple is built
+    only when it is new.  A wrong base merges distinct elements.  The
+    numbering, the bounds and the refusals do not depend on the base.
 
     Refuses (ResourceLimitExceeded) a group of more than `max_order`
     elements, or of more than ``cell_limit(degree, len(generators))``
@@ -93,17 +104,21 @@ def closure(degree: int, generators: Sequence[Perm],
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
     limit = min(max_order, cell_limit(degree, len(gens)))
-    # elements[k] * g is itemgetter(*elements[k])(g.images).  On one point
-    # every image tuple is (0,).
+    # elements[k] * g is itemgetter(*elements[k])(g.images).  It is its own
+    # key, or with a base, g.images read at elements[k]'s base images: a
+    # bare int on a one-point base, as FiniteGroup._get reads it.  On one
+    # point every image tuple is (0,).
     ident = tuple(range(degree))
+    key = itemgetter(*base) if base else tuple
     elements = [ident]
-    seen = {ident: 0}
+    seen = {key(ident): 0}
     gen_images = [g.images for g in gens]
     for ek in elements:
         times = itemgetter(*ek) if degree > 1 else tuple
+        look = itemgetter(*map(ek.__getitem__, base)) if base else times
         for g in gen_images:
-            prod = times(g)
-            if prod not in seen:
+            k = look(g)
+            if k not in seen:
                 j = len(elements)
                 if j >= limit:
                     if limit == max_order:
@@ -111,9 +126,11 @@ def closure(degree: int, generators: Sequence[Perm],
                             f"closure exceeded max_order={max_order}",
                             "max_order", max_order)
                     raise cells_exceeded(limit, degree)
-                elements.append(prod)
-                seen[prod] = j
-    return FiniteGroup(degree, elements, [seen[g] for g in gen_images])
+                elements.append(times(g) if base else k)
+                seen[k] = j
+    gen_indices = [seen[key(g)] for g in gen_images]
+    del seen  # freed before the group builds its own lookup
+    return FiniteGroup(degree, elements, gen_indices)
 
 
 def _kept(fn):
@@ -487,7 +504,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
                      for g in G.gen_indices]
         Q = closure(len(reps), on_orbits, max_order=index)
     if Q is None or Q.order < index:
-        Q = closure(index, perms)
+        Q = closure(index, perms, base=(0,))  # a regular action
     if Q.order * N.order != len(G.elements):
         raise TheoremViolation("quotient order mismatch")
     return Q, coset_of
@@ -658,7 +675,8 @@ def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     key = ("regen", tuple(gen_indices))
     if key not in G.cache:
         gens = [Perm._raw(G.elements[i]) for i in gen_indices]
-        G.cache[key] = closure(G.degree, gens, max_order=len(G.elements) + 1)
+        G.cache[key] = closure(G.degree, gens, max_order=len(G.elements) + 1,
+                               base=G.base)
     return G.cache[key]
 
 
@@ -723,14 +741,24 @@ def is_transitive(perms: Sequence[Perm], npoints: int) -> bool:
             and max(_orbits(npoints, [g.images for g in perms])) == 0)
 
 
-def is_primitive(perms: Sequence[Perm], npoints: int) -> bool:
-    """True iff the transitive action generated by `perms` has no proper blocks."""
+def is_primitive(perms: Sequence[Perm], npoints: int,
+                 stabilizer: Sequence[Perm] = ()) -> bool:
+    """True iff the transitive action generated by `perms` has no proper blocks.
+
+    `stabilizer` holds permutations of the group that fix point 0; one
+    that moves it is a ContractViolation.  The least block through 0 and
+    beta is tested for one beta in each orbit of `stabilizer` other than
+    {0}: if h fixes 0 it maps a block B through 0 and beta to itself, so B
+    holds beta^h too.  With no stabilizer, every beta is tested.
+    """
     if not is_transitive(perms, npoints):
         raise ContractViolation("primitivity requires a transitive action")
-    if npoints == 1:
-        return True
+    if any(h.images[0] != 0 for h in stabilizer):
+        raise ContractViolation("a stabilizer permutation moves point 0")
+    suborbit = _orbits(npoints, [h.images for h in stabilizer])
+    betas = list(dict(zip(suborbit, range(npoints))).values())  # one an orbit
     return all(_minimal_block_size(perms, npoints, beta) == npoints
-               for beta in range(1, npoints))
+               for beta in betas[1:])
 
 
 # -- misc structure tests --------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Optional
 from .errors import ContractViolation, TheoremViolation
 from .group import (FiniteGroup, Subgroup, coset_action, is_primitive,
                     quotient_group, regenerated, standard_table, standardize)
+from .perm import Perm
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
 DEGENERATE_L_EQUALS_T = "l_equals_t"
@@ -98,10 +99,14 @@ class _Map:
     @cached_property
     def vertex_primitive(self) -> bool:
         """True iff G acts primitively on the vertices (cosets of the vertex
-        subgroup)."""
-        V = self.vertex_subgroup
-        perms, _ = coset_action(self.group, V)
-        return is_primitive(perms, self.group.order // V.order)
+        subgroup).  V fixes the coset V, point 0, and its action on the
+        cosets is passed as that point's stabilizer."""
+        G, V = self.group, self.vertex_subgroup
+        perms, coset_of = coset_action(G, V)
+        reps = dict(zip(coset_of, range(G.order))).values()  # one per coset
+        stabilizer = [Perm._raw(tuple(coset_of[G.mul(r, v)] for r in reps))
+                      for v in V.gens]
+        return is_primitive(perms, G.order // V.order, stabilizer)
 
     def _report(self, orientable: Optional[bool],
                 reflexible: bool) -> MapReport:

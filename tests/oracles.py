@@ -504,3 +504,40 @@ def presentation_group_by_closure(pres, max_cosets=DEFAULT_MAX_COSETS,
         if G.order == n:
             return G
     return closure(ct.n, ct.gen_perms(), max_order=max_order)
+
+
+# ---------------------------------------------------------------------------
+# primitivity
+
+def brute_block_size(perms, npoints, beta):
+    """Size of the least block through 0 and beta: classes start as points,
+    0 and beta share one, and whole passes over the generators join the
+    classes of g(x) and g(y) for x, y in one class until a pass joins none."""
+    label = list(range(npoints))
+
+    def join(a, b):
+        la, lb = label[a], label[b]
+        if la == lb:
+            return False
+        for x in range(npoints):
+            if label[x] == lb:
+                label[x] = la
+        return True
+
+    join(0, beta)
+    changed = True
+    while changed:
+        changed = False
+        for g in perms:
+            first = {}
+            for x in range(npoints):
+                y = first.setdefault(label[x], x)
+                changed |= join(g[y], g[x])
+    return label.count(label[0])
+
+
+def brute_is_primitive(perms, npoints):
+    """Whether a transitive action has no proper block: the least block
+    through 0 and every beta != 0 is the whole set."""
+    return all(brute_block_size(perms, npoints, beta) == npoints
+               for beta in range(1, npoints))

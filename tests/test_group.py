@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import islice
 from math import lcm, prod
@@ -7,6 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import regmaps.group
+from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
 from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
@@ -25,6 +27,7 @@ from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
 from regmaps.verify import corpus_text
 
 import oracles
+from test_families import agl1_file
 
 # Order <= 100 throughout; A5 is the one insolvable entry.
 SEEDS = [
@@ -202,12 +205,136 @@ def test_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
     assert peak < 8 * cells
 
 
+@pytest.mark.parametrize("p,matrices", [
+    (7, (((3, 0), (0, 1)), ((6, 1), (6, 0)))),
+    (13, (((2, 1), (1, 0)), ((0, 1), (1, 0)))),
+], ids=["GL27_2016", "ladder_p13_4368"])
+def test_matrix_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
+        monkeypatch, p, matrices):
+    # closure on the base (0, p - 1) keeps a 2-tuple key per element until
+    # the group builds its own lookup; ELEMENT_CELLS must still cover it
+    order = matrix_group(p, matrices).order
+    degree = p * p - 1
+    cells = order * (degree + ELEMENT_CELLS) + POINT_CELLS * 3 * degree
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
+    assert cell_limit(degree, 2) == order
+    tracemalloc.start()
+    try:
+        G = matrix_group(p, matrices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == order
+    assert peak < 8 * cells
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_closure_refuses_bounds_below_one(bound):
     with pytest.raises(ContractViolation,
                        match=f"max_order must be at least 1, got {bound}"):
         closure(3, [Perm((1, 2, 0))], max_order=bound)
     assert closure(3, [], max_order=1).order == 1
+
+
+# -- closure on a known base ------------------------------------------------
+
+def matrix_perms(p, matrices):
+    """The generators of ``matrix_group(p, matrices)``, with the nonzero
+    vector (x, y) as point x*p + y - 1."""
+    vectors = [divmod(k, p) for k in range(1, p * p)]
+    return [Perm(tuple((a * x + b * y) % p * p + (c * x + d * y) % p - 1
+                       for x, y in vectors))
+            for (a, b), (c, d) in matrices]
+
+
+def closed(degree, gens, **kwargs):
+    """What closure gives: the elements and generator indices, or the text
+    of its refusal."""
+    try:
+        G = closure(degree, gens, **kwargs)
+    except ResourceLimitExceeded as e:
+        return str(e), e.limit_name, e.limit_value
+    return G.elements, G.gen_indices
+
+
+def random_matrix_pairs(p, count, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        pair = [((rng.randrange(p), rng.randrange(p)),
+                 (rng.randrange(p), rng.randrange(p))) for _ in range(2)]
+        if all((a * d - b * c) % p for (a, b), (c, d) in pair):
+            pairs.append(pair)
+    return pairs
+
+
+LADDER = (((2, 1), (1, 0)), ((0, 1), (1, 0)))
+MATRIX_CASES = (
+    [(11, LADDER, 2640), (13, LADDER, 4368),
+     (3, (((2, 0), (0, 1)), ((2, 1), (2, 0))), 48),
+     (7, (((3, 0), (0, 1)), ((6, 1), (6, 0))), 2016)]
+    + [(p, pair, None) for p in (5, 7)
+       for pair in random_matrix_pairs(p, 12, seed=p)])
+
+
+@pytest.mark.parametrize("p,matrices,order", MATRIX_CASES,
+                         ids=[f"mod{p}_{k}" for k, (p, _, _)
+                              in enumerate(MATRIX_CASES)])
+def test_matrix_closure_on_its_base_is_closure_without_one(p, matrices,
+                                                           order):
+    # the vectors (0, 1) and (1, 0) are points 0 and p - 1
+    gens = matrix_perms(p, matrices)
+    plain = closed(p * p - 1, gens)
+    assert closed(p * p - 1, gens, base=(0, p - 1)) == plain
+    G = matrix_group(p, matrices)
+    assert (G.elements, G.gen_indices) == plain
+    assert order is None or G.order == order
+
+
+@pytest.mark.parametrize("max_order,cells,refusal", [
+    (100, None, "closure exceeded max_order=100"),
+    (2000, None, "closure exceeded max_cells=20000000: 1927 elements"
+                 " on 10200 points"),
+    (2000, 2 * 10**6, "closure exceeded max_cells=2000000: 176 elements"
+                      " on 10200 points"),
+], ids=["max_order", "max_cells", "a_tenth_of_max_cells"])
+def test_a_refused_matrix_closure_refuses_alike_on_its_base(
+        monkeypatch, max_order, cells, refusal):
+    # two matrices mod 101, far larger than any bound here
+    if cells is not None:
+        monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
+    gens = matrix_perms(101, LADDER)
+    plain = closed(10200, gens, max_order=max_order)
+    assert plain[0] == refusal
+    assert closed(10200, gens, max_order=max_order, base=(0, 100)) == plain
+
+
+@pytest.mark.parametrize("G,normal", [
+    (symmetric_group(4), lambda G: [g for g in range(G.order)
+                                    if G.order_of(g) == 2
+                                    and all(G.elements[g][x] != x
+                                            for x in range(4))]),
+    (dihedral_group(6), lambda G: [G.gen_indices[0]]),
+], ids=["S4_by_V4", "D6_by_rotations"])
+def test_a_regular_quotient_closes_alike_on_one_point(G, normal):
+    # N is transitive, so quotient_group closes G/N on the cosets of N,
+    # which it permutes regularly: point 0 is a base
+    N = G.subgroup(normal(G))
+    perms, _ = coset_action(G, N)
+    index = G.order // N.order
+    plain = closed(index, perms)
+    assert closed(index, perms, base=(0,)) == plain
+    Q, _ = quotient_group(G, N)
+    assert (Q.elements, Q.gen_indices) == plain
+    assert Q.order == index
+
+
+@pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
+def test_regenerated_closes_alike_on_the_parent_base(name, G):
+    for gens in (G.gen_indices, G.gen_indices[:1], [G.order - 1, 1]):
+        sub = regenerated(G, gens)
+        plain = closed(G.degree, [Perm._raw(G.elements[g]) for g in gens])
+        assert (sub.elements, sub.gen_indices) == plain
 
 
 def test_lagrange_and_cosets():
@@ -342,6 +469,93 @@ def test_coset_action_transitive_and_primitivity():
     perms, _ = coset_action(D4, D4.subgroup([refl]))
     assert is_transitive(perms, 4)
     assert not is_primitive(perms, 4)
+
+
+# -- primitivity, one least block per suborbit -------------------------------
+
+def vertex_action(m):
+    """The images of G's generators on the vertices of map m."""
+    perms, _ = coset_action(m.group, m.vertex_subgroup)
+    return [g.images for g in perms]
+
+
+def census_maps(G):
+    return [e.map for e in enumerate_oriented(G) + enumerate_flagged(G)]
+
+
+def test_vertex_primitivity_matches_the_all_beta_scan_on_the_corpus(corpus):
+    # every declared map, and every map of both kinds on each group the
+    # census bound admits
+    seen = set()
+    for rz in corpus.values():
+        maps = list(rz.maps.values())
+        if rz.group.order <= 2000:
+            maps += census_maps(rz.group)
+        for m in maps:
+            images = vertex_action(m)
+            want = oracles.brute_is_primitive(images, len(images[0]))
+            assert m.vertex_primitive == want, m
+            seen.add((m.kind, want))
+    assert seen == {(kind, prim) for kind in ("oriented", "flagged")
+                    for prim in (True, False)}
+
+
+@pytest.mark.parametrize("p,vertices", [(11, 110), (13, 156)])
+def test_vertex_primitivity_matches_the_all_beta_scan_on_the_ladder(
+        p, vertices):
+    rz = realize_group_file(parse_group_file(
+        f"group ladder\nmat r = [[2,1],[1,0]] mod {p}\n"
+        f"mat l = [[0,1],[1,0]] mod {p}\nmap m : oriented r=r l=l\n"))
+    m = rz.maps["m"]
+    images = vertex_action(m)
+    assert len(images[0]) == vertices
+    assert m.vertex_primitive == oracles.brute_is_primitive(images, vertices)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_agl1_vertex_actions_are_primitive(q):
+    G = realize_group_file(parse_group_file(agl1_file(q))).group
+    for m in census_maps(G):
+        images = vertex_action(m)
+        if len(images[0]) == q:  # the natural action, 2-transitive
+            assert oracles.brute_is_primitive(images, q)
+        assert m.vertex_primitive == oracles.brute_is_primitive(
+            images, len(images[0]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 13])
+def test_dihedral_primitivity_on_one_point_stabilizer(n):
+    # D_n on n points, with the reflection x -> -x fixing point 0: blocks
+    # are the cosets of the subgroups dZ/nZ, so it is primitive iff n is
+    # prime
+    rot = Perm(tuple((i + 1) % n for i in range(n)))
+    flip = Perm(tuple(-i % n for i in range(n)))
+    want = oracles.brute_is_primitive([rot.images, flip.images], n)
+    assert want == is_prime(n)
+    assert is_primitive([rot, flip], n, [flip]) == want
+    assert is_primitive([rot, flip], n) == want
+
+
+def test_every_suborbit_is_tested():
+    # D_2m on 2m points: the least block through 0 and either point of
+    # the first suborbit {1, -1} is everything, so testing that suborbit
+    # alone would call the action primitive; the block {0, m} comes from
+    # the suborbit {m}
+    m = 5
+    rot = Perm(tuple((i + 1) % (2 * m) for i in range(2 * m)))
+    flip = Perm(tuple(-i % (2 * m) for i in range(2 * m)))
+    for beta in (1, 2 * m - 1):
+        assert (regmaps.group._minimal_block_size([rot, flip], 2 * m, beta)
+                == 2 * m)
+    assert oracles.brute_block_size([rot.images, flip.images], 2 * m, m) == 2
+    assert not is_primitive([rot, flip], 2 * m, [flip])
+
+
+def test_a_stabilizer_that_moves_point_zero_is_refused():
+    rot = Perm((1, 2, 0))
+    with pytest.raises(ContractViolation, match="moves point 0"):
+        is_primitive([rot], 3, [rot])
+    assert is_primitive([rot], 3, [Perm((0, 1, 2))])
 
 
 def test_p_part_and_prime_factors():
