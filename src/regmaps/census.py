@@ -13,14 +13,14 @@ the first tuple met and given that key, so each class's table is walked
 and held once.
 
 Inner automorphisms are automorphisms, so the scan is cut down on two
-levels by one orbit walk, :func:`_orbit_minima`.  The first entry x (r, or
-t) runs only over the least member of each conjugacy class, the orbits of
-G acting on itself by conjugation, in increasing order.  For each such x
-the second entry y runs only over the least member of each orbit of the
-centralizer C_G(x) acting by conjugation, in increasing order; the third
-entry of a flagged tuple (l) still runs over every involution commuting
-with t.  Each generating tuple found counts |class(x)| * |orbit of y|
-tuples.
+levels.  The first entry x (r, or t) runs only over the least member of
+each conjugacy class, the orbits of G acting on itself by conjugation, in
+increasing order, read off the kept classes of G (:func:`_class_minima`).
+For each such x the second entry y runs only over the least member of
+each orbit of the centralizer C_G(x) acting by conjugation, in increasing
+order (:func:`_orbit_minima`); the third entry of a flagged tuple (l)
+runs over the involutions commuting with t.  Each generating tuple found
+counts |class(x)| * |orbit of y| tuples.
 
 The first tuple met in each class is still its lexicographic least member
 (x*, y*, ...), so representatives and the order of the classes do not
@@ -37,6 +37,21 @@ onto those with second entry y', inside the class; for a flagged tuple c
 centralizes t, so l commutes with t iff l^c does.  Any subgroup of C_G(x)
 would give the same output; the full centralizer prunes the most.
 
+A third level drops tuples whose image does not generate the abelian
+quotient G/G′, G′ the derived subgroup: such a tuple does not generate G.
+Each element is labelled by its coset of G′, and which labels may follow
+a prefix is decided once per tuple of labels (:class:`_Abelianization`).
+Conjugation fixes every coset of G′, since x^c = x[x, c] with [x, c] in
+G′, so the member lists are cut before the orbit walk: whole orbits are
+dropped, and the orbits that stay keep their sizes, so every weight is as
+before.  A first entry that no involutions complete is skipped before its
+centralizer is built, a second entry of a flagged tuple is kept if some
+involution completes it, and the last entry runs only over the
+involutions that complete the tuple.  So a candidate is walked iff it was
+scanned before and its image generates G/G′.  The least tuple of a class
+generates G, so it is never dropped and is still the first met.  A
+perfect G has G/G′ = 1: nothing is dropped and no labels are built.
+
 Aut(G) acts freely on generating tuples, so every class has |Aut G|
 members; a census whose classes differ in size raises TheoremViolation.
 Class sizes are sums of the weights, so that check covers the orbit
@@ -46,11 +61,13 @@ weights too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .classify import PMapClassification, classify, detect_p_map
 from .errors import ResourceLimitExceeded, TheoremViolation
-from .group import FiniteGroup, standard_table
+from .group import (FiniteGroup, coset_action, derived_series,
+                    prime_factors, standard_table)
 from .maps import FlaggedMap, MapReport, OrientedMap
 
 DEFAULT_CENSUS_MAX_ORDER = 2000
@@ -86,13 +103,112 @@ def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
         rec[1] += weight
 
 
-def _prepare(G: FiniteGroup, max_order: int) -> list:
-    """Enforce the order bound; return the involutions of G."""
+def _rank(vectors) -> int:
+    """The rank over GF(2) of vectors given as bit masks.  Each vector kept
+    has its top bit cleared from every later one, so the kept vectors are
+    independent and a vector in their span reduces to 0."""
+    basis: list = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+class _Abelianization:
+    """The test that a tuple's image generates G/G′, on the labels of its
+    entries by their cosets of G′.  The first entry of a tuple may be any
+    element, the others are involutions.  A perfect G has G/G′ = 1: every
+    tuple passes, and no labels are built.
+
+    The images of the involutions span an elementary abelian 2-subgroup W
+    of G/G′; ``vec`` gives each label in W as a bit mask over a basis of W.
+    If the first entry's image has order k, and h is the label of its one
+    image of order 2 (k even), the tuple's image generates a subgroup of
+    order k * 2^rank / (2 if h lies in the span of the others, else 1).
+    """
+
+    def __init__(self, G: FiniteGroup, invs: list):
+        series = derived_series(G)
+        self.G = G
+        self.label = None
+        if len(series) > 1:
+            _, label = coset_action(G, series[1])
+            self.label = label
+            self.order = G.order // series[1].order
+            # one involution of each label an involution has
+            self.reps = {label[l]: l for l in invs}
+            # W doubles with each new label, so len(vec) is the next bit
+            self.vec, elems = {0: 0}, [0]
+            for l in invs:
+                if label[l] not in self.vec:
+                    bit, new = len(self.vec), [G.mul(e, l) for e in elems]
+                    for e, z in zip(elems, new):
+                        self.vec[label[z]] = self.vec[label[e]] | bit
+                    elems += new
+            self._cyclic: dict = {}
+            self._verdicts: dict = {}
+            self._firsts: dict = {}
+
+    def _cyclic_image(self, x: int) -> tuple:
+        """(k, h) for the image of x: k its order, the least divisor of the
+        order of x with x^k in G′, and h the label of x^(k/2), or None when
+        k is odd.  Kept per label."""
+        G, label = self.G, self.label
+        found = self._cyclic.get(label[x])
+        if found is None:
+            k = G.order_of(x)
+            for p in prime_factors(k):
+                while k % p == 0 and label[G.power(x, k // p)] == 0:
+                    k //= p
+            h = label[G.power(x, k // 2)] if k % 2 == 0 else None
+            found = self._cyclic[label[x]] = (k, h)
+        return found
+
+    def _spans(self, x: int, labels: tuple) -> bool:
+        """Whether x, with label labels[0], and involutions with the other
+        labels have images that generate G/G′.  Decided once per tuple of
+        labels."""
+        verdict = self._verdicts.get(labels)
+        if verdict is None:
+            k, h = self._cyclic_image(x)
+            vectors = [self.vec[b] for b in labels[1:]]
+            rank = _rank(vectors)
+            meet = (2 if h in self.vec
+                    and _rank(vectors + [self.vec[h]]) == rank else 1)
+            verdict = self._verdicts[labels] = \
+                k << rank == self.order * meet
+        return verdict
+
+    def keep(self, prefix: tuple, members: list, more: int = 0) -> list:
+        """The members y for which some `more` involutions complete
+        prefix + (y,) to a tuple whose image generates G/G′, in order.  The
+        members are involutions; the labels they may have are found once
+        per tuple of labels of the prefix."""
+        label = self.label
+        if label is None:
+            return members
+        given = tuple(map(label.__getitem__, prefix))
+        firsts = self._firsts.get((given, more))
+        if firsts is None:
+            reps = self.reps
+            firsts = self._firsts[given, more] = {
+                bs[0] for bs in product(reps, repeat=1 + more)
+                if self._spans(prefix[0] if prefix else reps[bs[0]],
+                                given + bs)}
+        return [y for y in members if label[y] in firsts]
+
+
+def _prepare(G: FiniteGroup, max_order: int) -> tuple:
+    """Enforce the order bound; return the involutions of G and its
+    :class:`_Abelianization`."""
     if G.order > max_order:
         raise ResourceLimitExceeded(
             f"census group order {G.order} exceeds the bound {max_order}",
             "max_order", max_order)
-    return [x for x in range(1, G.order) if G.mul(x, x) == 0]
+    invs = [x for x in range(1, G.order) if G.mul(x, x) == 0]
+    return invs, _Abelianization(G, invs)
 
 
 def _entries(classes: dict) -> list:
@@ -105,6 +221,20 @@ def _entries(classes: dict) -> list:
                         degenerate=tuple(sorted(m.degenerate)),
                         class_size=count, map=m)
             for m, count in classes.values()]
+
+
+def _class_minima(G: FiniteGroup, members) -> list:
+    """(x, |class of x|) for the least member x of each conjugacy class of
+    G in `members`, in increasing order of x, read off the kept classes.
+    `members` is increasing and closed under conjugation."""
+    class_id, size = G.conjugacy_classes()
+    seen: set = set()
+    minima = []
+    for x in members:
+        if class_id[x] not in seen:
+            seen.add(class_id[x])
+            minima.append((x, size[x]))
+    return minima
 
 
 def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
@@ -128,12 +258,15 @@ def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
 def enumerate_oriented(G: FiniteGroup,
                        max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All oriented maps on G up to isomorphism (r != 1, l an involution)."""
-    invs = _prepare(G, max_order)
+    invs, quo = _prepare(G, max_order)
     n = G.order
     classes: dict = {}
-    for r, size in _orbit_minima(G, range(n), range(1, n)):
+    for r, size in _class_minima(G, range(1, n)):
+        seconds = quo.keep((r,), invs)
+        if not seconds:
+            continue
         row_r = G.row(r)
-        for l, orbit in _orbit_minima(G, G.centralizer(r), invs):
+        for l, orbit in _orbit_minima(G, G.centralizer(r), seconds):
             key = _generates((row_r, G.row(l)), n)
             if key is not None:
                 _add(classes, key, size * orbit, OrientedMap, G, (r, l))
@@ -144,17 +277,19 @@ def enumerate_flagged(G: FiniteGroup,
                       max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list:
     """All flagged maps on G up to isomorphism (t, r, l involutions with
     t*l = l*t; l = t allowed but tagged degenerate)."""
-    invs = _prepare(G, max_order)
+    invs, quo = _prepare(G, max_order)
     n = G.order
     inv_set = set(invs)
     classes: dict = {}
-    for t, size in _orbit_minima(G, range(n), invs):
+    for t, size in _class_minima(G, invs):
+        if not quo.keep((), [t], 2):
+            continue
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        for r, orbit in _orbit_minima(G, cent, invs):
+        for r, orbit in _orbit_minima(G, cent, quo.keep((t,), invs, 1)):
             pair = (G.row(t), G.row(r))
             weight = size * orbit
-            for l in commuting:
+            for l in quo.keep((t, r), commuting):
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (G.row(l),), n)

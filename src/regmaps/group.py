@@ -259,10 +259,15 @@ class FiniteGroup:
 
     @_kept
     def conjugacy_classes(self) -> tuple[list[int], list[int]]:
-        """Return (class_id per element, class_size per element)."""
-        n = len(self.elements)
-        class_id = _orbits(n, [[self.conj(x, g) for x in range(n)]
-                               for g in self.gen_indices])
+        """Return (class_id per element, class_size per element).  The
+        conjugate g^-1 * x * g is entry g^-1 * x of g's row, and g^-1 * x
+        is read as :meth:`mul` reads it."""
+        at, elements = self._at, self.elements
+        moves = []
+        for g in self.gen_indices:
+            get, row = self._get[self.inv(g)], self.row(g)
+            moves.append([row[at[get(e)]] for e in elements])
+        class_id = _orbits(len(elements), moves)
         size = Counter(class_id)
         return class_id, [size[c] for c in class_id]
 
@@ -532,7 +537,11 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
         gens.extend(sorted(new))
 
 
-def derived_series(G: FiniteGroup) -> list[Subgroup]:
+@_kept
+def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """G, G′, G″, ... down to the trivial group or to the first perfect
+    term, each term once.  Kept, so the census's G′ and
+    :func:`is_solvable` share one series."""
     series = [G.improper_subgroup()]
     while True:
         nxt = derived_subgroup(G, series[-1])
@@ -541,7 +550,7 @@ def derived_series(G: FiniteGroup) -> list[Subgroup]:
         series.append(nxt)
         if nxt.order == 1:
             break
-    return series
+    return tuple(series)
 
 
 @_kept

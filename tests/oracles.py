@@ -11,10 +11,14 @@ is the row-per-coset HLT kernel from before the per-generator columns.  And
 so is the reference realization of a presentation, which runs the package's
 enumerator and closure: it enumerates again over each cyclic subgroup it
 tries and closes that action, where the package reads both off one table.
+The conjugation-scan census runs the package's orbit walk and class
+records: it is the census before it dropped the tuples whose image does
+not generate G/G′.
 """
 
 from itertools import combinations, product
 
+from regmaps.census import _add, _entries, _orbit_minima
 from regmaps.coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import (DEFAULT_MAX_ORDER, closure, regenerated,
@@ -272,6 +276,49 @@ def full_census_flagged(G):
     inv = involutions(G)
     return _full_census(G, ((t, r, l) for t in inv for r in inv for l in inv
                             if G.mul(t, l) == G.mul(l, t)), FlaggedMap)
+
+
+def conjugation_scan_oriented(G):
+    """(candidate, weight) pairs of the oriented census before its G/G′
+    test: r over the least member of each conjugacy class, l over the least
+    member of each orbit of C_G(r) on the involutions."""
+    n = G.order
+    inv = involutions(G)
+    for r, size in _orbit_minima(G, range(n), range(1, n)):
+        for l, orbit in _orbit_minima(G, G.centralizer(r), inv):
+            yield (r, l), size * orbit
+
+
+def conjugation_scan_flagged(G):
+    """(candidate, weight) pairs of the flagged census before its G/G′
+    test: t over conjugacy-class minima of the involutions, r over the
+    least member of each orbit of C_G(t) on them, l over every involution
+    commuting with t."""
+    n = G.order
+    inv = involutions(G)
+    inv_set = set(inv)
+    for t, size in _orbit_minima(G, range(n), inv):
+        cent = G.centralizer(t)
+        commuting = [l for l in cent if l in inv_set]
+        for r, orbit in _orbit_minima(G, cent, inv):
+            for l in commuting:
+                yield (t, r, l), size * orbit
+
+
+CONJUGATION_SCANS = {"oriented": (conjugation_scan_oriented, OrientedMap),
+                     "flagged": (conjugation_scan_flagged, FlaggedMap)}
+
+
+def conjugation_census(G, kind):
+    """The census entries of the conjugation scan: every candidate walked,
+    classes keyed and opened as the package's census does."""
+    scan, cls = CONJUGATION_SCANS[kind]
+    classes = {}
+    for cand, weight in scan(G):
+        key = standard_table([G.row(x) for x in cand], G.order)
+        if key is not None:
+            _add(classes, key, weight, cls, G, cand)
+    return _entries(classes)
 
 
 def brute_aut_count(G):

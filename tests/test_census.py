@@ -1,22 +1,30 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_aut_count, brute_automorphism, full_census_flagged,
-                     full_census_oriented, scan_flagged_triples,
+from oracles import (CONJUGATION_SCANS, brute_aut_count, brute_automorphism,
+                     brute_derived, conjugation_census, full_census_flagged,
+                     full_census_oriented, involutions, scan_flagged_triples,
                      scan_oriented_pairs)
+from test_families import agl1_file
 import regmaps.census
+import regmaps.cli as cli
+import regmaps.group
 import regmaps.maps
-from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _entries,
-                            census_classify, enumerate_flagged,
+from regmaps.census import (DEFAULT_CENSUS_MAX_ORDER, _Abelianization,
+                            _entries, census_classify, enumerate_flagged,
                             enumerate_oriented)
 from regmaps.errors import ResourceLimitExceeded, TheoremViolation
-from regmaps.group import closure
+from regmaps.grammar import parse_group_file, realize_group_file
+from regmaps.group import closure, derived_series, standard_table
 from regmaps.maps import FlaggedMap, OrientedMap, maps_isomorphic
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
+from regmaps.verify import corpus_text
 
 # (file, oriented classes, oriented tuples, flagged classes, flagged tuples)
 CORPUS_COUNTS = [
@@ -327,31 +335,34 @@ def test_class_sizes_equal_brute_force_aut_order(corpus, fname):
 
 
 def _count_candidates(monkeypatch):
-    """Count the candidates the census scans: the calls of _generates."""
+    """Count the candidates the census walks: the calls of _generates, each
+    recorded by the key it returns, None for a tuple that does not
+    generate G."""
     calls = []
     real = regmaps.census._generates
 
     def counted(tables, n):
-        calls.append(n)
-        return real(tables, n)
+        calls.append(real(tables, n))
+        return calls[-1]
     monkeypatch.setattr(regmaps.census, "_generates", counted)
     return calls
 
 
 # (file, oriented candidates, flagged candidates).  Per first-entry
-# conjugacy class, the scan tests one candidate for each orbit of the
-# centralizer on the second entries, times |commuting[t]| for flagged.
-# These are group invariants, so they hold for any generator order.
+# conjugacy class, the conjugation scan meets one candidate for each orbit
+# of the centralizer on the second entries, times |commuting[t]| for
+# flagged; the census walks those whose image generates G/G′.  These are
+# group invariants, so they hold for any generator order.
 SCAN_COUNTS = [
-    ("g216_nonorientable.grp", 90, 231),
-    ("g216_orientable.grp", 102, 245),
-    ("g384_chiral.grp", 185, 943),
-    ("g72_3map.grp", 38, 63),
-    ("gl23_reflexible.grp", 32, 50),
-    ("s4_3map.grp", 16, 35),
-    ("s4_presentation.grp", 16, 35),
-    ("s4_projective.grp", 16, 35),
-    ("s4_sphere.grp", 16, 35),
+    ("g216_nonorientable.grp", 24, 66),
+    ("g216_orientable.grp", 24, 66),
+    ("g384_chiral.grp", 36, 120),
+    ("g72_3map.grp", 29, 57),
+    ("gl23_reflexible.grp", 28, 49),
+    ("s4_3map.grp", 13, 29),
+    ("s4_presentation.grp", 13, 29),
+    ("s4_projective.grp", 13, 29),
+    ("s4_sphere.grp", 13, 29),
 ]
 
 
@@ -369,11 +380,13 @@ def test_scan_candidate_counts(corpus, monkeypatch, fname, oriented,
 
 
 def test_g2106_oriented_census(corpus, monkeypatch):
-    # 8 classes of |Aut G| = 4212 tuples, from 155 scanned candidates
+    # 8 classes of |Aut G| = 4212 tuples, from 96 walked candidates: the
+    # conjugation scan meets 155, and 96 of them have an image that
+    # generates G/G′
     calls = _count_candidates(monkeypatch)
     entries = enumerate_oriented(corpus["g2106_chiral.grp"].group,
                                  max_order=3000)
-    assert len(calls) == 155
+    assert len(calls) == 96
     assert [e.tuple_ for e in entries] == [
         (10, 1026), (40, 1026), (215, 1026), (330, 1026), (516, 1026),
         (603, 1026), (1108, 1026), (1352, 1026)]
@@ -401,3 +414,155 @@ def test_unequal_class_sizes_raise():
         _entries(classes)
     classes[b.map.key][1] = 24
     assert [e.tuple_ for e in _entries(classes)] == [a.tuple_, b.tuple_]
+
+
+# -- the G/G′ test ------------------------------------------------------------
+
+CENSUS = {"oriented": enumerate_oriented, "flagged": enumerate_flagged}
+
+
+def _census_rows(entries):
+    return [(e.kind, e.tuple_, e.degenerate, e.class_size, e.map.key)
+            for e in entries]
+
+
+def _agl1(q):
+    return realize_group_file(parse_group_file(agl1_file(q))).group
+
+
+# Beyond the corpus: AGL(1,q) = C_q : C_(q-1), with G/G′ = C_(q-1); dihedral
+# groups, with G/G′ of order 2 or 4; the abelian C2^3 and C12, where G′ = 1;
+# the perfect A5, where G′ = G.
+QUOTIENT_GROUPS = {
+    **{f"agl1_{q}": (lambda q=q: _agl1(q)) for q in (5, 7, 11, 13)},
+    **{f"d{n}": (lambda n=n: dihedral_group(n))
+       for n in (3, 4, 5, 6, 8, 9, 12, 15)},
+    "c2^3": lambda: elementary_abelian(2, 3),
+    "c12": lambda: cyclic_group(12),
+    "a5": lambda: alternating_group(5),
+}
+
+
+@pytest.mark.parametrize("kind", CENSUS)
+def test_census_matches_conjugation_scan_on_corpus(corpus, kind):
+    # dropping the tuples whose image does not generate G/G′ loses no
+    # class, no representative and no weight
+    for fname, rz in corpus.items():
+        G = rz.group
+        assert (_census_rows(CENSUS[kind](G, max_order=3000))
+                == _census_rows(conjugation_census(G, kind))), fname
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GROUPS)
+def test_census_matches_conjugation_scan(name):
+    G = QUOTIENT_GROUPS[name]()
+    for kind, enum in CENSUS.items():
+        assert _census_rows(enum(G)) == _census_rows(
+            conjugation_census(G, kind)), kind
+
+
+@pytest.mark.parametrize("G", [elementary_abelian(2, 3), cyclic_group(12)],
+                         ids=["c2^3", "c12"])
+def test_abelian_census_walks_only_generating_tuples(monkeypatch, G):
+    # G′ = 1, so a tuple's image in G/G′ is the tuple itself
+    keys = _count_candidates(monkeypatch)
+    for enum in CENSUS.values():
+        enum(G)
+    assert keys
+    assert None not in keys
+
+
+def test_perfect_group_drops_nothing_and_builds_no_labels(monkeypatch):
+    G = alternating_group(5)
+
+    def refuse(*args):
+        raise AssertionError("labels built for a perfect group")
+    monkeypatch.setattr(regmaps.census, "coset_action", refuse)
+    calls = _count_candidates(monkeypatch)
+    for kind, enum in CENSUS.items():
+        del calls[:]
+        entries = enum(G)
+        assert entries
+        assert len(calls) == sum(1 for _ in CONJUGATION_SCANS[kind][0](G))
+
+
+def _small_groups(corpus):
+    return ([(name, rz.group) for name, rz in corpus.items()
+             if rz.group.order <= 384]
+            + [(name, make()) for name, make in QUOTIENT_GROUPS.items()])
+
+
+def test_labels_are_the_cosets_of_the_derived_subgroup(corpus):
+    for name, G in _small_groups(corpus):
+        derived = brute_derived(G, range(G.order))
+        quo = _Abelianization(G, involutions(G))
+        if len(derived) == G.order:
+            assert quo.label is None, name
+            continue
+        cosets: dict = {}
+        for x, a in enumerate(quo.label):
+            cosets.setdefault(a, set()).add(x)
+        want = {frozenset(G.mul(d, x) for d in derived)
+                for x in range(G.order)}
+        assert {frozenset(c) for c in cosets.values()} == want, name
+        assert quo.order == len(want)
+
+
+def test_dropped_tuples_do_not_generate(corpus):
+    # Every candidate of the conjugation scan that the G/G′ test drops
+    # fails to generate G.  The count pins how much the test drops: 1516
+    # on the corpus (the scan counts less the SCAN_COUNTS pins), 455 on
+    # the other groups.
+    dropped = 0
+    for name, G in _small_groups(corpus):
+        quo = _Abelianization(G, involutions(G))
+        for kind, (scan, _) in CONJUGATION_SCANS.items():
+            for cand, _ in scan(G):
+                if not quo.keep(cand[:-1], [cand[-1]]):
+                    dropped += 1
+                    assert standard_table([G.row(x) for x in cand],
+                                          G.order) is None, (name, cand)
+    assert dropped == 1971
+
+
+def _count_derived_subgroups(monkeypatch):
+    calls = []
+    real = regmaps.group.derived_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(regmaps.group, "derived_subgroup", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", CENSUS)
+def test_census_and_report_share_one_derived_series(corpus, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    kind):
+    # The census takes G′ from the kept series and the report's
+    # is_solvable reuses it: one derived_subgroup call per term after G.
+    series = derived_series(corpus["g384_chiral.grp"].group)
+    assert [s.order for s in series] == [384, 96, 16, 1]
+    f = tmp_path / "g384_chiral.grp"
+    f.write_text(corpus_text("g384_chiral.grp"), encoding="utf-8")
+    calls = _count_derived_subgroups(monkeypatch)
+    assert cli.main(["census", str(f), "--kind", kind, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"]["solvable"]
+    assert len(calls) == len(series) - 1
+
+
+def test_refused_census_builds_no_derived_series(tmp_path, monkeypatch,
+                                                 capsys):
+    calls = _count_derived_subgroups(monkeypatch)
+    # refused in realization: the CLI realizes under the census bound
+    f = tmp_path / "g384_chiral.grp"
+    f.write_text(corpus_text("g384_chiral.grp"), encoding="utf-8")
+    assert cli.main(["census", str(f), "--kind", "oriented",
+                     "--max-order", "100"]) == 5
+    capsys.readouterr()
+    # refused by the census's own bound, on a group already listed
+    for enum in CENSUS.values():
+        with pytest.raises(ResourceLimitExceeded):
+            enum(symmetric_group(4), max_order=10)
+    assert calls == []
