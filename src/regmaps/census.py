@@ -39,8 +39,16 @@ would give the same output; the full centralizer prunes the most.
 
 A third level drops tuples whose image does not generate the abelian
 quotient G/G′, G′ the derived subgroup: such a tuple does not generate G.
-Each element is labelled by its coset of G′, and which labels may follow
-a prefix is decided once per tuple of labels (:class:`_Abelianization`).
+Each element is labelled by its coset of G′, and two closed-form rules on
+the labels decide what may follow a prefix (:class:`_Abelianization`).
+For an oriented (r, l), let k be the order of r's image and h the label
+of its one image of order 2 (k even): the pair's image has order k if l's
+label is 0 or h and 2k otherwise, and it generates G/G′ iff that order is
+|G/G′|.  A flagged tuple is three involutions, whose images lie in the
+elementary abelian 2-group W that the images of all involutions span: no
+flagged tuple generates unless W = G/G′, and then an entry may follow a
+prefix iff the rank over GF(2) of the prefix's images with its own is at
+least dim W less the number of entries still to come.
 Conjugation fixes every coset of G′, since x^c = x[x, c] with [x, c] in
 G′, so the member lists are cut before the orbit walk: whole orbits are
 dropped, and the orbits that stay keep their sizes, so every weight is as
@@ -61,7 +69,6 @@ weights too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .classify import PMapClassification, classify, detect_p_map
@@ -103,30 +110,13 @@ def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
         rec[1] += weight
 
 
-def _rank(vectors) -> int:
-    """The rank over GF(2) of vectors given as bit masks.  Each vector kept
-    has its top bit cleared from every later one, so the kept vectors are
-    independent and a vector in their span reduces to 0."""
-    basis: list = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
-
-
 class _Abelianization:
     """The test that a tuple's image generates G/G′, on the labels of its
-    entries by their cosets of G′.  The first entry of a tuple may be any
-    element, the others are involutions.  A perfect G has G/G′ = 1: every
-    tuple passes, and no labels are built.
+    entries by their cosets of G′.  A perfect G has G/G′ = 1: every tuple
+    passes, and no labels are built.
 
     The images of the involutions span an elementary abelian 2-subgroup W
     of G/G′; ``vec`` gives each label in W as a bit mask over a basis of W.
-    If the first entry's image has order k, and h is the label of its one
-    image of order 2 (k even), the tuple's image generates a subgroup of
-    order k * 2^rank / (2 if h lies in the span of the others, else 1).
     """
 
     def __init__(self, G: FiniteGroup, invs: list):
@@ -137,8 +127,6 @@ class _Abelianization:
             _, label = coset_action(G, series[1])
             self.label = label
             self.order = G.order // series[1].order
-            # one involution of each label an involution has
-            self.reps = {label[l]: l for l in invs}
             # W doubles with each new label, so len(vec) is the next bit
             self.vec, elems = {0: 0}, [0]
             for l in invs:
@@ -147,57 +135,43 @@ class _Abelianization:
                     for e, z in zip(elems, new):
                         self.vec[label[z]] = self.vec[label[e]] | bit
                     elems += new
-            self._cyclic: dict = {}
-            self._verdicts: dict = {}
-            self._firsts: dict = {}
 
-    def _cyclic_image(self, x: int) -> tuple:
-        """(k, h) for the image of x: k its order, the least divisor of the
-        order of x with x^k in G′, and h the label of x^(k/2), or None when
-        k is odd.  Kept per label."""
+    def oriented(self, r: int, invs: list) -> list:
+        """The involutions l for which the image of (r, l) generates G/G′,
+        in order.  If r's image has order k, and h is the label of its one
+        image of order 2 (k even), that image has order k, times 2 unless
+        l's label is 0 or h."""
         G, label = self.G, self.label
-        found = self._cyclic.get(label[x])
-        if found is None:
-            k = G.order_of(x)
-            for p in prime_factors(k):
-                while k % p == 0 and label[G.power(x, k // p)] == 0:
-                    k //= p
-            h = label[G.power(x, k // 2)] if k % 2 == 0 else None
-            found = self._cyclic[label[x]] = (k, h)
-        return found
+        if label is None:
+            return invs
+        # k is the least divisor of the order of r with r^k in G′
+        k = G.order_of(r)
+        for p in prime_factors(k):
+            while k % p == 0 and label[G.power(r, k // p)] == 0:
+                k //= p
+        h = label[G.power(r, k // 2)] if k % 2 == 0 else None
+        return [l for l in invs
+                if k * (1 if label[l] in (0, h) else 2) == self.order]
 
-    def _spans(self, x: int, labels: tuple) -> bool:
-        """Whether x, with label labels[0], and involutions with the other
-        labels have images that generate G/G′.  Decided once per tuple of
-        labels."""
-        verdict = self._verdicts.get(labels)
-        if verdict is None:
-            k, h = self._cyclic_image(x)
-            vectors = [self.vec[b] for b in labels[1:]]
-            rank = _rank(vectors)
-            meet = (2 if h in self.vec
-                    and _rank(vectors + [self.vec[h]]) == rank else 1)
-            verdict = self._verdicts[labels] = \
-                k << rank == self.order * meet
-        return verdict
-
-    def keep(self, prefix: tuple, members: list, more: int = 0) -> list:
-        """The members y for which some `more` involutions complete
-        prefix + (y,) to a tuple whose image generates G/G′, in order.  The
-        members are involutions; the labels they may have are found once
-        per tuple of labels of the prefix."""
+    def flagged(self, prefix: tuple, members: list, more: int = 0) -> list:
+        """The involutions y for which some `more` involutions complete
+        prefix + (y,), a prefix of involutions, to a tuple whose image
+        generates G/G′, in order.  That image lies in W, so none does
+        unless W = G/G′; then it does iff the span of prefix + (y,) has
+        rank at least dim W - `more`, since while the rank is below dim W
+        some involution raises it by one."""
         label = self.label
         if label is None:
             return members
-        given = tuple(map(label.__getitem__, prefix))
-        firsts = self._firsts.get((given, more))
-        if firsts is None:
-            reps = self.reps
-            firsts = self._firsts[given, more] = {
-                bs[0] for bs in product(reps, repeat=1 + more)
-                if self._spans(prefix[0] if prefix else reps[bs[0]],
-                                given + bs)}
-        return [y for y in members if label[y] in firsts]
+        vec = self.vec
+        if len(vec) < self.order:
+            return []
+        span = {0}
+        for x in prefix:
+            span |= {s ^ vec[label[x]] for s in span}
+        least = self.order >> more   # the least order of the span reached
+        return [y for y in members
+                if len(span) * (1 if vec[label[y]] in span else 2) >= least]
 
 
 def _prepare(G: FiniteGroup, max_order: int) -> tuple:
@@ -262,7 +236,7 @@ def enumerate_oriented(G: FiniteGroup,
     n = G.order
     classes: dict = {}
     for r, size in _class_minima(G, range(1, n)):
-        seconds = quo.keep((r,), invs)
+        seconds = quo.oriented(r, invs)
         if not seconds:
             continue
         row_r = G.row(r)
@@ -282,14 +256,14 @@ def enumerate_flagged(G: FiniteGroup,
     inv_set = set(invs)
     classes: dict = {}
     for t, size in _class_minima(G, invs):
-        if not quo.keep((), [t], 2):
+        if not quo.flagged((), [t], 2):
             continue
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        for r, orbit in _orbit_minima(G, cent, quo.keep((t,), invs, 1)):
+        for r, orbit in _orbit_minima(G, cent, quo.flagged((t,), invs, 1)):
             pair = (G.row(t), G.row(r))
             weight = size * orbit
-            for l in quo.keep((t, r), commuting):
+            for l in quo.flagged((t, r), commuting):
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (G.row(l),), n)

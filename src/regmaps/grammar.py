@@ -27,7 +27,7 @@ from typing import Optional
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
 from .errors import ContractViolation, ParseError, ResourceLimitExceeded
 from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit, closure,
-                    is_prime)
+                    closure_refusal, is_prime)
 from .maps import MAP_TYPES
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
@@ -429,6 +429,19 @@ def format_group_file(gf: GroupFile) -> str:
 # -- realization -----------------------------------------------------------
 
 
+def _matrix_order_exceeds(rows, p: int, limit: int) -> bool:
+    """Whether the invertible 2x2 matrix `rows` has order more than `limit`
+    mod p: no power M^k with 1 <= k <= limit is the identity."""
+    (a, b), (c, d) = rows
+    w, x, y, z = 1, 0, 0, 1  # M^k, row by row
+    for _ in range(limit):
+        w, x, y, z = ((w * a + x * c) % p, (w * b + x * d) % p,
+                      (y * a + z * c) % p, (y * b + z * d) % p)
+        if (w, x, y, z) == (1, 0, 0, 1):
+            return False
+    return True
+
+
 def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Group generated by invertible 2x2 matrices over GF(p), acting on the
     p^2 - 1 nonzero column vectors (in lexicographic order).
@@ -443,11 +456,18 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
             f" max_order={max_order}", "max_order", max_order)
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
-    perms = []
     for rows in matrices:
         (a, b), (c, d) = rows
         if (a * d - b * c) % p == 0:
             raise ContractViolation(f"singular matrix {rows!r} mod {p}")
+    # a generator of order above `limit` makes closure refuse: refuse as
+    # it would, before any image is built
+    limit = min(max_order, cell_limit(p * p - 1, len(matrices)))
+    for rows in matrices:
+        if _matrix_order_exceeds(rows, p, limit):
+            raise closure_refusal(limit, max_order, p * p - 1)
+    perms = []
+    for (a, b), (c, d) in matrices:
         # vector (x, y) is point x*p + y - 1
         images = tuple(((a * x + b * y) % p) * p + (c * x + d * y) % p - 1
                        for x, y in map(divmod, range(1, p * p), repeat(p)))

@@ -79,6 +79,18 @@ def cells_exceeded(limit: int, degree: int) -> ResourceLimitExceeded:
         "max_cells", MAX_CLOSURE_CELLS)
 
 
+def closure_refusal(limit: int, max_order: int,
+                    degree: int) -> ResourceLimitExceeded:
+    """Closure's refusal of a group of more than `limit` elements on
+    `degree` points, where ``limit == min(max_order, cell_limit(degree,
+    ngens))``."""
+    if limit == max_order:
+        return ResourceLimitExceeded(
+            f"closure exceeded max_order={max_order}",
+            "max_order", max_order)
+    return cells_exceeded(limit, degree)
+
+
 def closure(degree: int, generators: Sequence[Perm],
             max_order: int = DEFAULT_MAX_ORDER,
             base: Sequence[int] = ()) -> "FiniteGroup":
@@ -121,11 +133,7 @@ def closure(degree: int, generators: Sequence[Perm],
             if k not in seen:
                 j = len(elements)
                 if j >= limit:
-                    if limit == max_order:
-                        raise ResourceLimitExceeded(
-                            f"closure exceeded max_order={max_order}",
-                            "max_order", max_order)
-                    raise cells_exceeded(limit, degree)
+                    raise closure_refusal(limit, max_order, degree)
                 elements.append(times(g) if base else k)
                 seen[k] = j
     gen_indices = [seen[key(g)] for g in gen_images]
@@ -355,13 +363,13 @@ def coset_action(G: FiniteGroup, sub: Subgroup) -> tuple[list[Perm], list[int]]:
     n = len(G.elements)
     coset_of = [-1] * n
     reps = []
-    smem = sorted(sub.members)
     for x in range(n):
         if coset_of[x] < 0:
-            for s in smem:
+            for s in sub.members:
                 coset_of[G.mul(s, x)] = len(reps)
             reps.append(x)
-    perms = [Perm(tuple(coset_of[G.mul(r, gi)] for r in reps))
+    # a group permutes the cosets of a subgroup: each image is a bijection
+    perms = [Perm._raw(tuple(coset_of[G.mul(r, gi)] for r in reps))
              for gi in G.gen_indices]
     return perms, coset_of
 

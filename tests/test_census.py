@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -431,13 +432,16 @@ def _agl1(q):
 
 
 # Beyond the corpus: AGL(1,q) = C_q : C_(q-1), with G/G′ = C_(q-1); dihedral
-# groups, with G/G′ of order 2 or 4; the abelian C2^3 and C12, where G′ = 1;
+# groups, with G/G′ of order 2 or 4; the abelian Klein group, C2^3, C2^4
+# and C12, where G′ = 1 (C2^3 has flagged maps, C2^4 of rank 4 has none);
 # the perfect A5, where G′ = G.
 QUOTIENT_GROUPS = {
     **{f"agl1_{q}": (lambda q=q: _agl1(q)) for q in (5, 7, 11, 13)},
     **{f"d{n}": (lambda n=n: dihedral_group(n))
        for n in (3, 4, 5, 6, 8, 9, 12, 15)},
+    "klein": lambda: dihedral_group(2),
     "c2^3": lambda: elementary_abelian(2, 3),
+    "c2^4": lambda: elementary_abelian(2, 4),
     "c12": lambda: cyclic_group(12),
     "a5": lambda: alternating_group(5),
 }
@@ -470,6 +474,22 @@ def test_abelian_census_walks_only_generating_tuples(monkeypatch, G):
         enum(G)
     assert keys
     assert None not in keys
+
+
+@pytest.mark.parametrize("kind", CENSUS)
+def test_rank6_abelian_census_is_empty_in_under_1_mb(kind):
+    # (Z2)^6 = G/G′ needs six generators: a pair's image has order at most
+    # 4, and three involutions span at most 8 elements.  The rules decide
+    # each prefix without listing the tuples of labels that complete it.
+    G = elementary_abelian(2, 6)
+    tracemalloc.start()
+    try:
+        entries = CENSUS[kind](G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries == []
+    assert peak < 10**6
 
 
 def test_perfect_group_drops_nothing_and_builds_no_labels(monkeypatch):
@@ -509,20 +529,25 @@ def test_labels_are_the_cosets_of_the_derived_subgroup(corpus):
 
 
 def test_dropped_tuples_do_not_generate(corpus):
-    # Every candidate of the conjugation scan that the G/G′ test drops
-    # fails to generate G.  The count pins how much the test drops: 1516
-    # on the corpus (the scan counts less the SCAN_COUNTS pins), 455 on
-    # the other groups.
+    # Every candidate of the conjugation scan that the G/G′ test of its
+    # kind drops fails to generate G.  The count pins how much the test
+    # drops: 1971 as before klein and c2^4 joined QUOTIENT_GROUPS (1516 on
+    # the corpus, the scan counts less the SCAN_COUNTS pins, and 455 on
+    # the other groups), 6 on klein and all 3600 scanned on c2^4.
     dropped = 0
     for name, G in _small_groups(corpus):
         quo = _Abelianization(G, involutions(G))
         for kind, (scan, _) in CONJUGATION_SCANS.items():
             for cand, _ in scan(G):
-                if not quo.keep(cand[:-1], [cand[-1]]):
+                if kind == "oriented":
+                    kept = quo.oriented(cand[0], [cand[1]])
+                else:
+                    kept = quo.flagged(cand[:2], [cand[2]])
+                if not kept:
                     dropped += 1
                     assert standard_table([G.row(x) for x in cand],
                                           G.order) is None, (name, cand)
-    assert dropped == 1971
+    assert dropped == 1971 + 6 + 3600
 
 
 def _count_derived_subgroups(monkeypatch):

@@ -192,8 +192,8 @@ def test_an_unreadable_file_is_a_contract_violation(tmp_path, capsys,
 
 @pytest.mark.parametrize("p", [701, 997])
 def test_a_refused_matrix_action_peaks_under_160_mb(tmp_path, capsys, p):
-    # the p**2 - 1 points are numbered by arithmetic, not by a vector list;
-    # what is allocated is the generators and closure up to max_cells
+    # a generator whose order passes the cell bound is refused before any
+    # image tuple on the p**2 - 1 points is built
     f = tmp_path / "big.grp"
     f.write_text(f"group big\nmat a = [[2,1],[1,0]] mod {p}\n"
                  f"mat b = [[0,1],[1,0]] mod {p}\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import regmaps.grammar
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
@@ -307,6 +308,24 @@ def test_a_refused_matrix_closure_refuses_alike_on_its_base(
     plain = closed(10200, gens, max_order=max_order)
     assert plain[0] == refusal
     assert closed(10200, gens, max_order=max_order, base=(0, 100)) == plain
+
+
+def test_a_matrix_of_too_high_an_order_is_refused_before_closure(
+        monkeypatch):
+    # [[2,1],[1,0]] mod 101 has order 204; at a tenth of max_cells closure
+    # admits 176 elements on 10200 points, so matrix_group raises closure's
+    # own refusal before it builds any image
+    monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", 2 * 10**6)
+    plain = closed(10200, matrix_perms(101, LADDER), max_order=20000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("image built")
+    monkeypatch.setattr(regmaps.grammar, "Perm", refuse)
+    monkeypatch.setattr(regmaps.grammar, "closure", refuse)
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        matrix_group(101, LADDER, max_order=20000)
+    assert (str(exc.value), exc.value.limit_name,
+            exc.value.limit_value) == plain
 
 
 @pytest.mark.parametrize("G,normal", [
