@@ -4,11 +4,17 @@ Exit statuses: 0 success, 1 verification mismatch, 2 parse error,
 3 contract violation (also an unreadable input or a closed stdout),
 4 theorem-violation diagnostic, 5 resource limit.
 Environment variables are never consulted; all knobs are flags.
+
+`main(argv)` may be called any number of times in one process.  It parses
+with one parser, built on the first call and kept (:func:`build_parser`);
+argparse keeps no per-call state on it, so every call behaves as the first.
+The returned parser is shared, so callers must not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,7 +252,9 @@ def cmd_tc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the CLI, built on first use and shared."""
     p = argparse.ArgumentParser(
         prog="regmaps",
         description="Algebraic maps on surfaces: analysis, quotients,"

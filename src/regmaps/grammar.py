@@ -22,6 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
+from math import lcm
 from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
@@ -502,7 +503,15 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
             for cyc in cycles:
                 degree = max(degree, max(cyc) + 1)
         # refuses points too many for even the identity, before any list
-        cell_limit(degree, len(gf.perm_cycles))
+        limit = cell_limit(degree, len(gf.perm_cycles))
+        # a generator of order above the limit makes closure refuse: refuse
+        # as it would, on the lcm of its cycle lengths, before any image is
+        # built (a max_order below 1 is left to closure's contract check)
+        if max_order >= 1:
+            limit = min(max_order, limit)
+            for cycles in gf.perm_cycles:
+                if lcm(*map(len, cycles)) > limit:
+                    raise closure_refusal(limit, max_order, degree)
         perms = [Perm.from_cycles(cycles, degree) for cycles in gf.perm_cycles]
         G = closure(degree, perms, max_order=max_order)
     elif gf.mode == "mat":

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -418,6 +419,33 @@ def test_the_largest_perm_groups_the_cells_admit_stay_under_160_mb(
     assert peak < 8 * cells
 
 
+def test_a_perm_of_too_high_an_order_is_refused_before_it_is_built(
+        tmp_path, capsys):
+    # one generator of order lcm(4, 9, 5, 7, 11, 13) = 180180 on 49 points:
+    # the cells admit 155034 elements and the census bound 2000, and the
+    # generator's order alone exceeds both
+    points = iter(range(1, 50))
+    cycles = "".join(
+        "(" + " ".join(str(next(points)) for _ in range(n)) + ")"
+        for n in (4, 9, 5, 7, 11, 13))
+    f = tmp_path / "c180180.grp"
+    f.write_text(f"group c180180\nperm a = {cycles}\n"
+                 "map m : oriented r=a l=a\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ret, out, err = _run(capsys, ["analyze", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ret, out) == (5, "")
+    assert err == (f"error: closure exceeded max_cells={MAX_CLOSURE_CELLS}:"
+                   " 155034 elements on 49 points\n")
+    assert peak < 10**6
+    ret, out, err = _run(capsys, ["census", "--kind", "oriented", str(f)])
+    assert (ret, out) == (5, "")
+    assert err == "error: closure exceeded max_order=2000\n"
+
+
 def test_a_map_less_file_is_refused_before_its_group_is_built(tmp_path,
                                                              capsys):
     # 5,000,000 points would take about 480 MB to close; the map is chosen
@@ -553,6 +581,61 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert TOOL_VERSION in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "regmaps", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{TOOL_VERSION}\n"
+
+
+# -- one parser per process -------------------------------------------------
+
+def test_the_parser_is_built_once_and_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_three_calls_build_one_parser_tree(corpus_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    f = corpus_file("s4_3map.grp")
+    for argv in (["analyze", f], ["census", f, "--kind", "oriented"],
+                 ["quotient", f, "--p", "3"]):
+        assert _run(capsys, argv)[0] == 0
+    # the top-level parser and one for each of the five subcommands
+    assert len(built) == 6
+    assert built[0] == "regmaps"
+
+
+def test_a_refused_call_leaves_nothing_for_the_next(corpus_file, capsys):
+    f = corpus_file("s4_3map.grp")
+    cli.build_parser.cache_clear()
+    first = _run(capsys, ["census", f, "--kind", "oriented", "--json"])
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", f])
+    assert exc.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert _run(capsys, ["census", f, "--kind", "oriented", "--json"]) == first
+    assert first[0] == 0
+
+
+def test_an_option_of_one_call_does_not_carry_to_the_next(corpus_file,
+                                                          capsys):
+    f = corpus_file("s4_3map.grp")
+    named = _run(capsys, ["analyze", f, "--map", "m"])
+    assert named[0] == 0
+    assert _run(capsys, ["analyze", f]) == named
 
 
 @pytest.mark.parametrize("argv", [

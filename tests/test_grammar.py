@@ -145,6 +145,19 @@ def test_matrix_group_point_bound():
         matrix_group(10**12 + 39, (((2, 1), (1, 0)),))
 
 
+def test_perm_generator_order_bound():
+    # a generator of order lcm(3, 4) = 12 is refused on its cycle lengths,
+    # with closure's refusal; a bound below 1 stays closure's contract
+    gf = parse_group_file("group c12\nperm a = (1 2 3)(4 5 6 7)\n")
+    with pytest.raises(ResourceLimitExceeded,
+                       match=r"^closure exceeded max_order=11$"):
+        realize_group_file(gf, max_order=11)
+    assert realize_group_file(gf, max_order=12).group.order == 12
+    with pytest.raises(ContractViolation,
+                       match="max_order must be at least 1, got 0"):
+        realize_group_file(gf, max_order=0)
+
+
 def test_realize_perm_mode_and_evaluate():
     gf = parse_group_file(
         "group klein\nperm a = (1 2)\nperm b = (3 4)\n"
