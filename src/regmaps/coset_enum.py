@@ -20,28 +20,25 @@ shared column, which holds that relator by itself, so it is not traced.
 The columns grow by blocks of undefined entries, never past
 ``max_cosets + 1`` entries, the sink included.
 
-:func:`presentation_group` realizes a presentation as a permutation group,
-and one enumeration, over the trivial subgroup, is its whole cost.  The
-table is the regular representation: the cosets of the cyclic subgroup <g>
-of a generator are the cycles of left multiplication by g, read off the
-table, and the smallest such action that is faithful gives the group, else
-the regular one.  The kernel core(<g>) lies in the cyclic <g>, so the
-action is faithful iff g acts on the cosets with the order it has in the
-group.  Elements are numbered by a breadth-first walk over the table, the
-numbering :func:`regmaps.group.closure` would give, without a closure.
+:func:`presentation_group` skips the regular table where the presentation
+proves the group's order.  A generator g with a power relator g^k acts on
+the cosets of <g>, an image of the group whose point stabilizer has order
+L, the lcm of g's cycle lengths; L = k makes the action faithful and the
+order k * index (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 5).  Elements are numbered as :func:`regmaps.group.closure`
+numbers them, by the group and its generators alone, whatever the action.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
-from .group import (DEFAULT_MAX_ORDER, FiniteGroup, _orbits, cell_limit,
-                    cells_exceeded, standard_table)
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit,
+                    cells_exceeded, closure, standard_table)
 from .perm import Perm
 from .words import Presentation, Word
 
@@ -220,67 +217,26 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     return CosetTable(ngens, len(live), [flat[x::nsym] for x in range(nsym)])
 
 
-def _realize(ct: CosetTable, images: Sequence[Sequence[int]],
-             degree: int) -> FiniteGroup:
-    """The group of the regular table `ct`, acting on `degree` points where
-    generator i acts as ``images[i]``, numbered as :func:`closure` numbers
-    it.
-
-    A breadth-first walk over the table's generator columns meets the
-    elements in closure's order, and each new element's image tuple is one
-    product from the element it was met from.  Closure's cell bound applies
-    before any tuple is built.
+def _cycles(ct: CosetTable, i: int) -> tuple:
+    """The order L of generator i on the cosets of `ct`, the lcm of its
+    cycle lengths, and coset 0 with the first coset of each cycle whose
+    length raises the lcm so far.  On the table over <g>, g = generator i,
+    g^j fixes those cosets iff L divides j, since g fixes coset 0: on a
+    faithful action they are a base.
     """
-    n = ct.n
-    limit = cell_limit(degree, ct.ngens)
-    if n > limit:
-        raise cells_exceeded(limit, degree)
-    gen_cols = ct.cols[::2]
-    num = [-1] * n
-    num[0] = 0
-    order = [0]
-    elements = [tuple(range(degree))]
-    # A product is only ever taken in a group of order n > 1, which acts on
-    # at least two points, so itemgetter returns a tuple.
-    for i, x in enumerate(order):
-        times = itemgetter(*elements[i])
-        for col, img in zip(gen_cols, images):
-            y = col[x]
-            if num[y] < 0:
-                num[y] = len(order)
-                order.append(y)
-                elements.append(times(img))
-    return FiniteGroup(degree, elements, [num[col[0]] for col in gen_cols])
-
-
-def _cyclic_coset_action(ct: CosetTable, i: int, m: int) -> Optional[list]:
-    """The images of the generators on the right cosets of <g>, g =
-    generator i of order m, with the cosets numbered as
-    ``todd_coxeter(pres, (g,))`` numbers them; None when that action is not
-    faithful.
-
-    <g>x is the cycle through x of left multiplication by g, which is
-    walked from ``g * 1 = g`` along the table: ``g(xs) = (gx)s``.  The
-    kernel core(<g>) lies in the cyclic <g>, so it is trivial iff g acts
-    with order m.
-    """
-    n, cols, gen_cols = ct.n, ct.cols, ct.cols[::2]
-    left = [-1] * n
-    left[0] = cols[2 * i][0]
-    walk = [0]
-    for x in walk:
-        for col in gen_cols:
-            y = col[x]
-            if left[y] < 0:
-                left[y] = col[left[x]]
-                walk.append(y)
-    coset = _orbits(n, [left])  # <g> itself, through 0, is coset 0
-    reps = list(dict(zip(coset, range(n))).values())  # one per coset
-    act = [[coset[col[r]] for r in reps] for col in cols]
-    if lcm(*Counter(_orbits(len(reps), [act[2 * i]])).values()) != m:
-        return None
-    flat = standard_table(act, len(reps))
-    return [flat[x::len(cols)] for x in range(0, len(cols), 2)]
+    col = ct.cols[2 * i]
+    seen = [False] * ct.n
+    order, base = 1, []
+    for x in range(ct.n):
+        if not seen[x]:
+            c, y = 0, x
+            while not seen[y]:
+                seen[y] = True
+                c, y = c + 1, col[y]
+            if order % c or not base:
+                order = lcm(order, c)
+                base.append(x)
+    return order, tuple(base)
 
 
 def _check_order(n: int, max_order: int) -> None:
@@ -291,15 +247,35 @@ def _check_order(n: int, max_order: int) -> None:
 
 
 def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """The regular representation of the group whose table `ct` is.
+    """The regular representation of the group whose table `ct` is, which
+    must come from an enumeration over the trivial subgroup.
 
-    `ct` must come from an enumeration over the trivial subgroup, so that
-    its cosets are the group's elements and the group order equals the
-    coset count.  :func:`presentation_group` falls back to it when no
-    smaller action of the presentation is faithful.
+    A breadth-first walk over the generator columns meets the elements in
+    :func:`closure`'s order, and each new element's image tuple is one
+    product from the element it was met from.  Closure's order and cell
+    bounds apply before any tuple is built.
     """
-    _check_order(ct.n, max_order)
-    return _realize(ct, ct.cols[::2], ct.n)
+    n = ct.n
+    _check_order(n, max_order)
+    limit = cell_limit(n, ct.ngens)
+    if n > limit:
+        raise cells_exceeded(limit, n)
+    gen_cols = ct.cols[::2]
+    num = [-1] * n
+    num[0] = 0
+    order = [0]
+    elements = [tuple(range(n))]
+    # A product is only ever taken in a group of order n > 1, so itemgetter
+    # returns a tuple.
+    for i, x in enumerate(order):
+        times = itemgetter(*elements[i])
+        for col in gen_cols:
+            y = col[x]
+            if num[y] < 0:
+                num[y] = len(order)
+                order.append(y)
+                elements.append(times(col))
+    return FiniteGroup(n, elements, [num[col[0]] for col in gen_cols])
 
 
 def presentation_group(pres: Presentation,
@@ -307,31 +283,55 @@ def presentation_group(pres: Presentation,
                        max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The group a presentation defines, on a small faithful coset action.
 
-    One enumeration, over the trivial subgroup, is the whole cost: it fixes
-    the order n, it is the run that `max_cosets` bounds, and every action
-    below is read off its table.  A generator g of order m (the length of
-    its cycle through coset 0) offers the action on the n / m cosets of
-    <g>.  The generators are tried by increasing n / m, ties by position.
-    The kernel core(<g>) lies in the cyclic <g>, so the action is faithful
-    iff g acts on those cosets with order m, and the first faithful one
-    gives the group; when none is, it is the regular representation
-    (:func:`perms_from_table`).  Elements are numbered as :func:`closure`
-    numbers them, by the group and the order of its generators alone, so
-    every faithful action gives the same element indices.
+    The generators g with a relator g^k, k least, are tried by decreasing
+    k, ties by position: g acts on the cosets of <g> with order L, so L = k
+    certifies the order n = k * index.  Without a certificate, n is the
+    size of the regular table.  Each enumeration is bounded by
+    `max_cosets`, and its refusal is the run's.  With n known, the
+    generators are tried by increasing n / m, m the order of g, ties by
+    position: core(<g>) lies in <g>, so the action on the cosets of <g> is
+    faithful iff g acts there with order m.  The first faithful one is
+    closed on the base :func:`_cycles` reads off it; with none, the group
+    is the regular representation.  A certified group past the cell bound
+    takes the regular path, whose refusal it is.
     """
-    ct = todd_coxeter(pres, (), max_cosets=max_cosets)
-    _check_order(ct.n, max_order)
-    degrees = []
-    for col in ct.cols[::2]:
-        m, x = 1, col[0]
-        while x != 0:
-            m, x = m + 1, col[x]
-        degrees.append(ct.n // m)
-    # sorted() is stable, so ties keep generator order
-    for i in sorted(range(ct.ngens), key=degrees.__getitem__):
-        if degrees[i] == ct.n:
-            break  # <g> is trivial: its cosets give the regular action
-        images = _cyclic_coset_action(ct, i, ct.n // degrees[i])
-        if images is not None:
-            return _realize(ct, images, degrees[i])
-    return perms_from_table(ct, max_order=max_order)
+    tables: dict = {}
+
+    def cosets(i: int) -> CosetTable:
+        if i not in tables:
+            tables[i] = todd_coxeter(pres, (Word.gen(i),),
+                                     max_cosets=max_cosets)
+        return tables[i]
+
+    def realize(faithful: CosetTable, n: int) -> Optional[FiniteGroup]:
+        # the group, of order n, acts faithfully on `faithful`; None when a
+        # certified group would pass the cell bound
+        _check_order(n, max_order)
+        orders = [_cycles(faithful, i)[0] for i in range(pres.ngens)]
+        # sorted() is stable, so ties keep generator order
+        for i in sorted(range(pres.ngens), key=lambda i: -orders[i]):
+            if orders[i] == 1:
+                break  # <g> is trivial: its cosets give the regular action
+            m, base = _cycles(cosets(i), i)
+            if m == orders[i]:
+                ct = tables[i]
+                limit = cell_limit(ct.n, pres.ngens)
+                if n <= limit:
+                    return closure(ct.n, ct.gen_perms(), max_order=n,
+                                   base=base)
+                if faithful.n < n:
+                    return None
+                raise cells_exceeded(limit, ct.n)
+        return perms_from_table(faithful, max_order)  # a regular table
+
+    words = sorted((r.letters for r in pres.relators), key=len, reverse=True)
+    powers = {abs(w[0]) - 1: len(w) for w in words  # the least k wins
+              if w and w.count(w[0]) == len(w)}
+    for i in sorted(powers, key=lambda i: (-powers[i], i)):
+        if _cycles(cosets(i), i)[0] == powers[i]:
+            G = realize(tables[i], powers[i] * tables[i].n)
+            if G is not None:
+                return G
+            break
+    regular = todd_coxeter(pres, (), max_cosets=max_cosets)
+    return realize(regular, regular.n)

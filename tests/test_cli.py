@@ -24,6 +24,7 @@ from regmaps.group import (ELEMENT_CELLS, MAX_CLOSURE_CELLS, POINT_CELLS,
 from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
 from regmaps.verify import REGISTRY, corpus_text
+from regmaps.words import Word
 
 TWO_MAPS = """\
 group v4
@@ -317,22 +318,67 @@ def test_resource_limit_exit_status(corpus_file, capsys):
 
 
 def test_coset_refusal_says_how_many_cosets_live(corpus_file, capsys):
+    # g72 is realized on the cosets of <d> (refused: 8 cosets, on which d
+    # has order 3, not 9) and then of <b>; 55 is the least bound under
+    # which both complete
     for extra in ([], ["--json"]):
-        ret, out, err = _run(capsys, ["analyze", "--max-cosets", "100",
+        ret, out, err = _run(capsys, ["analyze", "--max-cosets", "54",
                                       corpus_file("g72_3map.grp")] + extra)
         assert (ret, out) == (5, "")
-        assert err == "error: coset table exceeded max_cosets=100 (94 live)\n"
+        assert err == "error: coset table exceeded max_cosets=54 (40 live)\n"
 
 
-def test_census_refuses_on_the_order_before_listing_elements(corpus_file,
-                                                             capsys):
+def test_a_certified_presentation_needs_no_regular_table(corpus_file, capsys):
+    # g2106 is realized from the 81 cosets of <e>, a run that fits in 2000
+    # cosets; its regular table defines 10,280
+    path = corpus_file("g2106_chiral.grp")
+    want = _run(capsys, ["analyze", path])
+    assert want[0] == 0
+    assert _run(capsys, ["analyze", path, "--max-cosets", "2000"]) == want
+
+
+def test_census_refuses_on_the_order_before_listing_elements(
+        corpus_file, capsys, monkeypatch):
     # the group is realized under the census bound, so the presentation is
-    # refused on the order its regular coset enumeration gives
-    ret, out, err = _run(capsys, ["census", "--kind", "oriented",
-                                  corpus_file("g2106_chiral.grp")])
+    # refused on the order 26 * 81 that the cosets of <e> certify: one
+    # enumeration of 81 cosets and no regular one (10,280 cosets defined,
+    # a 2.2 MB peak), and no element is listed
+    import regmaps.coset_enum as ce
+    todd_coxeter = ce.todd_coxeter
+    runs = []
+
+    def recorded(pres, subgroup_words=(), **kwargs):
+        ct = todd_coxeter(pres, subgroup_words, **kwargs)
+        runs.append((tuple(subgroup_words), ct.n))
+        return ct
+
+    argv = ["census", "--kind", "oriented", corpus_file("g2106_chiral.grp")]
+    cli.build_parser()  # built once a process, outside the traced run
+    monkeypatch.setattr(ce, "todd_coxeter", recorded)
+    tracemalloc.start()
+    try:
+        ret, out, err = _run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert ret == 5
     assert out == ""
     assert err == "error: group order 2106 exceeds max_order=2000\n"
+    assert runs == [((Word.gen(4),), 81)]
+    assert peak < 200_000
+
+
+def test_an_infinite_presentation_is_refused_by_the_census(tmp_path,
+                                                           capsys):
+    # C2 * C3 has no finite order to certify: the cosets of <b> run into
+    # the coset bound, with every coset live, as the regular table does
+    f = tmp_path / "modular.grp"
+    f.write_text("group modular\ngens a, b\nrel a^2\nrel b^3\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    ret, out, err = _run(capsys, ["census", "--kind", "oriented", str(f),
+                                  "--max-cosets", "1000"])
+    assert (ret, out) == (5, "")
+    assert err == "error: coset table exceeded max_cosets=1000 (1000 live)\n"
 
 
 def test_large_matrix_group_hits_the_cell_bound(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -151,28 +150,44 @@ def test_presentation_group_falls_back_to_regular():
     assert generator_rows(G) == generator_rows(R)
 
 
-def test_presentation_group_enumerates_once(monkeypatch):
-    # the regular enumeration is the whole cost: no run over a subgroup and
-    # no closure of the action it picks
-    import regmaps.coset_enum as ce
-    import regmaps.group
-    calls = Counter()
+# The enumerations presentation_group runs on each presentation, in order,
+# by the generator of the subgroup (None for the trivial one), and its
+# closures.  No table is enumerated twice.  On g72, d has order 3 on the 8
+# cosets of <d>, not the 9 of its relator d^9, so <b> certifies, and in D4
+# <b> certifies after <a>, which is normal.  The others keep their regular
+# enumeration: in Q8, a acts trivially on its 2 cosets and b has no power
+# relator; in "a6" neither a nor b certifies.
+ENUMERATIONS = {
+    "s4_presentation.grp": ("u", 1), "g72_3map.grp": ("db", 1),
+    "g384_chiral.grp": ("a", 1), "g2106_chiral.grp": ("e", 1),
+    "g216_orientable.grp": ("d", 1), "g216_nonorientable.grp": ("d", 1),
+    "d4": ("ab", 1), "q8": (("a", None, "b"), 0), "a6": (("a", "b", None), 0),
+}
 
-    def counted(fn):
+
+def test_presentation_group_enumerates_once(monkeypatch):
+    import regmaps.coset_enum as ce
+    calls = []
+
+    def counted(fn, arg):
+        # records the subgroup words of an enumeration, the degree of a
+        # closure
         def call(*args, **kwargs):
-            calls[fn.__name__] += 1
+            calls.append((fn.__name__, args[arg]))
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(ce, "todd_coxeter", counted(ce.todd_coxeter))
-    monkeypatch.setattr(regmaps.group, "closure",
-                        counted(regmaps.group.closure))
-    assert not hasattr(ce, "closure")
-    for fname, order in CORPUS_ORDERS:
+    monkeypatch.setattr(ce, "todd_coxeter", counted(ce.todd_coxeter, 1))
+    monkeypatch.setattr(ce, "closure", counted(ce.closure, 0))
+    for name, (gens, closures) in ENUMERATIONS.items():
         calls.clear()
-        pres = parse_group_file(corpus_text(fname)).presentation
-        assert presentation_group(pres).order == order
-        assert calls == {"todd_coxeter": 1}, fname
+        pres = SMALL_PRESENTATIONS.get(name) or parse_group_file(
+            corpus_text(name)).presentation
+        G = presentation_group(pres)
+        subgroups = [() if g is None else (Word.gen(pres.gen_names.index(g)),)
+                     for g in gens]
+        assert calls == ([("todd_coxeter", sub) for sub in subgroups]
+                         + [("closure", G.degree)] * closures), name
 
 
 def _same_group(G, H):
@@ -188,11 +203,16 @@ SMALL_PRESENTATIONS = {
     "d4": Presentation(("a", "b"), (A ** 4, B ** 2, (A * B) ** 2)),
     "q8": Presentation(("a", "b"), (
         A ** 4, A ** 2 * (B ** 2).inverse(), A.conj(B) * A)),
+    # a^2 = 1 follows, so a^6 overstates a's order and certifies nothing:
+    # the group is V4, on its regular action
+    "a6": Presentation(("a", "b"), (
+        A ** 6, B ** 2, (A * B) ** 2, Word.commutator(A ** 2, B))),
 }
 
 
 @pytest.mark.parametrize("name,degree",
-                         [*CORPUS_DEGREES.items(), ("d4", 4), ("q8", 8)])
+                         [*CORPUS_DEGREES.items(), ("d4", 4), ("q8", 8),
+                          ("a6", 4)])
 def test_presentation_group_matches_the_closure_oracle(name, degree):
     pres = SMALL_PRESENTATIONS.get(name) or parse_group_file(
         corpus_text(name)).presentation
@@ -318,19 +338,31 @@ def test_refusal_memory_per_coset():
 def test_realization_is_refused_before_its_elements_are_built(monkeypatch):
     # g2106 on 81 points needs 2106 * (81 + ELEMENT_CELLS) cells; under half
     # of that, the table is refused with closure's own message, before a
-    # tuple is built.  The enumeration runs untraced: the peak is that of
-    # what follows it.
+    # tuple is built.  The enumerations run untraced, in a first run that
+    # keeps each table: the peak is that of what follows them.
     import regmaps.coset_enum as ce
     import regmaps.group
     pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
     H = presentation_group(pres)
     gens = [Perm._raw(H.elements[g]) for g in H.gen_indices]
-    ct = todd_coxeter(pres)
     cells = 2106 * (81 + ELEMENT_CELLS) // 2
     monkeypatch.setattr(regmaps.group, "MAX_CLOSURE_CELLS", cells)
     with pytest.raises(ResourceLimitExceeded) as want:
         closure(81, gens)
-    monkeypatch.setattr(ce, "todd_coxeter", lambda *args, **kwargs: ct)
+    tables = {}
+
+    def kept(pres, subgroup_words=(), **kwargs):
+        key = tuple(subgroup_words)
+        if key not in tables:
+            tables[key] = todd_coxeter(pres, subgroup_words, **kwargs)
+        return tables[key]
+
+    monkeypatch.setattr(ce, "todd_coxeter", kept)
+    with pytest.raises(ResourceLimitExceeded):
+        presentation_group(pres)
+    # <e> certifies the order, and past the cell bound the regular
+    # enumeration runs, as it would without a certificate
+    assert list(tables) == [(Word.gen(4),), ()]
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitExceeded) as got:
@@ -381,6 +413,31 @@ def test_smallest_bound_that_completes(fname, bound, live):
     assert todd_coxeter(pres, max_cosets=bound).n == dict(CORPUS_ORDERS)[fname]
     with pytest.raises(ResourceLimitExceeded) as e:
         todd_coxeter(pres, max_cosets=bound - 1)
+    assert str(e.value) == (
+        f"coset table exceeded max_cosets={bound - 1} ({live} live)")
+
+
+# The same for presentation_group, whose enumerations are over the cyclic
+# subgroups it tries: a certified group needs no regular table.
+SMALLEST_REALIZATION_BOUNDS = [
+    ("g2106_chiral.grp", 468, 144),
+    ("g216_nonorientable.grp", 120, 62),
+    ("g216_orientable.grp", 103, 60),
+    ("g384_chiral.grp", 158, 101),
+    ("g72_3map.grp", 55, 40),
+    ("s4_presentation.grp", 8, 7),
+]
+
+
+@pytest.mark.parametrize("fname,bound,live", SMALLEST_REALIZATION_BOUNDS,
+                         ids=[f for f, _, _ in SMALLEST_REALIZATION_BOUNDS])
+def test_smallest_bound_that_realizes(fname, bound, live):
+    pres = parse_group_file(corpus_text(fname)).presentation
+    G = presentation_group(pres, max_cosets=bound)
+    assert (G.order, G.degree) == (dict(CORPUS_ORDERS)[fname],
+                                   CORPUS_DEGREES[fname])
+    with pytest.raises(ResourceLimitExceeded) as e:
+        presentation_group(pres, max_cosets=bound - 1)
     assert str(e.value) == (
         f"coset table exceeded max_cosets={bound - 1} ({live} live)")
 
