@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
 from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit,
-                    cells_exceeded, closure, standard_table)
+                    cells_exceeded, closure, element_arithmetic,
+                    standard_table)
 from .perm import Perm
 from .words import Presentation, Word
 
@@ -251,30 +251,31 @@ def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> Fini
     must come from an enumeration over the trivial subgroup.
 
     A breadth-first walk over the generator columns meets the elements in
-    :func:`closure`'s order, and each new element's image tuple is one
-    product from the element it was met from.  Closure's order and cell
-    bounds apply before any tuple is built.
+    :func:`closure`'s order, and each new element is one product, formed
+    as :func:`element_arithmetic` gives it, from the element it was met
+    from.  Closure's order and cell bounds apply before any element is
+    built.
     """
     n = ct.n
     _check_order(n, max_order)
     limit = cell_limit(n, ct.ngens)
     if n > limit:
         raise cells_exceeded(limit, n)
+    pack, factor, times_of = element_arithmetic(n)
     gen_cols = ct.cols[::2]
+    factors = [factor(col) for col in gen_cols]
     num = [-1] * n
     num[0] = 0
     order = [0]
-    elements = [tuple(range(n))]
-    # A product is only ever taken in a group of order n > 1, so itemgetter
-    # returns a tuple.
+    elements = [pack(range(n))]
     for i, x in enumerate(order):
-        times = itemgetter(*elements[i])
-        for col in gen_cols:
+        times = times_of(elements[i])
+        for col, g in zip(gen_cols, factors):
             y = col[x]
             if num[y] < 0:
                 num[y] = len(order)
                 order.append(y)
-                elements.append(times(col))
+                elements.append(times(g))
     return FiniteGroup(n, elements, [num[col[0]] for col in gen_cols])
 
 
@@ -292,8 +293,9 @@ def presentation_group(pres: Presentation,
     position: core(<g>) lies in <g>, so the action on the cosets of <g> is
     faithful iff g acts there with order m.  The first faithful one is
     closed on the base :func:`_cycles` reads off it; with none, the group
-    is the regular representation.  A certified group past the cell bound
-    takes the regular path, whose refusal it is.
+    is the regular representation.  A group past the cell bound on that
+    action is refused at once; the regular table, had it been enumerated,
+    would find the same first faithful <g> and give the same refusal.
     """
     tables: dict = {}
 
@@ -303,9 +305,8 @@ def presentation_group(pres: Presentation,
                                      max_cosets=max_cosets)
         return tables[i]
 
-    def realize(faithful: CosetTable, n: int) -> Optional[FiniteGroup]:
-        # the group, of order n, acts faithfully on `faithful`; None when a
-        # certified group would pass the cell bound
+    def realize(faithful: CosetTable, n: int) -> FiniteGroup:
+        # the group, of order n, acts faithfully on `faithful`
         _check_order(n, max_order)
         orders = [_cycles(faithful, i)[0] for i in range(pres.ngens)]
         # sorted() is stable, so ties keep generator order
@@ -316,12 +317,9 @@ def presentation_group(pres: Presentation,
             if m == orders[i]:
                 ct = tables[i]
                 limit = cell_limit(ct.n, pres.ngens)
-                if n <= limit:
-                    return closure(ct.n, ct.gen_perms(), max_order=n,
-                                   base=base)
-                if faithful.n < n:
-                    return None
-                raise cells_exceeded(limit, ct.n)
+                if n > limit:
+                    raise cells_exceeded(limit, ct.n)
+                return closure(ct.n, ct.gen_perms(), max_order=n, base=base)
         return perms_from_table(faithful, max_order)  # a regular table
 
     words = sorted((r.letters for r in pres.relators), key=len, reverse=True)
@@ -329,9 +327,6 @@ def presentation_group(pres: Presentation,
               if w and w.count(w[0]) == len(w)}
     for i in sorted(powers, key=lambda i: (-powers[i], i)):
         if _cycles(cosets(i), i)[0] == powers[i]:
-            G = realize(tables[i], powers[i] * tables[i].n)
-            if G is not None:
-                return G
-            break
+            return realize(tables[i], powers[i] * tables[i].n)
     regular = todd_coxeter(pres, (), max_cosets=max_cosets)
     return realize(regular, regular.n)

@@ -1,8 +1,12 @@
 """Finite permutation groups by full enumeration.
 
 Groups here are small enough (a few thousand elements) that we list every
-element, each as its image tuple: ``elements[k][x]`` is the image of point
-x; a :class:`~regmaps.perm.Perm` is only the validated form of a generator.
+element by its point images: ``elements[k][x]`` is the image of point x.
+On at most 256 points an element is ``bytes``, so that a product is one
+``bytes.translate`` in C and is its own dict key; on more it is a tuple.
+Both are read alike, by indexing, ``itemgetter`` and ``.index``, and
+:func:`element_arithmetic` is the one place that picks between them.  A
+:class:`~regmaps.perm.Perm` is only the validated form of a generator.
 Products read left to right, ``(g*h)(x) == h(g(x))``, so a word like
 ``t*r`` means "apply t, then r", as for group words everywhere else in the
 package.
@@ -24,8 +28,9 @@ element i's base images and looks that tuple up in one dict, whatever the
 degree.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
 regular group has base ``(0,)``.  A caller that knows a base before the
 group is listed passes it to :func:`closure`, which then looks products
-up the same way; :func:`is_primitive` likewise takes the stabilizer of
-point 0, if known, and tests one point of each of its orbits.
+up the same way on more than 256 points; :func:`is_primitive` likewise
+takes the stabilizer of point 0, if known, and tests one point of each of
+its orbits.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from itertools import product as iproduct
 from math import factorial, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded, TheoremViolation
@@ -43,19 +48,39 @@ from .perm import Perm
 
 DEFAULT_MAX_ORDER = 10**6
 # Closure refuses a group before the 8-byte cells it holds pass this many
-# (about 160 MB), whatever the order bound.  Each listed element is a tuple
-# of `degree` cells and costs ELEMENT_CELLS more: its tuple header, its
-# entries in closure's `seen` (keyed by base images when the base is known,
-# and freed before the group is built) and the group's `_at`, and its `_get`
-# itemgetter (tracemalloc: 54 cells with a base of 6 or 7 points, 77 with
-# a base of 16; a base of b points needs 2**b elements, so no group within
-# the bound has a base of more than 17).  Each point costs up to
-# POINT_CELLS more for every generator and for the identity (10 in all for
-# one generator, 16 for two): its int object, a generator's tuple,
-# closure's arguments.
+# (about 160 MB), whatever the order bound.  Each listed element is charged
+# `degree` cells for its images and ELEMENT_CELLS more: its tuple header,
+# its entries in closure's `seen` (keyed by base images when the base is
+# known, and freed before the group is built) and the group's `_at`, and
+# its `_get` itemgetter (tracemalloc: 54 cells with a base of 6 or 7
+# points, 77 with a base of 16; a base of b points needs 2**b elements, so
+# no group within the bound has a base of more than 17).  Each point costs
+# up to POINT_CELLS more for every generator and for the identity (10 in
+# all for one generator, 16 for two): its int object, a generator's tuple,
+# closure's arguments.  ELEMENT_CELLS was measured on tuple elements: a
+# `bytes` element on at most 256 points holds a byte a point, not a cell,
+# so the charge overstates it; the bound stays as it is until one byte
+# budget replaces the cell count.
 MAX_CLOSURE_CELLS = 2 * 10**7
 ELEMENT_CELLS = 80
 POINT_CELLS = 6
+_BYTE_POINTS = bytes(range(256))
+
+
+def element_arithmetic(degree: int) -> tuple:
+    """How elements on `degree` points are stored and multiplied, as
+    ``(pack, factor, times)``: ``pack(images)`` is an element as stored,
+    ``factor(images)`` is a right factor g in the form ``times`` reads, and
+    ``times(e)(factor(g))`` is the stored product e * g.  On at most 256
+    points, as many as a byte can name, an element is ``bytes`` and e * g
+    is one ``e.translate`` by g's images padded to 256 entries; on more it
+    is a tuple and ``times(e)`` is ``itemgetter(*e)``.
+    """
+    if degree <= 256:
+        tail = _BYTE_POINTS[degree:]
+        return (bytes, lambda images: bytes(images) + tail,
+                attrgetter("translate"))
+    return tuple, tuple, lambda e: itemgetter(*e)
 
 
 def cell_limit(degree: int, ngens: int) -> int:
@@ -96,11 +121,13 @@ def closure(degree: int, generators: Sequence[Perm],
             base: Sequence[int] = ()) -> "FiniteGroup":
     """Enumerate the group generated by `generators` inside Sym(degree).
 
-    A caller that knows a `base` of the group, points whose pointwise
-    stabilizer in it is trivial, passes it: each product is then looked
-    up by its images of the base points, and its full image tuple is built
-    only when it is new.  A wrong base merges distinct elements.  The
-    numbering, the bounds and the refusals do not depend on the base.
+    Each product is formed as :func:`element_arithmetic` gives it and is
+    its own lookup key.  On more than 256 points, a caller that knows a
+    `base` of the group, points whose pointwise stabilizer in it is
+    trivial, passes it: each product is then looked up by its images of
+    the base points, and its full image tuple is built only when it is
+    new.  A wrong base merges distinct elements.  The numbering, the bounds
+    and the refusals do not depend on the base or on the element type.
 
     Refuses (ResourceLimitExceeded) a group of more than `max_order`
     elements, or of more than ``cell_limit(degree, len(generators))``
@@ -116,19 +143,21 @@ def closure(degree: int, generators: Sequence[Perm],
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
     limit = min(max_order, cell_limit(degree, len(gens)))
-    # elements[k] * g is itemgetter(*elements[k])(g.images).  It is its own
-    # key, or with a base, g.images read at elements[k]'s base images: a
-    # bare int on a one-point base, as FiniteGroup._get reads it.  On one
-    # point every image tuple is (0,).
-    ident = tuple(range(degree))
-    key = itemgetter(*base) if base else tuple
+    pack, factor, times_of = element_arithmetic(degree)
+    if pack is bytes:
+        base = ()  # one translate costs less than a lookup by base images
+    # elements[k] * g is times_of(elements[k])(factor(g.images)).  It is its
+    # own key, or with a base, g's images read at elements[k]'s base images:
+    # a bare int on a one-point base, as FiniteGroup._get reads it.
+    key = itemgetter(*base) if base else pack
+    ident = pack(range(degree))
     elements = [ident]
     seen = {key(ident): 0}
-    gen_images = [g.images for g in gens]
+    factors = [factor(g.images) for g in gens]
     for ek in elements:
-        times = itemgetter(*ek) if degree > 1 else tuple
+        times = times_of(ek)
         look = itemgetter(*map(ek.__getitem__, base)) if base else times
-        for g in gen_images:
+        for g in factors:
             k = look(g)
             if k not in seen:
                 j = len(elements)
@@ -136,7 +165,7 @@ def closure(degree: int, generators: Sequence[Perm],
                     raise closure_refusal(limit, max_order, degree)
                 elements.append(times(g) if base else k)
                 seen[k] = j
-    gen_indices = [seen[key(g)] for g in gen_images]
+    gen_indices = [seen[key(g.images)] for g in gens]
     del seen  # freed before the group builds its own lookup
     return FiniteGroup(degree, elements, gen_indices)
 
@@ -172,7 +201,7 @@ def _orbits(n: int, moves: Sequence[Sequence[int]]) -> list[int]:
     return label
 
 
-def _greedy_base(elements: Sequence[tuple]) -> tuple:
+def _greedy_base(elements: Sequence[Sequence[int]]) -> tuple:
     """A base grown greedily from point 0: while some non-identity element
     fixes every base point, append the least point the first such element
     moves.  The identity is elements[0]."""
@@ -282,7 +311,7 @@ class FiniteGroup:
     def centralizer(self, x: int) -> list[int]:
         """The members of C_G(x), in increasing order.  c commutes with x iff
         x*c and c*x have the same base images, which are read off the two
-        image tuples without a lookup."""
+        elements' images without a lookup."""
         get_x, img_x, elements = self._get[x], self.elements[x], self.elements
         return [c for c, get_c in enumerate(self._get)
                 if get_x(elements[c]) == get_c(img_x)]
@@ -691,7 +720,7 @@ def regenerated(G: FiniteGroup, gen_indices: Sequence[int]) -> FiniteGroup:
     """
     key = ("regen", tuple(gen_indices))
     if key not in G.cache:
-        gens = [Perm._raw(G.elements[i]) for i in gen_indices]
+        gens = [Perm._raw(tuple(G.elements[i])) for i in gen_indices]
         G.cache[key] = closure(G.degree, gens, max_order=len(G.elements) + 1,
                                base=G.base)
     return G.cache[key]

@@ -2,8 +2,10 @@
 
 A :class:`Perm` wraps an image tuple that has been checked to be a
 bijection.  Generators reach :func:`regmaps.group.closure` as Perms; the
-group then stores and multiplies bare image tuples, so products live in
-:mod:`regmaps.group`, not here.  External notation (cycle strings in group
+group then stores and multiplies bare images, as ``bytes`` on at most 256
+points and as tuples above (:func:`regmaps.group.element_arithmetic`), so
+products live in :mod:`regmaps.group`, not here.  ``Perm.images`` is a
+tuple whatever the degree.  External notation (cycle strings in group
 files) is 1-based; the conversion happens at parse and print time only.
 """
 

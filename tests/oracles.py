@@ -31,7 +31,8 @@ from regmaps.words import Word
 # raw permutation tuples
 
 def compose(p, q):
-    """Apply p, then q (the package's left-to-right convention)."""
+    """Apply p, then q (the package's left-to-right convention).  p and q
+    are any sequences of point images; the result is a tuple."""
     return tuple(q[p[i]] for i in range(len(p)))
 
 
@@ -55,8 +56,9 @@ def brute_closure(gens, degree=None):
 
 
 def tuple_order(p):
+    """The order of p, any sequence of point images."""
     ident = tuple(range(len(p)))
-    q, k = p, 1
+    q, k = tuple(p), 1
     while q != ident:
         q = compose(q, p)
         k += 1

@@ -182,7 +182,7 @@ def _direct_product(A, B):
     """A x B, acting on the disjoint union of their points."""
     a, b = A.degree, B.degree
     fix_a, fix_b = tuple(range(a)), tuple(range(a, a + b))
-    gens = [Perm(A.elements[g] + fix_b) for g in A.gen_indices]
+    gens = [Perm(tuple(A.elements[g]) + fix_b) for g in A.gen_indices]
     gens += [Perm(fix_a + tuple(a + y for y in B.elements[g]))
              for g in B.gen_indices]
     return closure(a + b, gens)

@@ -337,9 +337,9 @@ def test_refusal_memory_per_coset():
 
 def test_realization_is_refused_before_its_elements_are_built(monkeypatch):
     # g2106 on 81 points needs 2106 * (81 + ELEMENT_CELLS) cells; under half
-    # of that, the table is refused with closure's own message, before a
-    # tuple is built.  The enumerations run untraced, in a first run that
-    # keeps each table: the peak is that of what follows them.
+    # of that, the table is refused with closure's own message, before an
+    # element is built.  The enumeration runs untraced, in a first run that
+    # keeps its table: the peak is that of what follows it.
     import regmaps.coset_enum as ce
     import regmaps.group
     pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
@@ -360,9 +360,9 @@ def test_realization_is_refused_before_its_elements_are_built(monkeypatch):
     monkeypatch.setattr(ce, "todd_coxeter", kept)
     with pytest.raises(ResourceLimitExceeded):
         presentation_group(pres)
-    # <e> certifies the order, and past the cell bound the regular
-    # enumeration runs, as it would without a certificate
-    assert list(tables) == [(Word.gen(4),), ()]
+    # <e> certifies the order and acts faithfully: past the cell bound on
+    # that action the group is refused at once, with no regular enumeration
+    assert list(tables) == [(Word.gen(4),)]
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitExceeded) as got:

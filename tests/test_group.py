@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import regmaps.grammar
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
+from regmaps.coset_enum import perms_from_table, todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
 from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
@@ -26,6 +27,7 @@ from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
 from regmaps.verify import corpus_text
+from regmaps.words import Presentation, Word
 
 import oracles
 from test_families import agl1_file
@@ -68,7 +70,7 @@ def test_seed_orders_against_brute_closure(name, G):
 
 @pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
 def test_identity_and_arithmetic(name, G):
-    assert G.elements[0] == tuple(range(G.degree))
+    assert tuple(G.elements[0]) == tuple(range(G.degree))
     for x in range(0, G.order, max(1, G.order // 7)):
         assert G.mul(0, x) == x == G.mul(x, 0)
         assert G.mul(x, G.inv(x)) == 0
@@ -81,7 +83,7 @@ def test_mul_matches_permutation_composition():
     for a in range(G.order):
         for b in range(G.order):
             want = oracles.compose(G.elements[a], G.elements[b])
-            assert G.elements[G.mul(a, b)] == want
+            assert tuple(G.elements[G.mul(a, b)]) == want
 
 
 # one or two permutations of at most 5 points
@@ -117,7 +119,7 @@ def test_conjugacy_classes_partition():
 @settings(max_examples=30, deadline=None)
 def test_classes_and_transitivity_match_brute_force(perms):
     G = closure(len(perms[0]), [Perm(p) for p in perms])
-    index = {e: k for k, e in enumerate(G.elements)}
+    index = {tuple(e): k for k, e in enumerate(G.elements)}
     want, classes = [-1] * G.order, []
     for x in range(G.order):
         if want[x] < 0:
@@ -227,6 +229,21 @@ def test_matrix_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
         tracemalloc.stop()
     assert G.order == order
     assert peak < 8 * cells
+
+
+@pytest.mark.parametrize("p,limit_mb", [(11, 1.3), (13, 2.5)],
+                         ids=["ladder_p11_2640", "ladder_p13_4368"])
+def test_matrix_groups_hold_their_elements_as_bytes(p, limit_mb):
+    # on 120 and 168 points an element is held as bytes, a byte a point;
+    # as a tuple of 8-byte pointers it would take the peaks past 3 and 7 MB
+    tracemalloc.start()
+    try:
+        G = matrix_group(p, (((2, 1), (1, 0)), ((0, 1), (1, 0))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == {11: 2640, 13: 4368}[p]
+    assert peak < limit_mb * 10**6
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -354,6 +371,97 @@ def test_regenerated_closes_alike_on_the_parent_base(name, G):
         sub = regenerated(G, gens)
         plain = closed(G.degree, [Perm._raw(G.elements[g]) for g in gens])
         assert (sub.elements, sub.gen_indices) == plain
+
+
+# -- element storage at the 256-point boundary ------------------------------
+
+# the top point is moved, so the last byte value and the unpadded
+# 256-entry translate table are both read
+TOP_CYCLE = tuple(range(11)) + (255,)
+
+
+def boundary_gens(shape, degree):
+    """The rotation of TOP_CYCLE, and for D12 its reflection, on `degree`
+    points; every other point is fixed."""
+    k = len(TOP_CYCLE)
+    moves = [[(TOP_CYCLE[i], TOP_CYCLE[(i + 1) % k]) for i in range(k)]]
+    if shape == "dihedral":
+        moves.append([(TOP_CYCLE[i], TOP_CYCLE[-i % k]) for i in range(k)])
+    gens = []
+    for move in moves:
+        images = list(range(degree))
+        for x, y in move:
+            images[x] = y
+        gens.append(Perm(images))
+    return gens
+
+
+def rows(G):
+    return [G.row(g) for g in range(G.order)]
+
+
+@pytest.mark.parametrize("shape", ["cyclic", "dihedral"])
+def test_elements_are_bytes_on_256_points_and_tuples_on_257(
+        monkeypatch, shape):
+    seen_images = []
+    closure_of = regmaps.group.closure
+
+    def recording(degree, generators, **kwargs):
+        seen_images.extend(g.images for g in generators)
+        return closure_of(degree, generators, **kwargs)
+
+    monkeypatch.setattr(regmaps.group, "closure", recording)
+    sides = {}
+    for degree, kind in ((256, bytes), (257, tuple)):
+        G = closure(degree, boundary_gens(shape, degree))
+        assert all(type(e) is kind for e in G.elements)
+        for a, x in enumerate(G.elements):
+            for b, y in enumerate(G.elements):
+                assert tuple(G.elements[G.mul(a, b)]) == oracles.compose(x, y)
+        sub = regenerated(G, [G.order - 1])
+        assert all(type(e) is kind for e in sub.elements)
+        N = G.subgroup([G.power(G.gen_indices[0], 4)])
+        Q, proj = quotient_group(G, N)
+        sides[degree] = (G, sub, Q, proj)
+    (G, sub, Q, proj), (H, hsub, R, hproj) = sides[256], sides[257]
+    assert G.gen_indices == H.gen_indices
+    assert rows(G) == rows(H)
+    # the same images, and one more fixed point on 257 points
+    assert ([tuple(e) + (256,) for e in G.elements]
+            == list(map(tuple, H.elements)))
+    assert (sub.gen_indices, rows(sub)) == (hsub.gen_indices, rows(hsub))
+    assert (Q.order, Q.gen_indices, rows(Q), proj) == (
+        R.order, R.gen_indices, rows(R), hproj)
+    assert Q.order == G.order // 3
+    assert seen_images and all(type(im) is tuple for im in seen_images)
+
+
+def cyclic_presentation(n):
+    return Presentation(("a",), (Word.gen(0) ** n,))
+
+
+def dihedral_presentation(n):
+    a, b = Word.gen(0), Word.gen(1)
+    return Presentation(("a", "b"), (a ** (n // 2), b ** 2, (a * b) ** 2))
+
+
+@pytest.mark.parametrize("family,orders", [
+    (cyclic_presentation, (256, 257)),
+    (dihedral_presentation, (256, 258)),
+], ids=["cyclic", "dihedral"])
+def test_regular_tables_are_bytes_up_to_256_points(family, orders):
+    # the regular representation read off a table of order 256, and off
+    # the next table of the family, equals the closure of its columns
+    for n, kind in zip(orders, (bytes, tuple)):
+        ct = todd_coxeter(family(n))
+        assert ct.n == n
+        G = perms_from_table(ct)
+        assert all(type(e) is kind for e in G.elements)
+        perms = ct.gen_perms()
+        assert all(type(p.images) is tuple for p in perms)
+        plain = closure(n, perms)
+        assert list(map(tuple, G.elements)) == list(map(tuple, plain.elements))
+        assert G.gen_indices == plain.gen_indices
 
 
 def test_lagrange_and_cosets():
@@ -643,7 +751,7 @@ def test_mul_and_order_of_read_base_images(corpus, name):
         assert G.order_of(i) == oracles.tuple_order(x)
         assert G.mul(i, G.inv(i)) == 0
         for j, y in enumerate(G.elements):
-            assert G.elements[G.mul(i, j)] == oracles.compose(x, y)
+            assert tuple(G.elements[G.mul(i, j)]) == oracles.compose(x, y)
 
 
 STANDARDIZE_GROUPS = [

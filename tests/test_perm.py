@@ -74,7 +74,7 @@ def test_product_matches_oracle(pq):
     G = closure(p.degree, [p, q])
     a, b = G.gen_indices
     ab = G.mul(a, b)
-    assert G.elements[ab] == compose(p.images, q.images)
+    assert tuple(G.elements[ab]) == compose(p.images, q.images)
     assert G.inv(ab) == G.mul(G.inv(b), G.inv(a))
 
 
