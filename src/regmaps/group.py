@@ -31,6 +31,14 @@ group is listed passes it to :func:`closure`, which then looks products
 up the same way on more than 256 points; :func:`is_primitive` likewise
 takes the stabilizer of point 0, if known, and tests one point of each of
 its orbits.
+
+Subgroups are grown in place, as in Dimino's algorithm:
+:meth:`FiniteGroup._grow` adds one generator at a time to a closed member
+set, skips a candidate that is a member already, and multiplies by the new
+generator only the members it had.  ``subgroup``, ``subgroup_from_members``,
+:func:`normal_closure`, :func:`sylow_p` and :func:`omega1` all grow
+through it, so :func:`normal_closure` and :func:`omega1` keep irredundant
+generators: each lies outside the subgroup the ones before it generate.
 """
 
 from __future__ import annotations
@@ -229,7 +237,12 @@ class FiniteGroup:
         # _get[i] reads off, from the images of an element g, the images of
         # element i's base images: the base images of elements[i] * g.
         # Applied to the identity (elements[0]) it gives element i's own.
-        self._get = [itemgetter(*(e[b] for b in self.base)) for e in elements]
+        # On a one-point base `pick` gives a bare int, and _get a bare int.
+        pick = itemgetter(*self.base)
+        if len(self.base) > 1:
+            self._get = [itemgetter(*pick(e)) for e in elements]
+        else:
+            self._get = [itemgetter(pick(e)) for e in elements]
         self._at = {get(elements[0]): k for k, get in enumerate(self._get)}
 
     # -- basic arithmetic on element indices ------------------------------
@@ -318,34 +331,43 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def _index_closure(self, gen_indices: Iterable[int]) -> list[int]:
-        """Members (in discovery order) of the subgroup the indices generate."""
-        gi = list(gen_indices)
-        members, order = {0}, [0]
-        for x in order:
-            for g in gi:
-                y = self.mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    order.append(y)
-        return order
+    def _grow(self, members: set, gens: list, new: Iterable[int]) -> None:
+        """Grow `members`, the subgroup generated by `gens`, in place by each
+        element of `new` that is not yet a member.  Such an element s joins
+        `gens`; the old members are multiplied by s alone, since their
+        products by the old generators are members already, and only the
+        members this makes are multiplied by every generator.  The result
+        is closed under all of `gens`, hence the subgroup they generate.
+        `new` is read lazily, against the members grown so far."""
+        mul = self.mul
+        for s in new:
+            if s in members:
+                continue
+            gens.append(s)
+            fresh = [y for m in members if (y := mul(m, s)) not in members]
+            members.update(fresh)
+            for x in fresh:
+                for g in gens:
+                    y = mul(x, g)
+                    if y not in members:
+                        members.add(y)
+                        fresh.append(y)
 
     def subgroup(self, gen_indices: Sequence[int]) -> "Subgroup":
         for g in gen_indices:
             if not (0 <= g < len(self.elements)):
                 raise ContractViolation(f"element index {g} out of range")
-        members = self._index_closure(gen_indices)
+        members = {0}
+        self._grow(members, [], gen_indices)
         return Subgroup(self, frozenset(members), tuple(gen_indices))
 
     def subgroup_from_members(self, members: Iterable[int]) -> "Subgroup":
-        """Subgroup from a known-closed member set, with a greedy generating set."""
+        """Subgroup from a known-closed member set, with a greedy generating
+        set: each member in increasing order not yet generated."""
         mset = frozenset(members)
         gens: list[int] = []
         closed = {0}
-        for m in sorted(mset):
-            if m not in closed:
-                gens.append(m)
-                closed = set(self._index_closure(gens))
+        self._grow(closed, gens, sorted(mset))
         if closed != mset:
             raise ContractViolation("member set is not closed under products")
         return Subgroup(self, mset, tuple(gens))
@@ -492,17 +514,18 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
     target = p_part(G.order, p)
-    P = Subgroup(G, frozenset((0,)), ())
-    while P.order < target:
-        found = next((k for k in range(1, G.order) if k not in P.members
+    members, gens = {0}, []
+    while len(members) < target:
+        found = next((k for k in range(1, G.order) if k not in members
                       and p_part(G.order_of(k), p) == G.order_of(k)
-                      and all(G.conj(m, k) in P.members for m in P.gens)),
+                      and all(G.conj(m, k) in members for m in gens)),
                      None)
         if found is None:
             raise TheoremViolation(
-                f"Sylow search ended at order {P.order}, expected {target}")
-        P = G.subgroup(P.gens + (found,))
-    return P
+                f"Sylow search ended at order {len(members)},"
+                f" expected {target}")
+        G._grow(members, gens, (found,))
+    return Subgroup(G, frozenset(members), tuple(gens))
 
 
 @_kept
@@ -563,15 +586,20 @@ def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None) -> Subgroup
 
 def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
                    seeds: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing `seeds` normalized by <ambient_gens>."""
-    gens = sorted(set(seeds) - {0})
-    while True:
-        result = G.subgroup(gens)
-        new = {c for m in gens for a in ambient_gens
-               if (c := G.conj(m, a)) not in result.members}
-        if not new:
-            return result
-        gens.extend(sorted(new))
+    """Smallest subgroup containing `seeds` normalized by <ambient_gens>.
+
+    The seeds, in increasing order, and then the conjugates of each
+    generator by each ambient generator, are taken from one queue; only a
+    candidate outside the subgroup grown so far becomes a generator.  Once
+    the queue is empty, H^a lies in H for each generator a of the ambient
+    group, so a finite H is normalized by it."""
+    members, gens = {0}, []
+    queue = sorted(set(seeds))
+    for s in queue:
+        if s not in members:
+            G._grow(members, gens, (s,))
+            queue.extend(G.conj(s, a) for a in ambient_gens)
+    return Subgroup(G, frozenset(members), tuple(gens))
 
 
 @_kept
@@ -604,13 +632,15 @@ def center(sub: Subgroup) -> Subgroup:
 
 
 def omega1(sub: Subgroup, p: int) -> Subgroup:
-    """Subgroup generated by all elements of order dividing p."""
+    """Subgroup generated by all elements of order dividing p, with the
+    generators that are not generated by the ones before them."""
     G = sub.parent
-    gens = [m for m in sorted(sub.members) if m != 0 and G.power(m, p) == 0]
-    result = G.subgroup(gens)
-    if not result.members <= sub.members:
+    members, gens = {0}, []
+    G._grow(members, gens,
+            (m for m in sorted(sub.members) if G.power(m, p) == 0))
+    if not members <= sub.members:
         raise ContractViolation("omega1 escaped the subgroup; input not a group?")
-    return result
+    return Subgroup(G, frozenset(members), tuple(gens))
 
 
 def is_extraspecial(sub: Subgroup, p: int) -> bool:
@@ -703,6 +733,29 @@ def standard_table(rows: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
     return tuple(table) if len(order) == n else None
 
 
+def matches_table(rows: Sequence[Sequence[int]], n: int, key: tuple) -> bool:
+    """``standard_table(rows, n) == key`` for a table `key`, by the same
+    walk, which stops at the first entry that differs from `key`.  Kept
+    apart from :func:`standard_table`, whose inner loop the census runs
+    for every candidate and which a comparison would slow down."""
+    if len(key) != n * len(rows):
+        return False
+    label = [-1] * n
+    label[0] = 0
+    order = [0]
+    want = iter(key).__next__
+    for x in order:
+        for row in rows:
+            y = row[x]
+            k = label[y]
+            if k < 0:
+                k = label[y] = len(order)
+                order.append(y)
+            if k != want():
+                return False
+    return len(order) == n
+
+
 def standardize(G: FiniteGroup, gen_indices: Sequence[int]) -> Optional[tuple]:
     """Standardized table of a generating tuple (hashable), or None when the
     tuple does not generate G.  See :func:`standard_table`."""
@@ -747,7 +800,7 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
     key1 = standardize(G1, gens1)
     pools = [[k for k in range(n) if G2.order_of(k) == G1.order_of(g)
               and sizes2[k] == sizes1[g]] for g in gens1]
-    return any(standard_table([G2.row(a) for a in assignment], n) == key1
+    return any(matches_table([G2.row(a) for a in assignment], n, key1)
                for assignment in iproduct(*pools))
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import ContractViolation, TheoremViolation
 from .group import (FiniteGroup, Subgroup, coset_action, is_primitive,
-                    quotient_group, regenerated, standard_table, standardize)
+                    matches_table, quotient_group, regenerated, standardize)
 from .perm import Perm
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
@@ -189,7 +189,7 @@ class OrientedMap(_Map):
         r_inv = [0] * len(r_col)
         for x, y in enumerate(r_col):
             r_inv[y] = x
-        return standard_table((r_inv, l_col), len(r_col)) == key
+        return matches_table((r_inv, l_col), len(r_col), key)
 
     def mirror(self) -> "OrientedMap":
         return OrientedMap(self.group, self.group.inv(self.r), self.l)

@@ -109,6 +109,76 @@ def brute_derived(G, members):
     return span(G, comms)
 
 
+def greedy_generators(G, members):
+    """Each member, in increasing order, that the ones kept before it do
+    not generate; span is rerun after every kept member."""
+    gens, closed = [], frozenset([0])
+    for m in sorted(members):
+        if m not in closed:
+            gens.append(m)
+            closed = span(G, gens)
+    return tuple(gens)
+
+
+def commutator_subgroup(G, members):
+    """The derived subgroup of the subgroup `members`, generated by the
+    commutators [a, s] of every member a with every greedy generator s.
+    That is all of H′: [a, s]^h = [ah, s][h, s]^-1, so those commutators
+    generate a normal K ≤ H′, and modulo K each generator s is central,
+    so H/K is abelian and K ⊇ H′.  Linear in |H|, where brute_derived
+    pairs every two members."""
+    comms = set()
+    for s in greedy_generators(G, members):
+        si = G.inv(s)
+        for a in members:
+            comms.add(G.mul(G.mul(G.inv(a), si), G.mul(a, s)))
+    return span(G, comms)
+
+
+def brute_derived_series(G):
+    """Member sets of G, G′, G″, ... down to the trivial group or to the
+    first perfect term, each once."""
+    series = [frozenset(range(G.order))]
+    while len(series[-1]) > 1:
+        nxt = commutator_subgroup(G, series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def brute_normal_closure(G, ambient, seeds):
+    """The least subgroup holding `seeds` that every element of `ambient`
+    conjugates into itself: add every conjugate that falls outside and
+    span again, until none does."""
+    gens = list(seeds)
+    members = span(G, gens)
+    while True:
+        out = {c for m in members for a in ambient
+               if (c := G.mul(G.mul(G.inv(a), m), a)) not in members}
+        if not out:
+            return members
+        gens.extend(out)
+        members = span(G, gens)
+
+
+def brute_omega1(G, members, p):
+    """The span of the members whose p-th power, by repeated
+    multiplication, is the identity."""
+    def pth_power(m):
+        x = 0
+        for _ in range(p):
+            x = G.mul(x, m)
+        return x
+    return span(G, [m for m in members if pth_power(m) == 0])
+
+
+def is_sylow(G, members, p):
+    """A p-subgroup of order the full p-part of |G|."""
+    return (len(members) == int_p_part(G.order, p)
+            and is_p_subgroup(G, members, p))
+
+
 def brute_is_solvable(G):
     cur = frozenset(range(G.order))
     while True:

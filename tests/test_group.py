@@ -18,15 +18,15 @@ from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
                            derived_subgroup, hom_extend, is_cyclic,
                            is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
-                           isomorphism_search, normal_closure, normal_core,
-                           o_p, omega1, p_part, prime_factors,
+                           isomorphism_search, matches_table, normal_closure,
+                           normal_core, o_p, omega1, p_part, prime_factors,
                            quotient_group, regenerated, small_generating_set,
-                           standardize, sylow_p)
+                           standard_table, standardize, sylow_p)
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
                               elementary_abelian, klein_four_group,
                               quaternion_group, symmetric_group)
-from regmaps.verify import corpus_text
+from regmaps.verify import corpus_names, corpus_text
 from regmaps.words import Presentation, Word
 
 import oracles
@@ -552,6 +552,126 @@ def test_normal_closure_of_odd_part():
     assert N.order == 9 and is_normal(D9, N)
 
 
+# -- subgroups grown in place, against the oracles --------------------------
+
+GROWN_GROUPS = {name: (lambda corpus, name=name: corpus[name].group)
+                for name in corpus_names()}
+GROWN_GROUPS.update({
+    "D5": lambda corpus: dihedral_group(5),
+    "D8": lambda corpus: dihedral_group(8),
+    "D12": lambda corpus: dihedral_group(12),
+    "S4": lambda corpus: symmetric_group(4),
+})
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+def test_derived_series_matches_oracle(corpus, name):
+    G = GROWN_GROUPS[name](corpus)
+    assert ([term.members for term in derived_series(G)]
+            == oracles.brute_derived_series(G))
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+def test_sylow_and_omega1_match_oracles(corpus, name):
+    G = GROWN_GROUPS[name](corpus)
+    for p in prime_factors(G.order):
+        P = sylow_p(G, p)
+        assert oracles.is_sylow(G, P.members, p)
+        assert omega1(P, p).members == oracles.brute_omega1(G, P.members, p)
+        if G.order <= 400:
+            whole = G.improper_subgroup()
+            assert (omega1(whole, p).members
+                    == oracles.brute_omega1(G, whole.members, p))
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+def test_normal_closure_matches_oracle(corpus, name):
+    G = GROWN_GROUPS[name](corpus)
+    n = G.order
+    P = sylow_p(G, prime_factors(n)[-1])
+    for ambient, seeds in [(G.gen_indices, [1]), (G.gen_indices, [n - 1]),
+                           (G.gen_indices, [n // 2, n // 3]),
+                           (P.gens, [n - 1]), (P.gens, [n // 2])]:
+        N = normal_closure(G, ambient, seeds)
+        assert N.members == oracles.brute_normal_closure(G, ambient, seeds)
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+def test_subgroup_from_members_matches_oracle(corpus, name):
+    G = GROWN_GROUPS[name](corpus)
+    subgroups = ([term.members for term in derived_series(G)]
+                 + [sylow_p(G, p).members for p in prime_factors(G.order)])
+    for members in subgroups:
+        H = G.subgroup_from_members(members)
+        assert H.members == members
+        assert H.gens == oracles.greedy_generators(G, members)
+        if 1 < len(members) < G.order:
+            outside = min(set(range(G.order)) - members)
+            with pytest.raises(ContractViolation):
+                G.subgroup_from_members(members | {outside})
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_grown_generators_are_irredundant(corpus, name, data):
+    # each generator lies outside the span of the generators before it
+    G = GROWN_GROUPS[name](corpus)
+    elem = st.integers(0, G.order - 1)
+    seeds = data.draw(st.lists(elem, min_size=1, max_size=3))
+    seeds += [G.power(x, 2) for x in seeds]
+    p = data.draw(st.sampled_from(prime_factors(G.order)))
+    grown = [normal_closure(G, G.gen_indices, seeds),
+             omega1(sylow_p(G, p), p), *derived_series(G)[1:]]
+    for H in grown:
+        for k, g in enumerate(H.gens):
+            assert g not in oracles.span(G, H.gens[:k])
+
+
+def test_derived_series_of_g384_costs_516_products(monkeypatch):
+    # a fresh group, whose derived series no earlier test has kept
+    G = realize_group_file(parse_group_file(
+        corpus_text("g384_chiral.grp"))).group
+    mul = regmaps.group.FiniteGroup.mul
+    calls = []
+
+    def counted(self, i, j):
+        calls.append(i)
+        return mul(self, i, j)
+    monkeypatch.setattr(regmaps.group.FiniteGroup, "mul", counted)
+    series = derived_series(G)
+    assert [term.order for term in series] == [384, 96, 16, 1]
+    assert [len(term.gens) for term in series] == [6, 3, 3, 0]
+    assert len(calls) == 516
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_GROUPS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_matches_table_is_the_table_comparison(corpus, name, data):
+    G = GROWN_GROUPS[name](corpus)
+    n = G.order
+    elem = st.integers(0, n - 1)
+    g = data.draw(elem)
+    if data.draw(st.booleans()):
+        tup = data.draw(st.lists(elem, min_size=1, max_size=3))
+    else:  # a generating tuple: an inner automorphism's image of G's own
+        tup = [G.conj(x, g) for x in G.gen_indices]
+    other = data.draw(st.lists(elem, min_size=1, max_size=3))
+    twins = [make(corpus) for make in GROWN_GROUPS.values()]
+    keys = [standardize(G, tup), standardize(G, other),
+            standardize(G, [G.conj(x, g) for x in tup]),
+            standardize(G, G.gen_indices)]
+    keys += [standardize(H, H.gen_indices) for H in twins
+             if H.order == n and H is not G]
+    key = data.draw(st.sampled_from([k for k in keys if k is not None]))
+    rows = [G.row(x) for x in tup]
+    table = standard_table(rows, n)
+    event(f"equal: {table == key}")
+    for k in (key, key[:-1], key + (0,)):  # and keys one entry off in length
+        assert matches_table(rows, n, k) is (table == k)
+
+
 def test_hom_extend_finds_and_refuses():
     G = symmetric_group(4)
     gens = list(G.gen_indices)
@@ -776,8 +896,8 @@ def test_standardize_detects_generation_and_automorphisms(name, G, data):
         g = data.draw(st.integers(0, G.order - 1))
         b = tuple(G.conj(x, g) for x in a)
     ka, kb = standardize(G, a), standardize(G, b)
-    assert (ka is None) == (len(G._index_closure(a)) < G.order)
-    assert (kb is None) == (len(G._index_closure(b)) < G.order)
+    assert (ka is None) == (G.subgroup(a).order < G.order)
+    assert (kb is None) == (G.subgroup(b).order < G.order)
     if ka is not None and kb is not None:
         hom = hom_extend(regenerated(G, a), G, b)
         assert (ka == kb) == (hom is not None and hom.is_bijective())

@@ -106,12 +106,12 @@ def test_report_and_classify_share_one_mirror_walk(monkeypatch):
     m = realize_group_file(parse_group_file(
         corpus_text("g384_chiral.grp"))).maps["m"]
     walks = []
-    walk = regmaps.maps.standard_table
+    walk = regmaps.maps.matches_table
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
-    monkeypatch.setattr(regmaps.maps, "standard_table", counted)
+    monkeypatch.setattr(regmaps.maps, "matches_table", counted)
     assert not m.report().reflexible
     assert classify(m).orientation_status == "chiral"
     assert len(walks) == 1
