@@ -24,7 +24,7 @@ from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                      enumerate_flagged, enumerate_oriented)
 from .classify import (certify_sylow_structure, classify, detect_p_map,
                        identify_exceptional)
-from .coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
+from .coset_enum import DEFAULT_MAX_COSETS, group_order, todd_coxeter
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
 from .grammar import (GroupFile, format_group_file, parse_group_file,
@@ -231,22 +231,27 @@ def cmd_tc(args) -> int:
     gf = parse_group_file(text)
     if gf.mode != "gens":
         raise ContractViolation("tc needs a presentation-mode file")
-    ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
     exported = None
     if args.export_perms:
+        # the exported file is the regular table itself
+        ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
+        n = ct.n
         perm_gf = GroupFile(
             name=gf.name, mode="perm", gen_names=gf.gen_names,
             presentation=None,
             perm_cycles=tuple(tuple(p.cycles()) for p in ct.gen_perms()),
             matrices=(), modulus=None, maps=gf.maps)
         exported = format_group_file(perm_gf)
+    else:
+        # the order, certified by a cyclic subgroup's cosets where it can be
+        n = group_order(gf.presentation, args.max_cosets)[1]
     if args.json:
-        doc = {"tool_version": TOOL_VERSION, "cosets": ct.n}
+        doc = {"tool_version": TOOL_VERSION, "cosets": n}
         if exported is not None:
             doc["perm_file"] = exported
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(f"cosets: {ct.n}")
+        print(f"cosets: {n}")
         if exported is not None:
             print(exported, end="")
     return 0
@@ -301,11 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
     v.set_defaults(func=cmd_verify_corpus)
 
-    t = sub.add_parser("tc", help="coset enumeration on a presentation")
+    t = sub.add_parser("tc", help="the order of a presentation's group, by"
+                                  " coset enumeration, over a cyclic"
+                                  " subgroup where a power relator"
+                                  " certifies it")
     t.add_argument("file")
     t.add_argument("--export-perms", action="store_true",
-                   help="print the enumerated generators as a"
-                        " permutation-mode group file")
+                   help="enumerate the regular table and print its"
+                        " generators as a permutation-mode group file")
     common(t)
     t.set_defaults(func=cmd_tc)
     return p

@@ -20,13 +20,14 @@ shared column, which holds that relator by itself, so it is not traced.
 The columns grow by blocks of undefined entries, never past
 ``max_cosets + 1`` entries, the sink included.
 
-:func:`presentation_group` skips the regular table where the presentation
-proves the group's order.  A generator g with a power relator g^k acts on
-the cosets of <g>, an image of the group whose point stabilizer has order
-L, the lcm of g's cycle lengths; L = k makes the action faithful and the
-order k * index (Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, ch. 5).  Elements are numbered as :func:`regmaps.group.closure`
-numbers them, by the group and its generators alone, whatever the action.
+:func:`group_order` skips the regular table where the presentation proves
+the group's order, for :func:`presentation_group` and for the CLI's ``tc``
+count alike.  A generator g with a power relator g^k acts on the cosets of
+<g>, an image of the group whose point stabilizer has order L, the lcm of
+g's cycle lengths; L = k makes the action faithful and the order k * index
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
+Elements are numbered as :func:`regmaps.group.closure` numbers them, by
+the group and its generators alone, whatever the action.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
     owned = [fc for fc, _ in pairs]
     p = [0, 1]
     dead = 0
+    # The per-coset loop reads these ints, not len(): cap is the rows of
+    # every column, the sink's included, and top the cosets defined so far,
+    # len(p).  A new coset fills row top, so the table is full at top == cap.
+    cap = top = 2
 
     def rep(k: int) -> int:
         root = k
@@ -132,20 +137,24 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
                     ic[nu] = mu
         dead += len(queue)
 
-    def grow(size: int) -> None:
+    def grow() -> None:
         # the table is full: add a block of undefined rows, or refuse
-        if size > max_cosets:
+        nonlocal cap
+        if cap > max_cosets:
             raise ResourceLimitExceeded(
                 f"coset table exceeded max_cosets={max_cosets}"
-                f" ({size - 1 - dead} live)", "max_cosets", max_cosets)
-        block = [0] * min(max(size >> 3, _BLOCK_MIN), max_cosets + 1 - size)
+                f" ({cap - 1 - dead} live)", "max_cosets", max_cosets)
+        block = [0] * min(max(cap >> 3, _BLOCK_MIN), max_cosets + 1 - cap)
         for col in owned:
             col.extend(block)
+        cap += len(block)
 
-    def scan_and_fill(alpha: int, fw: list, bw: list) -> None:
-        # fw[i] is the column of the word's i-th symbol, bw[i] of its inverse
+    def scan_and_fill(alpha: int, fw: list, bw: list, j: int) -> None:
+        # fw[i] is the column of the word's i-th symbol, bw[i] of its
+        # inverse, and j the word's last index
+        nonlocal top
         f, i = alpha, 0
-        b, j = alpha, len(fw) - 1
+        b = alpha
         while True:
             while i <= j and (g := fw[i][f]):
                 f, i = g, i + 1
@@ -162,39 +171,42 @@ def todd_coxeter(pres: Presentation, subgroup_words: Sequence[Word] = (),
                 fw[i][f] = b
                 bw[i][b] = f
                 return
-            beta = len(p)  # define f * word[i] as a new coset
-            if beta == len(fw[i]):
-                grow(beta)
+            beta = top  # define f * word[i] as a new coset
+            if beta == cap:
+                grow()
             p.append(beta)
+            top += 1
             fw[i][f] = beta
             bw[i][beta] = f
 
     def scan(word: list) -> tuple:
-        return [cols[x] for x in word], [cols[x ^ 1] for x in word]
+        return ([cols[x] for x in word], [cols[x ^ 1] for x in word],
+                len(word) - 1)
 
     scans = [scan(w) for w in relators if len(w) != 2 or w[0] != w[1]]
     for w in subgroup_words:
         scan_and_fill(1, *scan(_to_symbols(w)))
     alpha = 1
-    while alpha < len(p):
+    while alpha < top:
         if p[alpha] == alpha:
-            for fw, bw in scans:
+            for fw, bw, last in scans:
                 # a walk that meets an undefined entry ends in the sink, so
                 # it ends at alpha iff the relator already holds there
                 f = alpha
                 for c in fw:
                     f = c[f]
                 if f != alpha:
-                    scan_and_fill(alpha, fw, bw)
+                    scan_and_fill(alpha, fw, bw, last)
                     if p[alpha] != alpha:
                         break
             else:
                 for fc, ic in pairs:
                     if not fc[alpha]:
-                        beta = len(p)
-                        if beta == len(fc):
-                            grow(beta)
+                        beta = top
+                        if beta == cap:
+                            grow()
                         p.append(beta)
+                        top += 1
                         fc[alpha] = beta
                         ic[beta] = alpha
         alpha += 1
@@ -279,54 +291,68 @@ def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> Fini
     return FiniteGroup(n, elements, [num[col[0]] for col in gen_cols])
 
 
+def _cyclic_cosets(pres: Presentation, i: int, max_cosets: int,
+                   tables: dict) -> CosetTable:
+    """The table over <g>, g = generator i, enumerated once per `tables`."""
+    if i not in tables:
+        tables[i] = todd_coxeter(pres, (Word.gen(i),), max_cosets=max_cosets)
+    return tables[i]
+
+
+def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
+                tables: dict | None = None) -> tuple[CosetTable, int]:
+    """The group's order n, with the table that proves it: `(table, n)`.
+
+    The generators g with a relator g^k, k least, are tried by decreasing
+    k, ties by position: g acts on the cosets of <g> with order L, so L = k
+    certifies n = k * index, and the table over the first such <g> is
+    returned.  Without a certificate the table is the regular one and n its
+    size.  Each enumeration is bounded by `max_cosets`, and its refusal is
+    the run's.  The tables over the cyclic subgroups are kept in `tables`,
+    by generator index, for a caller that goes on to use them.
+    """
+    tables = {} if tables is None else tables
+    words = sorted((r.letters for r in pres.relators), key=len, reverse=True)
+    powers = {abs(w[0]) - 1: len(w) for w in words  # the least k wins
+              if w and w.count(w[0]) == len(w)}
+    for i in sorted(powers, key=lambda i: (-powers[i], i)):
+        ct = _cyclic_cosets(pres, i, max_cosets, tables)
+        if _cycles(ct, i)[0] == powers[i]:
+            return ct, powers[i] * ct.n
+    regular = todd_coxeter(pres, (), max_cosets=max_cosets)
+    return regular, regular.n
+
+
 def presentation_group(pres: Presentation,
                        max_cosets: int = DEFAULT_MAX_COSETS,
                        max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The group a presentation defines, on a small faithful coset action.
 
-    The generators g with a relator g^k, k least, are tried by decreasing
-    k, ties by position: g acts on the cosets of <g> with order L, so L = k
-    certifies the order n = k * index.  Without a certificate, n is the
-    size of the regular table.  Each enumeration is bounded by
-    `max_cosets`, and its refusal is the run's.  With n known, the
-    generators are tried by increasing n / m, m the order of g, ties by
-    position: core(<g>) lies in <g>, so the action on the cosets of <g> is
-    faithful iff g acts there with order m.  The first faithful one is
-    closed on the base :func:`_cycles` reads off it; with none, the group
-    is the regular representation.  A group past the cell bound on that
-    action is refused at once; the regular table, had it been enumerated,
-    would find the same first faithful <g> and give the same refusal.
+    The order n comes from :func:`group_order`, whose tables over cyclic
+    subgroups are reused here, so no table is enumerated twice.  Each
+    enumeration is bounded by `max_cosets`, and its refusal is the run's.
+    With n known, the generators are tried by increasing n / m, m the
+    order of g, ties by position: core(<g>) lies in <g>, so the action on
+    the cosets of <g> is faithful iff g acts there with order m.  The first
+    faithful one is closed on the base :func:`_cycles` reads off it; with
+    none, the group is the regular representation.  A group past the cell
+    bound on that action is refused at once; the regular table, had it been
+    enumerated, would find the same first faithful <g> and give the same
+    refusal.
     """
     tables: dict = {}
-
-    def cosets(i: int) -> CosetTable:
-        if i not in tables:
-            tables[i] = todd_coxeter(pres, (Word.gen(i),),
-                                     max_cosets=max_cosets)
-        return tables[i]
-
-    def realize(faithful: CosetTable, n: int) -> FiniteGroup:
-        # the group, of order n, acts faithfully on `faithful`
-        _check_order(n, max_order)
-        orders = [_cycles(faithful, i)[0] for i in range(pres.ngens)]
-        # sorted() is stable, so ties keep generator order
-        for i in sorted(range(pres.ngens), key=lambda i: -orders[i]):
-            if orders[i] == 1:
-                break  # <g> is trivial: its cosets give the regular action
-            m, base = _cycles(cosets(i), i)
-            if m == orders[i]:
-                ct = tables[i]
-                limit = cell_limit(ct.n, pres.ngens)
-                if n > limit:
-                    raise cells_exceeded(limit, ct.n)
-                return closure(ct.n, ct.gen_perms(), max_order=n, base=base)
-        return perms_from_table(faithful, max_order)  # a regular table
-
-    words = sorted((r.letters for r in pres.relators), key=len, reverse=True)
-    powers = {abs(w[0]) - 1: len(w) for w in words  # the least k wins
-              if w and w.count(w[0]) == len(w)}
-    for i in sorted(powers, key=lambda i: (-powers[i], i)):
-        if _cycles(cosets(i), i)[0] == powers[i]:
-            return realize(tables[i], powers[i] * tables[i].n)
-    regular = todd_coxeter(pres, (), max_cosets=max_cosets)
-    return realize(regular, regular.n)
+    faithful, n = group_order(pres, max_cosets, tables)
+    _check_order(n, max_order)
+    orders = [_cycles(faithful, i)[0] for i in range(pres.ngens)]
+    # sorted() is stable, so ties keep generator order
+    for i in sorted(range(pres.ngens), key=lambda i: -orders[i]):
+        if orders[i] == 1:
+            break  # <g> is trivial: its cosets give the regular action
+        ct = _cyclic_cosets(pres, i, max_cosets, tables)
+        m, base = _cycles(ct, i)
+        if m == orders[i]:
+            limit = cell_limit(ct.n, pres.ngens)
+            if n > limit:
+                raise cells_exceeded(limit, ct.n)
+            return closure(ct.n, ct.gen_perms(), max_order=n, base=base)
+    return perms_from_table(faithful, max_order)  # a regular table

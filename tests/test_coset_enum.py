@@ -1,12 +1,15 @@
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from regmaps.coset_enum import (DEFAULT_MAX_COSETS, perms_from_table,
-                                presentation_group, todd_coxeter)
+import regmaps.cli as cli
+from regmaps.coset_enum import (DEFAULT_MAX_COSETS, group_order,
+                                perms_from_table, presentation_group,
+                                todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import ELEMENT_CELLS, closure
 from regmaps.perm import Perm
@@ -190,6 +193,43 @@ def test_presentation_group_enumerates_once(monkeypatch):
                          + [("closure", G.degree)] * closures), name
 
 
+def _tc(capsys, *argv):
+    ret = cli.main(["tc", *argv])
+    captured = capsys.readouterr()
+    return ret, captured.out, captured.err
+
+
+def _corpus_path(fname):
+    return str(resources.files("regmaps.corpus") / fname)
+
+
+def test_tc_enumerates_only_the_certifying_table(monkeypatch, capsys):
+    # tc counts the group from the table presentation_group realizes it
+    # from, so on the corpus it runs the same enumerations, g2106 one over
+    # <e> and none over the trivial subgroup; --export-perms prints the
+    # regular table and enumerates nothing else
+    import regmaps.coset_enum as ce
+    calls = []
+
+    def counted(pres, subgroup_words=(), **kwargs):
+        calls.append(tuple(subgroup_words))
+        return todd_coxeter(pres, subgroup_words, **kwargs)
+
+    monkeypatch.setattr(ce, "todd_coxeter", counted)
+    monkeypatch.setattr(cli, "todd_coxeter", counted)
+    for name, order in CORPUS_ORDERS:
+        pres = parse_group_file(corpus_text(name)).presentation
+        calls.clear()
+        assert _tc(capsys, _corpus_path(name)) == (0, f"cosets: {order}\n",
+                                                   "")
+        assert calls == [(Word.gen(pres.gen_names.index(g)),)
+                         for g in ENUMERATIONS[name][0]], name
+        calls.clear()
+        ret, out, _ = _tc(capsys, "--export-perms", _corpus_path(name))
+        assert (ret, out.split("\n")[0]) == (0, f"cosets: {order}")
+        assert calls == [()], name
+
+
 def _same_group(G, H):
     return ((G.elements, G.gen_indices, G.base, G.degree, G.order)
             == (H.elements, H.gen_indices, H.base, H.degree, H.order))
@@ -272,6 +312,29 @@ def test_presentation_group_matches_closure_on_random_presentations(case):
     event("trivial" if G.order == 1 else
           "regular" if G.degree == G.order else "on the cosets of <g>")
     assert _same_group(G, want)
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_certified_order_is_the_regular_table_size(case):
+    # k * index, read off the table over one <g>, counts what the regular
+    # table lists, whenever both enumerations fit in the bound
+    pres, _ = case
+    tables = {}
+    try:
+        ct, n = group_order(pres, max_cosets=2000, tables=tables)
+    except ResourceLimitExceeded:
+        ct = n = None
+    try:
+        want = todd_coxeter(pres, max_cosets=2000).n
+    except ResourceLimitExceeded:
+        want = None
+    if n is None or want is None:
+        event("refused by both" if n is want else "refused by one side")
+        return
+    event("certified by <g>" if any(ct is t for t in tables.values())
+          else "regular table")
+    assert n == want
 
 
 def _rows_or_none(enumerate_rows, pres, sub):
@@ -394,8 +457,9 @@ def test_closure_memory_per_element():
 
 
 # The smallest --max-cosets under which each corpus presentation completes,
-# and the refusal one below it.  HLT defines its cosets in one fixed order,
-# so these pin that order: a change to it moves a user's bound outcome.
+# and the refusal one below it, for todd_coxeter and tc --export-perms.
+# HLT defines its cosets in one fixed order, so these pin that order: a
+# change to it moves a user's bound outcome.
 SMALLEST_BOUNDS = [
     ("g2106_chiral.grp", 10280, 2110),
     ("g216_nonorientable.grp", 405, 224),
@@ -408,17 +472,24 @@ SMALLEST_BOUNDS = [
 
 @pytest.mark.parametrize("fname,bound,live", SMALLEST_BOUNDS,
                          ids=[f for f, _, _ in SMALLEST_BOUNDS])
-def test_smallest_bound_that_completes(fname, bound, live):
+def test_smallest_bound_that_completes(fname, bound, live, capsys):
     pres = parse_group_file(corpus_text(fname)).presentation
-    assert todd_coxeter(pres, max_cosets=bound).n == dict(CORPUS_ORDERS)[fname]
+    order = dict(CORPUS_ORDERS)[fname]
+    assert todd_coxeter(pres, max_cosets=bound).n == order
     with pytest.raises(ResourceLimitExceeded) as e:
         todd_coxeter(pres, max_cosets=bound - 1)
-    assert str(e.value) == (
-        f"coset table exceeded max_cosets={bound - 1} ({live} live)")
+    refusal = f"coset table exceeded max_cosets={bound - 1} ({live} live)"
+    assert str(e.value) == refusal
+    # tc --export-perms prints the regular table, under the same bounds
+    ret, out, _ = _tc(capsys, "--export-perms", _corpus_path(fname),
+                      "--max-cosets", str(bound))
+    assert (ret, out.split("\n")[0]) == (0, f"cosets: {order}")
+    assert _tc(capsys, "--export-perms", _corpus_path(fname),
+               "--max-cosets", str(bound - 1)) == (5, "", f"error: {refusal}\n")
 
 
-# The same for presentation_group, whose enumerations are over the cyclic
-# subgroups it tries: a certified group needs no regular table.
+# The same for presentation_group and tc, whose enumerations are over the
+# cyclic subgroups they try: a certified group needs no regular table.
 SMALLEST_REALIZATION_BOUNDS = [
     ("g2106_chiral.grp", 468, 144),
     ("g216_nonorientable.grp", 120, 62),
@@ -431,15 +502,21 @@ SMALLEST_REALIZATION_BOUNDS = [
 
 @pytest.mark.parametrize("fname,bound,live", SMALLEST_REALIZATION_BOUNDS,
                          ids=[f for f, _, _ in SMALLEST_REALIZATION_BOUNDS])
-def test_smallest_bound_that_realizes(fname, bound, live):
+def test_smallest_bound_that_realizes(fname, bound, live, capsys):
     pres = parse_group_file(corpus_text(fname)).presentation
+    order = dict(CORPUS_ORDERS)[fname]
     G = presentation_group(pres, max_cosets=bound)
-    assert (G.order, G.degree) == (dict(CORPUS_ORDERS)[fname],
-                                   CORPUS_DEGREES[fname])
+    assert (G.order, G.degree) == (order, CORPUS_DEGREES[fname])
     with pytest.raises(ResourceLimitExceeded) as e:
         presentation_group(pres, max_cosets=bound - 1)
-    assert str(e.value) == (
-        f"coset table exceeded max_cosets={bound - 1} ({live} live)")
+    refusal = f"coset table exceeded max_cosets={bound - 1} ({live} live)"
+    assert str(e.value) == refusal
+    # tc counts the group from the same certificate, under the same bounds
+    path = _corpus_path(fname)
+    assert _tc(capsys, path, "--max-cosets", str(bound)) == (
+        0, f"cosets: {order}\n", "")
+    assert _tc(capsys, path, "--max-cosets", str(bound - 1)) == (
+        5, "", f"error: {refusal}\n")
 
 
 def test_completed_enumeration_memory():
