@@ -6,8 +6,8 @@ from .classify import (ExceptionalCase, LawCheck, PMapClassification,
                        SylowStructure, certify_sylow_structure, classify,
                        detect_p_map, identify_exceptional,
                        verify_classification_law)
-from .coset_enum import (CosetTable, DEFAULT_MAX_COSETS, perms_from_table,
-                         presentation_group, todd_coxeter)
+from .coset_enum import (CosetTable, DEFAULT_MAX_COSETS, presentation_group,
+                         todd_coxeter)
 from .errors import (ClassificationError, ContractViolation, ParseError,
                      RegmapsError, ResourceLimitExceeded, TheoremViolation)
 from .grammar import (GroupFile, MapDecl, Realization, format_group_file,
@@ -42,8 +42,8 @@ __all__ = [
     "format_word", "identify_exceptional", "input_digest",
     "is_solvable", "isomorphism_search", "load_group_file", "map_section",
     "maps_isomorphic", "matrix_group", "new_document", "normal_core",
-    "o_p", "oriented_of_flagged", "parse_group_file", "perms_from_table",
-    "presentation_group", "quotient_group", "quotient_map", "realize_group_file",
+    "o_p", "oriented_of_flagged", "parse_group_file", "presentation_group",
+    "quotient_group", "quotient_map", "realize_group_file",
     "relator_from_equality", "standardize", "sylow_p", "todd_coxeter",
     "verify_classification_law", "verify_corpus",
 ]

@@ -26,8 +26,8 @@ count alike.  A generator g with a power relator g^k acts on the cosets of
 <g>, an image of the group whose point stabilizer has order L, the lcm of
 g's cycle lengths; L = k makes the action faithful and the order k * index
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
-Elements are numbered as :func:`regmaps.group.closure` numbers them, by
-the group and its generators alone, whatever the action.
+Every table, faithful or regular, is closed by :func:`regmaps.group.closure`,
+so elements are numbered by the group and its generators alone.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
-from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit,
-                    cells_exceeded, closure, element_arithmetic,
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, closure, order_limit,
                     standard_table)
 from .perm import Perm
 from .words import Presentation, Word
@@ -258,39 +257,6 @@ def _check_order(n: int, max_order: int) -> None:
             "max_order", max_order)
 
 
-def perms_from_table(ct: CosetTable, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """The regular representation of the group whose table `ct` is, which
-    must come from an enumeration over the trivial subgroup.
-
-    A breadth-first walk over the generator columns meets the elements in
-    :func:`closure`'s order, and each new element is one product, formed
-    as :func:`element_arithmetic` gives it, from the element it was met
-    from.  Closure's order and cell bounds apply before any element is
-    built.
-    """
-    n = ct.n
-    _check_order(n, max_order)
-    limit = cell_limit(n, ct.ngens)
-    if n > limit:
-        raise cells_exceeded(limit, n)
-    pack, factor, times_of = element_arithmetic(n)
-    gen_cols = ct.cols[::2]
-    factors = [factor(col) for col in gen_cols]
-    num = [-1] * n
-    num[0] = 0
-    order = [0]
-    elements = [pack(range(n))]
-    for i, x in enumerate(order):
-        times = times_of(elements[i])
-        for col, g in zip(gen_cols, factors):
-            y = col[x]
-            if num[y] < 0:
-                num[y] = len(order)
-                order.append(y)
-                elements.append(times(g))
-    return FiniteGroup(n, elements, [num[col[0]] for col in gen_cols])
-
-
 def _cyclic_cosets(pres: Presentation, i: int, max_cosets: int,
                    tables: dict) -> CosetTable:
     """The table over <g>, g = generator i, enumerated once per `tables`."""
@@ -335,24 +301,24 @@ def presentation_group(pres: Presentation,
     order of g, ties by position: core(<g>) lies in <g>, so the action on
     the cosets of <g> is faithful iff g acts there with order m.  The first
     faithful one is closed on the base :func:`_cycles` reads off it; with
-    none, the group is the regular representation.  A group past the cell
-    bound on that action is refused at once; the regular table, had it been
-    enumerated, would find the same first faithful <g> and give the same
-    refusal.
+    none, the regular table is, on the base (0,).  Either is first put to
+    :func:`regmaps.group.order_limit`, which refuses a group past the cell
+    bound at once; the regular table, had it been enumerated, would find
+    the same first faithful <g> and give the same refusal.
     """
     tables: dict = {}
-    faithful, n = group_order(pres, max_cosets, tables)
+    ct, n = group_order(pres, max_cosets, tables)
     _check_order(n, max_order)
-    orders = [_cycles(faithful, i)[0] for i in range(pres.ngens)]
+    orders = [_cycles(ct, i)[0] for i in range(pres.ngens)]
+    base = (0,)  # a regular table's, if no <g> below is faithful
     # sorted() is stable, so ties keep generator order
     for i in sorted(range(pres.ngens), key=lambda i: -orders[i]):
         if orders[i] == 1:
             break  # <g> is trivial: its cosets give the regular action
-        ct = _cyclic_cosets(pres, i, max_cosets, tables)
-        m, base = _cycles(ct, i)
+        cyclic = _cyclic_cosets(pres, i, max_cosets, tables)
+        m, cyclic_base = _cycles(cyclic, i)
         if m == orders[i]:
-            limit = cell_limit(ct.n, pres.ngens)
-            if n > limit:
-                raise cells_exceeded(limit, ct.n)
-            return closure(ct.n, ct.gen_perms(), max_order=n, base=base)
-    return perms_from_table(faithful, max_order)  # a regular table
+            ct, base = cyclic, cyclic_base
+            break
+    order_limit(ct.n, pres.ngens, max_order, n)
+    return closure(ct.n, ct.gen_perms(), max_order=n, base=base)

@@ -27,8 +27,8 @@ from typing import Optional
 
 from .coset_enum import DEFAULT_MAX_COSETS, presentation_group
 from .errors import ContractViolation, ParseError, ResourceLimitExceeded
-from .group import (DEFAULT_MAX_ORDER, FiniteGroup, cell_limit, closure,
-                    closure_refusal, is_prime)
+from .group import (DEFAULT_MAX_ORDER, FiniteGroup, closure, is_prime,
+                    order_limit)
 from .maps import MAP_TYPES
 from .perm import Perm
 from .words import Presentation, Word, relator_from_equality
@@ -430,17 +430,17 @@ def format_group_file(gf: GroupFile) -> str:
 # -- realization -----------------------------------------------------------
 
 
-def _matrix_order_exceeds(rows, p: int, limit: int) -> bool:
-    """Whether the invertible 2x2 matrix `rows` has order more than `limit`
-    mod p: no power M^k with 1 <= k <= limit is the identity."""
+def _matrix_order(rows, p: int, limit: int) -> int:
+    """The order mod p of the invertible 2x2 matrix `rows`, the least k
+    with M^k the identity, or ``limit + 1`` if it is more than `limit`."""
     (a, b), (c, d) = rows
     w, x, y, z = 1, 0, 0, 1  # M^k, row by row
-    for _ in range(limit):
+    for k in range(1, limit + 1):
         w, x, y, z = ((w * a + x * c) % p, (w * b + x * d) % p,
                       (y * a + z * c) % p, (y * b + z * d) % p)
         if (w, x, y, z) == (1, 0, 0, 1):
-            return False
-    return True
+            return k
+    return limit + 1
 
 
 def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -451,9 +451,10 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
     on more than `max_order` points is refused before p is tested for
     primality.
     """
-    if p * p - 1 > max_order:
+    degree = p * p - 1
+    if degree > max_order:
         raise ResourceLimitExceeded(
-            f"matrix action on {p * p - 1} points exceeds"
+            f"matrix action on {degree} points exceeds"
             f" max_order={max_order}", "max_order", max_order)
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
@@ -463,10 +464,10 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
             raise ContractViolation(f"singular matrix {rows!r} mod {p}")
     # a generator of order above `limit` makes closure refuse: refuse as
     # it would, before any image is built
-    limit = min(max_order, cell_limit(p * p - 1, len(matrices)))
+    limit = order_limit(degree, len(matrices), max_order)
     for rows in matrices:
-        if _matrix_order_exceeds(rows, p, limit):
-            raise closure_refusal(limit, max_order, p * p - 1)
+        order_limit(degree, len(matrices), max_order,
+                    _matrix_order(rows, p, limit))
     perms = []
     for (a, b), (c, d) in matrices:
         # vector (x, y) is point x*p + y - 1
@@ -474,7 +475,7 @@ def matrix_group(p: int, matrices, max_order: int = DEFAULT_MAX_ORDER) -> Finite
                        for x, y in map(divmod, range(1, p * p), repeat(p)))
         perms.append(Perm(images))
     # only the identity fixes the vectors (0, 1) and (1, 0), points 0 and p - 1
-    return closure(p * p - 1, perms, max_order=max_order, base=(0, p - 1))
+    return closure(degree, perms, max_order=max_order, base=(0, p - 1))
 
 
 @dataclass
@@ -502,16 +503,12 @@ def realize_group_file(gf: GroupFile, max_cosets: int = DEFAULT_MAX_COSETS,
         for cycles in gf.perm_cycles:
             for cyc in cycles:
                 degree = max(degree, max(cyc) + 1)
-        # refuses points too many for even the identity, before any list
-        limit = cell_limit(degree, len(gf.perm_cycles))
-        # a generator of order above the limit makes closure refuse: refuse
-        # as it would, on the lcm of its cycle lengths, before any image is
-        # built (a max_order below 1 is left to closure's contract check)
-        if max_order >= 1:
-            limit = min(max_order, limit)
-            for cycles in gf.perm_cycles:
-                if lcm(*map(len, cycles)) > limit:
-                    raise closure_refusal(limit, max_order, degree)
+        # refuse as closure would, before any image is built: points too
+        # many for even the identity, or a generator's order, the lcm of its
+        # cycle lengths, above the limit
+        order_limit(degree, len(gf.perm_cycles), max_order,
+                    max((lcm(*map(len, cycles)) for cycles in gf.perm_cycles),
+                        default=1))
         perms = [Perm.from_cycles(cycles, degree) for cycles in gf.perm_cycles]
         G = closure(degree, perms, max_order=max_order)
     elif gf.mode == "mat":

@@ -15,7 +15,10 @@ The closure is a breadth-first walk from the identity, multiplying by
 generators in input order, which fixes a deterministic element numbering:
 element 0 is always the identity, and elements are numbered as the walk
 meets them.  The numbering depends only on the group and the order of its
-generators, not on the points it acts on.  A group keeps its elements, the
+generators, not on the points it acts on.  :func:`closure` builds every
+group, and :func:`order_limit` is the one check of its size: a caller that
+knows a least order asks it first, to be refused before any element is
+built.  A group keeps its elements, the
 indices of its generators and the base lookups below.  Inverses, element
 orders and rows of the multiplication table (:meth:`FiniteGroup.row`) are
 computed from those on first use and kept in lists; other per-group results
@@ -103,25 +106,24 @@ def cell_limit(degree: int, ngens: int) -> int:
     return limit
 
 
-def cells_exceeded(limit: int, degree: int) -> ResourceLimitExceeded:
-    """The refusal of a group of more than `limit` elements on `degree`
-    points, where ``limit == cell_limit(degree, ngens)``."""
-    return ResourceLimitExceeded(
+def order_limit(degree: int, ngens: int, max_order: int,
+                least: int = 1) -> int:
+    """The most elements closure may list on `degree` points from `ngens`
+    generators, ``min(max_order, cell_limit(degree, ngens))``; raises
+    closure's refusal if that is below `least`, a known lower bound on the
+    order.  A `max_order` below 1 is a ContractViolation."""
+    if max_order < 1:
+        raise ContractViolation(f"max_order must be at least 1, got {max_order}")
+    limit = min(max_order, cell_limit(degree, ngens))
+    if least <= limit:
+        return limit
+    if limit == max_order:
+        raise ResourceLimitExceeded(
+            f"closure exceeded max_order={max_order}", "max_order", max_order)
+    raise ResourceLimitExceeded(
         f"closure exceeded max_cells={MAX_CLOSURE_CELLS}:"
         f" {limit} elements on {degree} points",
         "max_cells", MAX_CLOSURE_CELLS)
-
-
-def closure_refusal(limit: int, max_order: int,
-                    degree: int) -> ResourceLimitExceeded:
-    """Closure's refusal of a group of more than `limit` elements on
-    `degree` points, where ``limit == min(max_order, cell_limit(degree,
-    ngens))``."""
-    if limit == max_order:
-        return ResourceLimitExceeded(
-            f"closure exceeded max_order={max_order}",
-            "max_order", max_order)
-    return cells_exceeded(limit, degree)
 
 
 def closure(degree: int, generators: Sequence[Perm],
@@ -137,20 +139,18 @@ def closure(degree: int, generators: Sequence[Perm],
     new.  A wrong base merges distinct elements.  The numbering, the bounds
     and the refusals do not depend on the base or on the element type.
 
-    Refuses (ResourceLimitExceeded) a group of more than `max_order`
-    elements, or of more than ``cell_limit(degree, len(generators))``
-    elements; a `max_order` below 1 is a ContractViolation.
+    Refuses (ResourceLimitExceeded) a group of more than
+    ``order_limit(degree, len(generators), max_order)`` elements, with the
+    refusal :func:`order_limit` gives.
     """
     gens = tuple(generators)
     if degree < 1:
         raise ContractViolation("a group acts on at least one point")
-    if max_order < 1:
-        raise ContractViolation(f"max_order must be at least 1, got {max_order}")
     for g in gens:
         if g.degree != degree:
             raise ContractViolation(
                 f"generator degree {g.degree} does not match {degree}")
-    limit = min(max_order, cell_limit(degree, len(gens)))
+    limit = order_limit(degree, len(gens), max_order)
     pack, factor, times_of = element_arithmetic(degree)
     if pack is bytes:
         base = ()  # one translate costs less than a lookup by base images
@@ -169,8 +169,8 @@ def closure(degree: int, generators: Sequence[Perm],
             k = look(g)
             if k not in seen:
                 j = len(elements)
-                if j >= limit:
-                    raise closure_refusal(limit, max_order, degree)
+                if j >= limit:  # raises, as j + 1 > limit
+                    order_limit(degree, len(gens), max_order, j + 1)
                 elements.append(times(g) if base else k)
                 seen[k] = j
     gen_indices = [seen[key(g.images)] for g in gens]

@@ -17,7 +17,7 @@ from .errors import ContractViolation
 
 
 class Perm:
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -28,14 +28,12 @@ class Perm:
                 raise ContractViolation(f"not a bijection on 0..{n - 1}: {images!r}")
             seen[v] = True
         self.images = images
-        self._hash = hash(images)
 
     @classmethod
     def _raw(cls, images: tuple) -> "Perm":
         # Internal fast path: caller guarantees images is a bijection tuple.
         p = object.__new__(cls)
         p.images = images
-        p._hash = hash(images)
         return p
 
     @classmethod
@@ -79,7 +77,7 @@ class Perm:
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Perm({cycle_string(self)})"

@@ -1,0 +1,50 @@
+"""Small standard groups as permutation groups, built by closure, for the
+tests: cyclic, dihedral, elementary abelian and the Klein four-group."""
+
+from regmaps.errors import ContractViolation
+from regmaps.group import FiniteGroup, closure
+from regmaps.perm import Perm
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ContractViolation("order must be positive")
+    if n == 1:
+        return closure(1, [])
+    rot = Perm(tuple((i + 1) % n for i in range(n)))
+    return closure(n, [rot])
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n acting on n points (n >= 3); for n = 2
+    the Klein four-group on 4 points."""
+    if n < 2:
+        raise ContractViolation("dihedral group needs n >= 2")
+    if n == 2:
+        a = Perm.from_cycles(((0, 1),), 4)
+        b = Perm.from_cycles(((2, 3),), 4)
+        return closure(4, [a, b])
+    rot = Perm(tuple((i + 1) % n for i in range(n)))
+    flip = Perm(tuple((n - i) % n for i in range(n)))
+    return closure(n, [rot, flip])
+
+
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
+    """(Z_p)^k acting regularly on p^k points (points = base-p digit
+    strings, generator i adds 1 to digit i)."""
+    if k < 1:
+        raise ContractViolation("rank must be positive")
+    n = p ** k
+    gens = []
+    for i in range(k):
+        step = p ** i
+        images = []
+        for x in range(n):
+            digit = (x // step) % p
+            images.append(x + step if digit < p - 1 else x - (p - 1) * step)
+        gens.append(Perm(tuple(images)))
+    return closure(n, gens)
+
+
+def klein_four_group() -> FiniteGroup:
+    return dihedral_group(2)

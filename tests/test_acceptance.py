@@ -16,9 +16,10 @@ from regmaps.group import (coset_action, is_normal, is_primitive, is_solvable,
                            isomorphism_search, normal_core, o_p,
                            prime_factors, regenerated, sylow_p)
 from regmaps.maps import oriented_of_flagged, quotient_map
-from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
-                              elementary_abelian, klein_four_group,
-                              quaternion_group, symmetric_group)
+from regmaps.standard import (alternating_group, quaternion_group,
+                              symmetric_group)
+from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
+                             klein_four_group)
 from regmaps.verify import corpus_text
 
 

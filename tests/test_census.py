@@ -22,9 +22,10 @@ from regmaps.grammar import parse_group_file, realize_group_file
 from regmaps.group import closure, derived_series, standard_table
 from regmaps.maps import FlaggedMap, OrientedMap, maps_isomorphic
 from regmaps.perm import Perm
-from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
-                              elementary_abelian, klein_four_group,
-                              quaternion_group, symmetric_group)
+from regmaps.standard import (alternating_group, quaternion_group,
+                              symmetric_group)
+from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
+                             klein_four_group)
 from regmaps.verify import corpus_text
 
 # (file, oriented classes, oriented tuples, flagged classes, flagged tuples)

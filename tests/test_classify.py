@@ -15,9 +15,9 @@ from regmaps.group import (closure, is_extraspecial, is_normal, regenerated,
                            sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap
 from regmaps.perm import Perm
-from regmaps.standard import (cyclic_group, dihedral_group,
-                              elementary_abelian, klein_four_group,
-                              quaternion_group)
+from regmaps.standard import quaternion_group
+from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
+                             klein_four_group)
 
 import oracles
 

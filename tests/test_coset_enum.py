@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import regmaps.cli as cli
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, group_order,
-                                perms_from_table, presentation_group,
-                                todd_coxeter)
+                                presentation_group, todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import ELEMENT_CELLS, closure
 from regmaps.perm import Perm
@@ -93,7 +92,7 @@ def test_one_coset_is_a_usable_bound():
 def test_gen_perms_satisfy_relators():
     gf = parse_group_file(corpus_text("s4_presentation.grp"))
     ct = todd_coxeter(gf.presentation)
-    G = perms_from_table(ct)
+    G = closure(ct.n, ct.gen_perms())
     for rel in gf.presentation.relators:
         assert rel.evaluate(G, G.gen_indices) == 0
     # regular representation: independent closure has the same order
@@ -108,9 +107,10 @@ def test_table_is_deterministic():
     assert ct1.rows == ct2.rows
 
 
-def test_perms_from_table_builds_regular_group():
+def test_regular_table_columns_close_to_the_regular_group():
     gf = parse_group_file(corpus_text("s4_presentation.grp"))
-    G = perms_from_table(todd_coxeter(gf.presentation))
+    ct = todd_coxeter(gf.presentation)
+    G = closure(ct.n, ct.gen_perms())
     assert G.order == 24
     assert G.degree == 24
 
@@ -135,7 +135,8 @@ def test_presentation_group_numbers_like_regular(fname, order):
     # a faithful coset action numbers every element as the regular one does
     pres = parse_group_file(corpus_text(fname)).presentation
     G = presentation_group(pres)
-    R = perms_from_table(todd_coxeter(pres))
+    ct = todd_coxeter(pres)
+    R = closure(ct.n, ct.gen_perms())
     assert G.order == R.order == order
     assert G.degree == CORPUS_DEGREES[fname] < R.degree
     assert generator_rows(G) == generator_rows(R)
@@ -149,13 +150,15 @@ def test_presentation_group_falls_back_to_regular():
         a ** 4, a ** 2 * (b ** 2).inverse(), a.conj(b) * a))
     G = presentation_group(pres)
     assert G.order == G.degree == 8
-    R = perms_from_table(todd_coxeter(pres))
+    ct = todd_coxeter(pres)
+    R = closure(ct.n, ct.gen_perms())
     assert generator_rows(G) == generator_rows(R)
 
 
 # The enumerations presentation_group runs on each presentation, in order,
-# by the generator of the subgroup (None for the trivial one), and its
-# closures.  No table is enumerated twice.  On g72, d has order 3 on the 8
+# by the generator of the subgroup (None for the trivial one), and its one
+# closure, on a faithful <g> or on the regular table.  No table is
+# enumerated twice.  On g72, d has order 3 on the 8
 # cosets of <d>, not the 9 of its relator d^9, so <b> certifies, and in D4
 # <b> certifies after <a>, which is normal.  The others keep their regular
 # enumeration: in Q8, a acts trivially on its 2 cosets and b has no power
@@ -164,7 +167,7 @@ ENUMERATIONS = {
     "s4_presentation.grp": ("u", 1), "g72_3map.grp": ("db", 1),
     "g384_chiral.grp": ("a", 1), "g2106_chiral.grp": ("e", 1),
     "g216_orientable.grp": ("d", 1), "g216_nonorientable.grp": ("d", 1),
-    "d4": ("ab", 1), "q8": (("a", None, "b"), 0), "a6": (("a", "b", None), 0),
+    "d4": ("ab", 1), "q8": (("a", None, "b"), 1), "a6": (("a", "b", None), 1),
 }
 
 
@@ -259,6 +262,44 @@ def test_presentation_group_matches_the_closure_oracle(name, degree):
     G = presentation_group(pres)
     assert G.degree == degree
     assert _same_group(G, oracles.presentation_group_by_closure(pres))
+
+
+@pytest.mark.parametrize("name", ["a^200", "a^300", "q8"])
+def test_regular_fallback_is_one_closure_of_the_table(monkeypatch, name):
+    # on a^200 (bytes elements), a^300 (tuples) and Q8 no <g> is faithful:
+    # the group is closure's on the regular table's columns, in one call
+    import regmaps.coset_enum as ce
+    pres = (SMALL_PRESENTATIONS.get(name)
+            or Presentation(("a",), (A ** int(name[2:]),)))
+    ct = todd_coxeter(pres)
+    want = closure(ct.n, ct.gen_perms())
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "closure", counted)
+    G = presentation_group(pres)
+    assert calls == [ct.n]
+    assert G.elements == want.elements
+    assert G.gen_indices == want.gen_indices
+
+
+def test_regular_fallback_is_refused_before_its_elements_are_built():
+    # 5000 elements on the 5000 points of the regular table pass the cell
+    # bound: refused with closure's message, before a generator is built
+    pres = Presentation(("a",), (A ** 5000,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitExceeded) as e:
+            presentation_group(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == (
+        "closure exceeded max_cells=20000000: 3925 elements on 5000 points")
+    assert peak < 2 * 10**6
 
 
 def test_presentation_group_order_bound():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import regmaps.grammar
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
-from regmaps.coset_enum import perms_from_table, todd_coxeter
+from regmaps.coset_enum import todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
 from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
@@ -23,9 +23,10 @@ from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
                            quotient_group, regenerated, small_generating_set,
                            standard_table, standardize, sylow_p)
 from regmaps.perm import Perm
-from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
-                              elementary_abelian, klein_four_group,
-                              quaternion_group, symmetric_group)
+from regmaps.standard import (alternating_group, quaternion_group,
+                              symmetric_group)
+from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
+                             klein_four_group)
 from regmaps.verify import corpus_names, corpus_text
 from regmaps.words import Presentation, Word
 
@@ -450,14 +451,15 @@ def dihedral_presentation(n):
     (dihedral_presentation, (256, 258)),
 ], ids=["cyclic", "dihedral"])
 def test_regular_tables_are_bytes_up_to_256_points(family, orders):
-    # the regular representation read off a table of order 256, and off
-    # the next table of the family, equals the closure of its columns
+    # the regular representation closed on the base (0,) of a table of
+    # order 256, and of the next table of the family, equals the closure of
+    # its columns
     for n, kind in zip(orders, (bytes, tuple)):
         ct = todd_coxeter(family(n))
         assert ct.n == n
-        G = perms_from_table(ct)
-        assert all(type(e) is kind for e in G.elements)
         perms = ct.gen_perms()
+        G = closure(n, perms, base=(0,))
+        assert all(type(e) is kind for e in G.elements)
         assert all(type(p.images) is tuple for p in perms)
         plain = closure(n, perms)
         assert list(map(tuple, G.elements)) == list(map(tuple, plain.elements))

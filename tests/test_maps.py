@@ -8,8 +8,8 @@ from regmaps.group import is_normal, isomorphism_search, o_p, quotient_group
 from regmaps.maps import (DEGENERATE_L_EQUALS_T, DEGENERATE_L_TRIVIAL,
                           FlaggedMap, OrientedMap, maps_isomorphic,
                           oriented_of_flagged, quotient_map)
-from regmaps.standard import (alternating_group, cyclic_group, dihedral_group,
-                              klein_four_group, symmetric_group)
+from regmaps.standard import alternating_group, symmetric_group
+from standard_groups import cyclic_group, dihedral_group, klein_four_group
 from regmaps.verify import corpus_text
 
 
