@@ -18,24 +18,27 @@ each conjugacy class, the orbits of G acting on itself by conjugation, in
 increasing order, read off the kept classes of G (:func:`_class_minima`).
 For each such x the second entry y runs only over the least member of
 each orbit of the centralizer C_G(x) acting by conjugation, in increasing
-order (:func:`_orbit_minima`); the third entry of a flagged tuple (l)
-runs over the involutions commuting with t.  Each generating tuple found
-counts |class(x)| * |orbit of y| tuples.
+order (:func:`_orbit_minima`), and for each (t, r) the third entry of a
+flagged tuple (l) over the least member of each orbit of C_G(t) ∩ C_G(r)
+on the involutions commuting with t.  Each generating tuple found counts
+|class(x)| * |orbit of y| tuples, times |orbit of l| for a flagged one.
 
 The first tuple met in each class is still its lexicographic least member
 (x*, y*, ...), so representatives and the order of the classes do not
 change.  Every conjugate of that tuple lies in the class, so x* is least
 in its conjugacy class.  Conjugating by c in C_G(x*) fixes x* and keeps
-the tuple in its class, so y* <= y*^c: y* is least in its C_G(x*)-orbit.
-So the tuple is scanned, and the scan runs in lexicographic order.
+the tuple in its class, so y* <= y*^c: y* is least in its C_G(x*)-orbit,
+and likewise l* is least in its orbit of C_G(t*) ∩ C_G(r*), which fixes t*
+and r*.  So the tuple is scanned, and the scan runs in lexicographic order.
 
 The weighted count of a class is its full size.  Conjugation by G maps the
 tuples of a class with first entry x one-to-one onto those with first
 entry any conjugate of x.  Among those with first entry x, conjugation by
 a c in C_G(x) with y^c = y' maps the tuples with second entry y one-to-one
 onto those with second entry y', inside the class; for a flagged tuple c
-centralizes t, so l commutes with t iff l^c does.  Any subgroup of C_G(x)
-would give the same output; the full centralizer prunes the most.
+centralizes t, so l commutes with t iff l^c does; so too a c in
+C_G(t) ∩ C_G(r) for the third entries after (t, r).  Any subgroup of
+C_G(x) would give the same output; the full centralizer prunes the most.
 
 A third level drops tuples whose image does not generate the abelian
 quotient G/G′, G′ the derived subgroup: such a tuple does not generate G.
@@ -211,11 +214,17 @@ def _class_minima(G: FiniteGroup, members) -> list:
     return minima
 
 
-def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
+def _orbit_minima(G: FiniteGroup, sub: list, members,
+                  conjugates: bool = False) -> list:
     """(y, orbit size) for the least member y of each orbit of the subgroup
     with member list `sub` acting on `members` by conjugation, in increasing
-    order of y.  `members` is increasing and closed under that action.
-    Conjugates are read off y's row: y^c = G.row(y)[c^-1] * c."""
+    order of y; with `conjugates`, (y, orbit size, [y^c for c in sub]).
+    `sub` may leave out members other than 1 that fix every member.
+    `members` is increasing and closed under that action.  Conjugates are
+    read off y's row: y^c = G.row(y)[c^-1] * c."""
+    if len(sub) == 1 or len(members) == 1:
+        return [(y, 1, [y] * len(sub)) if conjugates else (y, 1)
+                for y in members]
     mul, inv = G.mul, G.inv
     pairs = [(inv(c), c) for c in sub]
     seen: set = set()
@@ -223,9 +232,14 @@ def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
     for y in members:
         if y not in seen:
             row = G.row(y)
-            orbit = {mul(row[ci], c) for ci, c in pairs}
+            if conjugates:
+                conj = [mul(row[ci], c) for ci, c in pairs]
+                orbit = set(conj)
+                minima.append((y, len(orbit), conj))
+            else:
+                orbit = {mul(row[ci], c) for ci, c in pairs}
+                minima.append((y, len(orbit)))
             seen |= orbit
-            minima.append((y, len(orbit)))
     return minima
 
 
@@ -260,15 +274,24 @@ def enumerate_flagged(G: FiniteGroup,
             continue
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        for r, orbit in _orbit_minima(G, cent, quo.flagged((t,), invs, 1)):
+        seconds = _orbit_minima(G, cent, quo.flagged((t,), invs, 1),
+                                conjugates=True)
+        # no third entry moves if every involution commuting with t is
+        # central in C_G(t), hence a second entry of orbit 1
+        still = sum(orbit == 1 for _, orbit, _ in seconds) == len(commuting)
+        for r, orbit, conj in seconds:
             pair = (G.row(t), G.row(r))
-            weight = size * orbit
-            for l in quo.flagged((t, r), commuting):
+            # C_G(t) ∩ C_G(r), less t, which fixes every third entry
+            fixing = [0] if still else [c for c, y in zip(cent, conj)
+                                        if y == r and c != t]
+            for l, orbit_l in _orbit_minima(G, fixing,
+                                            quo.flagged((t, r), commuting)):
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (G.row(l),), n)
                 if key is not None:
-                    _add(classes, key, weight, FlaggedMap, G, (t, r, l))
+                    _add(classes, key, size * orbit * orbit_l, FlaggedMap,
+                         G, (t, r, l))
     return _entries(classes)
 
 

@@ -352,19 +352,20 @@ def _count_candidates(monkeypatch):
 
 # (file, oriented candidates, flagged candidates).  Per first-entry
 # conjugacy class, the conjugation scan meets one candidate for each orbit
-# of the centralizer on the second entries, times |commuting[t]| for
-# flagged; the census walks those whose image generates G/G′.  These are
-# group invariants, so they hold for any generator order.
+# of the centralizer on the second entries, and for flagged, per (t, r),
+# one for each orbit of C_G(t) ∩ C_G(r) on the third entries; the census
+# walks those whose image generates G/G′.  These are group invariants, so
+# they hold for any generator order.
 SCAN_COUNTS = [
-    ("g216_nonorientable.grp", 24, 66),
-    ("g216_orientable.grp", 24, 66),
-    ("g384_chiral.grp", 36, 120),
-    ("g72_3map.grp", 29, 57),
-    ("gl23_reflexible.grp", 28, 49),
-    ("s4_3map.grp", 13, 29),
-    ("s4_presentation.grp", 13, 29),
-    ("s4_projective.grp", 13, 29),
-    ("s4_sphere.grp", 13, 29),
+    ("g216_nonorientable.grp", 24, 42),
+    ("g216_orientable.grp", 24, 42),
+    ("g384_chiral.grp", 36, 70),
+    ("g72_3map.grp", 29, 41),
+    ("gl23_reflexible.grp", 28, 33),
+    ("s4_3map.grp", 13, 25),
+    ("s4_presentation.grp", 13, 25),
+    ("s4_projective.grp", 13, 25),
+    ("s4_sphere.grp", 13, 25),
 ]
 
 
@@ -379,6 +380,39 @@ def test_scan_candidate_counts(corpus, monkeypatch, fname, oriented,
     del calls[:]
     enumerate_flagged(G)
     assert len(calls) == flagged
+
+
+def _moves_a_third_entry(G):
+    """Whether, for some involutions t and r, an element commuting with both
+    moves by conjugation an involution l that commutes with t: then the
+    flagged census's third entry has an orbit of more than one member."""
+    n, invs = G.order, involutions(G)
+    for t in invs:
+        commuting = [l for l in invs if G.mul(t, l) == G.mul(l, t)]
+        for r in invs:
+            for c in range(n):
+                if G.conj(t, c) == t and G.conj(r, c) == r and any(
+                        G.conj(l, c) != l for l in commuting):
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("fname", ["s4_3map.grp", "g216_orientable.grp",
+                                   "g216_nonorientable.grp"])
+def test_flagged_third_entry_orbits_match_brute_force_scan(corpus, fname):
+    # Each class of the brute-force scan, which spans every triple, is one
+    # census entry: the same least tuple, the same size, in the same order.
+    # The census walks one third entry per orbit of C_G(t) ∩ C_G(r), which
+    # moves some third entries on these groups; orbits of C_G(t) alone
+    # would skip least tuples and miscount the classes.
+    G = corpus[fname].group
+    assert _moves_a_third_entry(G)
+    classes: dict = {}
+    for cand in scan_flagged_triples(G):
+        key = standard_table([G.row(x) for x in cand], G.order)
+        classes.setdefault(key, []).append(cand)
+    want = [(members[0], len(members)) for members in classes.values()]
+    assert [(e.tuple_, e.class_size) for e in enumerate_flagged(G)] == want
 
 
 def test_g2106_oriented_census(corpus, monkeypatch):

@@ -1013,3 +1013,53 @@ def test_c4_by_c4_and_c2_x_q8_pass_the_pruning():
         _, sizes = G.conjugacy_classes()
         return sorted((G.order_of(k), sizes[k]) for k in range(G.order))
     assert fingerprint(C4_BY_C4) == fingerprint(C2_X_Q8)
+
+
+# -- rows, centralizers and class moves, against per-entry oracles ----------
+
+def _regular(G):
+    """G acting on itself by right multiplication: a one-point base."""
+    return closure(G.order, [Perm(tuple(G.row(g))) for g in G.gen_indices])
+
+
+LOOKUP_GROUPS = {
+    **{name: (lambda corpus, name=name: corpus[name].group)
+       for name in corpus_names()},
+    "ladder_p11": lambda corpus: matrix_group(
+        11, (((2, 1), (1, 0)), ((0, 1), (1, 0)))),
+    "regular_d8": lambda corpus: _regular(dihedral_group(8)),
+    # a base of 9 points
+    "e2^9_on_18": lambda corpus: closure(18, [
+        Perm.from_cycles(((2 * i, 2 * i + 1),), 18) for i in range(9)]),
+    # read per entry: too few elements, and tuple elements
+    "regular_d4": lambda corpus: _regular(dihedral_group(4)),
+    "d300": lambda corpus: dihedral_group(300),
+}
+
+
+def test_lookup_groups_take_both_lookups(corpus):
+    bulk = {name for name, make in LOOKUP_GROUPS.items()
+            if isinstance((G := make(corpus)).elements[0], bytes)
+            and G.order >= regmaps.group.BULK_ORDER}
+    assert bulk == set(LOOKUP_GROUPS) - {"regular_d4", "d300"}
+    assert len(LOOKUP_GROUPS["regular_d8"](corpus).base) == 1
+    assert len(LOOKUP_GROUPS["e2^9_on_18"](corpus).base) == 9
+
+
+@pytest.mark.parametrize("name", LOOKUP_GROUPS)
+def test_rows_centralizers_and_classes_match_per_entry_oracles(corpus, name):
+    G = LOOKUP_GROUPS[name](corpus)
+    n = G.order
+    for g in sorted({0, *G.gen_indices, *range(1, n, max(1, n // 12))}):
+        assert G.row(g) == [G.mul(x, g) for x in range(n)]
+        assert G.centralizer(g) == [c for c in range(n)
+                                    if G.mul(g, c) == G.mul(c, g)]
+    # the orbits of conjugation by every element, numbered by least member
+    want, sizes = [-1] * n, []
+    for x in range(n):
+        if want[x] < 0:
+            orbit = {G.conj(x, c) for c in range(n)}
+            for y in orbit:
+                want[y] = len(sizes)
+            sizes.append(len(orbit))
+    assert G.conjugacy_classes() == (want, [sizes[c] for c in want])
