@@ -214,17 +214,13 @@ def _class_minima(G: FiniteGroup, members) -> list:
     return minima
 
 
-def _orbit_minima(G: FiniteGroup, sub: list, members,
-                  conjugates: bool = False) -> list:
-    """(y, orbit size) for the least member y of each orbit of the subgroup
-    with member list `sub` acting on `members` by conjugation, in increasing
-    order of y; with `conjugates`, (y, orbit size, [y^c for c in sub]).
-    `sub` may leave out members other than 1 that fix every member.
-    `members` is increasing and closed under that action.  Conjugates are
-    read off y's row: y^c = G.row(y)[c^-1] * c."""
+def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
+    """(y, orbit size, [y^c for c in sub]) for the least member y of each
+    orbit of conjugation by `sub`, a subgroup's members less any but 1 that
+    fix every member, on `members`, in increasing order of y.  `members` is
+    increasing and closed under that action.  y^c = G.row(y)[c^-1] * c."""
     if len(sub) == 1 or len(members) == 1:
-        return [(y, 1, [y] * len(sub)) if conjugates else (y, 1)
-                for y in members]
+        return [(y, 1, [y] * len(sub)) for y in members]
     mul, inv = G.mul, G.inv
     pairs = [(inv(c), c) for c in sub]
     seen: set = set()
@@ -232,14 +228,10 @@ def _orbit_minima(G: FiniteGroup, sub: list, members,
     for y in members:
         if y not in seen:
             row = G.row(y)
-            if conjugates:
-                conj = [mul(row[ci], c) for ci, c in pairs]
-                orbit = set(conj)
-                minima.append((y, len(orbit), conj))
-            else:
-                orbit = {mul(row[ci], c) for ci, c in pairs}
-                minima.append((y, len(orbit)))
+            conj = [mul(row[ci], c) for ci, c in pairs]
+            orbit = set(conj)
             seen |= orbit
+            minima.append((y, len(orbit), conj))
     return minima
 
 
@@ -254,7 +246,7 @@ def enumerate_oriented(G: FiniteGroup,
         if not seconds:
             continue
         row_r = G.row(r)
-        for l, orbit in _orbit_minima(G, G.centralizer(r), seconds):
+        for l, orbit, _ in _orbit_minima(G, G.centralizer(r), seconds):
             key = _generates((row_r, G.row(l)), n)
             if key is not None:
                 _add(classes, key, size * orbit, OrientedMap, G, (r, l))
@@ -274,18 +266,16 @@ def enumerate_flagged(G: FiniteGroup,
             continue
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        seconds = _orbit_minima(G, cent, quo.flagged((t,), invs, 1),
-                                conjugates=True)
-        # no third entry moves if every involution commuting with t is
-        # central in C_G(t), hence a second entry of orbit 1
+        seconds = _orbit_minima(G, cent, quo.flagged((t,), invs, 1))
+        # no third entry moves if every involution of C_G(t) is central
         still = sum(orbit == 1 for _, orbit, _ in seconds) == len(commuting)
         for r, orbit, conj in seconds:
             pair = (G.row(t), G.row(r))
             # C_G(t) ∩ C_G(r), less t, which fixes every third entry
             fixing = [0] if still else [c for c, y in zip(cent, conj)
                                         if y == r and c != t]
-            for l, orbit_l in _orbit_minima(G, fixing,
-                                            quo.flagged((t, r), commuting)):
+            thirds = quo.flagged((t, r), commuting)
+            for l, orbit_l, _ in _orbit_minima(G, fixing, thirds):
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class
                 key = _generates(pair + (G.row(l),), n)

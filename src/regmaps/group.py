@@ -34,10 +34,8 @@ group is listed passes it to :func:`closure`, which then looks products
 up the same way on more than 256 points; :func:`is_primitive` likewise
 takes the stabilizer of point 0, if known, and tests one point of each of
 its orbits.  Rows, centralizers and class moves read all products at once
-(:meth:`FiniteGroup._keys`): on ``bytes``, the base points' images over
-all elements are byte columns, a ``translate`` by g gives those of every
-x*g, and zipped they are the keys ``mul`` looks up; tuples, and groups of
-fewer than ``BULK_ORDER`` elements, are read an entry at a time.
+(:meth:`FiniteGroup._keys`): ``bytes`` columns of base images, each
+``translate``d by g and zipped, are the keys ``mul`` looks up for x*g.
 
 Subgroups are grown in place, as in Dimino's algorithm:
 :meth:`FiniteGroup._grow` adds one generator at a time to a closed member
@@ -80,10 +78,6 @@ MAX_CLOSURE_CELLS = 2 * 10**7
 ELEMENT_CELLS = 80
 POINT_CELLS = 6
 _BYTE_POINTS = bytes(range(256))
-# The least order read in bulk (FiniteGroup._keys): a row of D6 took 1.7 us
-# an entry at a time and 2.0 in bulk, one of S4 3.6 and 3.1 (Python 3.11,
-# a 2-vCPU VM).
-BULK_ORDER = 16
 
 
 def element_arithmetic(degree: int) -> tuple:
@@ -283,13 +277,11 @@ class FiniteGroup:
         return r
 
     def _keys(self, pre: int = 0, post: int = 0) -> Iterable:
-        """The ``_at`` keys of pre * c * post for each element c in index
-        order, to be read once.  On bytes, the columns of the points pre(b)
-        over all elements (the base's read off ``_at``, others off all
-        images joined), each translated by post, zipped; on tuples or under
-        BULK_ORDER elements, per entry."""
+        """The ``_at`` keys of pre * c * post for each element c, read once:
+        on bytes, the columns of the points pre(b) over all elements, each
+        translated by post, zipped; on tuples, per entry."""
         images = self.elements[post]
-        if len(self.elements) < BULK_ORDER or not isinstance(images, bytes):
+        if not isinstance(images, bytes):
             get, at, pick = self._get, self._at, self._get[pre]
             if not pre:
                 return [get_c(images) for get_c in get]
@@ -327,7 +319,8 @@ class FiniteGroup:
             e >>= 1
         return result
 
-    def order_of(self, i: int) -> int:
+    def order_of(self, i: int, bound: int = 0) -> int:
+        """The order of i; 0 once a base point's cycle passes `bound` > 0."""
         v = self._orders[i]
         if v is None:
             # The base stabilizer is trivial, so g^k = 1 iff g^k fixes every
@@ -337,9 +330,10 @@ class FiniteGroup:
             v = 1
             for b in self.base:
                 k, x = 1, img[b]
-                while x != b:
-                    x = img[x]
-                    k += 1
+                while x != b and k != bound:
+                    x, k = img[x], k + 1
+                if x != b:
+                    return 0
                 v = lcm(v, k)
             self._orders[i] = v
         return v
@@ -533,21 +527,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _order_divides(G: FiniteGroup, k: int, q: int) -> bool:
-    """Whether the order of element k, the lcm of its cycle lengths through
-    the base, divides q; a cycle is walked for at most q steps."""
-    if G._orders[k] is not None:
-        return q % G._orders[k] == 0
-    img = G.elements[k]
-    for b in G.base:
-        x, steps = img[b], 1
-        while x != b and steps < q:
-            x, steps = img[x], steps + 1
-        if x != b or q % steps:
-            return False
-    return True
-
-
 @_kept
 def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically.
@@ -564,7 +543,7 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     members, gens = {0}, []
     while len(members) < target:
         found = next((k for k in range(1, G.order) if k not in members
-                      and _order_divides(G, k, target)
+                      and (o := G.order_of(k, target)) and target % o == 0
                       and all(G.conj(m, k) in members for m in gens)),
                      None)
         if found is None:

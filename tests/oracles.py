@@ -356,8 +356,8 @@ def conjugation_scan_oriented(G):
     member of each orbit of C_G(r) on the involutions."""
     n = G.order
     inv = involutions(G)
-    for r, size in _orbit_minima(G, range(n), range(1, n)):
-        for l, orbit in _orbit_minima(G, G.centralizer(r), inv):
+    for r, size, _ in _orbit_minima(G, range(n), range(1, n)):
+        for l, orbit, _ in _orbit_minima(G, G.centralizer(r), inv):
             yield (r, l), size * orbit
 
 
@@ -369,10 +369,10 @@ def conjugation_scan_flagged(G):
     n = G.order
     inv = involutions(G)
     inv_set = set(inv)
-    for t, size in _orbit_minima(G, range(n), inv):
+    for t, size, _ in _orbit_minima(G, range(n), inv):
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        for r, orbit in _orbit_minima(G, cent, inv):
+        for r, orbit, _ in _orbit_minima(G, cent, inv):
             for l in commuting:
                 yield (t, r, l), size * orbit
 
