@@ -320,8 +320,7 @@ class FiniteGroup:
         return result
 
     def order_of(self, i: int, bound: int = 0) -> int:
-        """The order of i; unless it is kept, 0 once the cycle of a base
-        point passes `bound` > 0."""
+        """The order of i; unless kept, 0 once a base cycle passes `bound`."""
         v = self._orders[i]
         if v is None:
             # The base stabilizer is trivial, so g^k = 1 iff g^k fixes every
