@@ -12,56 +12,46 @@ generates G and yields its key.  A class opens with its map, built from
 the first tuple met and given that key, so each class's table is walked
 and held once.
 
-Inner automorphisms are automorphisms, so the scan is cut down on two
-levels.  The first entry x (r, or t) runs only over the least member of
-each conjugacy class, the orbits of G acting on itself by conjugation, in
-increasing order, read off the kept classes of G (:func:`_class_minima`).
-For each such x the second entry y runs only over the least member of
-each orbit of the centralizer C_G(x) acting by conjugation, in increasing
-order (:func:`_orbit_minima`), and for each (t, r) the third entry of a
-flagged tuple (l) over the least member of each orbit of C_G(t) ∩ C_G(r)
-on the involutions commuting with t.  Each generating tuple found counts
-|class(x)| * |orbit of y| tuples, times |orbit of l| for a flagged one.
+Inner automorphisms are automorphisms, so the scan walks one tuple per
+orbit of conjugation, level by level (:func:`_orbit_minima`).  The first
+entry x (r, or t) runs over the least member of each conjugacy class, read
+off the kept classes of G (:func:`_class_minima`); the second entry y over
+the least member of each orbit of C_G(x); the third entry l of a flagged
+tuple over the least member of each orbit of the stabilizer of r in C_G(t),
+C_G(t) ∩ C_G(r), on the involutions commuting with t.  A tuple found
+counts |class(x)| * |orbit of y| tuples, times |orbit of l| if flagged.
+The least tuple (x*, y*, ...) of a class is still scanned and met first:
+its conjugates lie in the class, so x* is least in its conjugacy class,
+y* in its C_G(x*)-orbit, since conjugating by C_G(x*) fixes x*, and l* in
+its orbit of C_G(t*) ∩ C_G(r*), which fixes t* and r*.  The weights add
+up to the class size: conjugation by G maps the tuples of a class with
+first entry x one-to-one onto those with first entry any conjugate of x,
+and a c in C_G(x) with y^c = y' maps those with second entry y onto those
+with y', inside the class (for a flagged tuple c centralizes t, so l
+commutes with t iff l^c does); so too for third entries.
 
-The first tuple met in each class is still its lexicographic least member
-(x*, y*, ...), so representatives and the order of the classes do not
-change.  Every conjugate of that tuple lies in the class, so x* is least
-in its conjugacy class.  Conjugating by c in C_G(x*) fixes x* and keeps
-the tuple in its class, so y* <= y*^c: y* is least in its C_G(x*)-orbit,
-and likewise l* is least in its orbit of C_G(t*) ∩ C_G(r*), which fixes t*
-and r*.  So the tuple is scanned, and the scan runs in lexicographic order.
+Two tests drop scanned tuples that cannot generate G.  Each drops whole
+orbits, so the orbits that stay keep their weights, and the least tuple
+of a class generates G, so it is never dropped.  The first rests on one
+fact: an entry of a generating tuple that commutes with every entry is
+central in G, since it commutes with a set of generators.  So a second
+entry y in C_G(x) is dropped unless C_G(x) = G, as x would commute with
+every entry (r with l; t with r and with l, which commutes with t), and a
+flagged third entry l in C_G(t) ∩ C_G(r) unless l is central, as l would
+commute with t, r and l.  Each drops the members in the acting group
+(for l, the noncentral ones), a set that conjugation by that group keeps.
 
-The weighted count of a class is its full size.  Conjugation by G maps the
-tuples of a class with first entry x one-to-one onto those with first
-entry any conjugate of x.  Among those with first entry x, conjugation by
-a c in C_G(x) with y^c = y' maps the tuples with second entry y one-to-one
-onto those with second entry y', inside the class; for a flagged tuple c
-centralizes t, so l commutes with t iff l^c does; so too a c in
-C_G(t) ∩ C_G(r) for the third entries after (t, r).  Any subgroup of
-C_G(x) would give the same output; the full centralizer prunes the most.
-
-A third level drops tuples whose image does not generate the abelian
-quotient G/G′, G′ the derived subgroup: such a tuple does not generate G.
-Each element is labelled by its coset of G′, and two closed-form rules on
-the labels decide what may follow a prefix (:class:`_Abelianization`).
-For an oriented (r, l), let k be the order of r's image and h the label
-of its one image of order 2 (k even): the pair's image has order k if l's
-label is 0 or h and 2k otherwise, and it generates G/G′ iff that order is
-|G/G′|.  A flagged tuple is three involutions, whose images lie in the
-elementary abelian 2-group W that the images of all involutions span: no
-flagged tuple generates unless W = G/G′, and then an entry may follow a
-prefix iff the rank over GF(2) of the prefix's images with its own is at
-least dim W less the number of entries still to come.
-Conjugation fixes every coset of G′, since x^c = x[x, c] with [x, c] in
-G′, so the member lists are cut before the orbit walk: whole orbits are
-dropped, and the orbits that stay keep their sizes, so every weight is as
-before.  A first entry that no involutions complete is skipped before its
-centralizer is built, a second entry of a flagged tuple is kept if some
-involution completes it, and the last entry runs only over the
-involutions that complete the tuple.  So a candidate is walked iff it was
-scanned before and its image generates G/G′.  The least tuple of a class
-generates G, so it is never dropped and is still the first met.  A
-perfect G has G/G′ = 1: nothing is dropped and no labels are built.
+The second keeps a tuple only if its image generates the abelian quotient
+G/G′, G′ the derived subgroup, by two closed-form rules on the labels of
+the elements by their cosets of G′ (:class:`_Abelianization`): the order of
+an oriented pair's image, and the rank over GF(2) of the images of the
+involutions of a flagged tuple.  Conjugation fixes every coset of G′, since
+x^c = x[x, c] with [x, c] in G′, so the member lists are cut before the
+orbit walk.  A first entry that no involutions complete is skipped before
+its centralizer is built, a second entry of a flagged tuple is kept if some
+involution completes it, and the last entry runs only over the involutions
+that complete the tuple.  A perfect G has G/G′ = 1: nothing is dropped and
+no labels are built.
 
 Aut(G) acts freely on generating tuples, so every class has |Aut G|
 members; a census whose classes differ in size raises TheoremViolation.
@@ -105,12 +95,15 @@ def _generates(rows, n: int) -> Optional[tuple]:
 def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
          cand: tuple) -> None:
     """Count `weight` generating tuples into the class keyed `key`, opening
-    it with the map cls(G, *cand) if new, which keeps `key` as its own."""
-    rec = classes.get(key)
-    if rec is None:
-        classes[key] = [cls(G, *cand, key=key), weight]
+    its entry with the map cls(G, *cand) if new, which keeps `key`."""
+    entry = classes.get(key)
+    if entry is None:
+        m = cls(G, *cand, key=key)
+        classes[key] = CensusEntry(kind=m.kind, tuple_=m.generator_tuple,
+                                   degenerate=tuple(sorted(m.degenerate)),
+                                   class_size=weight, map=m)
     else:
-        rec[1] += weight
+        entry.class_size += weight
 
 
 class _Abelianization:
@@ -189,15 +182,12 @@ def _prepare(G: FiniteGroup, max_order: int) -> tuple:
 
 
 def _entries(classes: dict) -> list:
-    """One entry per class; classes of unequal size breach the law that
-    Aut(G) acts freely on generating tuples."""
-    sizes = sorted({count for _, count in classes.values()})
+    """The entries, one per class; classes of unequal size breach the law
+    that Aut(G) acts freely on generating tuples."""
+    sizes = sorted({e.class_size for e in classes.values()})
     if len(sizes) > 1:
         raise TheoremViolation(f"census classes differ in size: {sizes}")
-    return [CensusEntry(kind=m.kind, tuple_=m.generator_tuple,
-                        degenerate=tuple(sorted(m.degenerate)),
-                        class_size=count, map=m)
-            for m, count in classes.values()]
+    return list(classes.values())
 
 
 def _class_minima(G: FiniteGroup, members) -> list:
@@ -215,12 +205,13 @@ def _class_minima(G: FiniteGroup, members) -> list:
 
 
 def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
-    """(y, orbit size, [y^c for c in sub]) for the least member y of each
-    orbit of conjugation by `sub`, a subgroup's members less any but 1 that
-    fix every member, on `members`, in increasing order of y.  `members` is
-    increasing and closed under that action.  y^c = G.row(y)[c^-1] * c."""
+    """(y, orbit size, [c in sub with y^c = y]) for the least member y of
+    each orbit of conjugation by `sub`, a subgroup's members, on `members`,
+    in increasing order of y.  The stabilizer is a subgroup's members, `sub`
+    itself where nothing moves, so it can act on a next entry.  `members`
+    is increasing and closed under that action.  y^c = G.row(y)[c^-1] * c."""
     if len(sub) == 1 or len(members) == 1:
-        return [(y, 1, [y] * len(sub)) for y in members]
+        return [(y, 1, sub) for y in members]
     mul, inv = G.mul, G.inv
     pairs = [(inv(c), c) for c in sub]
     seen: set = set()
@@ -229,9 +220,9 @@ def _orbit_minima(G: FiniteGroup, sub: list, members) -> list:
         if y not in seen:
             row = G.row(y)
             conj = [mul(row[ci], c) for ci, c in pairs]
-            orbit = set(conj)
-            seen |= orbit
-            minima.append((y, len(orbit), conj))
+            seen.update(conj)
+            minima.append((y, len(set(conj)),
+                           [c for c, z in zip(sub, conj) if z == y]))
     return minima
 
 
@@ -245,9 +236,12 @@ def enumerate_oriented(G: FiniteGroup,
         seconds = quo.oriented(r, invs)
         if not seconds:
             continue
-        row_r = G.row(r)
-        for l, orbit, _ in _orbit_minima(G, G.centralizer(r), seconds):
-            key = _generates((row_r, G.row(l)), n)
+        cent = G.centralizer(r)
+        # an l commuting with r would make r central
+        drop = set(cent) if len(cent) < n else ()
+        for l, orbit, _ in _orbit_minima(
+                G, cent, [l for l in seconds if l not in drop]):
+            key = _generates((G.row(r), G.row(l)), n)
             if key is not None:
                 _add(classes, key, size * orbit, OrientedMap, G, (r, l))
     return _entries(classes)
@@ -260,25 +254,24 @@ def enumerate_flagged(G: FiniteGroup,
     invs, quo = _prepare(G, max_order)
     n = G.order
     inv_set = set(invs)
+    _, class_size = G.conjugacy_classes()
     classes: dict = {}
     for t, size in _class_minima(G, invs):
         if not quo.flagged((), [t], 2):
             continue
         cent = G.centralizer(t)
         commuting = [l for l in cent if l in inv_set]
-        seconds = _orbit_minima(G, cent, quo.flagged((t,), invs, 1))
-        # no third entry moves if every involution of C_G(t) is central
-        still = sum(orbit == 1 for _, orbit, _ in seconds) == len(commuting)
-        for r, orbit, conj in seconds:
-            pair = (G.row(t), G.row(r))
-            # C_G(t) ∩ C_G(r), less t, which fixes every third entry
-            fixing = [0] if still else [c for c, y in zip(cent, conj)
-                                        if y == r and c != t]
-            thirds = quo.flagged((t, r), commuting)
-            for l, orbit_l, _ in _orbit_minima(G, fixing, thirds):
+        # an r commuting with t would make t central
+        drop = set(commuting) if len(cent) < n else ()
+        seconds = [r for r in quo.flagged((t,), invs, 1) if r not in drop]
+        for r, orbit, stab in _orbit_minima(G, cent, seconds):
+            # an l commuting with t and r would be central
+            thirds = [l for l in quo.flagged((t, r), commuting)
+                      if class_size[l] == 1 or l not in stab]
+            for l, orbit_l, _ in _orbit_minima(G, stab, thirds):
                 # the key keeps l's row even when l is t or r, so that
                 # the position of a repeated entry is part of the class
-                key = _generates(pair + (G.row(l),), n)
+                key = _generates((G.row(t), G.row(r), G.row(l)), n)
                 if key is not None:
                     _add(classes, key, size * orbit * orbit_l, FlaggedMap,
                          G, (t, r, l))

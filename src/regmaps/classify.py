@@ -221,8 +221,11 @@ def identify_semistar(qm) -> ExceptionalCase:
 
 
 def identify_c32(qm) -> ExceptionalCase:
-    if qm.kind != "flagged" or qm.degenerate:
+    if qm.kind != "flagged":
         raise ClassificationError("the exceptional 3-map is a flagged map")
+    if qm.degenerate:
+        raise ClassificationError(
+            "a degenerate map is not the exceptional 3-map")
     G = qm.group
     if G.order != 24 or qm.vef_counts() != (3, 6, 4) or qm.is_orientable():
         raise ClassificationError(

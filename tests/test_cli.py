@@ -246,6 +246,18 @@ def test_quotient_normal_map_has_no_exceptional_shape(corpus_file, capsys):
     assert "diagnostic: no exceptional identification:" in out
 
 
+def test_quotient_degenerate_map_is_not_the_exceptional_3_map(tmp_path,
+                                                              capsys):
+    # the quotient by O_3(S3) = C3 is a degenerate flagged map on C2
+    f = tmp_path / "s3.grp"
+    f.write_text("group s3\ngens a, b\nrel a^3\nrel b^2\nrel (a*b)^2\n"
+                 "map m : flagged t=b r=a*b l=b\n", encoding="utf-8")
+    ret, out, _ = _run(capsys, ["quotient", "--p", "3", str(f)])
+    assert ret == 0
+    assert ("diagnostic: no exceptional identification: a degenerate map"
+            " is not the exceptional 3-map") in out
+
+
 def test_quotient_rejects_composite_p(corpus_file, capsys):
     ret, _, err = _run(capsys,
                        ["quotient", "--p", "4", corpus_file("s4_3map.grp")])

@@ -5,9 +5,11 @@ The seed-0 `pipeline` and `census` jobs of the benchmark
 written by ``workloads.generate``.  Each outcome goes through
 ``checks.check`` against perfbench/data/expected.json: the exit code, the
 canonical JSON form, equal census class sizes and, at seed 0, the recorded
-SHA-256 of the whole document.  One larger input is pinned beside them:
-the oriented census of the order-2640 ladder group, 88 classes.  The
-benchmark files are only read.
+SHA-256 of the whole document.  Two larger inputs are pinned beside them:
+the oriented censuses of the order-2640 ladder group, 88 classes, and of
+the order-2106 corpus group, 8 classes, where the census skips half the
+tuples that generate G/G′ because l commutes with r.  The benchmark files
+are only read.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import regmaps.cli as cli
+from regmaps.verify import corpus_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -46,11 +49,23 @@ def test_job_output_matches_record(argvs, capsys, workload, k):
     assert why is None, why
 
 
-def test_ladder_census_output_is_pinned(capsys):
-    path = PERFBENCH / "data" / "ladder" / "ladder_p11.grp"
+def _pinned_census(capsys, path, digest):
     rc = cli.main(["census", str(path), "--kind", "oriented",
                    "--max-order", "30000", "--json"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_ladder_census_output_is_pinned(capsys):
+    _pinned_census(
+        capsys, PERFBENCH / "data" / "ladder" / "ladder_p11.grp",
         "a40dd8b2fe66aad3f213d8090df7c72743820ce896482a3ceb59757ace931248")
+
+
+def test_g2106_census_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "g2106_chiral.grp"
+    path.write_text(corpus_text(path.name), encoding="utf-8")
+    _pinned_census(
+        capsys, path,
+        "da72de930f9cf6744655aefb72722dd7142c4dafdbaec1f23bbf0078360e17c8")
