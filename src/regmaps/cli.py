@@ -24,7 +24,8 @@ from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                      enumerate_flagged, enumerate_oriented)
 from .classify import (certify_sylow_structure, classify, detect_p_map,
                        identify_exceptional)
-from .coset_enum import DEFAULT_MAX_COSETS, group_order, todd_coxeter
+from .coset_enum import (DEFAULT_MAX_COSETS, admit_presentation, group_order,
+                         todd_coxeter)
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
 from .grammar import (GroupFile, format_group_file, parse_group_file,
@@ -139,9 +140,11 @@ def cmd_quotient(args) -> int:
     status = 0
     section = map_section(f"{name}/core", qm)
     source_nonnormal = False
-    if not m.degenerate and detect_p_map(m) is not None:
+    if not m.degenerate and (pk := detect_p_map(m)) is not None:
         try:
-            source_nonnormal = not classify(m).normal
+            # a failed identification breaches a theorem only for a
+            # nonnormal p-map at the prime the quotient is taken at
+            source_nonnormal = not classify(m).normal and pk[0] == args.p
         except TheoremViolation as exc:
             doc.diagnostics.append(str(exc))
             status = 4
@@ -234,6 +237,7 @@ def cmd_tc(args) -> int:
     exported = None
     if args.export_perms:
         # the exported file is the regular table itself
+        admit_presentation(gf.presentation, args.max_cosets)
         ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
         n = ct.n
         perm_gf = GroupFile(
@@ -306,10 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
     v.set_defaults(func=cmd_verify_corpus)
 
-    t = sub.add_parser("tc", help="the order of a presentation's group, by"
-                                  " coset enumeration, over a cyclic"
-                                  " subgroup where a power relator"
-                                  " certifies it")
+    tc_help = ("the order of a presentation's group, by coset enumeration,"
+               " over a cyclic subgroup where a power relator certifies it;"
+               " a presentation whose relators prove the group infinite is"
+               " refused (exit 5) before any enumeration")
+    t = sub.add_parser("tc", help=tc_help, description=tc_help)
     t.add_argument("file")
     t.add_argument("--export-perms", action="store_true",
                    help="enumerate the regular table and print its"

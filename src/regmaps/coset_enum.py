@@ -28,12 +28,38 @@ g's cycle lengths; L = k makes the action faithful and the order k * index
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
 Every table, faithful or regular, is closed by :func:`regmaps.group.closure`,
 so elements are numbered by the group and its generators alone.
+
+Before any enumeration :func:`admit_presentation`, the presentation-side
+twin of :func:`regmaps.group.order_limit`, refuses a presentation whose
+relators prove the group infinite, with limit ``max_cosets``, the bound the
+enumeration would run into.  It has two certificates:
+
+* The relators split the generators into free factors: a union-find joins
+  the generators of each relator, and each class with its relators
+  presents a factor of a free product.  A free product of two nontrivial
+  groups is infinite (Lyndon and Schupp, *Combinatorial Group Theory*,
+  ch. IV), and a factor with a nontrivial abelianization is nontrivial, so
+  two such factors refuse.
+* G/G' is Z^n modulo the rows of the relators' exponent sums (Holt, Eick
+  and O'Brien, ch. 9).  Its free rank, and when that is 0 its order, the
+  product of the Smith invariants, are read off an echelon form of those
+  rows in Python ints.  A free rank above 0 makes G/G', and so G, infinite.
+
+Given ``max_order`` it also refuses, with that limit, a group with
+|G/G'| > max_order, since |G/G'| divides |G|.  The matrix is built and
+reduced only where it can decide something: when every generator g has a
+power relator g^k and the k multiply to at most ``max_order``, G/G' is
+finite and within the bound, and a connected presentation then costs one
+pass over its relators.  :func:`group_order` calls the check, and so
+:func:`presentation_group` and the CLI's ``tc``, and ``tc --export-perms``
+calls it before its regular table.  :func:`todd_coxeter` does not, since
+a subgroup of finite index in an infinite group has a finite table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
@@ -265,8 +291,123 @@ def _cyclic_cosets(pres: Presentation, i: int, max_cosets: int,
     return tables[i]
 
 
+def _abelian(relators: Sequence[Word],
+             gens: Sequence[int]) -> tuple[int, int]:
+    """`(r, m)`: the group on the generators `gens`, numbered from 1, with
+    `relators` has an abelianization of free rank r, and when r = 0 of
+    order m.
+
+    Its rows are the relators' exponent sums, a column a generator.
+    Euclid's algorithm down each column in turn, by row operations alone,
+    leaves them in echelon form: r counts the columns without a pivot, and
+    m, the product of the Smith invariants, is that of the pivots.
+    """
+    col = {g: j for j, g in enumerate(gens)}
+    n = len(col)
+    rows = []
+    for rel in relators:
+        letters = rel.letters
+        row = [0] * n
+        for x in set(letters):
+            if x > 0:
+                row[col[x]] += letters.count(x)
+            else:
+                row[col[-x]] -= letters.count(x)
+        if any(row):
+            rows.append(row)
+    free, order = 0, 1
+    for j in range(n):
+        live = [row for row in rows if row[j]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[j]))
+            for row in live:
+                if row is not pivot:
+                    q = row[j] // pivot[j]
+                    for i in range(j, n):
+                        row[i] -= q * pivot[i]
+            live = [row for row in live if row[j]]
+        if live:
+            order *= abs(live[0][j])
+            rows.remove(live[0])
+        else:
+            free += 1
+    return free, order
+
+
+def abelianization(pres: Presentation) -> tuple[int, int]:
+    """`(r, m)`: G/G' has free rank r, and when r = 0 order m."""
+    return _abelian(pres.relators, range(1, pres.ngens + 1))
+
+
+def admit_presentation(pres: Presentation,
+                       max_cosets: int = DEFAULT_MAX_COSETS,
+                       max_order: int | None = None) -> dict:
+    """Refuse a presentation whose relators prove its group infinite, or,
+    given `max_order`, larger than that; else return the least k of each
+    generator i's power relator g^k, as ``{i: k}``.
+
+    The certificates are the module docstring's.  An infinite group is
+    refused with limit `max_cosets`, the bound it would have run into.
+    """
+    ngens = pres.ngens
+    powers: dict = {}
+    # factor[i] is the set of generators joined to generator i (1-based),
+    # one set object per factor
+    factor = [{i} for i in range(ngens + 1)]
+    for r in pres.relators:
+        letters = r.letters
+        gens = set(map(abs, letters))
+        if len(gens) == 1:  # a reduced word on one generator is a power
+            g = abs(letters[0]) - 1
+            if len(letters) < powers.get(g, len(letters) + 1):
+                powers[g] = len(letters)
+            continue
+        joined = factor[gens.pop()]
+        for i in gens:
+            if (other := factor[i]) is not joined:
+                joined |= other
+                for h in other:
+                    factor[h] = joined
+    if ngens and len(factor[1]) < ngens:
+        # G is the free product of the factors' groups, and G/G' the direct
+        # product of their abelianizations
+        factors = {id(f): sorted(f) for f in factor[1:]}
+        parts: dict = {f: [] for f in factors}
+        for r in pres.relators:
+            parts[id(factor[abs(r.letters[0])])].append(r)
+        free, order, nontrivial = 0, 1, []
+        for f, gens in factors.items():
+            r, m = _abelian(parts[f], gens)
+            free, order = free + r, order * m
+            if r or m > 1:
+                nontrivial.append(gens)
+        if len(nontrivial) > 1:
+            a, b = (", ".join(pres.gen_names[i - 1] for i in gens)
+                    for gens in nontrivial[:2])
+            raise ResourceLimitExceeded(
+                f"presentation of an infinite group: free factors <{a}> and"
+                f" <{b}> both have a nontrivial abelianization",
+                "max_cosets", max_cosets)
+    elif len(powers) == ngens and (max_order is None
+                                   or prod(powers.values()) <= max_order):
+        return powers  # G/G' is finite and within the bound
+    else:
+        free, order = abelianization(pres)
+    if free:
+        raise ResourceLimitExceeded(
+            f"presentation of an infinite group: its abelianization has free"
+            f" rank {free}", "max_cosets", max_cosets)
+    if max_order is not None and order > max_order:
+        raise ResourceLimitExceeded(
+            f"group order is a multiple of {order}, the order of its"
+            f" abelianization, and exceeds max_order={max_order}",
+            "max_order", max_order)
+    return powers
+
+
 def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
-                tables: dict | None = None) -> tuple[CosetTable, int]:
+                tables: dict | None = None,
+                max_order: int | None = None) -> tuple[CosetTable, int]:
     """The group's order n, with the table that proves it: `(table, n)`.
 
     The generators g with a relator g^k, k least, are tried by decreasing
@@ -275,12 +416,12 @@ def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
     returned.  Without a certificate the table is the regular one and n its
     size.  Each enumeration is bounded by `max_cosets`, and its refusal is
     the run's.  The tables over the cyclic subgroups are kept in `tables`,
-    by generator index, for a caller that goes on to use them.
+    by generator index, for a caller that goes on to use them.  First,
+    :func:`admit_presentation` refuses a group its relators prove
+    infinite, or with `max_order`, larger than that.
     """
+    powers = admit_presentation(pres, max_cosets, max_order)
     tables = {} if tables is None else tables
-    words = sorted((r.letters for r in pres.relators), key=len, reverse=True)
-    powers = {abs(w[0]) - 1: len(w) for w in words  # the least k wins
-              if w and w.count(w[0]) == len(w)}
     for i in sorted(powers, key=lambda i: (-powers[i], i)):
         ct = _cyclic_cosets(pres, i, max_cosets, tables)
         if _cycles(ct, i)[0] == powers[i]:
@@ -295,7 +436,8 @@ def presentation_group(pres: Presentation,
     """The group a presentation defines, on a small faithful coset action.
 
     The order n comes from :func:`group_order`, whose tables over cyclic
-    subgroups are reused here, so no table is enumerated twice.  Each
+    subgroups are reused here, so no table is enumerated twice, and whose
+    admission check is given `max_order`.  Each
     enumeration is bounded by `max_cosets`, and its refusal is the run's.
     With n known, the generators are tried by increasing n / m, m the
     order of g, ties by position: core(<g>) lies in <g>, so the action on
@@ -307,7 +449,7 @@ def presentation_group(pres: Presentation,
     the same first faithful <g> and give the same refusal.
     """
     tables: dict = {}
-    ct, n = group_order(pres, max_cosets, tables)
+    ct, n = group_order(pres, max_cosets, tables, max_order)
     _check_order(n, max_order)
     orders = [_cycles(ct, i)[0] for i in range(pres.ngens)]
     base = (0,)  # a regular table's, if no <g> below is faithful

@@ -171,13 +171,42 @@ def test_huge_prime_modulus_exit_status(tmp_path, capsys):
 
 
 def test_quotient_by_huge_prime(corpus_file, capsys):
-    # as for --p 5: a trivial p-core and no exceptional shape (exit 4)
+    # as for --p 5: a trivial p-core and no exceptional shape, which is no
+    # theorem violation, since the map is a 3-map (exit 0)
     start = time.perf_counter()
     ret, out, _ = _run(capsys, ["quotient", "--p", "1000000000000000003",
                                 "--json", corpus_file("s4_3map.grp")])
     assert time.perf_counter() - start < 1.0
-    assert ret == 4
-    assert json.loads(out)["group"]["p_core_order"] == 1
+    assert ret == 0
+    doc = json.loads(out)
+    assert doc["group"]["p_core_order"] == 1
+    assert doc["diagnostics"] == [
+        "no exceptional identification: nonnormal p-map with"
+        " p = 1000000000000000003"]
+
+
+@pytest.mark.parametrize("name,why", [
+    ("g384_chiral.grp", "a nonnormal oriented 3-map cannot exist"),
+    ("gl23_reflexible.grp", "a nonnormal oriented 3-map cannot exist"),
+    ("s4_projective.grp",
+     "quotient does not match the nonorientable 3-vertex map"),
+    ("s4_sphere.grp",
+     "quotient does not match the nonorientable 3-vertex map"),
+])
+def test_a_2_map_has_no_3_quotient_to_breach(corpus_file, capsys, name, why):
+    # these nonnormal maps are 2-maps: the paper's theorem says nothing of
+    # their quotient by O_3, so a failed identification is a diagnostic
+    ret, out, err = _run(capsys, ["quotient", "--p", "3", corpus_file(name)])
+    assert (ret, err) == (0, "")
+    assert out.endswith(f"diagnostic: no exceptional identification: {why}\n")
+
+
+def test_a_nonnormal_3_map_has_its_exceptional_3_quotient(corpus_file,
+                                                           capsys):
+    ret, out, err = _run(capsys, ["quotient", "--p", "3",
+                                  corpus_file("g72_3map.grp")])
+    assert (ret, err) == (0, "")
+    assert out.endswith("  exceptional family: C(3,2)\n")
 
 
 def test_missing_file_exit_status(tmp_path, capsys):
@@ -382,15 +411,104 @@ def test_census_refuses_on_the_order_before_listing_elements(
 
 def test_an_infinite_presentation_is_refused_by_the_census(tmp_path,
                                                            capsys):
-    # C2 * C3 has no finite order to certify: the cosets of <b> run into
-    # the coset bound, with every coset live, as the regular table does
+    # C2 * C3 is a free product of two nontrivial groups: refused before
+    # any enumeration, on the certificate
     f = tmp_path / "modular.grp"
     f.write_text("group modular\ngens a, b\nrel a^2\nrel b^3\n"
                  "map m : oriented r=a l=b\n", encoding="utf-8")
     ret, out, err = _run(capsys, ["census", "--kind", "oriented", str(f),
                                   "--max-cosets", "1000"])
     assert (ret, out) == (5, "")
-    assert err == "error: coset table exceeded max_cosets=1000 (1000 live)\n"
+    assert err == ("error: presentation of an infinite group: free factors"
+                   " <a> and <b> both have a nontrivial abelianization\n")
+
+
+SPLIT = ("error: presentation of an infinite group: free factors <{}> and"
+         " <{}> both have a nontrivial abelianization\n")
+# Presentations the certificates refuse, each with its refusal, under the
+# commands that realize or count a presentation.
+REFUSED = [
+    ("gens a, b\nrel a^2\nrel b^3\nmap m : oriented r=a l=b\n",
+     ["tc"], SPLIT.format("a", "b")),
+    ("gens a, b\nrel a^2\nrel b^3\nmap m : oriented r=a l=b\n",
+     ["tc", "--export-perms"], SPLIT.format("a", "b")),
+    ("gens a, b\nrel a^2\nrel b^3\nmap m : oriented r=a l=b\n",
+     ["analyze"], SPLIT.format("a", "b")),
+    ("gens a, b\nrel a^2\nrel b^3\nmap m : oriented r=a l=b\n",
+     ["census", "--kind", "oriented"], SPLIT.format("a", "b")),
+    # C5 * C2: a map file that forgot its (rl)^q
+    ("gens r, l\nrel r^5\nrel l^2\nmap m : oriented r=r l=l\n",
+     ["analyze"], SPLIT.format("r", "l")),
+    ("gens r, l\nrel r^5\nrel l^2\nmap m : oriented r=r l=l\n",
+     ["census", "--kind", "flagged"], SPLIT.format("r", "l")),
+    # b is free
+    ("gens a, b\nrel a^2\nmap m : oriented r=a l=b\n",
+     ["tc"], SPLIT.format("a", "b")),
+    ("gens a, b\nrel a^2\nmap m : oriented r=a l=b\n",
+     ["quotient", "--p", "2"], SPLIT.format("a", "b")),
+]
+
+
+@pytest.mark.parametrize("text,words,err", REFUSED)
+def test_a_provably_infinite_or_large_presentation_is_refused_at_once(
+        tmp_path, capsys, text, words, err):
+    # no coset is defined: the refusal takes milliseconds and a small peak
+    f = tmp_path / "g.grp"
+    f.write_text("group g\n" + text, encoding="utf-8")
+    argv = words + [str(f)]
+    cli.build_parser()  # built once a process, outside the measured run
+    for as_json in ([], ["--json"]):
+        start = time.perf_counter()
+        assert _run(capsys, argv + as_json) == (5, "", err)
+        assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        assert _run(capsys, argv)[0] == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+def test_a_large_abelianization_is_refused_before_enumeration(tmp_path,
+                                                              capsys):
+    # refused on |G/G'| = 50000 > 2000, where the enumeration took 40 s;
+    # parsing the 50,000-letter relator is the run's peak, and the refusal
+    # adds under 200 KB to it
+    text = "group g\ngens a\nrel a^50000\nmap m : oriented r=a l=a\n"
+    f = tmp_path / "c50000.grp"
+    f.write_text(text, encoding="utf-8")
+    argv = ["census", "--kind", "oriented", str(f)]
+    cli.build_parser()
+    start = time.perf_counter()
+    assert _run(capsys, argv) == (
+        5, "", "error: group order is a multiple of 50000, the order of its"
+               " abelianization, and exceeds max_order=2000\n")
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        parse_group_file(text)
+        parsed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert _run(capsys, argv)[0] == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < parsed + 200_000
+
+
+@pytest.mark.parametrize("words", [["tc"], ["tc", "--export-perms"],
+                                   ["analyze"],
+                                   ["census", "--kind", "oriented"]])
+def test_the_perfect_triangle_group_still_meets_the_coset_bound(
+        tmp_path, capsys, words):
+    # <a, b | a^2, b^3, (ab)^7> is infinite, but perfect and connected, so
+    # neither certificate refuses it: the enumeration runs to the bound
+    f = tmp_path / "t237.grp"
+    f.write_text("group t237\ngens a, b\nrel a^2\nrel b^3\nrel (a*b)^7\n"
+                 "map m : oriented r=b l=a\n", encoding="utf-8")
+    assert _run(capsys, words + [str(f), "--max-cosets", "20000"]) == (
+        5, "", "error: coset table exceeded max_cosets=20000 (20000 live)\n")
 
 
 def test_large_matrix_group_hits_the_cell_bound(tmp_path, capsys):

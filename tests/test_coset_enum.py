@@ -7,10 +7,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import regmaps.cli as cli
-from regmaps.coset_enum import (DEFAULT_MAX_COSETS, group_order,
+from regmaps.coset_enum import (DEFAULT_MAX_COSETS, abelianization,
+                                admit_presentation, group_order,
                                 presentation_group, todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import ELEMENT_CELLS, closure
+from regmaps.group import ELEMENT_CELLS, closure, derived_series
 from regmaps.perm import Perm
 from regmaps.verify import corpus_text
 from regmaps.grammar import parse_group_file
@@ -585,3 +586,153 @@ def test_table_does_not_depend_on_relator_order(fname):
         random.Random(seed).shuffle(rels)
         shuffled = Presentation(pres.gen_names, tuple(rels))
         assert todd_coxeter(shuffled).cols == want
+
+
+# -- the admission check ----------------------------------------------------
+
+# The finite presentations the tests build, beside the corpus's.
+S, U = Word.gen(0), Word.gen(1)
+BUILT_PRESENTATIONS = {
+    **SMALL_PRESENTATIONS,
+    "trivial": Presentation((), ()),
+    "a": Presentation(("a",), (A,)),
+    "c5": Presentation(("a",), (A ** 5,)),
+    "c1 from a^2, a^3": Presentation(("a",), (A ** 2, A ** 3)),
+    "c2 from ab^-1, a^2": Presentation(("a", "b"), (A * B.inverse(), A ** 2)),
+    "s4": Presentation(("s", "u"), (S ** 2, U ** 3, (S * U) ** 4)),
+    "s4 from a^-2": Presentation(("a", "b"), (A ** -2, B ** 3, (A * B) ** 4)),
+    "d4 from b^-2": Presentation(("a", "b"), (A ** 2, B ** -2, (A * B) ** 4)),
+    "c256": Presentation(("a",), (A ** 256,)),
+    "d258": Presentation(("a", "b"), (A ** 129, B ** 2, (A * B) ** 2)),
+}
+ADMITTED = ([parse_group_file(corpus_text(f)).presentation
+             for f, _ in CORPUS_ORDERS] + list(BUILT_PRESENTATIONS.values()))
+
+
+def _abelian_order(G):
+    # a series of one term: G is trivial or perfect, so G' = G
+    series = derived_series(G)
+    return G.order // series[min(1, len(series) - 1)].order
+
+
+@pytest.mark.parametrize(
+    "pres", ADMITTED,
+    ids=[f for f, _ in CORPUS_ORDERS] + list(BUILT_PRESENTATIONS))
+def test_the_check_admits_every_finite_presentation(pres):
+    # neither certificate refuses a finite group, whatever the order bound
+    # it is given; the Smith form, run here on every presentation, gives
+    # the index of G' that the group side computes
+    G = presentation_group(pres)
+    for bound in (None, G.order, _abelian_order(G)):
+        admit_presentation(pres, max_order=bound)
+    assert abelianization(pres) == (0, _abelian_order(G))
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_the_check_agrees_with_the_group_side(case):
+    # a group whose regular table completes, an enumeration the check does
+    # not guard, is admitted, and its abelianization is G/G' as the
+    # derived series finds it
+    pres, _ = case
+    try:
+        ct = todd_coxeter(pres, max_cosets=2000)
+    except ResourceLimitExceeded:
+        event("no finite table within the bound")
+        return
+    G = closure(ct.n, ct.gen_perms())
+    event("perfect" if _abelian_order(G) == 1 < G.order else "finite")
+    admit_presentation(pres, max_order=_abelian_order(G))
+    assert abelianization(pres) == (0, _abelian_order(G))
+
+
+REFUSED = [
+    # C2 * C3, the modular group
+    ((A ** 2, B ** 3), "free factors <a> and <b> both have a nontrivial"
+                       " abelianization"),
+    # C5 * C2: a map file that forgot its (rl)^q
+    ((A ** 5, B ** 2), "free factors <a> and <b> both have a nontrivial"
+                       " abelianization"),
+    # b is free
+    ((A ** 2,), "free factors <a> and <b> both have a nontrivial"
+                " abelianization"),
+    # connected, with Z as its abelianization
+    ((A ** 2 * B ** 4,), "its abelianization has free rank 1"),
+    ((Word.commutator(A, B),), "its abelianization has free rank 2"),
+]
+
+
+@pytest.mark.parametrize("rels,why", REFUSED)
+def test_the_check_refuses_a_provably_infinite_group(rels, why):
+    pres = Presentation(("a", "b"), rels)
+    for bound in (None, 10**6):
+        with pytest.raises(ResourceLimitExceeded) as e:
+            admit_presentation(pres, max_cosets=777, max_order=bound)
+        assert str(e.value) == f"presentation of an infinite group: {why}"
+        assert (e.value.limit_name, e.value.limit_value) == ("max_cosets", 777)
+
+
+def test_a_split_presentation_with_one_nontrivial_factor_is_admitted():
+    # <a | a^3> * <b | b^2, b^3> is C3: the second factor is trivial
+    pres = Presentation(("a", "b"), (A ** 3, B ** 2, B ** 3))
+    assert admit_presentation(pres, max_order=3) == {0: 3, 1: 2}
+    assert presentation_group(pres).order == 3
+
+
+def test_the_check_refuses_a_large_abelianization():
+    pres = Presentation(("a",), (A ** 50_000,))
+    with pytest.raises(ResourceLimitExceeded) as e:
+        admit_presentation(pres, max_order=2000)
+    assert str(e.value) == ("group order is a multiple of 50000, the order of"
+                            " its abelianization, and exceeds max_order=2000")
+    assert (e.value.limit_name, e.value.limit_value) == ("max_order", 2000)
+    # |G/G'| is a lower bound only: C3 x C3 : C2 has G/G' = C2
+    C = Word.gen(2)
+    g18 = Presentation(("a", "b", "c"), (
+        A ** 3, B ** 3, C ** 2, Word.commutator(A, B),
+        A.conj(C) * A, B.conj(C) * B))
+    assert presentation_group(g18).order == 18
+    admit_presentation(g18, max_order=2)
+    with pytest.raises(ResourceLimitExceeded):
+        admit_presentation(g18, max_order=1)
+
+
+def test_the_smith_form_is_skipped_when_the_power_relators_bound_it(
+        monkeypatch):
+    import regmaps.coset_enum as ce
+    calls = []
+    monkeypatch.setattr(ce, "_abelian",
+                        lambda *args: calls.append(args) or (0, 1))
+    pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
+    # 3^4 * 26 = 2106
+    admit_presentation(pres, max_order=2106)
+    admit_presentation(pres)
+    assert calls == []
+    admit_presentation(pres, max_order=2105)
+    assert len(calls) == 1
+
+
+def test_the_check_runs_before_any_enumeration(monkeypatch):
+    import regmaps.coset_enum as ce
+    monkeypatch.setattr(ce, "todd_coxeter", None)  # never called
+    pres = Presentation(("a", "b"), (A ** 2, B ** 3))
+    for realize in (group_order, presentation_group):
+        with pytest.raises(ResourceLimitExceeded) as e:
+            realize(pres)
+        assert e.value.limit_name == "max_cosets"
+    with pytest.raises(ResourceLimitExceeded) as e:
+        presentation_group(Presentation(("a",), (A ** 50_000,)),
+                           max_order=2000)
+    assert e.value.limit_name == "max_order"
+
+
+def test_an_infinite_connected_perfect_group_runs_to_the_coset_bound(capsys):
+    # the (2,3,7) triangle group is perfect and connected, so neither
+    # certificate applies, and Todd-Coxeter still meets the bound
+    pres = Presentation(("a", "b"), (A ** 2, B ** 3, (A * B) ** 7))
+    assert admit_presentation(pres) == {0: 2, 1: 3}
+    assert abelianization(pres) == (0, 1)
+    with pytest.raises(ResourceLimitExceeded) as e:
+        presentation_group(pres, max_cosets=20_000)
+    assert str(e.value) == (
+        "coset table exceeded max_cosets=20000 (20000 live)")
