@@ -46,11 +46,9 @@ enumeration would run into.  It has two certificates:
   rows in Python ints.  A free rank above 0 makes G/G', and so G, infinite.
 
 Given ``max_order`` it also refuses, with that limit, a group with
-|G/G'| > max_order, since |G/G'| divides |G|.  The matrix is built and
-reduced only where it can decide something: when every generator g has a
-power relator g^k and the k multiply to at most ``max_order``, G/G' is
-finite and within the bound, and a connected presentation then costs one
-pass over its relators.  :func:`group_order` calls the check, and so
+|G/G'| > max_order, since |G/G'| divides |G|.  Every presentation's
+exponent sums are reduced, one free factor at a time; a connected
+presentation is one factor.  :func:`group_order` calls the check, and so
 :func:`presentation_group` and the CLI's ``tc``, and ``tc --export-perms``
 calls it before its regular table.  :func:`todd_coxeter` does not, since
 a subgroup of finite index in an infinite group has a finite table.
@@ -59,7 +57,7 @@ a subgroup of finite index in an infinite group has a finite table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimitExceeded
@@ -334,11 +332,6 @@ def _abelian(relators: Sequence[Word],
     return free, order
 
 
-def abelianization(pres: Presentation) -> tuple[int, int]:
-    """`(r, m)`: G/G' has free rank r, and when r = 0 order m."""
-    return _abelian(pres.relators, range(1, pres.ngens + 1))
-
-
 def admit_presentation(pres: Presentation,
                        max_cosets: int = DEFAULT_MAX_COSETS,
                        max_order: int | None = None) -> dict:
@@ -349,18 +342,16 @@ def admit_presentation(pres: Presentation,
     The certificates are the module docstring's.  An infinite group is
     refused with limit `max_cosets`, the bound it would have run into.
     """
-    ngens = pres.ngens
     powers: dict = {}
     # factor[i] is the set of generators joined to generator i (1-based),
     # one set object per factor
-    factor = [{i} for i in range(ngens + 1)]
+    factor = [{i} for i in range(pres.ngens + 1)]
     for r in pres.relators:
         letters = r.letters
         gens = set(map(abs, letters))
         if len(gens) == 1:  # a reduced word on one generator is a power
             g = abs(letters[0]) - 1
-            if len(letters) < powers.get(g, len(letters) + 1):
-                powers[g] = len(letters)
+            powers[g] = min(len(letters), powers.get(g, len(letters)))
             continue
         joined = factor[gens.pop()]
         for i in gens:
@@ -368,31 +359,25 @@ def admit_presentation(pres: Presentation,
                 joined |= other
                 for h in other:
                     factor[h] = joined
-    if ngens and len(factor[1]) < ngens:
-        # G is the free product of the factors' groups, and G/G' the direct
-        # product of their abelianizations
-        factors = {id(f): sorted(f) for f in factor[1:]}
-        parts: dict = {f: [] for f in factors}
-        for r in pres.relators:
-            parts[id(factor[abs(r.letters[0])])].append(r)
-        free, order, nontrivial = 0, 1, []
-        for f, gens in factors.items():
-            r, m = _abelian(parts[f], gens)
-            free, order = free + r, order * m
-            if r or m > 1:
-                nontrivial.append(gens)
-        if len(nontrivial) > 1:
-            a, b = (", ".join(pres.gen_names[i - 1] for i in gens)
-                    for gens in nontrivial[:2])
-            raise ResourceLimitExceeded(
-                f"presentation of an infinite group: free factors <{a}> and"
-                f" <{b}> both have a nontrivial abelianization",
-                "max_cosets", max_cosets)
-    elif len(powers) == ngens and (max_order is None
-                                   or prod(powers.values()) <= max_order):
-        return powers  # G/G' is finite and within the bound
-    else:
-        free, order = abelianization(pres)
+    # G is the free product of the factors' groups, and G/G' the direct
+    # product of their abelianizations; a connected presentation is one
+    # factor
+    factors = {id(f): (sorted(f), []) for f in factor[1:]}
+    for r in pres.relators:
+        factors[id(factor[abs(r.letters[0])])][1].append(r)
+    free, order, nontrivial = 0, 1, []
+    for gens, rels in factors.values():
+        r, m = _abelian(rels, gens)
+        free, order = free + r, order * m
+        if r or m > 1:
+            nontrivial.append(gens)
+    if len(nontrivial) > 1:
+        a, b = (", ".join(pres.gen_names[i - 1] for i in gens)
+                for gens in nontrivial[:2])
+        raise ResourceLimitExceeded(
+            f"presentation of an infinite group: free factors <{a}> and"
+            f" <{b}> both have a nontrivial abelianization",
+            "max_cosets", max_cosets)
     if free:
         raise ResourceLimitExceeded(
             f"presentation of an infinite group: its abelianization has free"

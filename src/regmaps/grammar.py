@@ -127,6 +127,14 @@ class _Cursor:
             raise ParseError("expected an identifier", self.lineno, t[2])
         return t[1]
 
+    def accept(self, ch: str) -> bool:
+        """Step past the symbol `ch` if it comes next; say whether it did."""
+        t = self.peek()
+        if t is not None and t[0] == "sym" and t[1] == ch:
+            self.pos += 1
+            return True
+        return False
+
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
@@ -146,25 +154,18 @@ MAX_NESTING = 100
 
 def _parse_word(cur: _Cursor, names: dict) -> Word:
     word = _parse_factor(cur, names)
-    while True:
-        t = cur.peek()
-        if t is not None and t[0] == "sym" and t[1] == "*":
-            cur.next()
-            word = word * _parse_factor(cur, names)
-        else:
-            return word
+    while cur.accept("*"):
+        word = word * _parse_factor(cur, names)
+    return word
 
 
 def _parse_factor(cur: _Cursor, names: dict) -> Word:
     atom = _parse_atom(cur, names)
-    t = cur.peek()
-    if t is not None and t[0] == "sym" and t[1] == "^":
-        cur.next()
-    else:
+    if not cur.accept("^"):
         return atom
     t = cur.peek()
-    if t is None:
-        raise ParseError("expected an exponent", cur.lineno, 1)
+    if t is None:  # the '^' ends the line
+        raise ParseError("expected an exponent", cur.lineno, cur.toks[-1][2])
     if t[0] == "int":
         cur.next()
         e = t[1]
@@ -218,22 +219,25 @@ def _word_length_checked(lineno: int, col: int):
 def parse_group_file(text: str) -> GroupFile:
     name: Optional[str] = None
     mode: Optional[str] = None
-    gen_names: list = []
-    names: dict = {}
+    names: dict = {}  # generator name -> index, in declaration order
     relators: list = []
     perm_cycles: list = []
     matrices: list = []
     modulus: Optional[int] = None
-    maps: list = []
-    map_names: set = set()
+    maps: dict = {}  # map name -> MapDecl, in declaration order
 
     def set_mode(m: str, lineno: int, col: int):
         nonlocal mode
-        if mode is None:
-            mode = m
-        elif mode != m:
+        if mode not in (None, m):
             raise ParseError(
                 f"{m!r} declarations cannot be mixed with {mode!r}", lineno, col)
+        mode = m
+
+    # registers a generator; `taken` is what a repeat's refusal calls it
+    def declare(gname: str, lineno: int, col: int, taken: str):
+        if gname in names:
+            raise ParseError(f"duplicate {taken} {gname!r}", lineno, col)
+        names[gname] = len(names)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _lex_line(raw, lineno)
@@ -250,19 +254,15 @@ def parse_group_file(text: str) -> GroupFile:
             if name is not None:
                 raise ParseError("duplicate 'group' line", lineno, col)
             name = cur.expect_ident()
-            cur.require_done()
         elif head == "gens":
             set_mode("gens", lineno, col)
-            if gen_names:
+            if names:
                 raise ParseError("duplicate 'gens' line", lineno, col)
             while True:
                 t = cur.next()
                 if t[0] != "ident":
                     raise ParseError("expected a generator name", lineno, t[2])
-                if t[1] in names:
-                    raise ParseError(f"duplicate generator {t[1]!r}", lineno, t[2])
-                names[t[1]] = len(gen_names)
-                gen_names.append(t[1])
+                declare(t[1], lineno, t[2], "generator")
                 if cur.done():
                     break
                 cur.expect_sym(",")
@@ -270,32 +270,22 @@ def parse_group_file(text: str) -> GroupFile:
             if mode != "gens":
                 raise ParseError("'rel' requires a 'gens' declaration", lineno, col)
             with _word_length_checked(lineno, col):
-                lhs = _parse_word(cur, names)
-                t = cur.peek()
-                if t is not None and t[0] == "sym" and t[1] == "=":
-                    cur.next()
-                    rhs = _parse_word(cur, names)
-                    rel = relator_from_equality(lhs, rhs)
-                else:
-                    rel = lhs
-            cur.require_done()
+                rel = _parse_word(cur, names)
+                if cur.accept("="):
+                    rel = relator_from_equality(rel, _parse_word(cur, names))
             if not rel.is_empty():
                 relators.append(rel)
         elif head == "perm":
             set_mode("perm", lineno, col)
-            pname = cur.expect_ident()
-            if pname in names:
-                raise ParseError(f"duplicate name {pname!r}", lineno, col)
+            declare(cur.expect_ident(), lineno, col, "name")
             cur.expect_sym("=")
             cycles = []
             seen: set = set()
             while not cur.done():
                 cur.expect_sym("(")
                 cyc = []
-                while True:
+                while not cur.accept(")"):
                     t = cur.next()
-                    if t[0] == "sym" and t[1] == ")":
-                        break
                     if t[0] != "int" or t[1] < 1:
                         raise ParseError("cycle points are positive integers",
                                          lineno, t[2])
@@ -306,34 +296,20 @@ def parse_group_file(text: str) -> GroupFile:
                     cyc.append(pt)
                 if cyc:
                     cycles.append(tuple(cyc))
-            names[pname] = len(gen_names)
-            gen_names.append(pname)
             perm_cycles.append(tuple(cycles))
         elif head == "mat":
             set_mode("mat", lineno, col)
-            mname = cur.expect_ident()
-            if mname in names:
-                raise ParseError(f"duplicate name {mname!r}", lineno, col)
-            cur.expect_sym("=")
-            rows = []
-            cur.expect_sym("[")
-            for ri in range(2):
-                cur.expect_sym("[")
-                entries = []
-                for ci in range(2):
+            declare(cur.expect_ident(), lineno, col, "name")
+            entries = []
+            for ch in "=[[#,#],[#,#]]":  # '#' is an entry
+                if ch == "#":
                     t = cur.next()
                     if t[0] != "int":
                         raise ParseError("expected a matrix entry", lineno, t[2])
                     entries.append(t[1])
-                    if ci == 0:
-                        cur.expect_sym(",")
-                cur.expect_sym("]")
-                if ri == 0:
-                    cur.expect_sym(",")
-                rows.append(tuple(entries))
-            cur.expect_sym("]")
-            kw = cur.expect_ident()
-            if kw != "mod":
+                else:
+                    cur.expect_sym(ch)
+            if cur.expect_ident() != "mod":
                 raise ParseError("expected 'mod'", lineno, col)
             t = cur.next()
             if t[0] != "int" or not is_prime(t[1]):
@@ -341,23 +317,18 @@ def parse_group_file(text: str) -> GroupFile:
             if modulus is not None and modulus != t[1]:
                 raise ParseError("all matrices must share one modulus", lineno, t[2])
             modulus = t[1]
-            cur.require_done()
-            names[mname] = len(gen_names)
-            gen_names.append(mname)
-            matrices.append(tuple(rows))
+            matrices.append((tuple(entries[:2]), tuple(entries[2:])))
         elif head == "map":
             if mode is None:
                 raise ParseError("maps need a generator declaration first",
                                  lineno, col)
             mapname = cur.expect_ident()
-            if mapname in map_names:
+            if mapname in maps:
                 raise ParseError(f"duplicate map {mapname!r}", lineno, col)
-            map_names.add(mapname)
             cur.expect_sym(":")
-            t = cur.next()
-            if t[0] != "ident" or t[1] not in MAP_TYPES:
-                raise ParseError("expected 'oriented' or 'flagged'", lineno, t[2])
-            mkind = t[1]
+            kind, mkind, kcol = cur.next()
+            if kind != "ident" or mkind not in MAP_TYPES:
+                raise ParseError("expected 'oriented' or 'flagged'", lineno, kcol)
             fields = []
             for fname in MAP_TYPES[mkind].fields:
                 t = cur.next()
@@ -366,21 +337,21 @@ def parse_group_file(text: str) -> GroupFile:
                 cur.expect_sym("=")
                 with _word_length_checked(lineno, col):
                     fields.append((fname, _parse_word(cur, names)))
-            cur.require_done()
-            maps.append(MapDecl(mapname, mkind, tuple(fields)))
+            maps[mapname] = MapDecl(mapname, mkind, tuple(fields))
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, col)
+        cur.require_done()
 
     if name is None:
         raise ParseError("empty file: missing 'group' line", 1, 1)
     if mode is None:
         raise ParseError("no generator declarations", 1, 1)
     return GroupFile(
-        name=name, mode=mode, gen_names=tuple(gen_names),
-        presentation=(Presentation(tuple(gen_names), tuple(relators))
+        name=name, mode=mode, gen_names=tuple(names),
+        presentation=(Presentation(tuple(names), tuple(relators))
                       if mode == "gens" else None),
         perm_cycles=tuple(perm_cycles), matrices=tuple(matrices),
-        modulus=modulus, maps=tuple(maps))
+        modulus=modulus, maps=tuple(maps.values()))
 
 
 # -- canonical printer -----------------------------------------------------

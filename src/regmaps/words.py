@@ -43,7 +43,7 @@ class Word:
 
     @classmethod
     def gen(cls, i: int) -> "Word":
-        return cls((i + 1,))
+        return cls._reduced((i + 1,))
 
     @classmethod
     def _reduced(cls, letters: tuple) -> "Word":
@@ -70,8 +70,16 @@ class Word:
     def __pow__(self, e: int) -> "Word":
         if abs(e) * len(self.letters) > MAX_WORD_LETTERS:
             raise ContractViolation("word power exceeds the expansion limit")
-        base = self if e >= 0 else self.inverse()
-        return Word(base.letters * abs(e))
+        letters = (self if e >= 0 else self.inverse()).letters
+        if not e or not letters:
+            return Word()
+        # w = u v u^-1, v cyclically reduced: w^e = u v^e u^-1 is reduced as
+        # it stands and built as one tuple (w is reduced, so u < half of w)
+        k = 0
+        while letters[k] == -letters[-1 - k]:
+            k += 1
+        return Word._reduced(letters[:k] + letters[k:len(letters) - k] * abs(e)
+                             + letters[len(letters) - k:])
 
     def conj(self, by: "Word") -> "Word":
         return by.inverse() * self * by

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import regmaps.cli as cli
-from regmaps.coset_enum import (DEFAULT_MAX_COSETS, abelianization,
+from regmaps.coset_enum import (DEFAULT_MAX_COSETS, _abelian,
                                 admit_presentation, group_order,
                                 presentation_group, todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
@@ -620,12 +620,13 @@ def _abelian_order(G):
     ids=[f for f, _ in CORPUS_ORDERS] + list(BUILT_PRESENTATIONS))
 def test_the_check_admits_every_finite_presentation(pres):
     # neither certificate refuses a finite group, whatever the order bound
-    # it is given; the Smith form, run here on every presentation, gives
-    # the index of G' that the group side computes
+    # it is given; the Smith form gives the index of G' that the group side
+    # computes
     G = presentation_group(pres)
     for bound in (None, G.order, _abelian_order(G)):
         admit_presentation(pres, max_order=bound)
-    assert abelianization(pres) == (0, _abelian_order(G))
+    assert _abelian(pres.relators, range(1, pres.ngens + 1)) == (
+        0, _abelian_order(G))
 
 
 @given(presentations())
@@ -643,7 +644,8 @@ def test_the_check_agrees_with_the_group_side(case):
     G = closure(ct.n, ct.gen_perms())
     event("perfect" if _abelian_order(G) == 1 < G.order else "finite")
     admit_presentation(pres, max_order=_abelian_order(G))
-    assert abelianization(pres) == (0, _abelian_order(G))
+    assert _abelian(pres.relators, range(1, pres.ngens + 1)) == (
+        0, _abelian_order(G))
 
 
 REFUSED = [
@@ -697,21 +699,6 @@ def test_the_check_refuses_a_large_abelianization():
         admit_presentation(g18, max_order=1)
 
 
-def test_the_smith_form_is_skipped_when_the_power_relators_bound_it(
-        monkeypatch):
-    import regmaps.coset_enum as ce
-    calls = []
-    monkeypatch.setattr(ce, "_abelian",
-                        lambda *args: calls.append(args) or (0, 1))
-    pres = parse_group_file(corpus_text("g2106_chiral.grp")).presentation
-    # 3^4 * 26 = 2106
-    admit_presentation(pres, max_order=2106)
-    admit_presentation(pres)
-    assert calls == []
-    admit_presentation(pres, max_order=2105)
-    assert len(calls) == 1
-
-
 def test_the_check_runs_before_any_enumeration(monkeypatch):
     import regmaps.coset_enum as ce
     monkeypatch.setattr(ce, "todd_coxeter", None)  # never called
@@ -731,4 +718,4 @@ def test_the_check_admits_an_infinite_connected_perfect_group():
     # certificate applies: the CLI tests pin its refusal at the coset bound
     pres = Presentation(("a", "b"), (A ** 2, B ** 3, (A * B) ** 7))
     assert admit_presentation(pres) == {0: 2, 1: 3}
-    assert abelianization(pres) == (0, 1)
+    assert _abelian(pres.relators, range(1, pres.ngens + 1)) == (0, 1)

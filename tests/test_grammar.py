@@ -69,6 +69,9 @@ def test_lexer_position_reporting():
     assert "line 3, column 6" in str(e.value)
 
 
+_GENS = "group t\ngens a\n"
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("gens a\n", "must start with a 'group' line"),
     ("group t\ngroup u\ngens a\n", "duplicate 'group'"),
@@ -98,11 +101,85 @@ def test_lexer_position_reporting():
     pytest.param("group t\ngens a\nrel a^" + "9" * 5000 + "\n",
                  "column 7: integer literal too long", id="5000-digit literal"),
     ("group t\ngens a\nrel a^2 junk\n", "unexpected trailing"),
+    # the whole message, one case per raise site
+    ("\n\ngens a\n", "line 3, column 1: file must start with a 'group' line"),
+    ("group t\ngroup u\ngens a\n", "line 2, column 1: duplicate 'group' line"),
+    ("# only a comment\n", "line 1, column 1: empty file: missing 'group' line"),
+    ("group t\n# none\n", "line 1, column 1: no generator declarations"),
+    ("group t\n= a\n", "line 2, column 1: expected a keyword"),
+    ("group 7\n", "line 1, column 7: expected an identifier"),
+    ("group t\ngens a, a\n", "line 2, column 9: duplicate generator 'a'"),
+    ("group t\ngens a, 3\n", "line 2, column 9: expected a generator name"),
+    ("group t\ngens a,\n", "line 2, column 7: unexpected end of line"),
+    ("group t\ngens a\ngens b\n", "line 3, column 1: duplicate 'gens' line"),
+    ("group t\nperm a = (1 2)\nrel a^2\n",
+     "line 3, column 1: 'rel' requires a 'gens' declaration"),
+    ("group t\ngens a\nperm b = (1 2)\n",
+     "line 3, column 1: 'perm' declarations cannot be mixed with 'gens'"),
+    ("group t\nfrob a\n", "line 2, column 1: unknown keyword 'frob'"),
+    (_GENS + "rel c^2\n", "line 3, column 5: unknown identifier 'c'"),
+    (_GENS + "rel a*)\n", "line 3, column 7: unexpected ')' in word"),
+    (_GENS + "rel a*\n", "line 3, column 6: unexpected end of line"),
+    (_GENS + "rel (a a\n", "line 3, column 8: expected ')'"),
+    (_GENS + "rel a^\n", "line 3, column 6: expected an exponent"),
+    (_GENS + "rel " + "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1)
+     + "\n", "line 3, column 105: brackets nested deeper than 100"),
+    ("group t\ngens a b\n", "line 2, column 8: expected ','"),
+    ("group t\nmap m : oriented r=a l=a\n",
+     "line 2, column 1: maps need a generator declaration first"),
+    (_GENS + "map m oriented r=a l=a\n", "line 3, column 7: expected ':'"),
+    (_GENS + "rel a^2\nmap m : oriented l=a r=a\n",
+     "line 4, column 18: expected r=<word>"),
+    (_GENS + "rel a^2\nmap m : warped r=a l=a\n",
+     "line 4, column 9: expected 'oriented' or 'flagged'"),
+    (_GENS + "rel a^2\nmap m : oriented r=a l=a\n"
+     "map m : oriented r=a l=a\n", "line 5, column 1: duplicate map 'm'"),
+    ("group t\nperm a (1 2)\n", "line 2, column 8: expected '='"),
+    ("group t\nperm a = (1 2)\nperm a = (1 3)\n",
+     "line 3, column 1: duplicate name 'a'"),
+    ("group t\nperm a = (1 2)(2 3)\n", "line 2, column 16: point 2 repeated"),
+    ("group t\nperm a = (0 1)\n",
+     "line 2, column 11: cycle points are positive integers"),
+    ("group t\nmat a = [[1,0],[0,1]] mod 3\nmat a = [[1,0],[0,1]] mod 3\n",
+     "line 3, column 1: duplicate name 'a'"),
+    ("group t\nmat a = [[1,x],[0,1]] mod 3\n",
+     "line 2, column 13: expected a matrix entry"),
+    ("group t\nmat a = [[1,0],[0,1]] by 3\n", "line 2, column 1: expected 'mod'"),
+    ("group t\nmat a = [[1,0],[0,1]] mod 6\n",
+     "line 2, column 27: modulus must be a prime"),
+    ("group t\nmat a = [[1,0],[0,1]] mod 3\nmat b = [[1,0],[0,1]] mod 5\n",
+     "line 3, column 27: all matrices must share one modulus"),
+    (_GENS + "rel a^2000000000\n", "line 3, column 7: exponent overflow"),
+    ("group t\ngens a, b\nrel (a*b)^600000\n",
+     "line 3, column 11: exponent overflow"),
+    (_GENS + "rel a^600000*a^600000\n",
+     "line 3, column 1: word longer than 1000000 letters"),
+    (_GENS + "rel a^\u00b2\n", "line 3, column 7: unexpected character '\u00b2'"),
+    pytest.param("group t\nperm a = (1 " + "9" * 5000 + ")\n",
+                 "line 2, column 13: integer literal too long",
+                 id="5000-digit point"),
+    (_GENS + "rel a^2 junk\n", "line 3, column 9: unexpected trailing 'junk'"),
 ])
 def test_rejections(text, fragment):
     with pytest.raises(ParseError) as e:
         parse_group_file(text)
-    assert fragment in str(e.value)
+    # a fragment that starts with the position is the whole message
+    if fragment.startswith("line "):
+        assert str(e.value) == fragment
+    else:
+        assert fragment in str(e.value)
+
+
+def test_a_long_power_relator_is_parsed_in_one_copy():
+    # the relator's letters take 8 MB; building them takes no second copy
+    tracemalloc.start()
+    try:
+        gf = parse_group_file("group t\ngens a\nrel a^1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gf.presentation.relators[0] == Word.gen(0) ** 10**6
+    assert peak <= 10_000_000
 
 
 def test_generator_named_like_a_field():

@@ -88,6 +88,12 @@ def test_power_evaluates_consistently(w, e):
     assert (w ** e).evaluate(G, gens) == G.power(val, e)
 
 
+@given(words, st.integers(-5, 5))
+def test_power_is_the_reduced_repetition(w, e):
+    base = w if e >= 0 else w.inverse()
+    assert w ** e == Word(base.letters * abs(e))
+
+
 def test_product_expansion_limit():
     half = Word.gen(0) ** (MAX_WORD_LETTERS // 2)
     assert len((half * half).letters) == 2 * (MAX_WORD_LETTERS // 2)
