@@ -15,11 +15,14 @@ words are written over the declared generators:
 
 Words support ``*`` products, integer powers ``w^3``, conjugation by an
 atom ``w^v`` (meaning v^-1 w v) and commutators ``[a, b]``.
+
+A token is lexed when the parser reaches it, so a line is read only up to
+its first error, the one reported; a product is reduced on one list as its
+factors arrive, so a word parses in time linear in its letters.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
@@ -62,14 +65,14 @@ class GroupFile:
 # -- lexer -----------------------------------------------------------------
 
 
-def _lex_line(line: str, lineno: int) -> list:
-    """Tokens as (kind, value, column); kind in {ident, int, sym}."""
-    toks = []
+def _lex_line(line: str, lineno: int):
+    """Tokens as (kind, value, column), kind in {ident, int, sym}, lexed
+    one at a time as the parser asks for them."""
     i, n = 0, len(line)
     while i < n:
         ch = line[i]
         if ch == "#":
-            break
+            return
         if ch.isspace():
             i += 1
             continue
@@ -78,41 +81,45 @@ def _lex_line(line: str, lineno: int) -> list:
             j = i
             while j < n and (line[j].isalnum() or line[j] == "_"):
                 j += 1
-            toks.append(("ident", line[i:j], col))
+            yield "ident", line[i:j], col
             i = j
         elif "0" <= ch <= "9" or (ch == "-" and "0" <= line[i + 1:i + 2] <= "9"):
             j = i + 1
             while j < n and "0" <= line[j] <= "9":
                 j += 1
             try:
-                toks.append(("int", int(line[i:j]), col))
+                yield "int", int(line[i:j]), col
             except ValueError:  # past the interpreter's digit limit
                 raise ParseError("integer literal too long", lineno, col) from None
             i = j
         elif ch in "*^()[],=:":
-            toks.append(("sym", ch, col))
+            yield "sym", ch, col
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", lineno, col)
-    return toks
 
 
 class _Cursor:
-    def __init__(self, toks: list, lineno: int):
-        self.toks = toks
+    """The tokens of one line, lexed as the parser peeks at or takes them."""
+
+    def __init__(self, line: str, lineno: int):
+        self.toks = _lex_line(line, lineno)
         self.lineno = lineno
-        self.pos = 0
+        self.tok = None  # the next token, once peeked at
+        self.col = 1  # column of the last token taken
         self.depth = 0  # brackets and parentheses open at the cursor
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        if self.tok is None:
+            self.tok = next(self.toks, None)
+        return self.tok
 
     def next(self):
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of line", self.lineno,
-                             (self.toks[-1][2] if self.toks else 1))
-        self.pos += 1
+            raise ParseError("unexpected end of line", self.lineno, self.col)
+        self.tok = None
+        self.col = t[2]
         return t
 
     def expect_sym(self, ch: str):
@@ -131,12 +138,12 @@ class _Cursor:
         """Step past the symbol `ch` if it comes next; say whether it did."""
         t = self.peek()
         if t is not None and t[0] == "sym" and t[1] == ch:
-            self.pos += 1
+            self.next()
             return True
         return False
 
     def done(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.peek() is None
 
     def require_done(self):
         t = self.peek()
@@ -148,15 +155,21 @@ class _Cursor:
 
 MAX_EXPONENT = 10**6
 # Deepest nesting of brackets and parentheses in one word; the parser
-# recurses once per level.
+# recurses once per level, and lexing stops there too.
 MAX_NESTING = 100
 
 
 def _parse_word(cur: _Cursor, names: dict) -> Word:
     word = _parse_factor(cur, names)
+    # a single factor is the word as parsed, not a copy of it
+    return word.times(_factors(cur, names)) if cur.accept("*") else word
+
+
+def _factors(cur: _Cursor, names: dict):
+    """The factors after a product's first '*', parsed as they are read."""
+    yield _parse_factor(cur, names)
     while cur.accept("*"):
-        word = word * _parse_factor(cur, names)
-    return word
+        yield _parse_factor(cur, names)
 
 
 def _parse_factor(cur: _Cursor, names: dict) -> Word:
@@ -165,7 +178,7 @@ def _parse_factor(cur: _Cursor, names: dict) -> Word:
         return atom
     t = cur.peek()
     if t is None:  # the '^' ends the line
-        raise ParseError("expected an exponent", cur.lineno, cur.toks[-1][2])
+        raise ParseError("expected an exponent", cur.lineno, cur.col)
     if t[0] == "int":
         cur.next()
         e = t[1]
@@ -183,7 +196,7 @@ def _parse_atom(cur: _Cursor, names: dict) -> Word:
     if t[0] == "ident":
         if t[1] not in names:
             raise ParseError(f"unknown identifier {t[1]!r}", cur.lineno, t[2])
-        return Word.gen(names[t[1]])
+        return names[t[1]]
     if t[0] != "sym" or t[1] not in ("(", "["):
         raise ParseError(f"unexpected {t[1]!r} in word", cur.lineno, t[2])
     cur.depth += 1
@@ -203,23 +216,13 @@ def _parse_atom(cur: _Cursor, names: dict) -> Word:
     return w
 
 
-@contextmanager
-def _word_length_checked(lineno: int, col: int):
-    """Report a word that outgrows ``MAX_WORD_LETTERS`` (raised by a product
-    in :class:`Word`) as a parse error of the statement."""
-    try:
-        yield
-    except ContractViolation as exc:
-        raise ParseError(str(exc), lineno, col) from None
-
-
 # -- statement parsing -----------------------------------------------------
 
 
 def parse_group_file(text: str) -> GroupFile:
     name: Optional[str] = None
     mode: Optional[str] = None
-    names: dict = {}  # generator name -> index, in declaration order
+    names: dict = {}  # generator name -> its Word, in declaration order
     relators: list = []
     perm_cycles: list = []
     matrices: list = []
@@ -237,13 +240,12 @@ def parse_group_file(text: str) -> GroupFile:
     def declare(gname: str, lineno: int, col: int, taken: str):
         if gname in names:
             raise ParseError(f"duplicate {taken} {gname!r}", lineno, col)
-        names[gname] = len(names)
+        names[gname] = Word.gen(len(names))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _lex_line(raw, lineno)
-        if not toks:
+        if raw.lstrip()[:1] in ("", "#"):  # a blank or comment line
             continue
-        cur = _Cursor(toks, lineno)
+        cur = _Cursor(raw, lineno)
         kind, head, col = cur.next()
         if kind != "ident":
             raise ParseError("expected a keyword", lineno, col)
@@ -269,10 +271,12 @@ def parse_group_file(text: str) -> GroupFile:
         elif head == "rel":
             if mode != "gens":
                 raise ParseError("'rel' requires a 'gens' declaration", lineno, col)
-            with _word_length_checked(lineno, col):
+            try:
                 rel = _parse_word(cur, names)
                 if cur.accept("="):
                     rel = relator_from_equality(rel, _parse_word(cur, names))
+            except ContractViolation as exc:  # a word past MAX_WORD_LETTERS
+                raise ParseError(str(exc), lineno, col) from None
             if not rel.is_empty():
                 relators.append(rel)
         elif head == "perm":
@@ -335,8 +339,10 @@ def parse_group_file(text: str) -> GroupFile:
                 if t[0] != "ident" or t[1] != fname:
                     raise ParseError(f"expected {fname}=<word>", lineno, t[2])
                 cur.expect_sym("=")
-                with _word_length_checked(lineno, col):
+                try:
                     fields.append((fname, _parse_word(cur, names)))
+                except ContractViolation as exc:  # as for 'rel'
+                    raise ParseError(str(exc), lineno, col) from None
             maps[mapname] = MapDecl(mapname, mkind, tuple(fields))
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, col)

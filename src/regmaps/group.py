@@ -841,6 +841,7 @@ def small_generating_set(G: FiniteGroup) -> tuple:
 
 def _minimal_block_size(perms: Sequence[Perm], npoints: int, beta: int) -> int:
     parent = list(range(npoints))
+    size = [1] * npoints  # of each class, at its root
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -849,16 +850,20 @@ def _minimal_block_size(perms: Sequence[Perm], npoints: int, beta: int) -> int:
         return x
 
     pairs = [(0, beta)]
-    parent[find(beta)] = find(0)
+    parent[beta] = 0
+    size[0] = 2
     while pairs:
         a, b = pairs.pop()
         for g in perms:
             x, y = find(g.images[a]), find(g.images[b])
             if x != y:
                 parent[y] = x
+                size[x] += size[y]
+                # the classes end as blocks, whose size divides npoints
+                if size[x] > npoints // 2:
+                    return npoints
                 pairs.append((x, y))
-    root = find(0)
-    return sum(1 for i in range(npoints) if find(i) == root)
+    return size[find(0)]
 
 
 def is_transitive(perms: Sequence[Perm], npoints: int) -> bool:
@@ -875,15 +880,19 @@ def is_primitive(perms: Sequence[Perm], npoints: int,
     beta is tested for one beta in each orbit of `stabilizer` other than
     {0}: if h fixes 0 it maps a block B through 0 and beta to itself, so B
     holds beta^h too.  With no stabilizer, every beta is tested.
+    Orbits are tried smallest first, ties by least member, up to the first
+    proper block: the stabilizer's fixed points form a block, so unless it
+    fixes every point, a fixed point other than 0 settles the question.
     """
     if not is_transitive(perms, npoints):
         raise ContractViolation("primitivity requires a transitive action")
     if any(h.images[0] != 0 for h in stabilizer):
         raise ContractViolation("a stabilizer permutation moves point 0")
     suborbit = _orbits(npoints, [h.images for h in stabilizer])
-    betas = list(dict(zip(suborbit, range(npoints))).values())  # one an orbit
-    return all(_minimal_block_size(perms, npoints, beta) == npoints
-               for beta in betas[1:])
+    betas = dict(zip(suborbit, range(npoints)))  # one point an orbit
+    sizes = Counter(suborbit)
+    return all(_minimal_block_size(perms, npoints, betas[k]) == npoints
+               for k in sorted(range(1, len(betas)), key=sizes.__getitem__))
 
 
 # -- misc structure tests --------------------------------------------------

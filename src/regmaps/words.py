@@ -10,7 +10,7 @@ only ever see plain letter strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 
@@ -54,15 +54,23 @@ class Word:
         return w
 
     def __mul__(self, other: "Word") -> "Word":
-        a, b = self.letters, other.letters
-        if len(a) + len(b) > MAX_WORD_LETTERS:
-            raise ContractViolation(
-                f"word longer than {MAX_WORD_LETTERS} letters")
-        # Both factors are reduced, so letters cancel only at the seam.
-        k = 0
-        while k < len(a) and k < len(b) and a[-1 - k] == -b[k]:
-            k += 1
-        return Word._reduced(a[:len(a) - k] + b[k:])
+        return self.times((other,))
+
+    def times(self, factors: Iterable["Word"]) -> "Word":
+        """This word times each of `factors` in turn, in time linear in the
+        letters: each factor is cancelled at the seam against one list."""
+        out = list(self.letters)
+        for w in factors:
+            b = w.letters
+            if len(out) + len(b) > MAX_WORD_LETTERS:
+                raise ContractViolation(
+                    f"word longer than {MAX_WORD_LETTERS} letters")
+            k = 0  # both are reduced, so letters cancel only at the seam
+            while k < len(b) and out and out[-1] == -b[k]:
+                out.pop()
+                k += 1
+            out += b[k:]
+        return Word._reduced(tuple(out))
 
     def inverse(self) -> "Word":
         return Word._reduced(tuple(-x for x in reversed(self.letters)))
@@ -82,11 +90,11 @@ class Word:
                              + letters[len(letters) - k:])
 
     def conj(self, by: "Word") -> "Word":
-        return by.inverse() * self * by
+        return by.inverse().times((self, by))
 
     @staticmethod
     def commutator(a: "Word", b: "Word") -> "Word":
-        return a.inverse() * b.inverse() * a * b
+        return a.inverse().times((b.inverse(), a, b))
 
     def is_empty(self) -> bool:
         return not self.letters

@@ -125,6 +125,38 @@ def test_deep_nesting_exit_status(tmp_path, capsys):
     assert err.startswith("error: ") and "nested deeper" in err
 
 
+def test_a_line_of_a_million_parentheses_is_refused_at_once(tmp_path,
+                                                           capsys):
+    # the line is read only up to the bracket past the nesting bound
+    f = tmp_path / "parens.grp"
+    f.write_text("group deep\ngens a\nrel " + "(" * 10**6 + ")" * 10**6
+                 + "\n", encoding="utf-8")
+    cli.build_parser()  # built once a process, outside the measured run
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        ret, out, err = _run(capsys, ["analyze", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert (ret, out) == (2, "")
+    assert "nested deeper" in err
+    assert peak < 10**7
+
+
+def test_a_product_past_the_letter_bound_exit_status(tmp_path, capsys):
+    # 10^6 + 1 factors, refused at the last after one linear pass
+    f = tmp_path / "long.grp"
+    f.write_text("group long\ngens a\nrel " + "*".join("a" * (10**6 + 1))
+                 + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert time.perf_counter() - start < 10.0
+    assert (ret, out) == (2, "")
+    assert err.startswith("error: ") and "letters" in err
+
+
 def test_nested_commutators_exit_status(tmp_path, capsys):
     # each level doubles the word: 20 levels would give 3,145,726 letters
     word = "a"

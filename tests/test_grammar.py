@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regmaps.cli as cli
+import regmaps.words
 from regmaps.errors import (ContractViolation, ParseError, RegmapsError,
                             ResourceLimitExceeded)
-from regmaps.grammar import (MAX_NESTING, GroupFile, MapDecl,
-                             format_group_file, format_word, load_group_file,
-                             matrix_group, parse_group_file,
+from regmaps.grammar import (MAX_NESTING, GroupFile, MapDecl, _Cursor,
+                             _parse_word, format_group_file, format_word,
+                             load_group_file, matrix_group, parse_group_file,
                              read_group_text, realize_group_file)
 from regmaps.perm import Perm
 from regmaps.verify import corpus_names, corpus_text
@@ -180,6 +182,60 @@ def test_a_long_power_relator_is_parsed_in_one_copy():
         tracemalloc.stop()
     assert gf.presentation.relators[0] == Word.gen(0) ** 10**6
     assert peak <= 10_000_000
+
+
+@pytest.mark.parametrize("text,message", [
+    # the nesting bound is met before the '+' is read
+    (_GENS + "rel " + "(" * (MAX_NESTING + 1) + "a+b" + ")" * (MAX_NESTING + 1)
+     + "\n", "line 3, column 105: brackets nested deeper than 100"),
+    (_GENS + "rel c %\n", "line 3, column 5: unknown identifier 'c'"),
+    ("group t\nperm a = (1 2)\nrel a^2 %\n",
+     "line 3, column 1: 'rel' requires a 'gens' declaration"),
+])
+def test_a_line_is_read_up_to_its_first_error(text, message):
+    # tokens are lexed as the parser reaches them, so the error reported is
+    # the first in reading order, even where a later character is bad
+    with pytest.raises(ParseError) as e:
+        parse_group_file(text)
+    assert str(e.value) == message
+
+
+letter = st.sampled_from((1, -1, 2, -2))
+factor = st.lists(letter, min_size=1, max_size=4).map(
+    lambda ls: Word(tuple(ls))).filter(lambda w: not w.is_empty())
+
+
+@given(st.lists(factor, min_size=1, max_size=8), st.integers(4, 24))
+@settings(max_examples=200, deadline=None)
+def test_a_product_is_parsed_as_the_fold_of_its_factors(factors, bound):
+    # every prefix of the product gives the left fold of `*`, under a letter
+    # bound small enough to be met: the reduced concatenation, refused at
+    # the first factor that the reduced word before it cannot take
+    names = {"a": Word.gen(0), "b": Word.gen(1)}
+    texts = ["(" + format_word(w, "ab") + ")" for w in factors]
+    assert _parse_word(_Cursor(texts[0], 1), names) == factors[0]
+    refusal = f"word longer than {bound} letters"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regmaps.words, "MAX_WORD_LETTERS", bound)
+        folded = factors[0]
+        for k, w in enumerate(factors[1:], 2):
+            cur = _Cursor("*".join(texts[:k]), 1)
+            if len(folded.letters) + len(w.letters) > bound:
+                with pytest.raises(ContractViolation, match=refusal):
+                    _parse_word(cur, names)
+                break
+            folded = Word(folded.letters + w.letters)
+            assert _parse_word(cur, names) == folded
+            assert cur.done()
+
+
+def test_a_long_product_is_parsed_in_linear_time():
+    text = ("group g\ngens a, b\nrel "
+            + "*".join("ab"[i % 2] for i in range(10**5)) + "\n")
+    start = time.perf_counter()
+    gf = parse_group_file(text)
+    assert time.perf_counter() - start < 2.0
+    assert gf.presentation.relators[0].letters == (1, 2) * (10**5 // 2)
 
 
 def test_generator_named_like_a_field():

@@ -751,14 +751,25 @@ def test_vertex_primitivity_matches_the_all_beta_scan_on_the_corpus(corpus):
 
 @pytest.mark.parametrize("p,vertices", [(11, 110), (13, 156)])
 def test_vertex_primitivity_matches_the_all_beta_scan_on_the_ladder(
-        p, vertices):
+        p, vertices, monkeypatch):
     rz = realize_group_file(parse_group_file(
         f"group ladder\nmat r = [[2,1],[1,0]] mod {p}\n"
         f"mat l = [[0,1],[1,0]] mod {p}\nmap m : oriented r=r l=l\n"))
     m = rz.maps["m"]
     images = vertex_action(m)
     assert len(images[0]) == vertices
+    # the vertex stabilizer fixes one point besides 0 (for p = 13, the one
+    # suborbit of size 1 among 22 of size 7): walked first, it gives a
+    # block of size 2 and decides the test
+    walks = []
+    walk = regmaps.group._minimal_block_size
+
+    def counted(perms, npoints, beta):
+        walks.append(beta)
+        return walk(perms, npoints, beta)
+    monkeypatch.setattr(regmaps.group, "_minimal_block_size", counted)
     assert m.vertex_primitive == oracles.brute_is_primitive(images, vertices)
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
