@@ -283,7 +283,7 @@ def census_classify(entries: list) -> list:
     Structure-law breaches are recorded on the entry, not raised."""
     for entry in entries:
         entry.report = entry.map.report()
-        if entry.degenerate or detect_p_map(entry.map) is None:
+        if detect_p_map(entry.map) is None:
             continue
         try:
             entry.classification = classify(entry.map)

@@ -1,9 +1,10 @@
 """Structure theory of p-maps.
 
-A map is a *p-map* when its vertex count is p^k for a prime p and k >= 1.
-The group of a p-map is always solvable, and the map is *normal* exactly
-when its Sylow p-subgroup is normal.  A nonnormal p-map forces p to be 2 or
-3, and collapsing the p-core produces one of four exceptional quotients:
+A map is a *p-map* when it is not degenerate and has p^k vertices for a
+prime p and k >= 1.  The group of a p-map is always solvable, and the map
+is *normal* exactly when its Sylow p-subgroup is normal.  A nonnormal p-map
+forces p to be 2 or 3, and collapsing the p-core produces one of four
+exceptional quotients, which `identify_exceptional` tells apart:
 
 * ``D(m, e)``  -- the oriented dipole: two vertices joined by m edges
   (m odd, >= 3), reversal conjugating the rotation to its e-th power with
@@ -32,7 +33,7 @@ from .group import (FiniteGroup, center, is_cyclic, is_extraspecial,
                     is_normal, is_solvable, isomorphism_search, normal_core,
                     o_p, omega1, p_part, prime_factors, quotient_group,
                     sylow_p)
-from .maps import DEGENERATE_L_TRIVIAL, oriented_of_flagged, quotient_map
+from .maps import DEGENERATE_L_TRIVIAL, quotient_map
 from .standard import symmetric_group
 
 
@@ -98,7 +99,8 @@ class SylowStructure:
 
 
 def detect_p_map(m) -> Optional[tuple]:
-    """(p, k) with vertex count p^k and k >= 1, else None."""
+    """(p, k) with vertex count p^k and k >= 1, else None.  A degenerate
+    map is never a p-map: t and r generate G, so it has one vertex."""
     v = m.vef_counts()[0]
     if v < 2:
         return None
@@ -160,80 +162,60 @@ def classify(m) -> PMapClassification:
                               qmap.group.order)
 
 
-def identify_exceptional(qmap, p: int) -> ExceptionalCase:
+def identify_exceptional(qm, p: int) -> ExceptionalCase:
     """Match the p-free quotient of a nonnormal p-map against the four
-    exceptional shapes."""
+    exceptional shapes: C(3,2) at p = 3; at p = 2 a semistar if the quotient
+    is a degenerate flagged map, else a dipole.  A flagged dipole is read
+    inside G: its oriented form has darts G+, the even words, rotation t*r
+    and reversal t*l, whose orders and exponents are the same in G."""
+    G = qm.group
     if p == 3:
-        if qmap.kind != "flagged":
+        if qm.kind != "flagged":
             raise TheoremViolation("a nonnormal oriented 3-map cannot exist")
-        return identify_c32(qmap)
+        if qm.degenerate:
+            raise ClassificationError(
+                "a degenerate map is not the exceptional 3-map")
+        if G.order != 24 or qm.vef_counts() != (3, 6, 4) or qm.is_orientable():
+            raise ClassificationError(
+                "quotient does not match the nonorientable 3-vertex map")
+        if not isomorphism_search(G, _sym4()):
+            raise ClassificationError(
+                "quotient group is not the symmetric group of degree 4")
+        return ExceptionalCase("c32")
     if p != 2:
         raise TheoremViolation(f"nonnormal p-map with p = {p}")
-    if qmap.kind == "flagged" and qmap.degenerate:
-        return identify_semistar(qmap)
-    return identify_dipole(qmap)
-
-
-def identify_dipole(qm) -> ExceptionalCase:
+    if qm.kind == "flagged" and qm.degenerate:
+        half = G.order_of(G.mul(qm.t, qm.r))
+        if G.order != 2 * half or half % 2 == 0 or half < 3:
+            raise ClassificationError(
+                f"semistar group must be dihedral of twice-odd order >= 6,"
+                f" found order {G.order}")
+        if DEGENERATE_L_TRIVIAL in qm.degenerate:
+            return ExceptionalCase("disc_semistar", n=G.order)
+        return ExceptionalCase("sphere_semistar", n=G.order)
     if qm.kind == "flagged":
-        if qm.degenerate:
-            raise ClassificationError("a degenerate map is not a dipole")
-        try:
-            om = oriented_of_flagged(qm)
-        except ContractViolation as exc:
-            raise ClassificationError(f"dipole check: {exc}") from exc
+        if not qm.is_orientable():
+            raise ClassificationError("dipole check: map is not orientable")
+        r, l, darts = G.mul(qm.t, qm.r), G.mul(qm.t, qm.l), G.order // 2
+        if r == 0:
+            raise ClassificationError(
+                "dipole check: rotation must not be the identity")
     else:
-        om = qm
-    G = om.group
-    v = om.vef_counts()[0]
+        r, l, darts = qm.r, qm.l, G.order
+    mm = G.order_of(r)
+    v = darts // mm
     if v != 2:
         raise ClassificationError(f"a dipole has 2 vertices, found {v}")
-    mm = G.order_of(om.r)
     if mm % 2 == 0 or mm < 3:
         raise ClassificationError(
             f"dipole edge count must be odd and >= 3, found {mm}")
-    conj = G.conj(om.r, om.l)
-    e = None
-    for j in range(mm):
-        if G.power(om.r, j) == conj:
-            e = j
-            break
+    conj = G.conj(r, l)
+    e = next((j for j in range(mm) if G.power(r, j) == conj), None)
     if e is None:
         raise ClassificationError("reversal does not normalize the rotation")
     if (e * e) % mm != 1 or e % mm == 1:
         raise ClassificationError(f"dipole exponent {e} mod {mm} is invalid")
     return ExceptionalCase("dipole", m=mm, e=e)
-
-
-def identify_semistar(qm) -> ExceptionalCase:
-    if qm.kind != "flagged" or not qm.degenerate:
-        raise ClassificationError(
-            "semistar quotients are degenerate flagged maps")
-    G = qm.group
-    half = G.order_of(G.mul(qm.t, qm.r))
-    if G.order != 2 * half or half % 2 == 0 or half < 3:
-        raise ClassificationError(
-            f"semistar group must be dihedral of twice-odd order >= 6,"
-            f" found order {G.order}")
-    if DEGENERATE_L_TRIVIAL in qm.degenerate:
-        return ExceptionalCase("disc_semistar", n=G.order)
-    return ExceptionalCase("sphere_semistar", n=G.order)
-
-
-def identify_c32(qm) -> ExceptionalCase:
-    if qm.kind != "flagged":
-        raise ClassificationError("the exceptional 3-map is a flagged map")
-    if qm.degenerate:
-        raise ClassificationError(
-            "a degenerate map is not the exceptional 3-map")
-    G = qm.group
-    if G.order != 24 or qm.vef_counts() != (3, 6, 4) or qm.is_orientable():
-        raise ClassificationError(
-            "quotient does not match the nonorientable 3-vertex map")
-    if not isomorphism_search(G, _sym4()):
-        raise ClassificationError(
-            "quotient group is not the symmetric group of degree 4")
-    return ExceptionalCase("c32")
 
 
 def verify_classification_law(m) -> LawCheck:

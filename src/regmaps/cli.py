@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
     doc = new_document("analyze", text, rz.group)
     status = 0
     cl = st = None
-    if not m.degenerate and detect_p_map(m) is not None:
+    if detect_p_map(m) is not None:
         try:
             cl = classify(m)
             if cl.normal and m.vertex_primitive:
@@ -139,22 +139,18 @@ def cmd_quotient(args) -> int:
     doc.group["p_core_order"] = core.order
     status = 0
     section = map_section(f"{name}/core", qm)
-    source_nonnormal = False
-    if not m.degenerate and (pk := detect_p_map(m)) is not None:
+    if detect_p_map(m) is not None:
         try:
-            # a failed identification breaches a theorem only for a
-            # nonnormal p-map at the prime the quotient is taken at
-            source_nonnormal = not classify(m).normal and pk[0] == args.p
+            classify(m)
         except TheoremViolation as exc:
             doc.diagnostics.append(str(exc))
             status = 4
+    # only a diagnostic: classify above identified a nonnormal p-map's quotient
     try:
         section["exceptional_case"] = identify_exceptional(qm, args.p).label()
     except TheoremViolation as exc:
         section["exceptional_case"] = None
         doc.diagnostics.append(f"no exceptional identification: {exc}")
-        if source_nonnormal:
-            status = 4
     doc.maps.append(section)
     _emit(doc, args)
     return status

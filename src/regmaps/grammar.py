@@ -316,8 +316,11 @@ def parse_group_file(text: str) -> GroupFile:
             if cur.expect_ident() != "mod":
                 raise ParseError("expected 'mod'", lineno, col)
             t = cur.next()
-            if t[0] != "int" or not is_prime(t[1]):
-                raise ParseError("modulus must be a prime", lineno, t[2])
+            try:
+                if t[0] != "int" or not is_prime(t[1]):
+                    raise ParseError("modulus must be a prime", lineno, t[2])
+            except ContractViolation as exc:  # too large to decide
+                raise ParseError(str(exc), lineno, t[2]) from None
             if modulus is not None and modulus != t[1]:
                 raise ParseError("all matrices must share one modulus", lineno, t[2])
             modulus = t[1]
@@ -365,7 +368,7 @@ def parse_group_file(text: str) -> GroupFile:
 
 def format_word(w: Word, gen_names) -> str:
     if w.is_empty():
-        raise ContractViolation("cannot print the empty word")
+        return f"{gen_names[0]}^0"  # parses back to the empty word
     parts = []
     i = 0
     letters = w.letters

@@ -276,13 +276,14 @@ def maps_isomorphic(m1, m2) -> bool:
 def quotient_map(m, normal_sub: Subgroup):
     """The induced map on G/N.
 
-    Oriented maps require the reversal to survive; flagged maps require t
+    Oriented maps require r and l to survive; flagged maps require t
     and r to survive, while a collapsing l only marks the result degenerate.
     """
     Q, proj = quotient_group(m.group, normal_sub)
     images = [proj[x] for x in m.generator_tuple]
-    if m.kind == "oriented" and images[1] == 0:
-        raise ContractViolation("edge reversal collapses in the quotient")
+    if m.kind == "oriented" and 0 in images:
+        what = "edge reversal" if images[1] == 0 else "rotation"
+        raise ContractViolation(f"{what} collapses in the quotient")
     if m.kind == "flagged" and 0 in images[:2]:
         raise ContractViolation("a flag reflection collapses in the quotient")
     return type(m)(Q, *images)

@@ -2,20 +2,21 @@ from importlib import import_module
 
 import pytest
 
+import regmaps.group
 from regmaps.census import enumerate_flagged
 from regmaps.classify import (ExceptionalCase, _orientation_status,
                               _splits_elementary, certify_sylow_structure,
-                              classify, detect_p_map, identify_dipole,
-                              identify_exceptional, identify_semistar,
+                              classify, detect_p_map, identify_exceptional,
                               verify_classification_law)
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
 from regmaps.group import (closure, is_extraspecial, is_normal, regenerated,
                            sylow_p)
-from regmaps.maps import FlaggedMap, OrientedMap
+from regmaps.maps import FlaggedMap, OrientedMap, oriented_of_flagged
 from regmaps.perm import Perm
-from regmaps.standard import quaternion_group
+from regmaps.standard import (alternating_group, quaternion_group,
+                              symmetric_group)
 from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
                              klein_four_group)
 
@@ -55,6 +56,13 @@ def test_detect_p_map_on_corpus(corpus):
     }
     for fname, pk in expected.items():
         assert detect_p_map(corpus[fname].maps["m"]) == pk
+
+
+def test_a_degenerate_map_is_not_a_p_map():
+    # one vertex each, as t and r generate G
+    for m in (FlaggedMap(dihedral_group(4), 2, 4, 2),  # l = t
+              FlaggedMap(klein_four_group(), 1, 2, 0)):  # l trivial
+        assert m.degenerate and detect_p_map(m) is None
 
 
 def test_detect_p_map_rejects_mixed_vertex_count():
@@ -158,7 +166,7 @@ def test_identify_exceptional_impossible_branches(corpus):
 def test_identify_dipole_rejections(corpus):
     gl23 = corpus["gl23_reflexible.grp"].maps["m"]
     with pytest.raises(ClassificationError):
-        identify_dipole(gl23)  # eight vertices
+        identify_exceptional(gl23, 2)  # eight vertices
     # two vertices but even edge multiplicity
     D4 = dihedral_group(4)
     rot = next(g for g in range(D4.order) if D4.order_of(g) == 4)
@@ -166,15 +174,90 @@ def test_identify_dipole_rejections(corpus):
                 if D4.mul(g, g) == 0
                 and g not in D4.subgroup((rot,)).members)
     with pytest.raises(ClassificationError):
-        identify_dipole(OrientedMap(D4, rot, refl))
+        identify_exceptional(OrientedMap(D4, rot, refl), 2)
 
 
 def test_identify_semistar_rejections(corpus):
     with pytest.raises(ClassificationError):
-        identify_semistar(corpus["s4_3map.grp"].maps["m"])  # not degenerate
+        # not degenerate, so read as a dipole: not orientable
+        identify_exceptional(corpus["s4_3map.grp"].maps["m"], 2)
     V4 = klein_four_group()
     with pytest.raises(ClassificationError):
-        identify_semistar(FlaggedMap(V4, 1, 2, 1))  # half part is even
+        identify_exceptional(FlaggedMap(V4, 1, 2, 1), 2)  # half part is even
+
+
+# (group, defining tuple, p) -> the label or the whole ClassificationError
+# message; element indices are those of the groups in standard_groups
+IDENTIFIED = [
+    ("V4", (1, 1, 2), 2, "dipole check: rotation must not be the identity"),
+    ("D4", (2, 4, 3), 2, "dipole check: map is not orientable"),
+    ("D3", (2, 4, 2), 3, "a degenerate map is not the exceptional 3-map"),
+    ("D4", (2, 4, 2), 2, "semistar group must be dihedral of twice-odd"
+                         " order >= 6, found order 8"),
+    ("D3", (2, 4), 2, "a dipole has 2 vertices, found 3"),
+    ("D4", (1, 2), 2, "dipole edge count must be odd and >= 3, found 4"),
+    ("D6", (2, 7, 11), 2, "dipole exponent 1 mod 3 is invalid"),
+    ("D6", (2, 7, 6), 2, "D(3,2)"),
+    ("D5", (1, 2), 2, "D(5,4)"),
+    ("D3", (2, 4, 2), 2, "EM(6)"),
+]
+
+
+def _small_group(name):
+    return klein_four_group() if name == "V4" else dihedral_group(int(name[1:]))
+
+
+def _identified(m, p=2) -> str:
+    try:
+        return identify_exceptional(m, p).label()
+    except ClassificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("group,tuple_,p,want", IDENTIFIED,
+                         ids=[f"{g}{t}p{p}" for g, t, p, _ in IDENTIFIED])
+def test_identify_exceptional_outcome_is_pinned(group, tuple_, p, want):
+    cls = FlaggedMap if len(tuple_) == 3 else OrientedMap
+    assert _identified(cls(_small_group(group), *tuple_), p) == want
+
+
+def _identified_on_closed_even_subgroup(m) -> str:
+    """The flagged dipole check as it was made on G+ closed as a group of
+    its own: the oriented form, then the oriented identification."""
+    try:
+        om = oriented_of_flagged(m)
+    except ContractViolation as exc:
+        return f"dipole check: {exc}"
+    return _identified(om)
+
+
+def test_flagged_dipole_read_in_g_matches_the_closed_even_subgroup(corpus):
+    """Every nondegenerate flagged map of these censuses is identified the
+    same way inside G as on its even-word subgroup closed on its own."""
+    groups = [dihedral_group(n) for n in range(3, 16)]
+    groups += [klein_four_group(), elementary_abelian(2, 3),
+               alternating_group(4), symmetric_group(4)]
+    groups += [rz.group for rz in corpus.values() if rz.group.order <= 400]
+    seen = set()
+    for G in groups:
+        for entry in enumerate_flagged(G):
+            m = entry.map
+            if not m.degenerate:
+                got = _identified(m)
+                assert got == _identified_on_closed_even_subgroup(m), m
+                seen.add(got)
+    assert {"D(3,2)", "D(5,4)", "dipole check: map is not orientable",
+            "dipole check: rotation must not be the identity"} <= seen
+
+
+def test_a_flagged_dipole_is_identified_without_a_closure(monkeypatch):
+    m = FlaggedMap(dihedral_group(6), 2, 7, 6)
+    calls = []
+    real = regmaps.group.closure
+    monkeypatch.setattr(regmaps.group, "closure",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert identify_exceptional(m, 2) == ExceptionalCase("dipole", m=3, e=2)
+    assert calls == []
 
 
 def test_certify_preconditions(corpus):

@@ -319,6 +319,18 @@ def test_quotient_degenerate_map_is_not_the_exceptional_3_map(tmp_path,
             " is not the exceptional 3-map") in out
 
 
+@pytest.mark.parametrize("n,p,what", [
+    (3, "3", "rotation"),  # O_3(S3) = C3 holds the rotation a alone
+    (4, "2", "edge reversal"),  # O_2(D4) is the whole group
+])
+def test_quotient_names_a_collapsing_generator(tmp_path, capsys, n, p, what):
+    f = tmp_path / "dihedral.grp"
+    f.write_text(f"group d\ngens a, b\nrel a^{n}\nrel b^2\nrel (a*b)^2\n"
+                 "map m : oriented r=a l=b\n", encoding="utf-8")
+    assert _run(capsys, ["quotient", "--p", p, str(f)]) == (
+        3, "", f"error: {what} collapses in the quotient\n")
+
+
 def test_quotient_rejects_composite_p(corpus_file, capsys):
     ret, _, err = _run(capsys,
                        ["quotient", "--p", "4", corpus_file("s4_3map.grp")])
@@ -782,6 +794,17 @@ def test_tc_export_perms_round_trip(corpus_file, capsys):
                                 corpus_file("s4_presentation.grp")])
     assert ret == 0
     assert json.loads(out)["cosets"] == 24
+
+
+def test_tc_export_perms_prints_a_trivial_map_word(tmp_path, capsys):
+    f = tmp_path / "v4.grp"
+    f.write_text("group v4\ngens a, b\nrel a^2\nrel b^2\nrel (a*b)^2\n"
+                 "map m : flagged t=a r=b l=a^0\n", encoding="utf-8")
+    ret, out, err = _run(capsys, ["tc", "--export-perms", str(f)])
+    assert (ret, err) == (0, "")
+    assert out.endswith("map m : flagged t=a r=b l=a^0\n")
+    exported = realize_group_file(parse_group_file(out.split("\n", 1)[1]))
+    assert exported.maps["m"].degenerate == frozenset(("l_trivial",))
 
 
 def test_version_flag(capsys):

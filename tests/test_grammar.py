@@ -149,6 +149,9 @@ _GENS = "group t\ngens a\n"
     ("group t\nmat a = [[1,0],[0,1]] by 3\n", "line 2, column 1: expected 'mod'"),
     ("group t\nmat a = [[1,0],[0,1]] mod 6\n",
      "line 2, column 27: modulus must be a prime"),
+    ("group t\nmat a = [[1,0],[0,1]] mod 10000000000000000000000000007\n",
+     "line 2, column 27: cannot decide whether"
+     " 10000000000000000000000000007 is prime"),
     ("group t\nmat a = [[1,0],[0,1]] mod 3\nmat b = [[1,0],[0,1]] mod 5\n",
      "line 3, column 27: all matrices must share one modulus"),
     (_GENS + "rel a^2000000000\n", "line 3, column 7: exponent overflow"),
@@ -255,8 +258,12 @@ def test_format_word_run_lengths():
     assert format_word(Word((1, 1, 1)), names) == "a^3"
     assert format_word(Word((-1, -1, 2)), names) == "a^-2*b"
     assert format_word(Word((1, 2, 1)), names) == "a*b*a"
-    with pytest.raises(ContractViolation):
-        format_word(Word(()), names)
+    # the empty word prints as a zero power, which parses back to it
+    assert format_word(Word(()), names) == "a^0"
+    gf = parse_group_file("group t\ngens a, b\nrel a^2\nrel b^2\n"
+                          "map m : flagged t=a r=b l=a^0\n")
+    assert gf.maps[0].word("l").is_empty()
+    assert parse_group_file(format_group_file(gf)) == gf
 
 
 def test_matrix_group_realization():
