@@ -209,10 +209,8 @@ def identify_exceptional(qm, p: int) -> ExceptionalCase:
     if mm % 2 == 0 or mm < 3:
         raise ClassificationError(
             f"dipole edge count must be odd and >= 3, found {mm}")
-    conj = G.conj(r, l)
-    e = next((j for j in range(mm) if G.power(r, j) == conj), None)
-    if e is None:
-        raise ClassificationError("reversal does not normalize the rotation")
+    conj = G.conj(r, l)  # <r> has index 2 in the darts, so l normalizes it
+    e = next(j for j in range(mm) if G.power(r, j) == conj)
     if (e * e) % mm != 1 or e % mm == 1:
         raise ClassificationError(f"dipole exponent {e} mod {mm} is invalid")
     return ExceptionalCase("dipole", m=mm, e=e)

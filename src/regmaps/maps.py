@@ -165,11 +165,10 @@ class OrientedMap(_Map):
         return self.group.order_of(self.r)
 
     def is_simple(self) -> bool:
-        """No loops or parallel edges: l lies outside <r> and distinct
-        vertices share at most one edge."""
+        """No loops or parallel edges: <r> meets its conjugate by l in 1
+        alone.  A loop, l in <r>, fails this too: then the two are equal,
+        and r != 1."""
         V = self.vertex_subgroup.members
-        if self.l in V:
-            return False
         G = self.group
         conj = frozenset(G.conj(m, self.l) for m in V)
         return V & conj == frozenset((0,))
@@ -246,11 +245,8 @@ class FlaggedMap(_Map):
         return self.vertex_subgroup.order // 2
 
     def is_orientable(self) -> bool:
-        index = self.group.order // self.even_subgroup.order
-        if index not in (1, 2):
-            raise TheoremViolation(
-                f"even-word subgroup has index {index}, expected 1 or 2")
-        return index == 2
+        # E = <tr, rl> holds every even word, as tl = tr*rl, so G = E u tE
+        return self.even_subgroup.order < self.group.order
 
     def is_simple(self) -> bool:
         V = self.vertex_subgroup.members
@@ -297,8 +293,7 @@ def oriented_of_flagged(m: FlaggedMap) -> OrientedMap:
     if not m.is_orientable():
         raise ContractViolation("map is not orientable")
     G = m.group
+    # <tr, tl> = <tr, rl>, whose index is_orientable has just found to be 2
     plus = regenerated(G, (G.mul(m.t, m.r), G.mul(m.t, m.l)))
-    if plus.order * 2 != G.order:
-        raise TheoremViolation("even-word subgroup has the wrong order")
     r_idx, l_idx = plus.gen_indices
     return OrientedMap(plus, r_idx, l_idx)

@@ -54,17 +54,8 @@ class ReportDocument:
     diagnostics: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = {
-            "tool_version": self.tool_version,
-            "input_digest": self.input_digest,
-            "command": self.command,
-            "group": self.group,
-            "maps": self.maps,
-            "diagnostics": self.diagnostics,
-        }
-        if self.census is not None:
-            doc["census"] = self.census
-        return doc
+        """Every field, and `census` only when it is set."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

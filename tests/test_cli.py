@@ -379,6 +379,36 @@ def test_analyze_refuses_a_sylow_of_neither_shape(corpus_file, capsys,
             " order 3^3 (P0 has order 3)") in out
 
 
+# Small valid maps on which the certifier reports a theorem violation.
+CERTIFIER_EXIT_4 = {
+    "d4_oriented": "group d4\nperm a = (1 2 3 4)\nperm b = (2 4)\n"
+                   "map m : oriented r=a l=b\n",
+    "c2_cubed": "group e8\nperm a = (1 2)\nperm b = (3 4)\nperm c = (5 6)\n"
+                "map m : flagged t=a r=b l=c\n",
+    "v4_t_is_r": "group v4\nperm a = (1 2)\nperm b = (3 4)\n"
+                 "map m : flagged t=a r=a l=b\n",
+    "d4_flagged": "group d4\nperm a = (1 3)(2 4)\nperm b = (2 4)\n"
+                  "perm c = (1 4)(2 3)\nmap m : flagged t=a r=b l=c\n",
+    "d10_projective": "group d10\nperm t = (1 6)(2 7)(3 8)(4 9)(5 10)\n"
+                      "perm r = (2 10)(3 9)(4 8)(5 7)\n"
+                      "perm l = (1 10)(2 9)(3 8)(4 7)(5 6)\n"
+                      "map m : flagged t=t r=r l=l\n",
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "certify_sylow_structure reports a theorem violation on these valid"
+    " maps of valency at most 4: either it runs outside the hypotheses of"
+    " the theorem it checks, or the coded statement is too strong"
+    " (a FOUND in CHANGES.md)"))
+@pytest.mark.parametrize("name", list(CERTIFIER_EXIT_4))
+def test_analyze_certifies_small_maps_without_exit_4(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.grp"
+    path.write_text(CERTIFIER_EXIT_4[name])
+    ret, _, _ = _run(capsys, ["analyze", str(path)])
+    assert ret != 4
+
+
 def test_main_maps_theorem_violation_to_exit_4(corpus_file, capsys,
                                                monkeypatch):
     def boom(m):

@@ -497,12 +497,74 @@ def test_o_p_matches_brute_force(name, G):
         assert o_p(G, p).members == want
 
 
-@pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
-def test_normal_core_matches_brute_force(name, G):
-    probes = [G.gen_indices[:1], G.gen_indices[:2], [1]]
-    for gens in probes:
-        H = G.subgroup(gens)
-        assert normal_core(G, H).members == oracles.brute_core(G, H.members)
+def assert_core_is_brute_force(G, H):
+    """normal_core(G, H) has the members of the brute-force core and the
+    gens subgroup_from_members gives them; a trivial or improper H is its
+    own core and comes back as it is."""
+    core = normal_core(G, H)
+    want = oracles.brute_core(G, H.members)
+    assert core.members == want
+    if H.order == 1 or H.is_improper():
+        assert core is H
+    else:
+        assert core.gens == G.subgroup_from_members(want).gens
+
+
+@pytest.mark.parametrize("name", [n for n, _ in SEEDS] + corpus_names())
+def test_normal_core_matches_brute_force(name, corpus):
+    # seeds: the subgroups of their first generators and of element 1;
+    # corpus: every Sylow subgroup and every map's vertex stabilizer
+    if name in corpus:
+        G = corpus[name].group
+        subs = [sylow_p(G, p) for p in prime_factors(G.order)]
+        subs += [m.vertex_subgroup for m in corpus[name].maps.values()]
+    else:
+        G = dict(SEEDS)[name]
+        subs = [G.subgroup(gens)
+                for gens in (G.gen_indices[:1], G.gen_indices[:2], [1])]
+    for H in subs:
+        assert_core_is_brute_force(G, H)
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "g72_3map.grp",
+                                  "g216_orientable.grp", "g384_chiral.grp"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_normal_core_of_drawn_subgroups_matches_brute_force(name, corpus,
+                                                            data):
+    G = corpus[name].group if name in corpus else dict(SEEDS)[name]
+    xs = data.draw(st.lists(st.integers(0, G.order - 1),
+                            min_size=1, max_size=2))
+    H = G.subgroup(xs)
+    event(f"|H| = {H.order}")
+    assert_core_is_brute_force(G, H)
+
+
+def test_normal_core_walk_counts_on_o2_of_g384(corpus, monkeypatch):
+    # |P| = 128 and 6 generators bound the walk by 768 conjugations: the 64
+    # members of the core take 384, and the walks of the other classes stop
+    # at a conjugate outside P or in a class already out.  Stopping only
+    # outside P takes 522, and sweeping P until no member has a conjugate
+    # by a generator outside the survivors takes 1152.  A conjugation is
+    # two lookups in G._at, and the core's own generators are found by
+    # subgroup_from_members, whose lookups are counted apart.
+    G = corpus["g384_chiral.grp"].group
+    P = sylow_p(G, 2)
+    for g in G.gen_indices:
+        G.inv(g)  # kept, so the walk looks up no inverse
+    lookups = []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return dict.__getitem__(self, key)
+    monkeypatch.setattr(G, "_at", Counted(G._at))
+    core = normal_core(G, P)
+    walk = len(lookups)
+    lookups.clear()
+    assert G.subgroup_from_members(core.members) == core
+    assert (P.order, core.order) == (128, 64)
+    assert walk - len(lookups) == 2 * 458
 
 
 @pytest.mark.parametrize("name,G", SEEDS, ids=[n for n, _ in SEEDS])
