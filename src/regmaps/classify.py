@@ -13,7 +13,11 @@ exceptional quotients, which `identify_exceptional` tells apart:
   reversal collapsed to the identity, on a dihedral group of order n;
 * ``EM(n)``    -- the sphere semistar: the reversal collapsed onto t;
 * ``C(3,2)``   -- the unique nonorientable 3-map with 3 vertices, 6 edges
-  and 4 faces on the symmetric group of degree 4.
+  and 4 faces on the symmetric group of degree 4.  A group of order 24
+  whose action on the 4 faces has trivial kernel, the core of a face
+  subgroup, embeds in Sym(4) and so is S4; in S4 a face subgroup of
+  order 6 is a point stabilizer, whose core is trivial.  So one normal
+  core proves the quotient is S4, with no isomorphism search.
 
 For normal maps whose vertex action is primitive, the Sylow subgroup P
 splits over the vertex-kernel part P0: either P = P0 x T with T elementary
@@ -165,9 +169,18 @@ def classify(m) -> PMapClassification:
 def identify_exceptional(qm, p: int) -> ExceptionalCase:
     """Match the p-free quotient of a nonnormal p-map against the four
     exceptional shapes: C(3,2) at p = 3; at p = 2 a semistar if the quotient
-    is a degenerate flagged map, else a dipole.  A flagged dipole is read
-    inside G: its oriented form has darts G+, the even words, rotation t*r
-    and reversal t*l, whose orders and exponents are the same in G."""
+    is a degenerate flagged map, else a dipole.
+
+    C(3,2) is certified by a normal core.  G permutes the cosets of the
+    face subgroup F, the faces, with kernel core_G(F).  With |G| = 24 and
+    4 faces, a trivial kernel embeds G in Sym(4), of order 24 = 4!, so
+    G is S4.  Conversely, in S4 a face subgroup of order 24/4 = 6 is a
+    point stabilizer S3, whose core is trivial.  So the core is trivial
+    exactly when G is S4.
+
+    A flagged dipole is read inside G: its oriented form has darts G+, the
+    even words, rotation t*r and reversal t*l, whose orders and exponents
+    are the same in G."""
     G = qm.group
     if p == 3:
         if qm.kind != "flagged":
@@ -178,7 +191,7 @@ def identify_exceptional(qm, p: int) -> ExceptionalCase:
         if G.order != 24 or qm.vef_counts() != (3, 6, 4) or qm.is_orientable():
             raise ClassificationError(
                 "quotient does not match the nonorientable 3-vertex map")
-        if not isomorphism_search(G, _sym4()):
+        if normal_core(G, qm.face_subgroup).order != 1:
             raise ClassificationError(
                 "quotient group is not the symmetric group of degree 4")
         return ExceptionalCase("c32")
@@ -210,7 +223,9 @@ def identify_exceptional(qm, p: int) -> ExceptionalCase:
         raise ClassificationError(
             f"dipole edge count must be odd and >= 3, found {mm}")
     conj = G.conj(r, l)  # <r> has index 2 in the darts, so l normalizes it
-    e = next(j for j in range(mm) if G.power(r, j) == conj)
+    e, x = 1, r  # the least e with r^e = conj, walking r's powers once
+    while x != conj:
+        e, x = e + 1, G.mul(x, r)
     if (e * e) % mm != 1 or e % mm == 1:
         raise ClassificationError(f"dipole exponent {e} mod {mm} is invalid")
     return ExceptionalCase("dipole", m=mm, e=e)

@@ -24,8 +24,8 @@ from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                      enumerate_flagged, enumerate_oriented)
 from .classify import (certify_sylow_structure, classify, detect_p_map,
                        identify_exceptional)
-from .coset_enum import (DEFAULT_MAX_COSETS, admit_presentation, group_order,
-                         todd_coxeter)
+from .coset_enum import (DEFAULT_MAX_COSETS, admit_presentation,
+                         presentation_order, todd_coxeter)
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
 from .grammar import (GroupFile, format_group_file, parse_group_file,
@@ -243,8 +243,9 @@ def cmd_tc(args) -> int:
             matrices=(), modulus=None, maps=gf.maps)
         exported = format_group_file(perm_gf)
     else:
-        # the order, certified by a cyclic subgroup's cosets where it can be
-        n = group_order(gf.presentation, args.max_cosets)[1]
+        # the order: from the exponent sums on one generator, else certified
+        # by a cyclic subgroup's cosets where it can be
+        n = presentation_order(gf.presentation, args.max_cosets)
     if args.json:
         doc = {"tool_version": TOOL_VERSION, "cosets": n}
         if exported is not None:

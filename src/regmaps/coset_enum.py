@@ -26,6 +26,8 @@ count alike.  A generator g with a power relator g^k acts on the cosets of
 <g>, an image of the group whose point stabilizer has order L, the lcm of
 g's cycle lengths; L = k makes the action faithful and the order k * index
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
+The ``tc`` count, :func:`presentation_order`, builds no table at all for a
+group on one generator, which is cyclic, of order |G/G'|.
 Every table, faithful or regular, is closed by :func:`regmaps.group.closure`,
 so elements are numbered by the group and its generators alone.
 
@@ -413,6 +415,17 @@ def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
             return ct, powers[i] * ct.n
     regular = todd_coxeter(pres, (), max_cosets=max_cosets)
     return regular, regular.n
+
+
+def presentation_order(pres: Presentation,
+                       max_cosets: int = DEFAULT_MAX_COSETS) -> int:
+    """The group's order, as :func:`group_order` finds it, except on one
+    generator: that group is cyclic, so its order is that of G/G', which
+    :func:`admit_presentation`'s exponent sums give without a table."""
+    if pres.ngens != 1:
+        return group_order(pres, max_cosets)[1]
+    admit_presentation(pres, max_cosets)
+    return _abelian(pres.relators, (1,))[1]
 
 
 def presentation_group(pres: Presentation,

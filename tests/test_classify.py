@@ -3,7 +3,7 @@ from importlib import import_module
 import pytest
 
 import regmaps.group
-from regmaps.census import enumerate_flagged
+from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.classify import (ExceptionalCase, _orientation_status,
                               _splits_elementary, certify_sylow_structure,
                               classify, detect_p_map, identify_exceptional,
@@ -11,8 +11,9 @@ from regmaps.classify import (ExceptionalCase, _orientation_status,
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import (closure, is_extraspecial, is_normal, regenerated,
-                           sylow_p)
+from regmaps.group import (closure, is_extraspecial, is_normal,
+                           isomorphism_search, normal_core, o_p,
+                           quotient_group, regenerated, sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap, oriented_of_flagged
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, quaternion_group,
@@ -258,6 +259,103 @@ def test_a_flagged_dipole_is_identified_without_a_closure(monkeypatch):
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     assert identify_exceptional(m, 2) == ExceptionalCase("dipole", m=3, e=2)
     assert calls == []
+
+
+def test_the_s4_quotient_is_identified_without_a_search(corpus, monkeypatch):
+    def search(*args):
+        raise AssertionError("isomorphism_search called")
+
+    # the package's `classify` is the function, so reach the module
+    monkeypatch.setattr(import_module("regmaps.classify"),
+                        "isomorphism_search", search)
+    for fname in ("s4_3map.grp", "g72_3map.grp"):
+        case = classify(corpus[fname].maps["m"]).exceptional_case
+        assert case.label() == "C(3,2)"
+
+
+def _order_24_groups(corpus):
+    """S4, D12 and four products of order 24 as permutation groups, then
+    the quotients by O_3 of the corpus groups of the S4 maps."""
+    def group(degree, *cycles):
+        return closure(degree, [Perm.from_cycles(c, degree) for c in cycles])
+
+    yield "S4", symmetric_group(4)
+    yield "D12", dihedral_group(12)
+    yield "A4xC2", group(6, [(0, 1, 2)], [(1, 2, 3)], [(4, 5)])
+    yield "S3xC4", group(7, [(0, 1, 2)], [(0, 1)], [(3, 4, 5, 6)])
+    yield "S3xC2^2", group(7, [(0, 1, 2)], [(0, 1)], [(3, 4)], [(5, 6)])
+    yield "D6xC2", group(8, [(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)], [(6, 7)])
+    for fname in ("g72_3map.grp", "s4_3map.grp", "s4_projective.grp",
+                  "s4_sphere.grp"):
+        G = corpus[fname].group
+        yield fname, quotient_group(G, o_p(G, 3))[0]
+
+
+def test_the_face_core_certificate_is_the_s4_search(corpus):
+    """On every nonorientable flagged map with (V, E, F) = (3, 6, 4) of
+    these groups, a trivial core of the face subgroup holds exactly when
+    the group is S4; only the S4s carry such maps.  The lemma behind it,
+    that a subgroup of order 6 has a trivial core only in S4, is checked
+    on every such subgroup generated by two elements."""
+    S4 = symmetric_group(4)
+    carriers = set()
+    for name, G in _order_24_groups(corpus):
+        assert G.order == 24, name
+        is_s4 = isomorphism_search(G, S4)
+        cores = {normal_core(G, H).order == 1
+                 for H in (G.subgroup((x, y)) for x in range(24)
+                           for y in range(x, 24))
+                 if H.order == 6}
+        assert cores == {is_s4}, name
+        for entry in enumerate_flagged(G):
+            m = entry.map
+            if (m.degenerate or m.vef_counts() != (3, 6, 4)
+                    or m.is_orientable()):
+                continue
+            carriers.add(name)
+            assert ((normal_core(G, m.face_subgroup).order == 1)
+                    == is_s4), (name, m)
+    assert carriers == {"S4", "g72_3map.grp", "s4_3map.grp",
+                        "s4_projective.grp", "s4_sphere.grp"}
+
+
+def test_dihedral_dipoles_have_exponent_minus_one():
+    # D_m with its rotation and a reflection: two vertices, m edges, and
+    # the reflection inverts the rotation
+    for m in (*range(3, 256, 2), 301):  # 301 points hold tuple elements
+        G = dihedral_group(m)
+        r, l = G.gen_indices
+        assert (identify_exceptional(OrientedMap(G, r, l), 2)
+                == ExceptionalCase("dipole", m=m, e=m - 1)), m
+
+
+# classify's exceptional kind -> the branches of the structure law it allows
+LAW_OF_KIND = {None: {"normal"}, "c32": {"s4_quotient"},
+               "dipole": {"cyclic_by_z2", "cyclic_by_klein"},
+               "disc_semistar": {"cyclic_by_z2", "cyclic_by_klein"},
+               "sphere_semistar": {"cyclic_by_z2", "cyclic_by_klein"}}
+
+
+def test_the_law_agrees_with_classify_on_small_censuses(corpus):
+    """The structure law, which proves an S4 quotient by an isomorphism
+    search, against classify on every p-map of both censuses of a zoo."""
+    groups = [dihedral_group(n) for n in range(3, 21)]
+    groups += [cyclic_group(n) for n in range(2, 17)]
+    groups += [klein_four_group(), elementary_abelian(2, 3),
+               alternating_group(4), symmetric_group(4)]
+    groups += [rz.group for rz in corpus.values() if rz.group.order <= 400]
+    branches = set()
+    for G in groups:
+        for census in (enumerate_oriented, enumerate_flagged):
+            for entry in census(G):
+                m = entry.map
+                if detect_p_map(m) is None:
+                    continue
+                case = classify(m).exceptional_case
+                branch = verify_classification_law(m).branch
+                assert branch in LAW_OF_KIND[case and case.kind], m
+                branches.add(branch)
+    assert {"normal", "cyclic_by_z2", "s4_quotient"} <= branches
 
 
 def test_certify_preconditions(corpus):

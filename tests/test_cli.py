@@ -452,6 +452,20 @@ def test_a_certified_presentation_needs_no_regular_table(corpus_file, capsys):
     assert _run(capsys, ["analyze", path, "--max-cosets", "2000"]) == want
 
 
+def test_tc_counts_a_one_generator_group_without_a_table(tmp_path, capsys):
+    # a group on one generator is cyclic, of order |G/G'|: no enumeration,
+    # so --max-cosets does not bound it and a^100000 takes no time
+    f = tmp_path / "c.grp"
+    f.write_text("group c\ngens a\nrel a^100000\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert _run(capsys, ["tc", str(f)]) == (0, "cosets: 100000\n", "")
+    assert time.perf_counter() - start < 1.0
+    assert _run(capsys, ["tc", str(f), "--max-cosets", "10"])[:2] == (
+        0, "cosets: 100000\n")
+    f.write_text("group c\ngens a\nrel a^6\nrel a^4\n", encoding="utf-8")
+    assert _run(capsys, ["tc", str(f)]) == (0, "cosets: 2\n", "")
+
+
 def test_census_refuses_on_the_order_before_listing_elements(
         corpus_file, capsys, monkeypatch):
     # the group is realized under the census bound, so the presentation is

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import regmaps.cli as cli
 from regmaps.coset_enum import (DEFAULT_MAX_COSETS, _abelian,
                                 admit_presentation, group_order,
-                                presentation_group, todd_coxeter)
+                                presentation_group, presentation_order,
+                                todd_coxeter)
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.group import ELEMENT_CELLS, closure, derived_series
 from regmaps.perm import Perm
@@ -719,3 +720,17 @@ def test_the_check_admits_an_infinite_connected_perfect_group():
     pres = Presentation(("a", "b"), (A ** 2, B ** 3, (A * B) ** 7))
     assert admit_presentation(pres) == {0: 2, 1: 3}
     assert _abelian(pres.relators, range(1, pres.ngens + 1)) == (0, 1)
+
+
+def test_a_one_generator_order_is_read_without_enumeration(monkeypatch):
+    # <a | a^n> and <a | a^n, a^-12>, cyclic of orders n and gcd(n, 12)
+    a = Word.gen(0)
+    cases = [(a ** n,) for n in range(1, 61)]
+    cases += [(a ** n, a ** -12) for n in range(1, 61)]
+    pres = [Presentation(("a",), rels) for rels in cases]
+    want = [todd_coxeter(p).n for p in pres]
+    import regmaps.coset_enum as ce
+    monkeypatch.setattr(ce, "todd_coxeter", None)  # a call would fail
+    assert [presentation_order(p) for p in pres] == want
+    with pytest.raises(ResourceLimitExceeded, match="free rank 1"):
+        presentation_order(Presentation(("a",), ()))
