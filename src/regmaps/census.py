@@ -66,7 +66,7 @@ from typing import Optional
 
 from .classify import PMapClassification, classify, detect_p_map
 from .errors import ResourceLimitExceeded, TheoremViolation
-from .group import (FiniteGroup, coset_action, derived_series,
+from .group import (FiniteGroup, coset_action, derived_subgroup,
                     prime_factors, standard_table)
 from .maps import FlaggedMap, MapReport, OrientedMap
 
@@ -116,13 +116,13 @@ class _Abelianization:
     """
 
     def __init__(self, G: FiniteGroup, invs: list):
-        series = derived_series(G)
+        derived = derived_subgroup(G)
         self.G = G
         self.label = None
-        if len(series) > 1:
-            _, label = coset_action(G, series[1])
+        if derived.order < G.order:
+            _, label = coset_action(G, derived)
             self.label = label
-            self.order = G.order // series[1].order
+            self.order = G.order // derived.order
             # W doubles with each new label, so len(vec) is the next bit
             self.vec, elems = {0: 0}, [0]
             for l in invs:

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import asdict
 
 from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
                      enumerate_flagged, enumerate_oriented)
@@ -32,7 +30,7 @@ from .grammar import (GroupFile, format_group_file, parse_group_file,
                       read_group_text, realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
 from .maps import quotient_map
-from .reporting import TOOL_VERSION, map_section, new_document
+from .reporting import TOOL_VERSION, dumps, map_section, new_document
 from .verify import all_passed, verify_corpus
 
 
@@ -210,11 +208,11 @@ def cmd_verify_corpus(args) -> int:
                          max_cosets=args.max_cosets)
     ok = all_passed(rows)
     if args.json:
-        print(json.dumps({
+        print(dumps({
             "tool_version": TOOL_VERSION,
             "passed": ok,
-            "checks": [asdict(r) for r in rows],
-        }, sort_keys=True, indent=2))
+            "checks": [vars(r) for r in rows],
+        }))
     else:
         for r in rows:
             mark = "PASS" if r.ok else "FAIL"
@@ -250,7 +248,7 @@ def cmd_tc(args) -> int:
         doc = {"tool_version": TOOL_VERSION, "cosets": n}
         if exported is not None:
             doc["perm_file"] = exported
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dumps(doc))
     else:
         print(f"cosets: {n}")
         if exported is not None:

@@ -26,8 +26,9 @@ count alike.  A generator g with a power relator g^k acts on the cosets of
 <g>, an image of the group whose point stabilizer has order L, the lcm of
 g's cycle lengths; L = k makes the action faithful and the order k * index
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
-The ``tc`` count, :func:`presentation_order`, builds no table at all for a
-group on one generator, which is cyclic, of order |G/G'|.
+A group on one generator is cyclic, of order n = |G/G'|, read off the
+exponent sums: its regular table is the n-cycle, built directly, and the
+``tc`` count, :func:`presentation_order`, builds no table at all.
 Every table, faithful or regular, is closed by :func:`regmaps.group.closure`,
 so elements are numbered by the group and its generators alone.
 
@@ -276,6 +277,15 @@ def _cycles(ct: CosetTable, i: int) -> tuple:
     return order, tuple(base)
 
 
+def _cycle_table(n: int) -> CosetTable:
+    """The regular table of a cyclic group of order n on one generator:
+    the n-cycle and its inverse, standardized as :func:`todd_coxeter`
+    leaves every table."""
+    cycle = list(range(1, n)) + [0]
+    flat = standard_table((cycle, [n - 1] + list(range(n - 1))), n)
+    return CosetTable(1, n, [flat[0::2], flat[1::2]])
+
+
 def _check_order(n: int, max_order: int) -> None:
     if n > max_order:
         raise ResourceLimitExceeded(
@@ -401,13 +411,23 @@ def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
     k, ties by position: g acts on the cosets of <g> with order L, so L = k
     certifies n = k * index, and the table over the first such <g> is
     returned.  Without a certificate the table is the regular one and n its
-    size.  Each enumeration is bounded by `max_cosets`, and its refusal is
-    the run's.  The tables over the cyclic subgroups are kept in `tables`,
-    by generator index, for a caller that goes on to use them.  First,
+    size.  On one generator n is |G/G'| and the table the n-cycle, built
+    with no enumeration, so `max_cosets` does not bound it; it is refused
+    as :func:`regmaps.group.order_limit` would refuse its closure.  Each
+    enumeration is bounded by `max_cosets`, and its refusal is the run's.
+    The tables over the cyclic subgroups are kept in `tables`, by
+    generator index, for a caller that goes on to use them.  First,
     :func:`admit_presentation` refuses a group its relators prove
     infinite, or with `max_order`, larger than that.
     """
     powers = admit_presentation(pres, max_cosets, max_order)
+    if pres.ngens == 1:
+        # the regular table is the n-cycle, refused before it is built
+        # if closure would refuse it
+        n = _abelian(pres.relators, (1,))[1]
+        order_limit(n, 1, DEFAULT_MAX_ORDER if max_order is None
+                    else max_order, n)
+        return _cycle_table(n), n
     tables = {} if tables is None else tables
     for i in sorted(powers, key=lambda i: (-powers[i], i)):
         ct = _cyclic_cosets(pres, i, max_cosets, tables)
@@ -455,6 +475,8 @@ def presentation_group(pres: Presentation,
     for i in sorted(range(pres.ngens), key=lambda i: -orders[i]):
         if orders[i] == 1:
             break  # <g> is trivial: its cosets give the regular action
+        if orders[i] == n:
+            continue  # <g> is G, on one coset: not faithful, as n > 1
         cyclic = _cyclic_cosets(pres, i, max_cosets, tables)
         m, cyclic_base = _cycles(cyclic, i)
         if m == orders[i]:

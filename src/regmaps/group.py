@@ -647,8 +647,7 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
 @_kept
 def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """G, G′, G″, ... down to the trivial group or to the first perfect
-    term, each term once.  Kept, so the census's G′ and
-    :func:`is_solvable` share one series."""
+    term, each term once.  Kept, as :func:`is_solvable` is."""
     series = [G.improper_subgroup()]
     while True:
         nxt = derived_subgroup(G, series[-1])
@@ -662,7 +661,13 @@ def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 @_kept
 def is_solvable(G: FiniteGroup) -> bool:
-    return derived_series(G)[-1].order == 1
+    """Whether the derived series reaches 1.  A group of odd order is
+    solvable (Feit and Thompson, 1963), and so is one whose order has at
+    most two prime divisors (Burnside's p^a q^b theorem, 1904), so only
+    the other orders read the series."""
+    n = G.order
+    return (n % 2 == 1 or len(prime_factors(n)) <= 2
+            or derived_series(G)[-1].order == 1)
 
 
 def center(sub: Subgroup) -> Subgroup:

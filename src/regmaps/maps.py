@@ -10,13 +10,27 @@ A flagged map is a triple (t, r, l) of involutions with t*l = l*t and
 them into vertices <t, r>, edges <t, l> and faces <r, l>.  Quotients of
 flagged maps may collapse l to the identity or onto t; such maps are kept
 but tagged as degenerate, since they no longer describe a closed surface.
+
+The subgroups a report or a classification reads are walked, not grown:
+their members are the elements reached from 1 by right multiplication by
+the generators, read off the rows of the map's entries, which computing
+the key has built (:func:`_walk`).  The face generator r*l of an oriented
+map is one step through both rows.  The members and gens are those
+``G.subgroup`` gives, with no product formed per member.
+
+A flagged map's even-word subgroup E = <tr, rl> holds every word of even
+length in t, r and l, as tl = tr*rl, so G = E u tE and E has index 1 or
+2.  It has index 2 iff 1 is no word of odd length, that is, iff the
+Cayley graph on t, r and l is bipartite; then E is the side of 1.  One
+walk that 2-colours the graph, stopping at the first edge inside a side,
+decides orientability and lists E (:func:`_even_words`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ContractViolation, TheoremViolation
 from .group import (FiniteGroup, Subgroup, coset_action, is_primitive,
@@ -25,6 +39,43 @@ from .perm import Perm
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
 DEGENERATE_L_EQUALS_T = "l_equals_t"
+
+
+def _walk(x: int, *words: Sequence[list]) -> frozenset:
+    """The coset x<w, ...>: the elements reached from x by multiplying on
+    the right by the words, each given as the rows of its letters in turn.
+    For x = 1 it is the subgroup the words generate, as G is finite."""
+    met, todo = {x}, [x]
+    for y in todo:
+        for word in words:
+            z = y
+            for row in word:
+                z = row[z]
+            if z not in met:
+                met.add(z)
+                todo.append(z)
+    return frozenset(met)
+
+
+def _even_words(rows: Sequence[list], n: int) -> Optional[list]:
+    """The side of 1 in a 2-colouring of the graph with edges x -- x*g, for
+    the involutions g whose rows are given and which generate the group of
+    order n, or None if an edge joins two elements of one side.  Every
+    edge is met from both ends, so a walk that meets no such edge has
+    coloured the graph."""
+    side = [-1] * n
+    side[0] = 0
+    todo = [0]
+    for x in todo:
+        s = 1 - side[x]
+        for row in rows:
+            y = row[x]
+            if side[y] < 0:
+                side[y] = s
+                todo.append(y)
+            elif side[y] != s:
+                return None
+    return [x for x in todo if not side[x]]
 
 
 @dataclass(frozen=True)
@@ -85,6 +136,22 @@ class _Map:
         entries = "".join(f", {name}={x}"
                           for name, x in zip(self.fields, self.generator_tuple))
         return f"{type(self).__name__}(|G|={self.group.order}{entries})"
+
+    def _subgroup(self, *words: tuple) -> Subgroup:
+        """``G.subgroup`` of the products of `words`, tuples of one or two
+        entries, walked over the entries' rows (see the module docstring)."""
+        G = self.group
+        members = _walk(0, *([G.row(x) for x in w] for w in words))
+        gens = tuple(w[0] if len(w) == 1 else G.mul(*w) for w in words)
+        return Subgroup(G, members, gens)
+
+    def _vertex_meets_conjugate(self) -> frozenset:
+        """V meet V^l, V the vertex subgroup.  l is an involution, so V^l
+        is l*V*l: the coset lV, walked from l over the rows of V's
+        generators, times l."""
+        G, V = self.group, self.vertex_subgroup
+        coset = _walk(self.l, *((G.row(g),) for g in V.gens))
+        return V.members.intersection(map(G.row(self.l).__getitem__, coset))
 
     def vef_counts(self) -> tuple:
         n = self.group.order
@@ -151,15 +218,15 @@ class OrientedMap(_Map):
 
     @cached_property
     def vertex_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.r,))
+        return self._subgroup((self.r,))
 
     @cached_property
     def edge_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.l,))
+        return self._subgroup((self.l,))
 
     @cached_property
     def face_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.group.mul(self.r, self.l),))
+        return self._subgroup((self.r, self.l))
 
     def valency(self) -> int:
         return self.group.order_of(self.r)
@@ -168,10 +235,7 @@ class OrientedMap(_Map):
         """No loops or parallel edges: <r> meets its conjugate by l in 1
         alone.  A loop, l in <r>, fails this too: then the two are equal,
         and r != 1."""
-        V = self.vertex_subgroup.members
-        G = self.group
-        conj = frozenset(G.conj(m, self.l) for m in V)
-        return V & conj == frozenset((0,))
+        return self._vertex_meets_conjugate() == {0}
 
     @cached_property
     def reflexible(self) -> bool:
@@ -225,34 +289,33 @@ class FlaggedMap(_Map):
 
     @cached_property
     def vertex_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.t, self.r))
+        return self._subgroup((self.t,), (self.r,))
 
     @cached_property
     def edge_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.t, self.l))
+        return self._subgroup((self.t,), (self.l,))
 
     @cached_property
     def face_subgroup(self) -> Subgroup:
-        return self.group.subgroup((self.r, self.l))
+        return self._subgroup((self.r,), (self.l,))
 
     @cached_property
     def even_subgroup(self) -> Subgroup:
-        """Words of even length in the reflections; index 1 or 2."""
-        G = self.group
-        return G.subgroup((G.mul(self.t, self.r), G.mul(self.r, self.l)))
+        """Words of even length in the reflections, <tr, rl>; index 1 or 2,
+        found by one walk (see the module docstring)."""
+        G, t, r, l = self.group, self.t, self.r, self.l
+        even = _even_words([G.row(t), G.row(r), G.row(l)], G.order)
+        members = frozenset(range(G.order) if even is None else even)
+        return Subgroup(G, members, (G.mul(t, r), G.mul(r, l)))
 
     def valency(self) -> int:
         return self.vertex_subgroup.order // 2
 
     def is_orientable(self) -> bool:
-        # E = <tr, rl> holds every even word, as tl = tr*rl, so G = E u tE
         return self.even_subgroup.order < self.group.order
 
     def is_simple(self) -> bool:
-        V = self.vertex_subgroup.members
-        G = self.group
-        conj = frozenset(G.conj(m, self.l) for m in V)
-        return V & conj == frozenset((0, self.t))
+        return self._vertex_meets_conjugate() == {0, self.t}
 
     def report(self) -> MapReport:
         return self._report(

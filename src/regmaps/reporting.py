@@ -4,19 +4,56 @@ Field names are part of the compatibility contract: group_order, vertices,
 edges, faces, euler, orientable, genus_kind, genus, p, k, solvable, normal,
 exceptional_case, quotient_order, diagnostics.  Identical inputs must yield
 byte-identical JSON, so keys are sorted and nothing environmental (clock,
-hostname, paths) is recorded.
+hostname, paths) is recorded.  :func:`dumps` writes every JSON document of
+the CLI, byte for byte as ``json.dumps(value, sort_keys=True, indent=2)``
+does, in one recursive pass instead of that encoder's generators.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from .group import FiniteGroup, is_solvable, o_p, prime_factors
 
 TOOL_VERSION = "0.1.0"
+
+
+def _dump(value, pad: str) -> str:
+    """`value` in JSON; `pad` is the newline and indent of the line it
+    starts on, which its nested lines extend."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_string(k) + ": " + _dump(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dump(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for `value` built of
+    dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type, a non-str key included, raises TypeError."""
+    return _dump(value, "\n")
 
 
 def input_digest(text: str) -> str:
@@ -58,7 +95,7 @@ class ReportDocument:
         return {k: v for k, v in vars(self).items() if v is not None}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return dumps(self.to_dict())
 
 
 def new_document(command: str, text: str, G: FiniteGroup) -> ReportDocument:

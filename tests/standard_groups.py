@@ -1,9 +1,11 @@
 """Small standard groups as permutation groups, built by closure, for the
-tests: cyclic, dihedral, elementary abelian and the Klein four-group."""
+tests: cyclic, dihedral, elementary abelian and the Klein four-group, and
+the zoo of small groups whose censuses the tests sweep."""
 
 from regmaps.errors import ContractViolation
 from regmaps.group import FiniteGroup, closure
 from regmaps.perm import Perm
+from regmaps.standard import alternating_group, symmetric_group
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -48,3 +50,14 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 
 def klein_four_group() -> FiniteGroup:
     return dihedral_group(2)
+
+
+def census_zoo(corpus: dict) -> list:
+    """D3-D20, C2-C16, C2^2, C2^3, A4, S4 and the groups of the realized
+    `corpus` of order at most 400."""
+    groups = [dihedral_group(n) for n in range(3, 21)]
+    groups += [cyclic_group(n) for n in range(2, 17)]
+    groups += [klein_four_group(), elementary_abelian(2, 3),
+               alternating_group(4), symmetric_group(4)]
+    groups += [rz.group for rz in corpus.values() if rz.group.order <= 400]
+    return groups

@@ -18,8 +18,8 @@ from regmaps.maps import FlaggedMap, OrientedMap, oriented_of_flagged
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, quaternion_group,
                               symmetric_group)
-from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
-                             klein_four_group)
+from standard_groups import (census_zoo, cyclic_group, dihedral_group,
+                             elementary_abelian, klein_four_group)
 
 import oracles
 
@@ -339,13 +339,8 @@ LAW_OF_KIND = {None: {"normal"}, "c32": {"s4_quotient"},
 def test_the_law_agrees_with_classify_on_small_censuses(corpus):
     """The structure law, which proves an S4 quotient by an isomorphism
     search, against classify on every p-map of both censuses of a zoo."""
-    groups = [dihedral_group(n) for n in range(3, 21)]
-    groups += [cyclic_group(n) for n in range(2, 17)]
-    groups += [klein_four_group(), elementary_abelian(2, 3),
-               alternating_group(4), symmetric_group(4)]
-    groups += [rz.group for rz in corpus.values() if rz.group.order <= 400]
     branches = set()
-    for G in groups:
+    for G in census_zoo(corpus):
         for census in (enumerate_oriented, enumerate_flagged):
             for entry in census(G):
                 m = entry.map

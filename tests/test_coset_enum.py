@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from importlib import resources
 
@@ -734,3 +735,42 @@ def test_a_one_generator_order_is_read_without_enumeration(monkeypatch):
     assert [presentation_order(p) for p in pres] == want
     with pytest.raises(ResourceLimitExceeded, match="free rank 1"):
         presentation_order(Presentation(("a",), ()))
+
+
+def test_a_one_generator_group_is_closed_on_the_cycle_table(monkeypatch):
+    # the n-cycle table is todd_coxeter's regular table, for n <= 60, and
+    # the group is closed on it as it was on the enumerated one
+    a = Word.gen(0)
+    cases = [(a ** n,) for n in range(1, 61)]
+    cases += [(a ** n, a ** -12) for n in range(1, 61)]
+    pres = [Presentation(("a",), rels) for rels in cases]
+    tables = [todd_coxeter(p) for p in pres]
+    groups = [closure(ct.n, ct.gen_perms(), base=(0,)) for ct in tables]
+    import regmaps.coset_enum as ce
+    monkeypatch.setattr(ce, "todd_coxeter", None)  # a call would fail
+    for p, want, W in zip(pres, tables, groups):
+        ct, n = group_order(p)
+        assert (ct.n, n, ct.cols) == (want.n, want.n, want.cols)
+        G = presentation_group(p)
+        assert (G.degree, G.elements, G.gen_indices) == (
+            W.degree, W.elements, W.gen_indices)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["census", "--kind", "oriented", "--max-order", "30000"]],
+    ids=["analyze", "census"])
+def test_a_long_cyclic_presentation_is_refused_before_a_table(
+        tmp_path, monkeypatch, capsys, argv):
+    # <a | a^20000> passes the order bounds, and closure's cell bound
+    # refuses its 20000 points; no enumeration runs before that refusal
+    import regmaps.coset_enum as ce
+    monkeypatch.setattr(ce, "todd_coxeter", None)
+    f = tmp_path / "c20000.grp"
+    f.write_text("group c20000\ngens a\nrel a^20000\n"
+                 "map m : oriented r=a l=a^10000\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main([argv[0], str(f)] + argv[1:]) == 5
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: closure exceeded max_cells=20000000:"
+        " 984 elements on 20000 points\n")

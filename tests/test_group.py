@@ -25,8 +25,8 @@ from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
 from regmaps.perm import Perm
 from regmaps.standard import (alternating_group, quaternion_group,
                               symmetric_group)
-from standard_groups import (cyclic_group, dihedral_group, elementary_abelian,
-                             klein_four_group)
+from standard_groups import (census_zoo, cyclic_group, dihedral_group,
+                             elementary_abelian, klein_four_group)
 from regmaps.verify import corpus_names, corpus_text
 from regmaps.words import Presentation, Word
 
@@ -577,6 +577,48 @@ def test_derived_series_shapes():
     series = derived_series(S4)
     assert [s.order for s in series] == [24, 12, 4, 1]
     assert derived_series(alternating_group(5))[-1].order == 60
+
+
+def _unsolvable_groups() -> list:
+    """A5, S5 and the two matrix ladder groups, of orders 60, 120, 2640
+    and 4368."""
+    return [alternating_group(5), symmetric_group(5),
+            matrix_group(11, LADDER), matrix_group(13, LADDER)]
+
+
+def _solvable_by_order(n: int) -> bool:
+    return n % 2 == 1 or len(prime_factors(n)) <= 2
+
+
+def test_solvability_by_order_reads_no_series(corpus, monkeypatch):
+    # Feit-Thompson and Burnside's p^a q^b theorem; the wrapped function,
+    # as the kept answer of an earlier test would read no series either
+    def series(G):
+        raise AssertionError("read the derived series")
+    monkeypatch.setattr(regmaps.group, "derived_series", series)
+    groups = [G for G in census_zoo(corpus) if _solvable_by_order(G.order)]
+    assert {G.order % 2 for G in groups} == {0, 1}
+    assert all(is_solvable.__wrapped__(G) for G in groups)
+
+
+def test_other_orders_read_the_series(monkeypatch):
+    groups = _unsolvable_groups()
+    assert [G.order for G in groups] == [60, 120, 2640, 4368]
+    calls = []
+    real = regmaps.group.derived_series
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+    monkeypatch.setattr(regmaps.group, "derived_series", counted)
+    assert not any(is_solvable(G) for G in groups)
+    assert calls == groups
+
+
+def test_solvability_agrees_with_the_derived_series(corpus):
+    for G in census_zoo(corpus) + _unsolvable_groups() + [
+            rz.group for rz in corpus.values()]:
+        assert is_solvable(G) == (derived_series(G)[-1].order == 1), G.order
 
 
 def test_quotient_group_and_hom():

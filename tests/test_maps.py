@@ -1,15 +1,18 @@
 import pytest
 
 import regmaps.maps
+from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.classify import classify
 from regmaps.errors import ContractViolation, TheoremViolation
 from regmaps.grammar import parse_group_file, realize_group_file
-from regmaps.group import is_normal, isomorphism_search, o_p, quotient_group
+from regmaps.group import (FiniteGroup, is_normal, isomorphism_search, o_p,
+                           quotient_group)
 from regmaps.maps import (DEGENERATE_L_EQUALS_T, DEGENERATE_L_TRIVIAL,
                           FlaggedMap, OrientedMap, maps_isomorphic,
                           oriented_of_flagged, quotient_map)
 from regmaps.standard import alternating_group, symmetric_group
-from standard_groups import cyclic_group, dihedral_group, klein_four_group
+from standard_groups import (census_zoo, cyclic_group, dihedral_group,
+                             klein_four_group)
 from regmaps.verify import corpus_text
 
 
@@ -115,6 +118,46 @@ def test_report_and_classify_share_one_mirror_walk(monkeypatch):
     assert not m.report().reflexible
     assert classify(m).orientation_status == "chiral"
     assert len(walks) == 1
+
+
+def _grown_subgroups(m) -> dict:
+    """Each subgroup a map walks, named, with its generators."""
+    G = m.group
+    if m.kind == "oriented":
+        return {"vertex": (m.r,), "edge": (m.l,), "face": (G.mul(m.r, m.l),)}
+    return {"vertex": (m.t, m.r), "edge": (m.t, m.l), "face": (m.r, m.l),
+            "even": (G.mul(m.t, m.r), G.mul(m.r, m.l))}
+
+
+def test_map_subgroups_are_walked_over_the_census_rows(corpus, monkeypatch):
+    """On every class of both censuses of the zoo, report() grows no
+    subgroup and builds no row, and each subgroup it walked is
+    G.subgroup of the same generators, in members and gens; is_simple is
+    the conjugation test it replaced."""
+    def grow(*args):
+        raise AssertionError("a report grew a subgroup")
+
+    nonorientable = 0
+    for G in census_zoo(corpus):
+        for census in (enumerate_oriented, enumerate_flagged):
+            for entry in census(G):
+                m = entry.map
+                built = [row is not None for row in G._rows]
+                with monkeypatch.context() as patched:
+                    patched.setattr(FiniteGroup, "_grow", grow)
+                    report = m.report()
+                assert [row is not None for row in G._rows] == built, m
+                nonorientable += report.orientable is False
+                for name, gens in _grown_subgroups(m).items():
+                    walked = getattr(m, f"{name}_subgroup")
+                    grown = G.subgroup(gens)
+                    assert walked.gens == grown.gens, (m, name)
+                    assert walked.members == grown.members, (m, name)
+                V = m.vertex_subgroup.members
+                meet = V & {G.conj(x, m.l) for x in V}
+                assert report.simple_graph == (
+                    meet == ({0} if m.kind == "oriented" else {0, m.t})), m
+    assert nonorientable > 0
 
 
 def test_p_core_quotient_is_kept(corpus):

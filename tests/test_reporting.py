@@ -1,9 +1,20 @@
 import json
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import regmaps.cli as cli
+import regmaps.reporting
 from regmaps.classify import classify
-from regmaps.reporting import (ReportDocument, TOOL_VERSION, group_summary,
-                               input_digest, map_section, new_document)
+from regmaps.reporting import (ReportDocument, TOOL_VERSION, dumps,
+                               group_summary, input_digest, map_section,
+                               new_document)
 from regmaps.standard import symmetric_group
+from regmaps.verify import corpus_names, corpus_text
+
+LADDER = Path(__file__).resolve().parent.parent / "perfbench/data/ladder"
 
 
 def test_input_digest_is_plain_sha256():
@@ -43,3 +54,61 @@ def test_document_json_is_stable(corpus):
     assert loaded["command"] == "analyze"
     assert "census" not in loaded  # only present when a census ran
     assert list(loaded) == sorted(loaded)
+
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_every_cli_document_is_written_as_json_dumps_writes_it(
+        tmp_path, monkeypatch, capsys):
+    """Every --json document of analyze, both quotients, both censuses and
+    tc on the corpus and ladder files, and of verify-corpus, against
+    json.dumps of the value the writer was given."""
+    written = []
+
+    def recorded(value):
+        text = dumps(value)
+        written.append((value, text))
+        return text
+    for module in (regmaps.reporting, cli):
+        monkeypatch.setattr(module, "dumps", recorded)
+    files = []
+    for name in corpus_names():
+        files.append(tmp_path / name)
+        files[-1].write_text(corpus_text(name), encoding="utf-8")
+    files += sorted(LADDER.glob("*.grp"))
+    runs = [["verify-corpus"]]
+    for f in files:
+        runs += [["analyze", str(f)], ["quotient", str(f), "--p", "2"],
+                 ["quotient", str(f), "--p", "3"], ["tc", str(f)]]
+        runs += [["census", str(f), "--kind", kind, "--max-order", "5000"]
+                 for kind in ("oriented", "flagged")]
+    printed = 0
+    for argv in runs:
+        cli.main(argv + ["--json"])
+        printed += bool(capsys.readouterr().out)
+    assert len(written) == printed > len(runs) / 2
+    for value, text in written:
+        assert text == _json_dumps(value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(json_values)
+@example({"\x00\x1f\x7f\u2028é😀\"\\": ["", (), {}, [[]], None, True,
+                                          False, 0, -2 ** 70, {"": {}}]})
+def test_dumps_writes_what_json_dumps_writes(value):
+    assert dumps(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": 1, 2: 3}, [{"x": {4}}],
+                                   (b"x",), object(), {"a": [float("nan")]}])
+def test_dumps_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        dumps(value)
