@@ -647,7 +647,7 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
 @_kept
 def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """G, G′, G″, ... down to the trivial group or to the first perfect
-    term, each term once.  Kept, as :func:`is_solvable` is."""
+    term, each term once, kept per group."""
     series = [G.improper_subgroup()]
     while True:
         nxt = derived_subgroup(G, series[-1])
