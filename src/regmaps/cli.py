@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit statuses: 0 success, 1 verification mismatch, 2 parse error,
-3 contract violation (also an unreadable input or a closed stdout),
-4 theorem-violation diagnostic, 5 resource limit.
+Exit statuses: 0 success, 1 verification mismatch, 2 ParseError,
+3 ContractViolation (also an unreadable input or a closed stdout),
+4 TheoremViolation (ClassificationError included) or a diagnostic,
+5 ResourceLimitExceeded.  `main` maps each package error to its status
+through the ordered table `EXIT_STATUS`, where the first match wins.
 Environment variables are never consulted; all knobs are flags.
 
 `main(argv)` may be called any number of times in one process.  It parses
@@ -14,6 +16,7 @@ The returned parser is shared, so callers must not mutate it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -26,17 +29,15 @@ from .coset_enum import (DEFAULT_MAX_COSETS, admit_presentation,
                          presentation_order, todd_coxeter)
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
-from .grammar import (GroupFile, format_group_file, parse_group_file,
-                      read_group_text, realize_group_file)
+from .grammar import (GroupFile, MapDecl, format_group_file,
+                      parse_group_file, read_group_text, realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
 from .maps import quotient_map
 from .reporting import TOOL_VERSION, dumps, map_section, new_document
 from .verify import all_passed, verify_corpus
 
-
-def _realize(gf: GroupFile, args):
-    return realize_group_file(gf, max_cosets=args.max_cosets,
-                              max_order=args.max_order)
+EXIT_STATUS = ((ParseError, 2), (ResourceLimitExceeded, 5),
+               (TheoremViolation, 4), (ContractViolation, 3))
 
 
 def _check_bounds(args) -> None:
@@ -48,18 +49,30 @@ def _check_bounds(args) -> None:
             raise ContractViolation(f"{flag} must be at least 1, got {value}")
 
 
-def _select_map(gf: GroupFile, wanted) -> str:
-    """The declared map to work on, named before the group is realized."""
-    names = [md.name for md in gf.maps]
+def _select_map(gf: GroupFile, wanted) -> MapDecl:
+    """The declared map to work on, picked before the group is realized."""
     if wanted is not None:
-        if wanted not in names:
-            raise ContractViolation(f"no map named {wanted!r} in the file")
-        return wanted
-    if len(names) == 1:
-        return names[0]
-    if not names:
+        for md in gf.maps:
+            if md.name == wanted:
+                return md
+        raise ContractViolation(f"no map named {wanted!r} in the file")
+    if len(gf.maps) == 1:
+        return gf.maps[0]
+    if not gf.maps:
         raise ContractViolation("the file declares no maps")
     raise ContractViolation("several maps declared; pick one with --map")
+
+
+def _load(args, pick: bool = True):
+    """The text of args.file and its realization under --max-cosets and
+    --max-order, with only the declaration the command reads: the map
+    :func:`_select_map` picks, or none without `pick`."""
+    text = read_group_text(args.file)
+    gf = parse_group_file(text)
+    picked = (_select_map(gf, args.map),) if pick else ()
+    return text, realize_group_file(dataclasses.replace(gf, maps=picked),
+                                    max_cosets=args.max_cosets,
+                                    max_order=args.max_order)
 
 
 def _genus(sec: dict) -> str:
@@ -70,18 +83,33 @@ def _genus(sec: dict) -> str:
 
 
 def _emit(doc, args) -> None:
+    """Print a group document: its JSON under --json, else text lines."""
     if args.json:
         print(doc.to_json())
         return
     g = doc.group
-    print(f"group: order {g['group_order']}, solvable={g['solvable']},"
-          f" p-core orders {g['p_core_orders']}")
+    census = doc.census
+    if census is None:
+        print(f"group: order {g['group_order']}, solvable={g['solvable']},"
+              f" p-core orders {g['p_core_orders']}")
+    else:
+        print(f"group: order {g['group_order']}; {census['kind']} census:"
+              f" {census['class_count']} classes,"
+              f" {census['total_tuples']} tuples")
+        for row in census["entries"]:
+            extra = ""
+            if "p" in row:
+                extra = (f", p-map ({row['p']},{row['k']})"
+                         f" normal={row['normal']}"
+                         f" exceptional={row['exceptional_case']}")
+            print(f"  {tuple(row['tuple'])}: x{row['class_size']},"
+                  f" V/E/F = {row['vertices']}/{row['edges']}/{row['faces']},"
+                  f" {_genus(row)}{extra}")
     for sec in doc.maps:
-        line = (f"map {sec['name']} ({sec['kind']}):"
-                f" V/E/F = {sec['vertices']}/{sec['edges']}/{sec['faces']},"
-                f" euler {sec['euler']}, {_genus(sec)},"
-                f" valency {sec['valency']}")
-        print(line)
+        print(f"map {sec['name']} ({sec['kind']}):"
+              f" V/E/F = {sec['vertices']}/{sec['edges']}/{sec['faces']},"
+              f" euler {sec['euler']}, {_genus(sec)},"
+              f" valency {sec['valency']}")
         if "p" in sec:
             print(f"  p-map ({sec['p']},{sec['k']}): normal={sec['normal']},"
                   f" status={sec['orientation_status']},"
@@ -98,13 +126,9 @@ def _emit(doc, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    text = read_group_text(args.file)
-    gf = parse_group_file(text)
-    name = _select_map(gf, args.map)
-    rz = _realize(gf, args)
-    m = rz.maps[name]
+    text, rz = _load(args)
+    [(name, m)] = rz.maps.items()
     doc = new_document("analyze", text, rz.group)
-    status = 0
     cl = st = None
     if detect_p_map(m) is not None:
         try:
@@ -113,23 +137,19 @@ def cmd_analyze(args) -> int:
                 st = certify_sylow_structure(m)
         except TheoremViolation as exc:
             doc.diagnostics.append(str(exc))
-            status = 4
     section = map_section(name, m, cl, st)
     if not m.degenerate:
         section["vertex_primitive"] = m.vertex_primitive
     doc.maps.append(section)
     _emit(doc, args)
-    return status
+    return 4 if doc.diagnostics else 0
 
 
 def cmd_quotient(args) -> int:
     if not is_prime(args.p):
         raise ContractViolation(f"--p must be a prime, got {args.p}")
-    text = read_group_text(args.file)
-    gf = parse_group_file(text)
-    name = _select_map(gf, args.map)
-    rz = _realize(gf, args)
-    m = rz.maps[name]
+    text, rz = _load(args)
+    [(name, m)] = rz.maps.items()
     core = o_p(rz.group, args.p)
     qm = quotient_map(m, core)
     doc = new_document("quotient", text, rz.group)
@@ -155,11 +175,10 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_census(args) -> int:
-    text = read_group_text(args.file)
-    # Realize under the census bound (the --max-order default of census), so
-    # that a group too large for the census is refused there, not closed up
-    # to the 10^6 default first.
-    rz = _realize(parse_group_file(text), args)
+    # Realized under the census bound (the --max-order default of census),
+    # so that a group too large for the census is refused there, not closed
+    # up to the 10^6 default first.
+    text, rz = _load(args, pick=False)
     if args.kind == "oriented":
         entries = enumerate_oriented(rz.group, max_order=args.max_order)
     else:
@@ -167,7 +186,6 @@ def cmd_census(args) -> int:
     census_classify(entries)
     doc = new_document("census", text, rz.group)
     rows = []
-    status = 0
     for entry in entries:
         row = {"tuple": list(entry.tuple_), "class_size": entry.class_size}
         row.update(entry.report.to_dict())
@@ -176,31 +194,14 @@ def cmd_census(args) -> int:
         rows.append(row)
         for v in entry.violations:
             doc.diagnostics.append(f"tuple {entry.tuple_}: {v}")
-            status = 4
     doc.census = {
         "kind": args.kind,
         "class_count": len(entries),
         "total_tuples": sum(e.class_size for e in entries),
         "entries": rows,
     }
-    if args.json:
-        print(doc.to_json())
-    else:
-        print(f"group: order {rz.group.order}; {args.kind} census:"
-              f" {len(entries)} classes,"
-              f" {doc.census['total_tuples']} tuples")
-        for row in rows:
-            extra = ""
-            if "p" in row:
-                extra = (f", p-map ({row['p']},{row['k']})"
-                         f" normal={row['normal']}"
-                         f" exceptional={row['exceptional_case']}")
-            print(f"  {tuple(row['tuple'])}: x{row['class_size']},"
-                  f" V/E/F = {row['vertices']}/{row['edges']}/{row['faces']},"
-                  f" {_genus(row)}{extra}")
-        for d in doc.diagnostics:
-            print(f"diagnostic: {d}")
-    return status
+    _emit(doc, args)
+    return 4 if doc.diagnostics else 0
 
 
 def cmd_verify_corpus(args) -> int:
@@ -234,12 +235,9 @@ def cmd_tc(args) -> int:
         admit_presentation(gf.presentation, args.max_cosets)
         ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
         n = ct.n
-        perm_gf = GroupFile(
-            name=gf.name, mode="perm", gen_names=gf.gen_names,
-            presentation=None,
-            perm_cycles=tuple(tuple(p.cycles()) for p in ct.gen_perms()),
-            matrices=(), modulus=None, maps=gf.maps)
-        exported = format_group_file(perm_gf)
+        exported = format_group_file(dataclasses.replace(
+            gf, mode="perm", presentation=None,
+            perm_cycles=tuple(tuple(p.cycles()) for p in ct.gen_perms())))
     else:
         # the order: from the exponent sums on one generator, else certified
         # by a cyclic subgroup's cosets where it can be
@@ -334,18 +332,10 @@ def main(argv=None) -> int:
         os.close(devnull)
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
+    except tuple(cls for cls, _ in EXIT_STATUS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_STATUS
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":
