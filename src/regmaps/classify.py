@@ -314,9 +314,6 @@ def certify_sylow_structure(m) -> SylowStructure:
     if not m.vertex_primitive:
         raise ContractViolation(
             "certification requires a primitive vertex action")
-    if m.kind == "flagged" and k % 2 == 1:
-        raise TheoremViolation(
-            "a flagged normal primitive map needs an even vertex exponent")
     core = normal_core(G, m.vertex_subgroup)
     P0 = G.subgroup_from_members(P.members & core.members)
     if P0.order * p ** k != P.order:

@@ -1,6 +1,6 @@
 """Small standard groups as permutation groups, built by closure, for the
-tests: cyclic, dihedral, elementary abelian and the Klein four-group, and
-the zoo of small groups whose censuses the tests sweep."""
+tests: cyclic, dihedral, elementary abelian, quaternion and the Klein
+four-group, and the zoo of small groups whose censuses the tests sweep."""
 
 from regmaps.errors import ContractViolation
 from regmaps.group import FiniteGroup, closure
@@ -50,6 +50,13 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 
 def klein_four_group() -> FiniteGroup:
     return dihedral_group(2)
+
+
+def quaternion_group() -> FiniteGroup:
+    """Q8 acting regularly on 8 points."""
+    i = Perm.from_cycles(((0, 1, 3, 6), (2, 5, 7, 4)), 8)
+    j = Perm.from_cycles(((0, 2, 3, 7), (1, 4, 6, 5)), 8)
+    return closure(8, [i, j])
 
 
 def census_zoo(corpus: dict) -> list:

@@ -4,9 +4,10 @@ import pytest
 
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
-from regmaps.classify import (ExceptionalCase, _orientation_status,
-                              _splits_elementary, certify_sylow_structure,
-                              classify, detect_p_map, identify_exceptional,
+from regmaps.classify import (ExceptionalCase, SylowStructure,
+                              _orientation_status, _splits_elementary,
+                              certify_sylow_structure, classify,
+                              detect_p_map, identify_exceptional,
                               verify_classification_law)
 from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
@@ -370,15 +371,16 @@ def test_certify_preconditions(corpus):
         certify_sylow_structure(m)
 
 
-def test_certify_flagged_needs_even_exponent():
-    # E8 with the basis triple: two vertices, so k = 1; the degree-2
-    # vertex action is trivially primitive and the parity guard fires.
+def test_certify_flagged_odd_exponent_splits_elementary():
+    # E8 with the basis triple: two vertices, so k = 1, and the degree-2
+    # vertex action is trivially primitive.  P = E8 splits as P0 x C2 with
+    # P0 the vertex kernel, of order 4.
     E8 = elementary_abelian(2, 3)
     t, r, l = E8.gen_indices
     m = FlaggedMap(E8, t, r, l)
     assert detect_p_map(m) == (2, 1)
-    with pytest.raises(TheoremViolation):
-        certify_sylow_structure(m)
+    assert certify_sylow_structure(m) == SylowStructure(
+        "direct_product_elementary", 4, 1, None)
 
 
 def test_certify_corpus_structures(corpus):

@@ -17,14 +17,20 @@ from hypothesis import strategies as st
 
 import regmaps.cli as cli
 import regmaps.group
+from regmaps.census import (census_classify, enumerate_flagged,
+                            enumerate_oriented)
 from regmaps.errors import TheoremViolation
-from regmaps.grammar import parse_group_file, realize_group_file
+from regmaps.grammar import (GroupFile, MapDecl, format_group_file,
+                             parse_group_file, realize_group_file)
 from regmaps.group import (ELEMENT_CELLS, MAX_CLOSURE_CELLS, POINT_CELLS,
-                           cell_limit)
+                           cell_limit, isomorphism_search)
+from regmaps.maps import MAP_TYPES
 from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
 from regmaps.verify import REGISTRY, corpus_text
 from regmaps.words import Word
+from standard_groups import (census_zoo, dihedral_group, elementary_abelian,
+                             quaternion_group)
 
 TWO_MAPS = """\
 group v4
@@ -264,6 +270,43 @@ def test_map_selection_errors(corpus_file, tmp_path, capsys):
     assert "declares no maps" in err
 
 
+# S4 as in s4_3map.grp, with an invalid declaration: the identity as the
+# rotation of an oriented map
+S4_WITH_BAD = ("group s4_3map\nperm t = (1 2)(3 4)\nperm r = (1 3)\n"
+               "perm l = (1 2)\n")
+BAD_MAP = "map bad : oriented r=t^0 l=l\n"
+BAD_REFUSAL = "error: map 'bad': rotation must not be the identity\n"
+
+
+def test_census_builds_no_declared_map(corpus_file, tmp_path, capsys):
+    f = tmp_path / "bad.grp"
+    f.write_text(S4_WITH_BAD + BAD_MAP, encoding="utf-8")
+    for kind in ("oriented", "flagged"):
+        want = _run(capsys, ["census", corpus_file("s4_3map.grp"),
+                             "--kind", kind])
+        assert want[0] == 0
+        assert _run(capsys, ["census", str(f), "--kind", kind]) == want
+    ret, out, err = _run(capsys, ["analyze", str(f)])
+    assert (ret, out, err) == (3, "", BAD_REFUSAL)
+
+
+def test_a_command_builds_only_the_map_it_reads(tmp_path, capsys):
+    f = tmp_path / "good_and_bad.grp"
+    f.write_text(S4_WITH_BAD + "map good : flagged t=t r=r l=l\n" + BAD_MAP,
+                 encoding="utf-8")
+    for argv in (["analyze"], ["quotient", "--p", "3"]):
+        ret, out, err = _run(capsys, [argv[0], str(f), "--map", "good",
+                                      *argv[1:]])
+        assert (ret, err) == (0, "")
+        assert "map good" in out
+    ret, out, err = _run(capsys, ["quotient", str(f), "--map", "good",
+                                  "--p", "2"])
+    assert (ret, out, err) == (
+        3, "", "error: a flag reflection collapses in the quotient\n")
+    ret, out, err = _run(capsys, ["analyze", str(f), "--map", "bad"])
+    assert (ret, out, err) == (3, "", BAD_REFUSAL)
+
+
 def test_quotient_semistar(corpus_file, capsys):
     ret, out, _ = _run(capsys,
                        ["quotient", "--p", "2",
@@ -379,34 +422,135 @@ def test_analyze_refuses_a_sylow_of_neither_shape(corpus_file, capsys,
             " order 3^3 (P0 has order 3)") in out
 
 
+# Why the certifier refuses the 2-vertex dipoles on D4, D8 and D16 and the
+# flagged 2-vertex map on D4
+SPLITS_NEITHER = (
+    "P/P0 is elementary abelian of order p^k, as the vertex action proves,"
+    " but P is neither P0 x (C_p)^k nor P0 = Z(P) times an extraspecial"
+    " group, and certify_sylow_structure has no third shape for such a P")
+
 # Small valid maps on which the certifier reports a theorem violation.
 CERTIFIER_EXIT_4 = {
     "d4_oriented": "group d4\nperm a = (1 2 3 4)\nperm b = (2 4)\n"
                    "map m : oriented r=a l=b\n",
-    "c2_cubed": "group e8\nperm a = (1 2)\nperm b = (3 4)\nperm c = (5 6)\n"
-                "map m : flagged t=a r=b l=c\n",
-    "v4_t_is_r": "group v4\nperm a = (1 2)\nperm b = (3 4)\n"
-                 "map m : flagged t=a r=a l=b\n",
     "d4_flagged": "group d4\nperm a = (1 3)(2 4)\nperm b = (2 4)\n"
                   "perm c = (1 4)(2 3)\nmap m : flagged t=a r=b l=c\n",
-    "d10_projective": "group d10\nperm t = (1 6)(2 7)(3 8)(4 9)(5 10)\n"
-                      "perm r = (2 10)(3 9)(4 8)(5 7)\n"
-                      "perm l = (1 10)(2 9)(3 8)(4 7)(5 6)\n"
-                      "map m : flagged t=t r=r l=l\n",
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "certify_sylow_structure reports a theorem violation on these valid"
-    " maps of valency at most 4: either it runs outside the hypotheses of"
-    " the theorem it checks, or the coded statement is too strong"
-    " (a FOUND in CHANGES.md)"))
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPLITS_NEITHER)
 @pytest.mark.parametrize("name", list(CERTIFIER_EXIT_4))
 def test_analyze_certifies_small_maps_without_exit_4(name, tmp_path, capsys):
     path = tmp_path / f"{name}.grp"
     path.write_text(CERTIFIER_EXIT_4[name])
     ret, _, _ = _run(capsys, ["analyze", str(path)])
     assert ret != 4
+
+
+# Small flagged p-maps of vertex exponent k = 1: P/P0 = C_p, and P splits
+# as P0 x C_p; name -> (file, p, order of P0)
+CERTIFIED_ODD_EXPONENT = {
+    "c2_cubed": ("group e8\nperm a = (1 2)\nperm b = (3 4)\n"
+                 "perm c = (5 6)\nmap m : flagged t=a r=b l=c\n", 2, 4),
+    "v4_t_is_r": ("group v4\nperm a = (1 2)\nperm b = (3 4)\n"
+                  "map m : flagged t=a r=a l=b\n", 2, 2),
+    "d10_projective": ("group d10\nperm t = (1 6)(2 7)(3 8)(4 9)(5 10)\n"
+                       "perm r = (2 10)(3 9)(4 8)(5 7)\n"
+                       "perm l = (1 10)(2 9)(3 8)(4 7)(5 6)\n"
+                       "map m : flagged t=t r=r l=l\n", 5, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_ODD_EXPONENT))
+def test_analyze_certifies_flagged_maps_of_odd_exponent(name, tmp_path,
+                                                        capsys):
+    text, p, p0_order = CERTIFIED_ODD_EXPONENT[name]
+    path = tmp_path / f"{name}.grp"
+    path.write_text(text)
+    ret, out, err = _run(capsys, ["analyze", str(path), "--json"])
+    assert (ret, err) == (0, "")
+    sec = json.loads(out)["maps"][0]
+    assert (sec["p"], sec["k"]) == (p, 1)
+    assert sec["sylow_structure"] == {
+        "case_tag": "direct_product_elementary", "p0_order": p0_order,
+        "complement_rank": 1, "extraspecial_order": None}
+
+
+# The fields of an analyze section that must equal those of the census row
+# of the same class, and those it must share when the row has them
+ROW_FIELDS = ("vertices", "edges", "faces", "euler", "genus_kind", "genus",
+              "orientable", "reflexible", "valency", "simple_graph")
+P_MAP_FIELDS = ("p", "k", "normal", "orientation_status",
+                "exceptional_case", "quotient_order")
+# (n, kind) of each census of D_n with a class that analyze refuses
+DIPOLES = {(4, "oriented"), (8, "oriented"), (16, "oriented"),
+           (4, "flagged")}
+
+
+def _class_file(G, kind, tuple_) -> str:
+    """A census class as a perm-mode file on G's points, whose generators
+    are the entries of its tuple, named as the map's fields."""
+    fields = MAP_TYPES[kind].fields
+    return format_group_file(GroupFile(
+        name="zoo", mode="perm", gen_names=fields, presentation=None,
+        perm_cycles=tuple(tuple(Perm(tuple(G.elements[x])).cycles())
+                          for x in tuple_),
+        matrices=(), modulus=None,
+        maps=(MapDecl("m", kind, tuple((f, Word.gen(i))
+                                       for i, f in enumerate(fields))),)))
+
+
+def _round_trip(tmp_path, capsys, G, kind) -> tuple:
+    """Analyze every class of G's `kind` census from its own file and check
+    the section against the census row.  Returns the number of classes and
+    the tuples that analyze refuses with exit 4."""
+    entries = (enumerate_oriented if kind == "oriented"
+               else enumerate_flagged)(G)
+    census_classify(entries)
+    path = tmp_path / "class.grp"
+    refused = []
+    for entry in entries:
+        row = entry.report.to_dict()
+        if entry.classification is not None:
+            row.update(entry.classification.to_dict())
+        path.write_text(_class_file(G, kind, entry.tuple_), encoding="utf-8")
+        ret, out, err = _run(capsys, ["analyze", str(path), "--json"])
+        if ret == 4:
+            refused.append(entry.tuple_)
+            continue
+        assert (ret, err) == (0, ""), (G.order, kind, entry.tuple_)
+        sec = json.loads(out)["maps"][0]
+        want = {f: row[f] for f in ROW_FIELDS + P_MAP_FIELDS if f in row}
+        got = {f: sec[f] for f in ROW_FIELDS + P_MAP_FIELDS if f in sec}
+        assert got == want, (G.order, kind, entry.tuple_)
+    return len(entries), refused
+
+
+def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
+    """Every class of both censuses of a zoo, written as its own file,
+    analyzes to its census row; analyze refuses only the known dipoles."""
+    zoo = census_zoo(corpus) + [elementary_abelian(2, 4),
+                                elementary_abelian(3, 2),
+                                elementary_abelian(5, 2), quaternion_group()]
+    classes, refused = 0, set()
+    for G in zoo:
+        for kind in ("oriented", "flagged"):
+            count, tuples = _round_trip(tmp_path, capsys, G, kind)
+            classes += count
+            if tuples:
+                n = G.order // 2
+                assert len(tuples) == 1 and (n, kind) in DIPOLES
+                assert isomorphism_search(G, dihedral_group(n))
+                refused.add((n, kind))
+    assert refused == DIPOLES
+    assert classes == 170
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPLITS_NEITHER)
+@pytest.mark.parametrize("n,kind", sorted(DIPOLES))
+def test_dipole_census_round_trips_through_analyze(tmp_path, capsys, n,
+                                                    kind):
+    assert _round_trip(tmp_path, capsys, dihedral_group(n), kind)[1] == []
 
 
 def test_main_maps_theorem_violation_to_exit_4(corpus_file, capsys,
