@@ -528,7 +528,8 @@ def _round_trip(tmp_path, capsys, G, kind) -> tuple:
 
 def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
     """Every class of both censuses of a zoo, written as its own file,
-    analyzes to its census row; analyze refuses only the known dipoles."""
+    analyzes to its census row; analyze refuses none but the dipoles, whose
+    strict xfails below flip when the certifier learns their shape."""
     zoo = census_zoo(corpus) + [elementary_abelian(2, 4),
                                 elementary_abelian(3, 2),
                                 elementary_abelian(5, 2), quaternion_group()]
@@ -542,7 +543,7 @@ def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
                 assert len(tuples) == 1 and (n, kind) in DIPOLES
                 assert isomorphism_search(G, dihedral_group(n))
                 refused.add((n, kind))
-    assert refused == DIPOLES
+    assert refused <= DIPOLES
     assert classes == 170
 
 
