@@ -24,16 +24,17 @@ orders and rows of the multiplication table (:meth:`FiniteGroup.row`) are
 computed from those on first use and kept in lists; other per-group results
 are kept by :func:`_kept`, and :func:`_orbits` labels classes and orbits.
 
-Products are read from base images.  A base is a short list of points
-whose pointwise stabilizer is trivial, so an element is determined by where
-it sends the base points.  ``mul(i, j)`` reads element j's images of
-element i's base images and looks that tuple up in one dict, whatever the
-degree.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
+Products are read from base images.  A base is a short list of points whose
+pointwise stabilizer is trivial, so an element is determined by where it
+sends the base points.  ``mul(i, j)`` reads element j's images of element
+i's base images and looks that key up in one dict, whatever the degree.
+Each element's key, read in C, is one object that its getter and the dict
+share.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
 regular group has base ``(0,)``.  A caller that knows a base before the
-group is listed passes it to :func:`closure`, which then looks products
-up the same way on more than 256 points; :func:`is_primitive` likewise
-takes the stabilizer of point 0, if known, and tests one point of each of
-its orbits.  Rows, centralizers and class moves read all products at once
+group is listed passes it to :func:`closure`, which then looks products up
+the same way on more than 256 points; :func:`is_primitive` likewise takes
+the stabilizer of point 0, if known, and tests one point of each of its
+orbits.  Rows, centralizers and class moves read all products at once
 (:meth:`FiniteGroup._keys`): ``bytes`` columns of base images, each
 ``translate``d by g and zipped, are the keys ``mul`` looks up for x*g.
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import compress, product as iproduct
+from itertools import compress, product as iproduct, starmap, takewhile
 from math import factorial, lcm
 from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -241,14 +242,12 @@ class FiniteGroup:
         self.base = _greedy_base(elements)
         # _get[i] reads off, from the images of an element g, the images of
         # element i's base images: the base images of elements[i] * g.
-        # Applied to the identity (elements[0]) it gives element i's own.
-        # On a one-point base `pick` gives a bare int, and _get a bare int.
-        pick = itemgetter(*self.base)
-        if len(self.base) > 1:
-            self._get = [itemgetter(*pick(e)) for e in elements]
-        else:
-            self._get = [itemgetter(pick(e)) for e in elements]
-        self._at = {get(elements[0]): k for k, get in enumerate(self._get)}
+        # Applied to the identity it gives element i's own, its key in _at.
+        # On a one-point base a key is a bare int, and _get gives a bare int.
+        keys = list(map(itemgetter(*self.base), elements))
+        self._get = list((starmap if len(self.base) > 1 else map)(
+            itemgetter, keys))
+        self._at = dict(zip(keys, range(len(elements))))
         # the base's columns and all images joined, on first use (_keys)
         self._columns: Optional[list] = None
         self._flat: Optional[bytes] = None
@@ -360,14 +359,16 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def _grow(self, members: set, gens: list, new: Iterable[int]) -> None:
+    def _grow(self, members: set, gens: list, new: Iterable[int],
+              cap: Optional[int] = None) -> None:
         """Grow `members`, the subgroup generated by `gens`, in place by each
         element of `new` that is not yet a member.  Such an element s joins
         `gens`; the old members are multiplied by s alone, since their
         products by the old generators are members already, and only the
         members this makes are multiplied by every generator.  The result
         is closed under all of `gens`, hence the subgroup they generate.
-        `new` is read lazily, against the members grown so far."""
+        `new` is read lazily, against the members grown so far.  With a
+        `cap`, it stops part done once `members` passes `cap`."""
         mul = self.mul
         for s in new:
             if s in members:
@@ -375,7 +376,9 @@ class FiniteGroup:
             gens.append(s)
             fresh = [y for m in members if (y := mul(m, s)) not in members]
             members.update(fresh)
-            for x in fresh:
+            walk = fresh if cap is None else takewhile(
+                lambda _: len(members) <= cap, fresh)
+            for x in walk:
                 for g in gens:
                     y = mul(x, g)
                     if y not in members:
@@ -617,29 +620,33 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     return Q, coset_of
 
 
-def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None) -> Subgroup:
-    """Commutator subgroup of `sub` (default: of G itself), as a subgroup of G."""
-    S = sub if sub is not None else G.improper_subgroup()
-    gens = S.gens
-    seeds = {G.comm(a, b) for a in gens for b in gens if a != b}
-    seeds.discard(0)
-    return normal_closure(G, gens, seeds)
+def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None,
+                     cap: Optional[int] = None) -> Optional[Subgroup]:
+    """Commutator subgroup of `sub` (default: of G itself), as a subgroup of
+    G; with a `cap`, None once it passes `cap` members."""
+    gens = (sub if sub is not None else G.improper_subgroup()).gens
+    seeds = {G.comm(a, b) for a in gens for b in gens if a != b} - {0}
+    return normal_closure(G, gens, seeds, cap)
 
 
 def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
-                   seeds: Iterable[int]) -> Subgroup:
+                   seeds: Iterable[int],
+                   cap: Optional[int] = None) -> Optional[Subgroup]:
     """Smallest subgroup containing `seeds` normalized by <ambient_gens>.
 
     The seeds, in increasing order, and then the conjugates of each
     generator by each ambient generator, are taken from one queue; only a
     candidate outside the subgroup grown so far becomes a generator.  Once
     the queue is empty, H^a lies in H for each generator a of the ambient
-    group, so a finite H is normalized by it."""
+    group, so a finite H is normalized by it.  With a `cap`, returns None
+    once H passes `cap` members."""
     members, gens = {0}, []
     queue = sorted(set(seeds))
     for s in queue:
         if s not in members:
-            G._grow(members, gens, (s,))
+            G._grow(members, gens, (s,), cap)
+            if cap is not None and len(members) > cap:
+                return None
             queue.extend(G.conj(s, a) for a in ambient_gens)
     return Subgroup(G, frozenset(members), tuple(gens))
 
@@ -647,15 +654,13 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
 @_kept
 def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """G, G′, G″, ... down to the trivial group or to the first perfect
-    term, each term once, kept per group."""
-    series = [G.improper_subgroup()]
-    while True:
-        nxt = derived_subgroup(G, series[-1])
-        if nxt.order == series[-1].order:
-            break
-        series.append(nxt)
-        if nxt.order == 1:
-            break
+    term, each term once, kept per group.  S′ lies in S, so by Lagrange
+    |S′| divides |S|: once S′ passes |S|/2 members it is S, which is
+    perfect, and the series stops there, S′ not grown in full."""
+    S = G.improper_subgroup()
+    series = [S]
+    while S.order > 1 and (S := derived_subgroup(G, S, S.order // 2)):
+        series.append(S)
     return tuple(series)
 
 

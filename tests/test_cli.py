@@ -31,6 +31,7 @@ from regmaps.verify import REGISTRY, corpus_text
 from regmaps.words import Word
 from standard_groups import (census_zoo, dihedral_group, elementary_abelian,
                              quaternion_group)
+from test_families import agl1_file
 
 TWO_MAPS = """\
 group v4
@@ -529,10 +530,14 @@ def _round_trip(tmp_path, capsys, G, kind) -> tuple:
 def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
     """Every class of both censuses of a zoo, written as its own file,
     analyzes to its census row; analyze refuses none but the dipoles, whose
-    strict xfails below flip when the certifier learns their shape."""
+    strict xfails below flip when the certifier learns their shape.  AGL(1,q)
+    joins for the prime powers q from 5 to 16; q = 2, 3 and 4 give C2, S3
+    and A4, which the zoo has already."""
     zoo = census_zoo(corpus) + [elementary_abelian(2, 4),
                                 elementary_abelian(3, 2),
                                 elementary_abelian(5, 2), quaternion_group()]
+    zoo += [realize_group_file(parse_group_file(agl1_file(q))).group
+            for q in (5, 7, 8, 9, 11, 13, 16)]
     classes, refused = 0, set()
     for G in zoo:
         for kind in ("oriented", "flagged"):
@@ -544,7 +549,7 @@ def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
                 assert isomorphism_search(G, dihedral_group(n))
                 refused.add((n, kind))
     assert refused <= DIPOLES
-    assert classes == 170
+    assert classes == 194
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPLITS_NEITHER)

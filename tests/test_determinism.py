@@ -14,8 +14,9 @@ commutes with r.  `quotient --json` is pinned on each of the nine corpus
 files that declare a map, at p = 2, 3 and 5: exit code, the SHA-256 of
 stdout and the whole of stderr.  The text output is pinned the same way:
 analyze, quotient at p = 2 and 3, both censuses, tc and tc --export-perms
-without --json on every corpus and `limits` file, and verify-corpus.  The
-benchmark files are only read.
+without --json on every corpus and `limits` file, and verify-corpus.
+`analyze` and `quotient` at p = 2 and 3, with and without --json, are
+pinned on both ladder files.  The benchmark files are only read.
 """
 
 import hashlib
@@ -385,3 +386,45 @@ def test_verify_corpus_text_is_pinned(capsys):
     assert (rc, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
         0, "d0221a24284cd056c1d74d65cd37539508ff4523c11b85d79466ab01ec4e810e",
         "")
+
+
+# (ladder file, command, flags) -> the SHA-256 of stdout of a run that exits
+# 0 with an empty stderr: the kernel paths that only these two matrix
+# groups, of orders 2640 and 4368, take at that scale
+LADDER_PINS = {
+    ("ladder_p11.grp", "analyze", ()):
+        "5b2cd1b6bd0e25689553e501a1f06f4ec6d1b35491e3081c34d262dbe9ffa871",
+    ("ladder_p11.grp", "analyze", ("--json",)):
+        "6eeb0ffeaeb3c0f9cf73242c2ad13434c79b0a59f6819347390d3d571e50b9dc",
+    ("ladder_p11.grp", "quotient-p2", ()):
+        "6a5e31e912a49b7677ec79f36571b424f49d292622efcc7d455f3e1762264508",
+    ("ladder_p11.grp", "quotient-p2", ("--json",)):
+        "40664bc3f4e20fae0a0e41fb4f2ecc7cfeac8247d672fe7033df08008042e482",
+    ("ladder_p11.grp", "quotient-p3", ()):
+        "a49e1ee1c20653f4145ef46a61d9d0e2e1620b987feebf2ca1dd4133cf2314ca",
+    ("ladder_p11.grp", "quotient-p3", ("--json",)):
+        "531eb71743f2f9f344b8277b585d76569a89d0522bafc06566b887b59dc78f5a",
+    ("ladder_p13.grp", "analyze", ()):
+        "d69da1feb5eab78be8b66aa35c1e9d5624f35bd0e7806506731bef2d60bf4218",
+    ("ladder_p13.grp", "analyze", ("--json",)):
+        "d85827781728aab83324c6d5a31243973bf953dbf91ca4fd590826035228878b",
+    ("ladder_p13.grp", "quotient-p2", ()):
+        "db5b78ae44f5e46a537b277c2389307c7892b54a3d1ecbc61a74e4445be262f2",
+    ("ladder_p13.grp", "quotient-p2", ("--json",)):
+        "06bfe836324a87fbae8d816939f56ae216b07dfec14abd4799cdd65bec8d8cda",
+    ("ladder_p13.grp", "quotient-p3", ()):
+        "26908a97828407d99e926054ee6b225f350ed1eec74ec1812ab7c61783fe08ae",
+    ("ladder_p13.grp", "quotient-p3", ("--json",)):
+        "206ac89de0cf6ddd9b77a7cb32b7c526c16e34c3177de11e19d676216d8db86f",
+}
+
+
+@pytest.mark.parametrize("name,command,flags", list(LADDER_PINS), ids=[
+    "-".join((n, c, *f)) for n, c, f in LADDER_PINS])
+def test_ladder_output_is_pinned(capsys, name, command, flags):
+    argv = TEXT_COMMANDS[command]
+    path = PERFBENCH / "data" / "ladder" / name
+    rc = cli.main(argv[:1] + [str(path)] + argv[1:] + list(flags))
+    out, err = capsys.readouterr()
+    assert (rc, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
+        0, LADDER_PINS[name, command, flags], "")

@@ -1,7 +1,9 @@
+import gc
 import random
 import tracemalloc
 from itertools import islice
 from math import lcm, prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,10 +15,10 @@ from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.coset_enum import todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
-from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, cell_limit, center,
-                           closure, coset_action, derived_series,
-                           derived_subgroup, hom_extend, is_cyclic,
-                           is_extraspecial, is_normal, is_prime,
+from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, FiniteGroup,
+                           cell_limit, center, closure, coset_action,
+                           derived_series, derived_subgroup, hom_extend,
+                           is_cyclic, is_extraspecial, is_normal, is_prime,
                            is_primitive, is_solvable, is_transitive,
                            isomorphism_search, matches_table, normal_closure,
                            normal_core, o_p, omega1, p_part, prime_factors,
@@ -1178,3 +1180,71 @@ def test_rows_centralizers_and_classes_match_per_entry_oracles(corpus, name):
                 want[y] = len(sizes)
             sizes.append(len(orbit))
     assert G.conjugacy_classes() == (want, [sizes[c] for c in want])
+
+
+# -- the index: one key object per element ----------------------------------
+
+INDEX_GROUPS = {**LOOKUP_GROUPS, "ladder_p13": lambda corpus: matrix_group(
+    13, (((2, 1), (1, 0)), ((0, 1), (1, 0))))}
+
+
+@pytest.mark.parametrize("name", INDEX_GROUPS)
+def test_index_matches_the_per_element_comprehensions(corpus, name):
+    # the getters and the dict as built one element at a time
+    G = INDEX_GROUPS[name](corpus)
+    pick = itemgetter(*G.base)
+    if len(G.base) > 1:
+        get = [itemgetter(*pick(e)) for e in G.elements]
+    else:
+        get = [itemgetter(pick(e)) for e in G.elements]
+    assert G._at == {g(G.elements[0]): k for k, g in enumerate(get)}
+    n = G.order
+    for x in sorted({0, *G.gen_indices, *range(1, n, max(1, n // 8))}):
+        images = G.elements[x]
+        assert [g(images) for g in G._get] == [g(images) for g in get]
+
+
+def _index_bytes_per_element(G) -> float:
+    """The bytes FiniteGroup holds beyond the elements it is given, per
+    element: its base, getters, index and per-element lists."""
+    gc.collect()  # empties the free lists, so that each object is traced
+    tracemalloc.start()
+    try:
+        H = FiniteGroup(G.degree, G.elements, G.gen_indices)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert H.order == G.order
+    return held / G.order
+
+
+@pytest.mark.parametrize("make,degree,most", [
+    (lambda: matrix_group(13, LADDER), 168, 230),
+    (lambda: dihedral_group(300), 300, 210),
+], ids=["ladder_p13_bytes", "d300_tuples"])
+def test_index_bytes_per_element(make, degree, most):
+    # each getter shares its key with the index: 217 and 204 B an element
+    # on Python 3.11, against 269 and 257 with a key apiece
+    G = make()
+    assert G.degree == degree
+    assert _index_bytes_per_element(G) <= most
+
+
+# The products derived_series forms, G.mul calls: a term that passes half
+# of the term before it is that term, by Lagrange, and is not grown in full
+SERIES_PRODUCTS = {60: 62, 120: 285, 2640: 3492, 4368: 5650}
+
+
+def test_derived_series_stops_at_half_its_parent():
+    for G in _unsolvable_groups():
+        count, mul = [0], G.mul
+
+        def counted(i, j):
+            count[0] += 1
+            return mul(i, j)
+        G.mul = counted
+        series = derived_series(G)
+        del G.mul
+        assert count[0] == SERIES_PRODUCTS[G.order]
+        assert ([term.members for term in series]
+                == oracles.brute_derived_series(G))
