@@ -19,11 +19,13 @@ exceptional quotients, which `identify_exceptional` tells apart:
   order 6 is a point stabilizer, whose core is trivial.  So one normal
   core proves the quotient is S4, with no isomorphism search.
 
-For normal maps whose vertex action is primitive, the Sylow subgroup P
-splits over the vertex-kernel part P0: either P = P0 x T with T elementary
-abelian of rank k, or (p odd) P is a central product of P0 = Z(P) with the
-extraspecial group omega_1(P) of order p^(k+1).  Both shapes are tested
-exactly, so a Sylow subgroup of any other shape breaches the theory.
+For normal maps whose vertex action is primitive, P/P0 is elementary
+abelian of order p^k, where P is the Sylow subgroup and P0 its
+vertex-kernel part, and a P/P0 of any other shape breaches the theory.  Two
+split shapes are told apart: either P = P0 x T with T elementary abelian
+of rank k, or (p odd) P is a central product of P0 = Z(P) with the
+extraspecial group omega_1(P) of order p^(k+1).  Both are tested exactly,
+and a P of neither shape is labelled by its quotient alone.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class SylowStructure:
-    case_tag: str  # "direct_product_elementary" | "central_product_extraspecial"
+    # "direct_product_elementary" | "central_product_extraspecial"
+    # | "elementary_quotient"
+    case_tag: str
     p0_order: int
     complement_rank: Optional[int]
     extraspecial_order: Optional[int]
@@ -299,12 +303,35 @@ def _splits_elementary(G: FiniteGroup, P, P0, p: int) -> bool:
             == {G.power(z, p) for z in Z0})
 
 
+def _elementary_quotient(G: FiniteGroup, P, P0, p: int, k: int) -> bool:
+    """Whether P/P0 is elementary abelian of order p^k, where P0 is normal
+    in P: |P| = |P0| p^k, and the p-th power of each of P's gens and the
+    commutator of each pair of them lie in P0.  The gens' images generate
+    P/P0, so it is abelian iff they commute there, and then of exponent p
+    iff each has order dividing p."""
+    gens, members = P.gens, P0.members
+    return (P0.order * p ** k == P.order
+            and all(G.power(g, p) in members for g in gens)
+            and all(G.comm(g, h) in members
+                    for i, g in enumerate(gens) for h in gens[:i]))
+
+
 def certify_sylow_structure(m) -> SylowStructure:
-    """Split the Sylow subgroup of a normal, vertex-primitive map.
+    """Split the Sylow subgroup P of a normal, vertex-primitive map.
 
     Preconditions (normal Sylow subgroup, primitive vertex action, a
     genuine p-map) are the caller's obligation and raise ContractViolation;
     shape conclusions that the theory forbids raise TheoremViolation.
+
+    What is proved: let K be the vertex kernel, the core of the vertex
+    stabilizer, and P0 = P meet K.  G/K is solvable and primitive of
+    degree p^k, so it has exactly one minimal normal subgroup N, which is
+    elementary abelian, regular and self-centralizing.  PK/K is a normal
+    p-subgroup of G/K, and not trivial, since P <= K would make |G:K|
+    prime to p; so PK/K = O_p(G/K) = N, and P/P0, isomorphic to PK/K, is
+    (C_p)^k.  A P/P0 of any other order or shape raises TheoremViolation.
+    A P that splits neither as P0 x (C_p)^k nor as a central product with
+    an extraspecial group is labelled ``elementary_quotient``.
     """
     p, k = _p_map(m, "certified")
     G = m.group
@@ -328,7 +355,8 @@ def certify_sylow_structure(m) -> SylowStructure:
                 and G.subgroup(E.gens + P0.gens).members == P.members):
             return SylowStructure("central_product_extraspecial",
                                   P0.order, None, E.order)
-    raise TheoremViolation(
-        f"Sylow {p}-subgroup of order {P.order} splits neither as"
-        f" P0 x (C{p})^{k} nor as P0 = Z(P) times an extraspecial group of"
-        f" order {p}^{k + 1} (P0 has order {P0.order})")
+    if not _elementary_quotient(G, P, P0, p, k):
+        raise TheoremViolation(
+            f"Sylow {p}-subgroup of order {P.order} has a quotient by P0,"
+            f" of order {P0.order}, that is not elementary abelian")
+    return SylowStructure("elementary_quotient", P0.order, None, None)

@@ -2,9 +2,11 @@
 
 Exit statuses: 0 success, 1 verification mismatch, 2 ParseError,
 3 ContractViolation (also an unreadable input or a closed stdout),
-4 TheoremViolation (ClassificationError included) or a diagnostic,
-5 ResourceLimitExceeded.  `main` maps each package error to its status
-through the ordered table `EXIT_STATUS`, where the first match wins.
+4 TheoremViolation (ClassificationError included), raised or printed as
+a diagnostic, 5 ResourceLimitExceeded.  `quotient`'s "no exceptional
+identification" diagnostic is informational and exits 0.  `main` maps
+each package error to its status through the ordered table
+`EXIT_STATUS`, where the first match wins.
 Environment variables are never consulted; all knobs are flags.
 
 `main(argv)` may be called any number of times in one process.  It parses
@@ -26,13 +28,14 @@ from .census import (DEFAULT_CENSUS_MAX_ORDER, census_classify,
 from .classify import (certify_sylow_structure, classify, detect_p_map,
                        identify_exceptional)
 from .coset_enum import (DEFAULT_MAX_COSETS, admit_presentation,
-                         presentation_order, todd_coxeter)
+                         group_order, todd_coxeter)
 from .errors import (ContractViolation, ParseError, ResourceLimitExceeded,
                      TheoremViolation)
 from .grammar import (GroupFile, MapDecl, format_group_file,
                       parse_group_file, read_group_text, realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
 from .maps import quotient_map
+from .perm import Perm
 from .reporting import TOOL_VERSION, dumps, map_section, new_document
 from .verify import all_passed, verify_corpus
 
@@ -229,19 +232,23 @@ def cmd_tc(args) -> int:
     gf = parse_group_file(text)
     if gf.mode != "gens":
         raise ContractViolation("tc needs a presentation-mode file")
+    pres = gf.presentation
     exported = None
-    if args.export_perms:
+    if args.export_perms and pres.ngens != 1:
         # the exported file is the regular table itself
-        admit_presentation(gf.presentation, args.max_cosets)
-        ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
-        n = ct.n
-        exported = format_group_file(dataclasses.replace(
-            gf, mode="perm", presentation=None,
-            perm_cycles=tuple(tuple(p.cycles()) for p in ct.gen_perms())))
+        admit_presentation(pres, args.max_cosets)
+        ct = todd_coxeter(pres, (), max_cosets=args.max_cosets)
+        n, perms = ct.n, ct.gen_perms()
     else:
         # the order: from the exponent sums on one generator, else certified
-        # by a cyclic subgroup's cosets where it can be
-        n = presentation_order(gf.presentation, args.max_cosets)
+        # by a cyclic subgroup's cosets where it can be; a cyclic group's
+        # regular table is the n-cycle
+        n = group_order(pres, args.max_cosets)[1]
+        perms = [Perm([*range(1, n), 0])] if args.export_perms else []
+    if args.export_perms:
+        exported = format_group_file(dataclasses.replace(
+            gf, mode="perm", presentation=None,
+            perm_cycles=tuple(tuple(p.cycles()) for p in perms)))
     if args.json:
         doc = {"tool_version": TOOL_VERSION, "cosets": n}
         if exported is not None:

@@ -26,9 +26,10 @@ count alike.  A generator g with a power relator g^k acts on the cosets of
 <g>, an image of the group whose point stabilizer has order L, the lcm of
 g's cycle lengths; L = k makes the action faithful and the order k * index
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5).
-A group on one generator is cyclic, of order n = |G/G'|, read off the
-exponent sums: its regular table is the n-cycle, built directly, and the
-``tc`` count, :func:`presentation_order`, builds no table at all.
+A group on one generator is cyclic, of order n = |G/G'|, which
+:func:`group_order` reads off the exponent sums with no table.  Wherever a
+table is wanted, in :func:`presentation_group` and ``tc --export-perms``,
+it is the n-cycle (0 1 ... n-1), built directly.
 Every table, faithful or regular, is closed by :func:`regmaps.group.closure`,
 so elements are numbered by the group and its generators alone.
 
@@ -53,8 +54,9 @@ Given ``max_order`` it also refuses, with that limit, a group with
 exponent sums are reduced, one free factor at a time; a connected
 presentation is one factor.  :func:`group_order` calls the check, and so
 :func:`presentation_group` and the CLI's ``tc``, and ``tc --export-perms``
-calls it before its regular table.  :func:`todd_coxeter` does not, since
-a subgroup of finite index in an infinite group has a finite table.
+on several generators calls it before its regular table.
+:func:`todd_coxeter` does not, since a subgroup of finite index in an
+infinite group has a finite table.
 """
 
 from __future__ import annotations
@@ -277,15 +279,6 @@ def _cycles(ct: CosetTable, i: int) -> tuple:
     return order, tuple(base)
 
 
-def _cycle_table(n: int) -> CosetTable:
-    """The regular table of a cyclic group of order n on one generator:
-    the n-cycle and its inverse, standardized as :func:`todd_coxeter`
-    leaves every table."""
-    cycle = list(range(1, n)) + [0]
-    flat = standard_table((cycle, [n - 1] + list(range(n - 1))), n)
-    return CosetTable(1, n, [flat[0::2], flat[1::2]])
-
-
 def _check_order(n: int, max_order: int) -> None:
     if n > max_order:
         raise ResourceLimitExceeded(
@@ -404,17 +397,18 @@ def admit_presentation(pres: Presentation,
 
 def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
                 tables: dict | None = None,
-                max_order: int | None = None) -> tuple[CosetTable, int]:
+                max_order: int | None = None
+                ) -> tuple[CosetTable | None, int]:
     """The group's order n, with the table that proves it: `(table, n)`.
 
-    The generators g with a relator g^k, k least, are tried by decreasing
-    k, ties by position: g acts on the cosets of <g> with order L, so L = k
-    certifies n = k * index, and the table over the first such <g> is
-    returned.  Without a certificate the table is the regular one and n its
-    size.  On one generator n is |G/G'| and the table the n-cycle, built
-    with no enumeration, so `max_cosets` does not bound it; it is refused
-    as :func:`regmaps.group.order_limit` would refuse its closure.  Each
-    enumeration is bounded by `max_cosets`, and its refusal is the run's.
+    On one generator the group is cyclic and n is |G/G'|, read off the
+    exponent sums with no table, so the table is None and `max_cosets`
+    does not bound n.  Otherwise the generators g with a relator g^k, k
+    least, are tried by decreasing k, ties by position: g acts on the
+    cosets of <g> with order L, so L = k certifies n = k * index, and the
+    table over the first such <g> is returned.  Without a certificate the
+    table is the regular one and n its size.  Each enumeration is bounded
+    by `max_cosets`, and its refusal is the run's.
     The tables over the cyclic subgroups are kept in `tables`, by
     generator index, for a caller that goes on to use them.  First,
     :func:`admit_presentation` refuses a group its relators prove
@@ -422,12 +416,7 @@ def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
     """
     powers = admit_presentation(pres, max_cosets, max_order)
     if pres.ngens == 1:
-        # the regular table is the n-cycle, refused before it is built
-        # if closure would refuse it
-        n = _abelian(pres.relators, (1,))[1]
-        order_limit(n, 1, DEFAULT_MAX_ORDER if max_order is None
-                    else max_order, n)
-        return _cycle_table(n), n
+        return None, _abelian(pres.relators, (1,))[1]
     tables = {} if tables is None else tables
     for i in sorted(powers, key=lambda i: (-powers[i], i)):
         ct = _cyclic_cosets(pres, i, max_cosets, tables)
@@ -435,17 +424,6 @@ def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
             return ct, powers[i] * ct.n
     regular = todd_coxeter(pres, (), max_cosets=max_cosets)
     return regular, regular.n
-
-
-def presentation_order(pres: Presentation,
-                       max_cosets: int = DEFAULT_MAX_COSETS) -> int:
-    """The group's order, as :func:`group_order` finds it, except on one
-    generator: that group is cyclic, so its order is that of G/G', which
-    :func:`admit_presentation`'s exponent sums give without a table."""
-    if pres.ngens != 1:
-        return group_order(pres, max_cosets)[1]
-    admit_presentation(pres, max_cosets)
-    return _abelian(pres.relators, (1,))[1]
 
 
 def presentation_group(pres: Presentation,
@@ -457,6 +435,8 @@ def presentation_group(pres: Presentation,
     subgroups are reused here, so no table is enumerated twice, and whose
     admission check is given `max_order`.  Each
     enumeration is bounded by `max_cosets`, and its refusal is the run's.
+    On one generator the table is the n-cycle, put to
+    :func:`regmaps.group.order_limit` before it is built.
     With n known, the generators are tried by increasing n / m, m the
     order of g, ties by position: core(<g>) lies in <g>, so the action on
     the cosets of <g> is faithful iff g acts there with order m.  The first
@@ -469,6 +449,9 @@ def presentation_group(pres: Presentation,
     tables: dict = {}
     ct, n = group_order(pres, max_cosets, tables, max_order)
     _check_order(n, max_order)
+    if ct is None:  # one generator: the regular table is the n-cycle
+        order_limit(n, 1, max_order, n)
+        return closure(n, [Perm([*range(1, n), 0])], max_order=n, base=(0,))
     orders = [_cycles(ct, i)[0] for i in range(pres.ngens)]
     base = (0,)  # a regular table's, if no <g> below is faithful
     # sorted() is stable, so ties keep generator order

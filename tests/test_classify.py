@@ -5,7 +5,8 @@ import pytest
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.classify import (ExceptionalCase, SylowStructure,
-                              _orientation_status, _splits_elementary,
+                              _elementary_quotient, _orientation_status,
+                              _splits_elementary,
                               certify_sylow_structure, classify,
                               detect_p_map, identify_exceptional,
                               verify_classification_law)
@@ -13,7 +14,7 @@ from regmaps.errors import (ClassificationError, ContractViolation,
                             TheoremViolation)
 from regmaps.grammar import parse_group_file, realize_group_file
 from regmaps.group import (closure, is_extraspecial, is_normal,
-                           isomorphism_search, normal_core, o_p,
+                           isomorphism_search, normal_core, o_p, omega1,
                            quotient_group, regenerated, sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap, oriented_of_flagged
 from regmaps.perm import Perm
@@ -529,11 +530,38 @@ def test_is_extraspecial_matches_brute_force(p_groups):
         assert is_extraspecial(P, p) == want, name
 
 
-def test_certify_refuses_a_sylow_of_neither_shape(corpus, monkeypatch):
+def test_certify_labels_a_sylow_of_neither_shape(corpus, monkeypatch):
     # g216_orientable has an abelian Sylow 3-subgroup, so without the
-    # direct split no extraspecial branch can apply either.  The module is
-    # looked up by import, since regmaps.classify names the function.
-    monkeypatch.setattr(import_module("regmaps.classify"),
-                        "_splits_elementary", lambda *args: False)
-    with pytest.raises(TheoremViolation, match="splits neither"):
-        certify_sylow_structure(corpus["g216_orientable.grp"].maps["m"])
+    # direct split no extraspecial branch can apply either, and its P/P0 is
+    # C3^2.  The module is looked up by import, since regmaps.classify
+    # names the function.
+    classify_module = import_module("regmaps.classify")
+    monkeypatch.setattr(classify_module, "_splits_elementary",
+                        lambda *args: False)
+    m = corpus["g216_orientable.grp"].maps["m"]
+    assert certify_sylow_structure(m) == SylowStructure(
+        "elementary_quotient", 3, None, None)
+    monkeypatch.setattr(classify_module, "_elementary_quotient",
+                        lambda *args: False)
+    with pytest.raises(TheoremViolation, match="not elementary abelian"):
+        certify_sylow_structure(m)
+
+
+def test_elementary_quotient_tests_powers_and_commutators(corpus):
+    # Over the trivial P0, C9 fails only the power test and the
+    # extraspecial group of order 27 and exponent 3 only the commutator
+    # test; C9 over C3 and C3^2 over 1 pass both
+    C9 = cyclic_group(9)
+    g = C9.gen_indices[0]
+    assert not _elementary_quotient(C9, C9.improper_subgroup(),
+                                    C9.subgroup(()), 3, 2)
+    assert _elementary_quotient(C9, C9.improper_subgroup(),
+                                C9.subgroup((C9.power(g, 3),)), 3, 1)
+    G = corpus["g216_nonorientable.grp"].group
+    E = omega1(sylow_p(G, 3), 3)
+    assert E.order == 27 and is_extraspecial(E, 3)
+    assert all(G.power(x, 3) == 0 for x in E.members)
+    assert not _elementary_quotient(G, E, G.subgroup(()), 3, 3)
+    V = elementary_abelian(3, 2)
+    assert _elementary_quotient(V, V.improper_subgroup(), V.subgroup(()),
+                                3, 2)

@@ -23,7 +23,7 @@ from regmaps.errors import TheoremViolation
 from regmaps.grammar import (GroupFile, MapDecl, format_group_file,
                              parse_group_file, realize_group_file)
 from regmaps.group import (ELEMENT_CELLS, MAX_CLOSURE_CELLS, POINT_CELLS,
-                           cell_limit, isomorphism_search)
+                           cell_limit)
 from regmaps.maps import MAP_TYPES
 from regmaps.perm import Perm
 from regmaps.reporting import TOOL_VERSION
@@ -411,27 +411,31 @@ def test_analyze_reports_structure_breach(corpus_file, capsys, monkeypatch):
     assert "diagnostic: forced structure breach" in out
 
 
-def test_analyze_refuses_a_sylow_of_neither_shape(corpus_file, capsys,
-                                                  monkeypatch):
-    monkeypatch.setattr(import_module("regmaps.classify"),
-                        "_splits_elementary", lambda *args: False)
-    ret, out, _ = _run(capsys, ["analyze",
-                                corpus_file("g216_orientable.grp")])
+def test_analyze_labels_a_sylow_of_neither_shape(corpus_file, capsys,
+                                                 monkeypatch):
+    # g216_orientable's P/P0 is C3^2: without the direct split it takes the
+    # third label, and only a P/P0 that is not elementary abelian is refused
+    classify_module = import_module("regmaps.classify")
+    monkeypatch.setattr(classify_module, "_splits_elementary",
+                        lambda *args: False)
+    path = corpus_file("g216_orientable.grp")
+    ret, out, _ = _run(capsys, ["analyze", path])
+    assert ret == 0
+    assert ("  sylow structure: {'case_tag': 'elementary_quotient',"
+            " 'p0_order': 3, 'complement_rank': None,"
+            " 'extraspecial_order': None}\n") in out
+    monkeypatch.setattr(classify_module, "_elementary_quotient",
+                        lambda *args: False)
+    ret, out, _ = _run(capsys, ["analyze", path])
     assert ret == 4
-    assert ("diagnostic: Sylow 3-subgroup of order 27 splits neither as"
-            " P0 x (C3)^2 nor as P0 = Z(P) times an extraspecial group of"
-            " order 3^3 (P0 has order 3)") in out
+    assert ("diagnostic: Sylow 3-subgroup of order 27 has a quotient by P0,"
+            " of order 3, that is not elementary abelian") in out
 
 
-# Why the certifier refuses the 2-vertex dipoles on D4, D8 and D16 and the
-# flagged 2-vertex map on D4
-SPLITS_NEITHER = (
-    "P/P0 is elementary abelian of order p^k, as the vertex action proves,"
-    " but P is neither P0 x (C_p)^k nor P0 = Z(P) times an extraspecial"
-    " group, and certify_sylow_structure has no third shape for such a P")
-
-# Small valid maps on which the certifier reports a theorem violation.
-CERTIFIER_EXIT_4 = {
+# Small valid maps whose Sylow subgroup P splits neither as P0 x (C_p)^k
+# nor as P0 = Z(P) times an extraspecial group: P/P0 is elementary abelian
+# of order p^k, as the vertex action proves, so P takes the third label
+ELEMENTARY_QUOTIENT = {
     "d4_oriented": "group d4\nperm a = (1 2 3 4)\nperm b = (2 4)\n"
                    "map m : oriented r=a l=b\n",
     "d4_flagged": "group d4\nperm a = (1 3)(2 4)\nperm b = (2 4)\n"
@@ -439,13 +443,13 @@ CERTIFIER_EXIT_4 = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPLITS_NEITHER)
-@pytest.mark.parametrize("name", list(CERTIFIER_EXIT_4))
+@pytest.mark.parametrize("name", list(ELEMENTARY_QUOTIENT))
 def test_analyze_certifies_small_maps_without_exit_4(name, tmp_path, capsys):
     path = tmp_path / f"{name}.grp"
-    path.write_text(CERTIFIER_EXIT_4[name])
-    ret, _, _ = _run(capsys, ["analyze", str(path)])
-    assert ret != 4
+    path.write_text(ELEMENTARY_QUOTIENT[name])
+    ret, out, _ = _run(capsys, ["analyze", str(path)])
+    assert ret == 0
+    assert "'case_tag': 'elementary_quotient'" in out
 
 
 # Small flagged p-maps of vertex exponent k = 1: P/P0 = C_p, and P splits
@@ -483,7 +487,8 @@ ROW_FIELDS = ("vertices", "edges", "faces", "euler", "genus_kind", "genus",
               "orientable", "reflexible", "valency", "simple_graph")
 P_MAP_FIELDS = ("p", "k", "normal", "orientation_status",
                 "exceptional_case", "quotient_order")
-# (n, kind) of each census of D_n with a class that analyze refuses
+# (n, kind) of each census of D_n with a 2-vertex dipole class whose Sylow
+# subgroup splits neither way
 DIPOLES = {(4, "oriented"), (8, "oriented"), (16, "oriented"),
            (4, "flagged")}
 
@@ -501,36 +506,30 @@ def _class_file(G, kind, tuple_) -> str:
                                        for i, f in enumerate(fields))),)))
 
 
-def _round_trip(tmp_path, capsys, G, kind) -> tuple:
+def _round_trip(tmp_path, capsys, G, kind) -> int:
     """Analyze every class of G's `kind` census from its own file and check
-    the section against the census row.  Returns the number of classes and
-    the tuples that analyze refuses with exit 4."""
+    the section against the census row.  Returns the number of classes."""
     entries = (enumerate_oriented if kind == "oriented"
                else enumerate_flagged)(G)
     census_classify(entries)
     path = tmp_path / "class.grp"
-    refused = []
     for entry in entries:
         row = entry.report.to_dict()
         if entry.classification is not None:
             row.update(entry.classification.to_dict())
         path.write_text(_class_file(G, kind, entry.tuple_), encoding="utf-8")
         ret, out, err = _run(capsys, ["analyze", str(path), "--json"])
-        if ret == 4:
-            refused.append(entry.tuple_)
-            continue
         assert (ret, err) == (0, ""), (G.order, kind, entry.tuple_)
         sec = json.loads(out)["maps"][0]
         want = {f: row[f] for f in ROW_FIELDS + P_MAP_FIELDS if f in row}
         got = {f: sec[f] for f in ROW_FIELDS + P_MAP_FIELDS if f in sec}
         assert got == want, (G.order, kind, entry.tuple_)
-    return len(entries), refused
+    return len(entries)
 
 
 def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
     """Every class of both censuses of a zoo, written as its own file,
-    analyzes to its census row; analyze refuses none but the dipoles, whose
-    strict xfails below flip when the certifier learns their shape.  AGL(1,q)
+    analyzes to its census row, and analyze refuses none.  AGL(1,q)
     joins for the prime powers q from 5 to 16; q = 2, 3 and 4 give C2, S3
     and A4, which the zoo has already."""
     zoo = census_zoo(corpus) + [elementary_abelian(2, 4),
@@ -538,25 +537,15 @@ def test_census_classes_round_trip_through_analyze(corpus, tmp_path, capsys):
                                 elementary_abelian(5, 2), quaternion_group()]
     zoo += [realize_group_file(parse_group_file(agl1_file(q))).group
             for q in (5, 7, 8, 9, 11, 13, 16)]
-    classes, refused = 0, set()
-    for G in zoo:
-        for kind in ("oriented", "flagged"):
-            count, tuples = _round_trip(tmp_path, capsys, G, kind)
-            classes += count
-            if tuples:
-                n = G.order // 2
-                assert len(tuples) == 1 and (n, kind) in DIPOLES
-                assert isomorphism_search(G, dihedral_group(n))
-                refused.add((n, kind))
-    assert refused <= DIPOLES
+    classes = sum(_round_trip(tmp_path, capsys, G, kind)
+                  for G in zoo for kind in ("oriented", "flagged"))
     assert classes == 194
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPLITS_NEITHER)
 @pytest.mark.parametrize("n,kind", sorted(DIPOLES))
 def test_dipole_census_round_trips_through_analyze(tmp_path, capsys, n,
                                                     kind):
-    assert _round_trip(tmp_path, capsys, dihedral_group(n), kind)[1] == []
+    assert _round_trip(tmp_path, capsys, dihedral_group(n), kind) >= 1
 
 
 def test_main_maps_theorem_violation_to_exit_4(corpus_file, capsys,
@@ -602,9 +591,21 @@ def test_a_certified_presentation_needs_no_regular_table(corpus_file, capsys):
     assert _run(capsys, ["analyze", path, "--max-cosets", "2000"]) == want
 
 
-def test_tc_counts_a_one_generator_group_without_a_table(tmp_path, capsys):
+def _no_enumeration(monkeypatch):
+    """Make every call of todd_coxeter, from the CLI or the realization,
+    fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("todd_coxeter called")
+    monkeypatch.setattr(import_module("regmaps.coset_enum"), "todd_coxeter",
+                        fail)
+    monkeypatch.setattr(cli, "todd_coxeter", fail)
+
+
+def test_tc_counts_a_one_generator_group_without_a_table(tmp_path, capsys,
+                                                         monkeypatch):
     # a group on one generator is cyclic, of order |G/G'|: no enumeration,
     # so --max-cosets does not bound it and a^100000 takes no time
+    _no_enumeration(monkeypatch)
     f = tmp_path / "c.grp"
     f.write_text("group c\ngens a\nrel a^100000\n", encoding="utf-8")
     start = time.perf_counter()
@@ -614,6 +615,32 @@ def test_tc_counts_a_one_generator_group_without_a_table(tmp_path, capsys):
         0, "cosets: 100000\n")
     f.write_text("group c\ngens a\nrel a^6\nrel a^4\n", encoding="utf-8")
     assert _run(capsys, ["tc", str(f)]) == (0, "cosets: 2\n", "")
+
+
+def test_tc_exports_a_one_generator_group_as_the_n_cycle(tmp_path, capsys,
+                                                         monkeypatch):
+    # the regular table of a cyclic group is the n-cycle, printed with no
+    # enumeration, so --max-cosets does not bound it either
+    _no_enumeration(monkeypatch)
+    f = tmp_path / "c.grp"
+    f.write_text("group c\ngens a\nrel a^20000\n", encoding="utf-8")
+    cycle = "(" + " ".join(map(str, range(1, 20001))) + ")"
+    start = time.perf_counter()
+    assert _run(capsys, ["tc", "--export-perms", str(f)]) == (
+        0, f"cosets: 20000\ngroup c\nperm a = {cycle}\n", "")
+    assert time.perf_counter() - start < 1.0
+    ret, out, _ = _run(capsys, ["tc", "--export-perms", "--json", str(f),
+                                "--max-cosets", "10"])
+    assert (ret, json.loads(out)["perm_file"]) == (
+        0, f"group c\nperm a = {cycle}\n")
+    f.write_text("group c\ngens a\nrel a^6\nrel a^-4\nmap m : oriented"
+                 " r=a l=a^0\n", encoding="utf-8")
+    assert _run(capsys, ["tc", "--export-perms", str(f)]) == (
+        0, "cosets: 2\ngroup c\nperm a = (1 2)\nmap m : oriented r=a"
+           " l=a^0\n", "")
+    f.write_text("group c\ngens a\nrel a\n", encoding="utf-8")
+    assert _run(capsys, ["tc", "--export-perms", str(f)]) == (
+        0, "cosets: 1\ngroup c\nperm a = ()\n", "")
 
 
 def test_census_refuses_on_the_order_before_listing_elements(
