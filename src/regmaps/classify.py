@@ -31,21 +31,13 @@ and a P of neither shape is labelled by its quotient alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from .errors import ClassificationError, ContractViolation, TheoremViolation
-from .group import (FiniteGroup, center, is_cyclic, is_extraspecial,
-                    is_normal, is_solvable, isomorphism_search, normal_core,
-                    o_p, omega1, p_part, prime_factors, quotient_group,
-                    sylow_p)
+from .group import (FiniteGroup, center, is_extraspecial, is_normal,
+                    is_solvable, normal_core, o_p, omega1, p_part,
+                    prime_factors, sylow_p)
 from .maps import DEGENERATE_L_TRIVIAL, quotient_map
-from .standard import symmetric_group
-
-
-@cache
-def _sym4() -> FiniteGroup:
-    return symmetric_group(4)
 
 
 @dataclass(frozen=True)
@@ -80,17 +72,6 @@ class PMapClassification:
     def to_dict(self) -> dict:
         case = self.exceptional_case
         return dict(vars(self), exceptional_case=case and case.label())
-
-
-@dataclass(frozen=True)
-class LawCheck:
-    """Which branch of the structure law a map satisfies."""
-
-    p: int
-    k: int
-    branch: str  # "normal" | "cyclic_by_z2" | "cyclic_by_klein" | "s4_quotient"
-    odd_part_order: Optional[int] = None
-    quotient_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -233,50 +214,6 @@ def identify_exceptional(qm, p: int) -> ExceptionalCase:
     if (e * e) % mm != 1 or e % mm == 1:
         raise ClassificationError(f"dipole exponent {e} mod {mm} is invalid")
     return ExceptionalCase("dipole", m=mm, e=e)
-
-
-def verify_classification_law(m) -> LawCheck:
-    """Independently check the structure law on the group side: solvable,
-    and if the Sylow p-subgroup is not normal then p in {2, 3} and the
-    p-free quotient is odd-cyclic-by-(Z2 or Klein) resp. S4-shaped."""
-    p, k = _p_map(m, "classified")
-    G = m.group
-    if not is_solvable(G):
-        raise TheoremViolation(f"group of a {p}-map must be solvable")
-    P = sylow_p(G, p)
-    if is_normal(G, P):
-        return LawCheck(p, k, "normal")
-    Q, _ = quotient_group(G, o_p(G, p))
-    if o_p(Q, p).order != 1:
-        raise TheoremViolation("p-core failed to clear in the quotient")
-    if p == 2:
-        odd = [x for x in range(Q.order) if Q.order_of(x) % 2 == 1]
-        try:
-            C = Q.subgroup_from_members(odd)
-        except ContractViolation as exc:
-            raise TheoremViolation(
-                "odd-order elements do not form a subgroup") from exc
-        if not is_cyclic(C) or C.order % 2 == 0 or C.order < 3:
-            raise TheoremViolation(
-                f"odd part of order {C.order} is not cyclic of odd order >= 3")
-        if not is_normal(Q, C):
-            raise TheoremViolation("odd part is not normal")
-        index = Q.order // C.order
-        if index == 2:
-            return LawCheck(p, k, "cyclic_by_z2", C.order, 2)
-        if index == 4:
-            # Q/C has order 4: it is a Klein group iff it has exponent 2.
-            if any(Q.mul(x, x) not in C.members for x in range(Q.order)):
-                raise TheoremViolation("index-4 quotient is not a Klein group")
-            return LawCheck(p, k, "cyclic_by_klein", C.order, 4)
-        raise TheoremViolation(
-            f"odd part has index {index}, expected 2 or 4")
-    if p == 3:
-        if not isomorphism_search(Q, _sym4()):
-            raise TheoremViolation(
-                "3-free quotient is not the symmetric group of degree 4")
-        return LawCheck(p, k, "s4_quotient")
-    raise TheoremViolation(f"nonnormal p-map with p = {p}")
 
 
 def _splits_elementary(G: FiniteGroup, P, P0, p: int) -> bool:

@@ -89,10 +89,6 @@ class CosetTable:
     n: int
     cols: list
 
-    @property
-    def rows(self) -> list:
-        return [[col[k] for col in self.cols] for k in range(self.n)]
-
     def gen_perms(self) -> list[Perm]:
         return [Perm(col) for col in self.cols[::2]]
 

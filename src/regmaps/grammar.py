@@ -515,7 +515,3 @@ def read_group_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractViolation(f"cannot read {path}: {exc}") from exc
-
-
-def load_group_file(path) -> GroupFile:
-    return parse_group_file(read_group_text(path))

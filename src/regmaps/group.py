@@ -919,11 +919,3 @@ def is_primitive(perms: Sequence[Perm], npoints: int,
     sizes = Counter(suborbit)
     return all(_minimal_block_size(perms, npoints, betas[k]) == npoints
                for k in sorted(range(1, len(betas)), key=sizes.__getitem__))
-
-
-# -- misc structure tests --------------------------------------------------
-
-
-def is_cyclic(sub: Subgroup) -> bool:
-    G = sub.parent
-    return any(G.order_of(m) == sub.order for m in sub.members)

@@ -132,11 +132,6 @@ class _Map:
         self.generator_tuple = gens
         self.key = key
 
-    def __repr__(self) -> str:
-        entries = "".join(f", {name}={x}"
-                          for name, x in zip(self.fields, self.generator_tuple))
-        return f"{type(self).__name__}(|G|={self.group.order}{entries})"
-
     def _subgroup(self, *words: tuple) -> Subgroup:
         """``G.subgroup`` of the products of `words`, tuples of one or two
         entries, walked over the entries' rows (see the module docstring)."""
@@ -158,10 +153,6 @@ class _Map:
         return (n // self.vertex_subgroup.order,
                 n // self.edge_subgroup.order,
                 n // self.face_subgroup.order)
-
-    def euler_characteristic(self) -> int:
-        v, e, f = self.vef_counts()
-        return v - e + f
 
     @cached_property
     def vertex_primitive(self) -> bool:
@@ -254,9 +245,6 @@ class OrientedMap(_Map):
             r_inv[y] = x
         return matches_table((r_inv, l_col), len(r_col), key)
 
-    def mirror(self) -> "OrientedMap":
-        return OrientedMap(self.group, self.group.inv(self.r), self.l)
-
     def report(self) -> MapReport:
         return self._report(True, self.reflexible)
 
@@ -323,13 +311,6 @@ class FlaggedMap(_Map):
 
 
 MAP_TYPES = {cls.kind: cls for cls in (OrientedMap, FlaggedMap)}
-
-
-def maps_isomorphic(m1, m2) -> bool:
-    """Isomorphism of maps = group isomorphism carrying one defining tuple
-    to the other.  Because the tuples generate, such an isomorphism exists
-    iff their standardized tables agree, so this compares the maps' keys."""
-    return m1.kind == m2.kind and m1.key == m2.key
 
 
 def quotient_map(m, normal_sub: Subgroup):

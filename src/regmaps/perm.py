@@ -72,20 +72,3 @@ class Perm:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Perm({cycle_string(self)})"
-
-
-def cycle_string(p: Perm) -> str:
-    """1-based cycle notation, ``()`` for the identity."""
-    cycs = p.cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(a + 1) for a in c) + ")" for c in cycs)

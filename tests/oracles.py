@@ -13,17 +13,29 @@ enumerator and closure: it enumerates again over each cyclic subgroup it
 tries and closes that action, where the package reads both off one table.
 The conjugation-scan census runs the package's orbit walk and class
 records: it is the census before it dropped the tuples whose image does
-not generate G/G′.
+not generate G/G′.  The structure law is checked on the group side with
+the package's kernel operations, apart from the classifier: it states the
+paper's theorem a second way, and proves an S4 quotient by an isomorphism
+search where the classifier reads one normal core.  Map isomorphism
+compares the package's keys.
 """
 
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
+from typing import Optional
 
 from regmaps.census import _add, _entries, _orbit_minima
+from regmaps.classify import _p_map
 from regmaps.coset_enum import DEFAULT_MAX_COSETS, todd_coxeter
-from regmaps.errors import ContractViolation, ResourceLimitExceeded
-from regmaps.group import (DEFAULT_MAX_ORDER, closure, regenerated,
-                           small_generating_set, standard_table)
+from regmaps.errors import (ContractViolation, ResourceLimitExceeded,
+                            TheoremViolation)
+from regmaps.group import (DEFAULT_MAX_ORDER, closure, is_normal,
+                           is_solvable, isomorphism_search, o_p,
+                           quotient_group, regenerated, small_generating_set,
+                           standard_table, sylow_p)
 from regmaps.maps import FlaggedMap, OrientedMap
+from regmaps.standard import symmetric_group
 from regmaps.words import Word
 
 
@@ -660,3 +672,83 @@ def brute_is_primitive(perms, npoints):
     through 0 and every beta != 0 is the whole set."""
     return all(brute_block_size(perms, npoints, beta) == npoints
                for beta in range(1, npoints))
+
+
+# ---------------------------------------------------------------------------
+# maps and the structure law
+
+def mirror(m):
+    """The mirror image (r^-1, l) of an oriented map."""
+    return OrientedMap(m.group, m.group.inv(m.r), m.l)
+
+
+def isomorphic(m1, m2):
+    """Isomorphism of maps: a group isomorphism carrying one defining tuple
+    to the other.  As the tuples generate, one exists iff their
+    standardized tables agree, so this compares the maps' keys."""
+    return m1.kind == m2.kind and m1.key == m2.key
+
+
+def is_cyclic(sub):
+    G = sub.parent
+    return any(G.order_of(m) == sub.order for m in sub.members)
+
+
+@cache
+def _sym4():
+    return symmetric_group(4)
+
+
+@dataclass(frozen=True)
+class LawCheck:
+    """Which branch of the structure law a map satisfies."""
+
+    p: int
+    k: int
+    branch: str  # "normal" | "cyclic_by_z2" | "cyclic_by_klein" | "s4_quotient"
+    odd_part_order: Optional[int] = None
+    quotient_index: Optional[int] = None
+
+
+def verify_classification_law(m) -> LawCheck:
+    """Independently check the structure law on the group side: solvable,
+    and if the Sylow p-subgroup is not normal then p in {2, 3} and the
+    p-free quotient is odd-cyclic-by-(Z2 or Klein) resp. S4-shaped."""
+    p, k = _p_map(m, "classified")
+    G = m.group
+    if not is_solvable(G):
+        raise TheoremViolation(f"group of a {p}-map must be solvable")
+    P = sylow_p(G, p)
+    if is_normal(G, P):
+        return LawCheck(p, k, "normal")
+    Q, _ = quotient_group(G, o_p(G, p))
+    if o_p(Q, p).order != 1:
+        raise TheoremViolation("p-core failed to clear in the quotient")
+    if p == 2:
+        odd = [x for x in range(Q.order) if Q.order_of(x) % 2 == 1]
+        try:
+            C = Q.subgroup_from_members(odd)
+        except ContractViolation as exc:
+            raise TheoremViolation(
+                "odd-order elements do not form a subgroup") from exc
+        if not is_cyclic(C) or C.order % 2 == 0 or C.order < 3:
+            raise TheoremViolation(
+                f"odd part of order {C.order} is not cyclic of odd order >= 3")
+        if not is_normal(Q, C):
+            raise TheoremViolation("odd part is not normal")
+        index = Q.order // C.order
+        if index == 2:
+            return LawCheck(p, k, "cyclic_by_z2", C.order, 2)
+        if index == 4:
+            # Q/C has order 4: it is a Klein group iff it has exponent 2.
+            if any(Q.mul(x, x) not in C.members for x in range(Q.order)):
+                raise TheoremViolation("index-4 quotient is not a Klein group")
+            return LawCheck(p, k, "cyclic_by_klein", C.order, 4)
+        raise TheoremViolation(
+            f"odd part has index {index}, expected 2 or 4")
+    if p == 3:
+        if not isomorphism_search(Q, _sym4()):
+            raise TheoremViolation(
+                "3-free quotient is not the symmetric group of degree 4")
+        return LawCheck(p, k, "s4_quotient")
+    raise TheoremViolation(f"nonnormal p-map with p = {p}")

@@ -43,3 +43,14 @@ def test_analyze_records_spans_and_restores_the_package(tmp_path, capsys):
     assert {"group.closure", "grammar.parse"} <= set(rec.names)
     assert regmaps.group.closure is closure
     assert regmaps.census._generates is generates
+
+
+def test_installed_wraps_every_entry():
+    """installed() rebinds only names in a class's own __dict__, so a method
+    moved to a base class would keep the original and lose its span."""
+    entries = [(m, a) for m, a, _name in spans.TARGETS + spans.COUNTED]
+    originals = [_resolve(m, a) for m, a in entries]
+    with spans.installed(spans.Recorder()):
+        bare = [entry for entry, fn in zip(entries, originals)
+                if _resolve(*entry) is fn]
+    assert bare == []

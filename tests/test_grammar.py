@@ -11,8 +11,8 @@ from regmaps.errors import (ContractViolation, ParseError, RegmapsError,
                             ResourceLimitExceeded)
 from regmaps.grammar import (MAX_NESTING, GroupFile, MapDecl, _Cursor,
                              _parse_word, format_group_file, format_word,
-                             load_group_file, matrix_group, parse_group_file,
-                             read_group_text, realize_group_file)
+                             matrix_group, parse_group_file, read_group_text,
+                             realize_group_file)
 from regmaps.perm import Perm
 from regmaps.verify import corpus_names, corpus_text
 from regmaps.words import Presentation, Word
@@ -320,12 +320,6 @@ def test_realize_rejects_broken_map():
     assert "map 'm'" in str(e.value)
 
 
-def test_load_group_file(tmp_path):
-    p = tmp_path / "t.grp"
-    p.write_text(GOOD, encoding="utf-8")
-    assert load_group_file(p) == parse_group_file(GOOD)
-
-
 @pytest.mark.parametrize("content", [None, b"group \xff\n"],
                          ids=["missing", "not_utf8"])
 def test_an_unreadable_file_is_a_contract_violation(tmp_path, capsys,
@@ -333,9 +327,8 @@ def test_an_unreadable_file_is_a_contract_violation(tmp_path, capsys,
     p = tmp_path / "bad.grp"
     if content is not None:
         p.write_bytes(content)
-    for read in (read_group_text, load_group_file):
-        with pytest.raises(ContractViolation, match="^cannot read "):
-            read(p)
+    with pytest.raises(ContractViolation, match="^cannot read "):
+        read_group_text(p)
     assert cli.main(["analyze", str(p)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

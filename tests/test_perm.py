@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regmaps.errors import ContractViolation
+from regmaps.grammar import GroupFile, format_group_file
 from regmaps.group import closure
-from regmaps.perm import Perm, cycle_string
+from regmaps.perm import Perm
 
 from oracles import compose, tuple_order
 
@@ -34,12 +35,22 @@ def test_composition_reads_left_to_right():
     assert G.elements[G.mul(b, a)][0] == 1
 
 
+def _cycle_text(p):
+    """p's 1-based cycle notation, as a group file prints it."""
+    gf = GroupFile(name="t", mode="perm", gen_names=("a",), presentation=None,
+                   perm_cycles=(tuple(p.cycles()),), matrices=(),
+                   modulus=None, maps=())
+    head, text = "group t\nperm a = ", format_group_file(gf)
+    assert text.startswith(head) and text.endswith(")\n")
+    return text[len(head):-1]
+
+
 def test_from_cycles_and_back():
     p = Perm.from_cycles([(0, 2, 4), (1, 3)], 6)
     assert p.cycles() == [(0, 2, 4), (1, 3)]
     assert p.images == (2, 3, 4, 1, 0, 5)
-    assert cycle_string(p) == "(1 3 5)(2 4)"
-    assert cycle_string(Perm(range(4))) == "()"
+    assert _cycle_text(p) == "(1 3 5)(2 4)"
+    assert _cycle_text(Perm(range(4))) == "()"
 
 
 def test_from_cycles_rejects_repeats_and_range():
