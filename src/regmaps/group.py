@@ -32,7 +32,8 @@ Each element's key, read in C, is one object that its getter and the dict
 share.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
 regular group has base ``(0,)``.  A caller that knows a base before the
 group is listed passes it to :func:`closure`, which then looks products up
-the same way on more than 256 points; :func:`is_primitive` likewise takes
+by base images too, and builds a product's full images only when it is
+new; :func:`is_primitive` likewise takes
 the stabilizer of point 0, if known, and tests one point of each of its
 orbits.  Rows, centralizers and class moves read all products at once
 (:meth:`FiniteGroup._keys`): ``bytes`` columns of base images, each
@@ -56,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import compress, product as iproduct, starmap, takewhile
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -67,11 +68,12 @@ DEFAULT_MAX_ORDER = 10**6
 # Closure refuses a group before the 8-byte cells it holds pass this many
 # (about 160 MB), whatever the order bound.  Each listed element is charged
 # `degree` cells for its images and ELEMENT_CELLS more: its tuple header,
-# its entries in closure's `seen` (keyed by base images when the base is
-# known, and freed before the group is built) and the group's `_at`, and
-# its `_get` itemgetter (tracemalloc: 54 cells with a base of 6 or 7
-# points, 77 with a base of 16; a base of b points needs 2**b elements, so
-# no group within the bound has a base of more than 17).  Each point costs
+# its entry in closure's `seen`, keyed by its base images when the base is
+# known, and on bytes closure's list of those keys, all freed before the
+# group is built, its entry in the group's `_at`, and its `_get` itemgetter
+# (tracemalloc: 54 cells with a base of 6 or 7 points, 77 with a base of
+# 16; a base of b points needs 2**b elements, so no group within the
+# bound has a base of more than 17).  Each point costs
 # up to POINT_CELLS more for every generator and for the identity (10 in
 # all for one generator, 16 for two): its int object, a generator's tuple,
 # closure's arguments.  ELEMENT_CELLS was measured on tuple elements: a
@@ -138,12 +140,16 @@ def closure(degree: int, generators: Sequence[Perm],
     """Enumerate the group generated by `generators` inside Sym(degree).
 
     Each product is formed as :func:`element_arithmetic` gives it and is
-    its own lookup key.  On more than 256 points, a caller that knows a
-    `base` of the group, points whose pointwise stabilizer in it is
-    trivial, passes it: each product is then looked up by its images of
-    the base points, and its full image tuple is built only when it is
-    new.  A wrong base merges distinct elements.  The numbering, the bounds
-    and the refusals do not depend on the base or on the element type.
+    its own lookup key.  A caller that knows a `base` of the group, points
+    whose pointwise stabilizer in it is trivial, passes it: each product
+    is then looked up by its images of the base points, and its full
+    images are built only when it is new.  On bytes an element's key is
+    ``bytes(base)`` translated by it, and the key of ``elements[k] * g``
+    is ``keys[k]`` translated by g, |base| bytes instead of `degree`
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 4).  A wrong base merges distinct elements.  The numbering, the
+    bounds and the refusals do not depend on the base or on the element
+    type.
 
     Refuses (ResourceLimitExceeded) a group of more than
     ``order_limit(degree, len(generators), max_order)`` elements, with the
@@ -158,28 +164,46 @@ def closure(degree: int, generators: Sequence[Perm],
                 f"generator degree {g.degree} does not match {degree}")
     limit = order_limit(degree, len(gens), max_order)
     pack, factor, times_of = element_arithmetic(degree)
-    if pack is bytes:
-        base = ()  # one translate costs less than a lookup by base images
-    # elements[k] * g is times_of(elements[k])(factor(g.images)).  It is its
-    # own key, or with a base, g's images read at elements[k]'s base images:
-    # a bare int on a one-point base, as FiniteGroup._get reads it.
-    key = itemgetter(*base) if base else pack
     ident = pack(range(degree))
     elements = [ident]
-    seen = {key(ident): 0}
     factors = [factor(g.images) for g in gens]
-    for ek in elements:
-        times = times_of(ek)
-        look = itemgetter(*map(ek.__getitem__, base)) if base else times
-        for g in factors:
-            k = look(g)
-            if k not in seen:
-                j = len(elements)
-                if j >= limit:  # raises, as j + 1 > limit
-                    order_limit(degree, len(gens), max_order, j + 1)
-                elements.append(times(g) if base else k)
-                seen[k] = j
-    gen_indices = [seen[key(g.images)] for g in gens]
+    if base and pack is bytes:
+        # keys[k] is elements[k]'s base images, and keys[k].translate(g)
+        # those of elements[k] * g; only a new product gets its full images
+        keys = [bytes(base)]
+        seen = {keys[0]: 0}
+        for ek, kk in zip(elements, keys):
+            look = kk.translate
+            for g in factors:
+                k = look(g)
+                if k not in seen:
+                    j = len(elements)
+                    if j >= limit:  # raises, as j + 1 > limit
+                        order_limit(degree, len(gens), max_order, j + 1)
+                    seen[k] = j
+                    keys.append(k)
+                    elements.append(ek.translate(g))
+        gen_indices = [seen[k] for k in map(keys[0].translate, factors)]
+        del keys
+    else:
+        # elements[k] * g is times_of(elements[k])(factor(g.images)).  It
+        # is its own key, or with a base, g's images read at elements[k]'s
+        # base images: a bare int on a one-point base, as FiniteGroup._get
+        # reads it.
+        key = itemgetter(*base) if base else pack
+        seen = {key(ident): 0}
+        for ek in elements:
+            times = times_of(ek)
+            look = itemgetter(*map(ek.__getitem__, base)) if base else times
+            for g in factors:
+                k = look(g)
+                if k not in seen:
+                    j = len(elements)
+                    if j >= limit:  # raises, as j + 1 > limit
+                        order_limit(degree, len(gens), max_order, j + 1)
+                    elements.append(times(g) if base else k)
+                    seen[k] = j
+        gen_indices = [seen[key(g.images)] for g in gens]
     del seen  # freed before the group builds its own lookup
     return FiniteGroup(degree, elements, gen_indices)
 
@@ -666,13 +690,32 @@ def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 @_kept
 def is_solvable(G: FiniteGroup) -> bool:
-    """Whether the derived series reaches 1.  A group of odd order is
-    solvable (Feit and Thompson, 1963), and so is one whose order has at
-    most two prime divisors (Burnside's p^a q^b theorem, 1904), so only
-    the other orders read the series."""
+    """Whether the derived series reaches 1.
+
+    A group of odd order is solvable (Feit and Thompson, 1963), and so is
+    one whose order has at most two prime divisors (Burnside's p^a q^b
+    theorem, 1904).  For the other orders the p-cores, kept per group and
+    read by every report, come next.  Their product is the Fitting
+    subgroup F, the largest nilpotent normal subgroup, and |F| is the
+    product of their orders.  If |F| = |G|, G is nilpotent, hence
+    solvable.  In a solvable group C_G(F) lies in F (Fitting's theorem;
+    Huppert, Endliche Gruppen I, III.4.2).  So if every generator of every
+    core commutes with every generator of G, then C_G(F) = G, and |F| <
+    |G| shows G is not solvable.  Only a group that neither settles reads
+    the series.
+    """
     n = G.order
-    return (n % 2 == 1 or len(prime_factors(n)) <= 2
-            or derived_series(G)[-1].order == 1)
+    primes = prime_factors(n)
+    if n % 2 == 1 or len(primes) <= 2:
+        return True
+    cores = [o_p(G, p) for p in primes]
+    if prod(N.order for N in cores) == n:
+        return True
+    mul = G.mul
+    if all(mul(x, g) == mul(g, x)
+           for N in cores for x in N.gens for g in G.gen_indices):
+        return False
+    return derived_series(G)[-1].order == 1
 
 
 def center(sub: Subgroup) -> Subgroup:

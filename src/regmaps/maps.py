@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, TheoremViolation
-from .group import (FiniteGroup, Subgroup, coset_action, is_primitive,
+from .group import (FiniteGroup, Subgroup, _orbits, is_primitive,
                     matches_table, quotient_group, regenerated, standardize)
 from .perm import Perm
 
@@ -156,15 +156,23 @@ class _Map:
 
     @cached_property
     def vertex_primitive(self) -> bool:
-        """True iff G acts primitively on the vertices (cosets of the vertex
-        subgroup).  V fixes the coset V, point 0, and its action on the
-        cosets is passed as that point's stabilizer."""
+        """True iff G acts primitively on the vertices (right cosets Vx of
+        the vertex subgroup V).  x -> x^-1 sends Vx to the left coset
+        x^-1 V and Vxg to g^-1 x^-1 V, so it carries G's action on right
+        cosets to its action on left cosets by left multiplication, and
+        either is primitive iff the other is.  The left cosets are the
+        orbits of right multiplication by V's generators, whose rows the
+        key has built; G's generators, and V's as the stabilizer of the
+        coset V, point 0, act on one member of each by left
+        multiplication."""
         G, V = self.group, self.vertex_subgroup
-        perms, coset_of = coset_action(G, V)
+        coset_of = _orbits(G.order, [G.row(v) for v in V.gens])
         reps = dict(zip(coset_of, range(G.order))).values()  # one per coset
-        stabilizer = [Perm._raw(tuple(coset_of[G.mul(r, v)] for r in reps))
-                      for v in V.gens]
-        return is_primitive(perms, G.order // V.order, stabilizer)
+
+        def left(gens):
+            return [Perm._raw(tuple(coset_of[G.mul(g, r)] for r in reps))
+                    for g in gens]
+        return is_primitive(left(G.gen_indices), len(reps), left(V.gens))
 
     def _report(self, orientable: Optional[bool],
                 reflexible: bool) -> MapReport:

@@ -150,6 +150,31 @@ def test_presentation_group_numbers_like_regular(fname, order):
     assert generator_rows(G) == generator_rows(R)
 
 
+def test_presentation_group_on_its_base_is_closure_without_one(monkeypatch):
+    # presentation_group passes closure a base of its coset action, and on
+    # bytes closure then looks products up by their base images: g2106 on
+    # a base of 2 points and g384 on one of 3
+    import regmaps.coset_enum as ce
+    calls = []
+
+    def recorded(degree, gens, **kwargs):
+        calls.append((degree, gens, kwargs["base"]))
+        return closure(degree, gens, **kwargs)
+
+    monkeypatch.setattr(ce, "closure", recorded)
+    bases = {}
+    for fname, _ in CORPUS_ORDERS:
+        calls.clear()
+        pres = parse_group_file(corpus_text(fname)).presentation
+        G = presentation_group(pres)
+        [(degree, gens, base)] = calls
+        plain = closure(degree, gens)
+        assert (G.elements, G.gen_indices) == (plain.elements,
+                                               plain.gen_indices), fname
+        bases[fname] = len(base)
+    assert (bases["g2106_chiral.grp"], bases["g384_chiral.grp"]) == (2, 3)
+
+
 def test_presentation_group_falls_back_to_regular():
     # In Q8 every cyclic subgroup holds the center, so no action on the
     # cosets of <a> or <b> is faithful.

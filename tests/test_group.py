@@ -217,7 +217,7 @@ def test_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
 ], ids=["GL27_2016", "ladder_p13_4368"])
 def test_matrix_groups_the_cells_just_admit_stay_under_8_bytes_a_cell(
         monkeypatch, p, matrices):
-    # closure on the base (0, p - 1) keeps a 2-tuple key per element until
+    # closure on the base (0, p - 1) keeps a 2-byte key per element until
     # the group builds its own lookup; ELEMENT_CELLS must still cover it
     order = matrix_group(p, matrices).order
     degree = p * p - 1
@@ -247,6 +247,28 @@ def test_matrix_groups_hold_their_elements_as_bytes(p, limit_mb):
         tracemalloc.stop()
     assert G.order == {11: 2640, 13: 4368}[p]
     assert peak < limit_mb * 10**6
+
+
+# tracemalloc's peak for the ladder on 168 points when closure looked
+# every product up by its full images, measured at 1,925,208 bytes
+# (CPython 3.11): the group's own lookup, built after closure's is freed
+LADDER_P13_PEAK = 1_925_208
+
+
+def test_the_ladder_closure_by_base_images_peaks_no_higher():
+    # on bytes, closure keys products by their images of the base (0, 12)
+    # and keeps a 2-byte key per element beside the elements; freed before
+    # the group is built, they must not raise the peak
+    matrix_group(13, LADDER)  # once untraced, so that no first-use cost
+    gc.collect()              # is counted
+    tracemalloc.start()
+    try:
+        G = matrix_group(13, LADDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 4368
+    assert peak <= LADDER_P13_PEAK
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -603,9 +625,25 @@ def test_solvability_by_order_reads_no_series(corpus, monkeypatch):
     assert all(is_solvable.__wrapped__(G) for G in groups)
 
 
-def test_other_orders_read_the_series(monkeypatch):
-    groups = _unsolvable_groups()
-    assert [G.order for G in groups] == [60, 120, 2640, 4368]
+def _a5_times_s3() -> FiniteGroup:
+    """A5 on points 0-4 times S3 on points 5-7, of order 360: its one
+    nontrivial p-core, the C3 of S3, is not central."""
+    return closure(8, [Perm([1, 2, 0, 3, 4, 5, 6, 7]),
+                       Perm([1, 2, 3, 4, 0, 5, 6, 7]),
+                       Perm([0, 1, 2, 3, 4, 6, 7, 5]),
+                       Perm([0, 1, 2, 3, 4, 6, 5, 7])])
+
+
+def _c2_c3_c5() -> FiniteGroup:
+    """C2 x C3 x C5 on 2 + 3 + 5 points: nilpotent, of even order with
+    three prime divisors."""
+    return closure(10, [Perm([1, 0, 2, 3, 4, 5, 6, 7, 8, 9]),
+                        Perm([0, 1, 3, 4, 2, 5, 6, 7, 8, 9]),
+                        Perm([0, 1, 2, 3, 4, 6, 7, 8, 9, 5])])
+
+
+def _counted_series(monkeypatch) -> list:
+    """The groups derived_series is called on from here on, in order."""
     calls = []
     real = regmaps.group.derived_series
 
@@ -613,12 +651,37 @@ def test_other_orders_read_the_series(monkeypatch):
         calls.append(G)
         return real(G)
     monkeypatch.setattr(regmaps.group, "derived_series", counted)
-    assert not any(is_solvable(G) for G in groups)
-    assert calls == groups
+    return calls
+
+
+def test_other_orders_read_the_series(monkeypatch):
+    # A5, S5 and the ladders: the product F of the p-cores is central and
+    # proper, so C_G(F) = G is not inside F, which Fitting's theorem
+    # forbids in a solvable group, and no series is read.  A5 x S3 has a
+    # core that is not central, and reads it.
+    groups = _unsolvable_groups()
+    assert [G.order for G in groups] == [60, 120, 2640, 4368]
+    calls = _counted_series(monkeypatch)
+    assert not any(is_solvable.__wrapped__(G) for G in groups)
+    assert calls == []
+    G = _a5_times_s3()
+    assert G.order == 360
+    assert [o_p(G, p).order for p in prime_factors(G.order)] == [1, 3, 1]
+    assert not is_solvable(G)
+    assert calls == [G]
+
+
+def test_a_nilpotent_group_answers_without_the_series(monkeypatch):
+    G = _c2_c3_c5()
+    assert G.order == 30
+    calls = _counted_series(monkeypatch)
+    assert is_solvable.__wrapped__(G)
+    assert calls == []
 
 
 def test_solvability_agrees_with_the_derived_series(corpus):
     for G in census_zoo(corpus) + _unsolvable_groups() + [
+            _a5_times_s3(), _c2_c3_c5()] + [
             rz.group for rz in corpus.values()]:
         assert is_solvable(G) == (derived_series(G)[-1].order == 1), G.order
 
@@ -887,6 +950,34 @@ def test_agl1_vertex_actions_are_primitive(q):
             assert oracles.brute_is_primitive(images, q)
         assert m.vertex_primitive == oracles.brute_is_primitive(
             images, len(images[0]))
+
+
+def primitive_on_right_cosets(m) -> bool:
+    """is_primitive on G's action on the right cosets of the vertex
+    subgroup V, by coset_action, with V's action fixing the coset V."""
+    G, V = m.group, m.vertex_subgroup
+    perms, coset_of = coset_action(G, V)
+    reps = dict(zip(coset_of, range(G.order))).values()
+    stabilizer = [Perm(tuple(coset_of[G.mul(r, v)] for r in reps))
+                  for v in V.gens]
+    return is_primitive(perms, len(reps), stabilizer)
+
+
+def test_vertex_primitivity_on_left_cosets_is_that_on_right_cosets(corpus):
+    # every declared map, and the census maps of the census zoo (D3-D20
+    # and every corpus group the census bound admits among them) and of
+    # AGL(1,q)
+    groups = census_zoo(corpus) + [
+        realize_group_file(parse_group_file(agl1_file(q))).group
+        for q in (4, 5, 7, 8, 9, 11, 13)]
+    maps = [m for rz in corpus.values() for m in rz.maps.values()]
+    maps += [m for G in groups for m in census_maps(G)]
+    seen = set()
+    for m in maps:
+        assert m.vertex_primitive == primitive_on_right_cosets(m), m
+        seen.add((m.kind, m.vertex_primitive))
+    assert seen == {(kind, prim) for kind in ("oriented", "flagged")
+                    for prim in (True, False)}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 13])
