@@ -35,7 +35,6 @@ from .grammar import (GroupFile, MapDecl, format_group_file,
                       parse_group_file, read_group_text, realize_group_file)
 from .group import DEFAULT_MAX_ORDER, is_prime, o_p
 from .maps import quotient_map
-from .perm import Perm
 from .reporting import TOOL_VERSION, dumps, map_section, new_document
 from .verify import all_passed, verify_corpus
 
@@ -228,36 +227,31 @@ def cmd_verify_corpus(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    text = read_group_text(args.file)
-    gf = parse_group_file(text)
+    gf = parse_group_file(read_group_text(args.file))
     if gf.mode != "gens":
         raise ContractViolation("tc needs a presentation-mode file")
-    pres = gf.presentation
-    exported = None
-    if args.export_perms and pres.ngens != 1:
+    if args.export_perms and gf.presentation.ngens != 1:
         # the exported file is the regular table itself
-        admit_presentation(pres, args.max_cosets)
-        ct = todd_coxeter(pres, (), max_cosets=args.max_cosets)
-        n, perms = ct.n, ct.gen_perms()
+        admit_presentation(gf.presentation, args.max_cosets)
+        ct = todd_coxeter(gf.presentation, (), max_cosets=args.max_cosets)
+        n, cycles = ct.n, [p.cycles() for p in ct.gen_perms()]
     else:
         # the order: from the exponent sums on one generator, else certified
         # by a cyclic subgroup's cosets where it can be; a cyclic group's
-        # regular table is the n-cycle
-        n = group_order(pres, args.max_cosets)[1]
-        perms = [Perm([*range(1, n), 0])] if args.export_perms else []
-    if args.export_perms:
-        exported = format_group_file(dataclasses.replace(
-            gf, mode="perm", presentation=None,
-            perm_cycles=tuple(tuple(p.cycles()) for p in perms)))
+        # regular table is the n-cycle, written from its range
+        n = group_order(gf.presentation, args.max_cosets)[1]
+        cycles = ((range(n),) if n > 1 else (),)
+    doc = {"tool_version": TOOL_VERSION, "cosets": n}
+    if args.export_perms:  # the relators' words, maybe long, freed first
+        gf = dataclasses.replace(gf, mode="perm", presentation=None,
+                                 perm_cycles=cycles)
+        doc["perm_file"] = format_group_file(gf)
     if args.json:
-        doc = {"tool_version": TOOL_VERSION, "cosets": n}
-        if exported is not None:
-            doc["perm_file"] = exported
-        print(dumps(doc))
+        text, doc = dumps(doc), None  # the file's text printed, not kept
+        print(text)
     else:
         print(f"cosets: {n}")
-        if exported is not None:
-            print(exported, end="")
+        sys.stdout.write(doc.get("perm_file", ""))
     return 0
 
 

@@ -56,7 +56,7 @@ class GroupFile:
     mode: str  # "gens" | "perm" | "mat"
     gen_names: tuple
     presentation: Optional[Presentation]
-    perm_cycles: tuple  # per generator: tuple of 0-based cycles
+    perm_cycles: tuple  # per generator: 0-based cycles, tuples or ranges
     matrices: tuple     # per generator: ((a, b), (c, d))
     modulus: Optional[int]
     maps: tuple
@@ -385,26 +385,32 @@ def format_word(w: Word, gen_names) -> str:
 
 
 def format_group_file(gf: GroupFile) -> str:
-    out = [f"group {gf.name}"]
+    """The text of `gf`, joined once from pieces; a cycle is written 64
+    points a piece, which the interpreter's own allocator gives back."""
+    out = [f"group {gf.name}\n"]
     if gf.mode == "gens":
-        out.append("gens " + ", ".join(gf.gen_names))
+        out.append("gens " + ", ".join(gf.gen_names) + "\n")
         for rel in gf.presentation.relators:
-            out.append("rel " + format_word(rel, gf.gen_names))
+            out.append("rel " + format_word(rel, gf.gen_names) + "\n")
     elif gf.mode == "perm":
         for gname, cycles in zip(gf.gen_names, gf.perm_cycles):
-            body = "".join("(" + " ".join(str(p + 1) for p in cyc) + ")"
-                           for cyc in cycles) or "()"
-            out.append(f"perm {gname} = {body}")
+            out.append(f"perm {gname} = " if cycles else f"perm {gname} = ()")
+            for cyc in cycles:
+                for i in range(0, len(cyc), 64):
+                    out += " " if i else "(", " ".join(
+                        map(str, map((1).__add__, cyc[i:i + 64])))
+                out.append(")")
+            out.append("\n")
     else:
         for gname, rows in zip(gf.gen_names, gf.matrices):
             body = "[[{},{}],[{},{}]]".format(rows[0][0], rows[0][1],
                                               rows[1][0], rows[1][1])
-            out.append(f"mat {gname} = {body} mod {gf.modulus}")
+            out.append(f"mat {gname} = {body} mod {gf.modulus}\n")
     for md in gf.maps:
         fields = " ".join(f"{f}={format_word(w, gf.gen_names)}"
                           for f, w in md.words)
-        out.append(f"map {md.name} : {md.kind} {fields}")
-    return "\n".join(out) + "\n"
+        out.append(f"map {md.name} : {md.kind} {fields}\n")
+    return "".join(out)
 
 
 # -- realization -----------------------------------------------------------

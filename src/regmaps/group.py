@@ -239,6 +239,33 @@ def _orbits(n: int, moves: Sequence[Sequence[int]]) -> list[int]:
     return label
 
 
+def _lift(rows: Sequence[list], moves: Sequence[list], n: int,
+          proved: bool = False) -> tuple:
+    """Walk from 1 over generators' `rows`, labelling 1 with 0 and x*g, met
+    first from x, with g's move (a row of labels) applied to x's label.
+    Returns whether all n elements were met, whether no other edge
+    disagrees (the labels are then a homomorphism sending each generator
+    to its move), and the labels; if the rows are `proved` to generate,
+    the walk stops at the first disagreement."""
+    label = [-1] * n
+    label[0] = 0
+    order = [0]
+    agree = True
+    for x in order:
+        u = label[x]
+        for row, move in zip(rows, moves):
+            y, v = row[x], move[u]
+            w = label[y]
+            if w < 0:
+                label[y] = v
+                order.append(y)
+            elif w != v:
+                if proved:
+                    return True, False, label
+                agree = False
+    return len(order) == n, agree, label
+
+
 def _greedy_base(elements: Sequence[Sequence[int]]) -> tuple:
     """A base grown greedily from point 0: while some non-identity element
     fixes every base point, append the least point the first such element
@@ -773,12 +800,8 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
 
     No package code path calls this.  It stays because the benchmark wraps
     it as a span (perfbench/spans.py) and the tests use it as the reference
-    that :func:`standardize` is checked against.  One breadth-first walk
-    from the identity crosses every edge x -> x * g of the source's Cayley
-    graph.  An element met for the first time gets the image
-    ``img[x] * t``, where t is the image of g; on every other edge that
-    product must equal the image already there, or no homomorphism with
-    these generator images exists.
+    that :func:`standardize` is checked against.  It is :func:`_lift` over
+    the source's generators, whose moves are the rows of their images.
     """
     gen_images = tuple(gen_images)
     if len(gen_images) != len(source.gen_indices):
@@ -786,20 +809,10 @@ def hom_extend(source: FiniteGroup, target: FiniteGroup,
     for t in gen_images:
         if not (0 <= t < len(target.elements)):
             raise ContractViolation(f"image index {t} out of range")
-    edges = list(zip(source.gen_indices, gen_images))
-    img: list[Optional[int]] = [None] * len(source.elements)
-    img[0] = 0
-    order = [0]
-    for x in order:
-        for g, t in edges:
-            y = source.mul(x, g)
-            image = target.mul(img[x], t)
-            if img[y] is None:
-                img[y] = image
-                order.append(y)
-            elif img[y] != image:
-                return None
-    return GroupHom(source, target, gen_images, tuple(img))
+    _, agree, img = _lift([source.row(g) for g in source.gen_indices],
+                          [target.row(t) for t in gen_images],
+                          len(source.elements), True)
+    return GroupHom(source, target, gen_images, tuple(img)) if agree else None
 
 
 def standard_table(rows: Sequence[Sequence[int]], n: int) -> Optional[tuple]:

@@ -11,19 +11,20 @@ them into vertices <t, r>, edges <t, l> and faces <r, l>.  Quotients of
 flagged maps may collapse l to the identity or onto t; such maps are kept
 but tagged as degenerate, since they no longer describe a closed surface.
 
-The subgroups a report or a classification reads are walked, not grown:
-their members are the elements reached from 1 by right multiplication by
-the generators, read off the rows of the map's entries, which computing
-the key has built (:func:`_walk`).  The face generator r*l of an oriented
-map is one step through both rows.  The members and gens are those
-``G.subgroup`` gives, with no product formed per member.
-
-A flagged map's even-word subgroup E = <tr, rl> holds every word of even
-length in t, r and l, as tl = tr*rl, so G = E u tE and E has index 1 or
-2.  It has index 2 iff 1 is no word of odd length, that is, iff the
-Cayley graph on t, r and l is bipartite; then E is the side of 1.  One
-walk that 2-colours the graph, stopping at the first edge inside a side,
-decides orientability and lists E (:func:`_even_words`).
+A map given no key proves that its tuple generates G by one walk from 1
+over its entries' rows (:func:`regmaps.group._lift`), which labels x*g,
+first met from x, with g's move applied to x's label: no other edge
+disagrees iff the labels are a homomorphism sending each entry to its
+move.  An oriented map is reflexible iff some automorphism sends r to r^-1
+and fixes l (Jones & Singerman 1978): the moves are the rows of r^-1 and
+l, which generate G, so such a homomorphism is onto.  A flagged map's
+even-word subgroup E = <tr, rl> has index 2 in G = E u tE (tl = tr*rl)
+iff t, r and l each move 0 to 1 in a homomorphism onto C2 = {0, 1}, and
+is then its kernel.  No standardized table is built: `key` is computed on
+first read.  A report's or a classification's subgroups are walked over
+the rows the map's walk (or the census's) has built, from 1 by right
+multiplication by the generators (:func:`_walk`), the face generator r*l
+one step through both rows; members and gens are ``G.subgroup``'s.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, TheoremViolation
-from .group import (FiniteGroup, Subgroup, _orbits, is_primitive,
-                    matches_table, quotient_group, regenerated, standardize)
+from .group import (FiniteGroup, Subgroup, _lift, _orbits, is_primitive,
+                    quotient_group, regenerated, standardize)
 from .perm import Perm
 
 DEGENERATE_L_TRIVIAL = "l_trivial"
@@ -55,27 +56,6 @@ def _walk(x: int, *words: Sequence[list]) -> frozenset:
                 met.add(z)
                 todo.append(z)
     return frozenset(met)
-
-
-def _even_words(rows: Sequence[list], n: int) -> Optional[list]:
-    """The side of 1 in a 2-colouring of the graph with edges x -- x*g, for
-    the involutions g whose rows are given and which generate the group of
-    order n, or None if an edge joins two elements of one side.  Every
-    edge is met from both ends, so a walk that meets no such edge has
-    coloured the graph."""
-    side = [-1] * n
-    side[0] = 0
-    todo = [0]
-    for x in todo:
-        s = 1 - side[x]
-        for row in rows:
-            y = row[x]
-            if side[y] < 0:
-                side[y] = s
-                todo.append(y)
-            elif side[y] != s:
-                return None
-    return [x for x in todo if not side[x]]
 
 
 @dataclass(frozen=True)
@@ -100,14 +80,9 @@ class MapReport:
 
 
 class _Map:
-    """What every map is: a group G and a defining tuple of element indices,
-    named by `fields`, that generates G.
-
-    The tuple's standardized table (:func:`regmaps.group.standard_table`) is
-    kept as `key`.  Computing it shows that the tuple generates G, and two
-    maps are isomorphic iff their keys are equal.  A caller that has just
-    computed the table passes it as `key`, and it is not computed again.
-    """
+    """A group G and a defining tuple of element indices, named by `fields`,
+    that generates G: proved by the walk that reads the property `walked`,
+    or, given the key, by the census's walk, and then walked on first read."""
 
     kind: str
     fields: tuple
@@ -125,12 +100,20 @@ class _Map:
                     f"{name}={x} is not an element of a group of order {n}")
             setattr(self, name, x)
         self._check(group, *gens)
-        key = key or standardize(group, gens)
-        if key is None:
+        self.group, self.generator_tuple = group, gens
+        self._spans = key is not None  # the census's walk has proved it
+        if key is not None:
+            self.key = key
+            return
+        getattr(self, self.walked)  # the walk, which sets _spans
+        if not self._spans:
             raise ContractViolation(f"{self.spanning} do not generate the group")
-        self.group = group
-        self.generator_tuple = gens
-        self.key = key
+
+    @cached_property
+    def key(self) -> tuple:
+        """The standardized table (:func:`regmaps.group.standard_table`):
+        two maps are isomorphic iff their kinds and keys are equal."""
+        return standardize(self.group, self.generator_tuple)
 
     def _subgroup(self, *words: tuple) -> Subgroup:
         """``G.subgroup`` of the products of `words`, tuples of one or two
@@ -156,15 +139,11 @@ class _Map:
 
     @cached_property
     def vertex_primitive(self) -> bool:
-        """True iff G acts primitively on the vertices (right cosets Vx of
-        the vertex subgroup V).  x -> x^-1 sends Vx to the left coset
-        x^-1 V and Vxg to g^-1 x^-1 V, so it carries G's action on right
-        cosets to its action on left cosets by left multiplication, and
-        either is primitive iff the other is.  The left cosets are the
-        orbits of right multiplication by V's generators, whose rows the
-        key has built; G's generators, and V's as the stabilizer of the
-        coset V, point 0, act on one member of each by left
-        multiplication."""
+        """True iff G acts primitively on the vertices, the right cosets of
+        the vertex subgroup V.  x -> x^-1 carries that action to the one on
+        left cosets by left multiplication.  The left cosets are the orbits
+        of the rows of V's generators; G's generators, and V's as the
+        stabilizer of the coset V, act on one member of each."""
         G, V = self.group, self.vertex_subgroup
         coset_of = _orbits(G.order, [G.row(v) for v in V.gens])
         reps = dict(zip(coset_of, range(G.order))).values()  # one per coset
@@ -236,22 +215,20 @@ class OrientedMap(_Map):
         and r != 1."""
         return self._vertex_meets_conjugate() == {0}
 
+    walked = "reflexible"
+
     @cached_property
     def reflexible(self) -> bool:
         """True when the map is isomorphic to its mirror image (r^-1, l),
-        i.e. when some automorphism inverts r while fixing l.
-
-        The key lists, for each element in its standardized order, the
-        labels of its products with r and with l.  Inverting r's column
-        gives the products with r^-1, so one walk over that column and l's
-        column yields the mirror's key without touching G.
-        """
-        key = self.key
-        r_col, l_col = key[0::2], key[1::2]
-        r_inv = [0] * len(r_col)
-        for x, y in enumerate(r_col):
-            r_inv[y] = x
-        return matches_table((r_inv, l_col), len(r_col), key)
+        i.e. when some automorphism inverts r while fixing l."""
+        G = self.group
+        r, l = G.row(self.r), G.row(self.l)
+        r_inv = [0] * G.order
+        for x in r:  # r's own entries, so that r_inv holds no new ints
+            r_inv[r[x]] = x
+        self._spans, mirrored, _ = _lift((r, l), (r_inv, l), G.order,
+                                         self._spans)
+        return mirrored
 
     def report(self) -> MapReport:
         return self._report(True, self.reflexible)
@@ -295,14 +272,18 @@ class FlaggedMap(_Map):
     def face_subgroup(self) -> Subgroup:
         return self._subgroup((self.r,), (self.l,))
 
+    walked = "even_subgroup"
+
     @cached_property
     def even_subgroup(self) -> Subgroup:
-        """Words of even length in the reflections, <tr, rl>; index 1 or 2,
-        found by one walk (see the module docstring)."""
+        """Words of even length in the reflections, <tr, rl>; index 1 or 2."""
         G, t, r, l = self.group, self.t, self.r, self.l
-        even = _even_words([G.row(t), G.row(r), G.row(l)], G.order)
-        members = frozenset(range(G.order) if even is None else even)
-        return Subgroup(G, members, (G.mul(t, r), G.mul(r, l)))
+        rows = [G.row(t), G.row(r), G.row(l)]
+        self._spans, bipartite, side = _lift(rows, [[1, 0]] * 3, G.order,
+                                             self._spans)
+        every = rows[0]  # t's row: each element once, as the index's ints
+        members = [x for x in every if not side[x]] if bipartite else every
+        return Subgroup(G, frozenset(members), (G.mul(t, r), G.mul(r, l)))
 
     def valency(self) -> int:
         return self.vertex_subgroup.order // 2

@@ -11,12 +11,15 @@ does, in one recursive pass instead of that encoder's generators.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from .group import FiniteGroup, is_solvable, o_p, prime_factors
+try:  # the built-in module, which does not load OpenSSL as hashlib does
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 TOOL_VERSION = "0.1.0"
 
@@ -38,9 +41,12 @@ def _dump(value, pad: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_string(k) + ": " + _dump(value[k], inner)
-                 for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        # one join of the pieces, so a long value is copied once
+        parts = ["{"]
+        for k in sorted(value):
+            parts += inner, _string(k), ": ", _dump(value[k], inner), ","
+        parts[-1] = pad + "}"
+        return "".join(parts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -57,7 +63,7 @@ def dumps(value) -> str:
 
 
 def input_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def group_summary(G: FiniteGroup) -> dict:

@@ -17,7 +17,8 @@ not generate G/G′.  The structure law is checked on the group side with
 the package's kernel operations, apart from the classifier: it states the
 paper's theorem a second way, and proves an S4 quotient by an isomorphism
 search where the classifier reads one normal core.  Map isomorphism
-compares the package's keys.
+compares the package's keys, and a flagged map's even-word subgroup is the
+2-colouring walk the package ran apart from its generation proof.
 """
 
 from dataclasses import dataclass
@@ -687,6 +688,28 @@ def isomorphic(m1, m2):
     to the other.  As the tuples generate, one exists iff their
     standardized tables agree, so this compares the maps' keys."""
     return m1.kind == m2.kind and m1.key == m2.key
+
+
+def even_words(rows, n):
+    """The side of 1 in a 2-colouring of the graph with edges x -- x*g, for
+    the involutions g whose rows are given and which generate the group of
+    order n, or None if an edge joins two elements of one side.  Every
+    edge is met from both ends, so a walk that meets no such edge has
+    coloured the graph.  It stops at the first such edge, and proves
+    nothing about generation."""
+    side = [-1] * n
+    side[0] = 0
+    todo = [0]
+    for x in todo:
+        s = 1 - side[x]
+        for row in rows:
+            y = row[x]
+            if side[y] < 0:
+                side[y] = s
+                todo.append(y)
+            elif side[y] != s:
+                return None
+    return [x for x in todo if not side[x]]
 
 
 def is_cyclic(sub):

@@ -47,6 +47,27 @@ def test_roundtrip_through_printer():
     assert format_group_file(parse_group_file(printed)) == printed
 
 
+def test_a_long_cycle_is_printed_near_the_size_of_its_text():
+    # a cycle given as a range, as `tc --export-perms` gives a cyclic
+    # group's, is the 1-based points in order; one string per point held
+    # at once would cost about nine times the text
+    n = 200_000
+    gf = GroupFile("c", "perm", ("a",), None, ((range(n),),), (), None, ())
+    want = ("group c\nperm a = (" + " ".join(map(str, range(1, n + 1)))
+            + ")\n")
+    tracemalloc.start()
+    try:
+        text = format_group_file(gf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == want
+    assert peak < 2.5 * len(text)
+    cycles = ((tuple(range(n)),),)
+    assert format_group_file(GroupFile(
+        "c", "perm", ("a",), None, cycles, (), None, ())) == want
+
+
 def test_word_forms():
     gf = parse_group_file(
         "group w\ngens a, b\nrel a^-2\nrel a^b\nrel b*(a*b)^2\n")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import regmaps.grammar
 import regmaps.group
 from regmaps.census import enumerate_flagged, enumerate_oriented
+from regmaps.classify import classify, detect_p_map
 from regmaps.coset_enum import todd_coxeter
 from regmaps.errors import ContractViolation, ResourceLimitExceeded
 from regmaps.grammar import matrix_group, parse_group_file, realize_group_file
@@ -24,7 +25,9 @@ from regmaps.group import (ELEMENT_CELLS, POINT_CELLS, FiniteGroup,
                            normal_core, o_p, omega1, p_part, prime_factors,
                            quotient_group, regenerated, small_generating_set,
                            standard_table, standardize, sylow_p)
+from regmaps.maps import OrientedMap
 from regmaps.perm import Perm
+from regmaps.reporting import map_section
 from regmaps.standard import (alternating_group, quaternion_group,
                               symmetric_group)
 from standard_groups import (census_zoo, cyclic_group, dihedral_group,
@@ -269,6 +272,35 @@ def test_the_ladder_closure_by_base_images_peaks_no_higher():
         tracemalloc.stop()
     assert G.order == 4368
     assert peak <= LADDER_P13_PEAK
+
+
+def _ladder_map_phase(G):
+    """What `analyze` runs on the ladder map after its group is built: the
+    map's walk, its report, section and vertex primitivity."""
+    m = OrientedMap(G, *G.gen_indices)
+    map_section("m", m, classify(m) if detect_p_map(m) else None)
+    return m.vertex_primitive
+
+
+# tracemalloc's peak for the map phase of `analyze` on the ladder on 168
+# points, with the group built: 680,378 bytes when the map standardized
+# its table and walked its mirror's, 324,882 by one walk (CPython 3.11);
+# the bound is under that plus one more list of 4368 entries (34,944)
+LADDER_P13_MAP_PEAK = 330_000
+
+
+def test_the_ladder_map_phase_peaks_no_higher():
+    # the rows of r and l, built by the walk, are the peak's larger part
+    _ladder_map_phase(matrix_group(13, LADDER))  # untraced: first-use costs
+    G = matrix_group(13, LADDER)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _ladder_map_phase(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LADDER_P13_MAP_PEAK
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -852,6 +884,28 @@ def test_hom_extend_finds_and_refuses():
     three = next(g for g in range(G.order) if G.order_of(g) == 3)
     bad = hom_extend(G, G, [three] + gens[1:])
     assert bad is None
+
+
+def test_the_lift_checks_every_generators_edges():
+    # C3 = <a>, listed after or before the identity: a walk that checked
+    # one generator's edges only would extend a -> (0 1), of order 2
+    a, ident, swap = [1, 2, 0], [0, 1, 2], [1, 0, 2]
+    assert regmaps.group._lift((ident, a), (ident, a), 3) == (
+        True, True, [0, 1, 2])
+    for rows, moves in (((ident, a), (ident, swap)),
+                        ((a, ident), (swap, ident))):
+        assert regmaps.group._lift(rows, moves, 3)[:2] == (True, False)
+    # the walk goes on past a disagreement, met here at its first edge, to
+    # find that the identity and b generate C4
+    b, ident4, swap4 = [1, 2, 3, 0], [0, 1, 2, 3], [1, 0, 2, 3]
+    assert regmaps.group._lift((ident4, b), (swap4, ident4), 4)[:2] == (
+        True, False)
+    # nor does a disagreement pass for generation: b^2 does not generate C4
+    assert regmaps.group._lift((ident4, [2, 3, 0, 1]), (swap4, ident4),
+                               4)[:2] == (False, False)
+    # unless the caller has proved that the rows generate: then it stops
+    assert regmaps.group._lift((ident4, b), (swap4, ident4), 4, True) == (
+        True, False, [0, -1, -1, -1])
 
 
 def test_isomorphism_search_distinguishes():

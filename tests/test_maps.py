@@ -1,7 +1,9 @@
 import pytest
 
+import regmaps.group
 import regmaps.maps
-from regmaps.census import enumerate_flagged, enumerate_oriented
+from regmaps.census import (census_classify, enumerate_flagged,
+                            enumerate_oriented)
 from regmaps.classify import classify
 from regmaps.errors import ContractViolation, TheoremViolation
 from regmaps.grammar import parse_group_file, realize_group_file
@@ -15,7 +17,8 @@ from standard_groups import (census_zoo, cyclic_group, dihedral_group,
                              klein_four_group)
 from regmaps.verify import corpus_text
 
-from oracles import isomorphic, mirror
+from oracles import even_words, isomorphic, mirror
+from test_families import agl1_file
 
 
 def _involutions(G):
@@ -106,20 +109,89 @@ def test_oriented_report_and_mirror(corpus):
     assert isomorphic(m, mirror(mir))
 
 
-def test_report_and_classify_share_one_mirror_walk(monkeypatch):
-    # a fresh map, so that no earlier test has read its reflexibility
+def _counted_walks(monkeypatch) -> list:
+    """The rows of r and l of each map walk from now on, as one pair."""
+    walks, lift = [], regmaps.maps._lift
+
+    def counted(rows, *args):
+        walks.append(tuple(rows[:2]))
+        return lift(rows, *args)
+    monkeypatch.setattr(regmaps.maps, "_lift", counted)
+    return walks
+
+
+def _walks_of(walks, m) -> int:
+    mine = (m.group.row(m.r), m.group.row(m.l))
+    return sum(w[0] is mine[0] and w[1] is mine[1] for w in walks)
+
+
+def test_an_analyzed_map_builds_no_standardized_table(monkeypatch):
+    # a fresh map, built as `analyze` builds it: one walk proves that (r, l)
+    # generates G and reads reflexibility, which report and classify share,
+    # and no standardized table is built
+    tables, table = [], regmaps.group.standard_table
+
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
+    monkeypatch.setattr(regmaps.group, "standard_table", counted_table)
+    walks = _counted_walks(monkeypatch)
     m = realize_group_file(parse_group_file(
         corpus_text("g384_chiral.grp"))).maps["m"]
-    walks = []
-    walk = regmaps.maps.matches_table
-
-    def counted(*args):
-        walks.append(args)
-        return walk(*args)
-    monkeypatch.setattr(regmaps.maps, "matches_table", counted)
+    assert _walks_of(walks, m) == len(walks) == 1
     assert not m.report().reflexible
     assert classify(m).orientation_status == "chiral"
-    assert len(walks) == 1
+    # classify walks the quotient map it builds, which is another map
+    assert _walks_of(walks, m) == 1 and not tables
+    # the key is still public and still the table, computed on first read
+    assert m.key == table([m.group.row(m.r), m.group.row(m.l)], m.group.order)
+
+
+def test_a_census_map_walks_once_on_first_read(corpus, monkeypatch):
+    # a census class map is given its key, so the constructor does not
+    # walk; its report walks once, and classify reads the same result
+    walks = _counted_walks(monkeypatch)
+    entries = [e for name in ("g384_chiral.grp", "gl23_reflexible.grp")
+               for e in enumerate_oriented(corpus[name].group)]
+    assert not walks
+    census_classify(entries)
+    assert [_walks_of(walks, e.map) for e in entries] == [1] * len(entries)
+    assert {e.report.reflexible for e in entries} == {True, False}
+
+
+def _zoo_maps(corpus) -> list:
+    """Every declared map of the corpus, and the census maps of the census
+    zoo and of AGL(1,q) for q = 4, 5, 7, 8, 9, 11, 13, each also built
+    again with no key, so that its constructor walks."""
+    groups = census_zoo(corpus) + [
+        realize_group_file(parse_group_file(agl1_file(q))).group
+        for q in (4, 5, 7, 8, 9, 11, 13)]
+    maps = [m for rz in corpus.values() for m in rz.maps.values()]
+    for G in groups:
+        for e in enumerate_oriented(G) + enumerate_flagged(G):
+            maps += [e.map, type(e.map)(G, *e.map.generator_tuple)]
+    return maps
+
+
+def test_the_walk_reads_reflexibility_and_the_even_words(corpus):
+    """The walk's reflexible is map isomorphism with the mirror, by the
+    keys, and a flagged map's even-word subgroup is the 2-colouring
+    walk's, on every map of _zoo_maps."""
+    seen = set()
+    for m in _zoo_maps(corpus):
+        G = m.group
+        if m.kind == "oriented":
+            assert m.reflexible == isomorphic(m, mirror(m)), m
+            seen.add((m.kind, m.reflexible))
+        else:
+            even = even_words([G.row(x) for x in m.generator_tuple], G.order)
+            want = frozenset(range(G.order) if even is None else even)
+            assert m.even_subgroup.members == want, m
+            assert m.even_subgroup.gens == (G.mul(m.t, m.r),
+                                            G.mul(m.r, m.l)), m
+            seen.add((m.kind, even is not None))
+    assert seen == {(kind, b) for kind in ("oriented", "flagged")
+                    for b in (True, False)}
 
 
 def _grown_subgroups(m) -> dict:

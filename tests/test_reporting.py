@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,25 @@ LADDER = Path(__file__).resolve().parent.parent / "perfbench/data/ladder"
 def test_input_digest_is_plain_sha256():
     assert input_digest("group g\n") == (
         "8e8dcb998ae132b8d0d761fcb101ab52cfe625649e875638cc566c68792a5ae5")
+
+
+def test_input_digest_loads_no_openssl():
+    # the built-in SHA-256 where the interpreter has it: a command that
+    # loads hashlib, and so OpenSSL, costs every process a few MB
+    code = ("import sys; before = set(sys.modules); import regmaps.cli;"
+            " regmaps.cli.main(['analyze', '--json', sys.argv[1]]);"
+            " print(sorted({'hashlib', '_hashlib'} & (set(sys.modules)"
+            " - before)), file=sys.stderr)")
+    src = Path(regmaps.reporting.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(LADDER / "ladder_p11.grp")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0
+    if importlib.util.find_spec("_sha256") is not None:
+        assert run.stderr == "[]\n"
+    assert input_digest("") == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 
 
 def test_group_summary_s4():
