@@ -18,26 +18,29 @@ meets them.  The numbering depends only on the group and the order of its
 generators, not on the points it acts on.  :func:`closure` builds every
 group, and :func:`order_limit` is the one check of its size: a caller that
 knows a least order asks it first, to be refused before any element is
-built.  A group keeps its elements, the
-indices of its generators and the base lookups below.  Inverses, element
-orders and rows of the multiplication table (:meth:`FiniteGroup.row`) are
-computed from those on first use and kept in lists; other per-group results
-are kept by :func:`_kept`, and :func:`_orbits` labels classes and orbits.
+built.  A group keeps its elements, the indices of its generators, its
+base and the index below.  Inverses, element orders and rows of the
+multiplication table (:meth:`FiniteGroup.row`) are computed from those on
+first use and kept: orders and rows in dicts, so a group holds only those
+it computed, and inverses in a list by element, since the census reads
+every one.  Other per-group results are kept by :func:`_kept`, and
+:func:`_orbits` labels classes and orbits.
 
 Products are read from base images.  A base is a short list of points whose
 pointwise stabilizer is trivial, so an element is determined by where it
-sends the base points.  ``mul(i, j)`` reads element j's images of element
-i's base images and looks that key up in one dict, whatever the degree.
-Each element's key, read in C, is one object that its getter and the dict
-share.  The base is grown greedily from point 0 (:func:`_greedy_base`); a
-regular group has base ``(0,)``.  A caller that knows a base before the
-group is listed passes it to :func:`closure`, which then looks products up
-by base images too, and builds a product's full images only when it is
-new; :func:`is_primitive` likewise takes
-the stabilizer of point 0, if known, and tests one point of each of its
-orbits.  Rows, centralizers and class moves read all products at once
-(:meth:`FiniteGroup._keys`): ``bytes`` columns of base images, each
-``translate``d by g and zipped, are the keys ``mul`` looks up for x*g.
+sends them.  The index is one getter per element, ``itemgetter`` of its
+base images, and one dict from those images, the key its getter holds, to
+the element's number.  ``mul(i, j)`` applies i's getter to j's images,
+which gives the key of i*j, whatever the degree.  :func:`closure` builds
+the index in its walk on a base its caller knows, and the group keeps that
+base; only a closure given none keys its walk by full images, then grows a
+base greedily from point 0 (:func:`_greedy_base`; a regular group has base
+``(0,)``) and indexes its elements on it.
+:func:`is_primitive` takes the stabilizer of point 0, if known, and tests
+one point of each of its orbits.  Rows, centralizers and class moves read
+all products at once (:meth:`FiniteGroup._keys`): ``bytes`` columns of
+base images, each ``translate``d by g and zipped, are the keys ``mul``
+looks up for x*g.
 
 Subgroups are grown in place, as in Dimino's algorithm:
 :meth:`FiniteGroup._grow` adds one generator at a time to a closed member
@@ -68,12 +71,13 @@ DEFAULT_MAX_ORDER = 10**6
 # Closure refuses a group before the 8-byte cells it holds pass this many
 # (about 160 MB), whatever the order bound.  Each listed element is charged
 # `degree` cells for its images and ELEMENT_CELLS more: its tuple header,
-# its entry in closure's `seen`, keyed by its base images when the base is
-# known, and on bytes closure's list of those keys, all freed before the
-# group is built, its entry in the group's `_at`, and its `_get` itemgetter
-# (tracemalloc: 54 cells with a base of 6 or 7 points, 77 with a base of
-# 16; a base of b points needs 2**b elements, so no group within the
-# bound has a base of more than 17).  Each point costs
+# its getter, its key (a tuple of its base images, which the getter and the
+# index share), its entry in the index, its slot in the list of inverses
+# and, with no base given, its entry in closure's `seen`, freed before the
+# index is built (tracemalloc on tuple elements: 30 to 35 cells with a base
+# of 2 to 5 points, 41 to 42 with a base of 12; each base point adds a cell
+# to the key, and a base of b points needs 2**b elements, so no group
+# within the bound has a base of more than 17).  Each point costs
 # up to POINT_CELLS more for every generator and for the identity (10 in
 # all for one generator, 16 for two): its int object, a generator's tuple,
 # closure's arguments.  ELEMENT_CELLS was measured on tuple elements: a
@@ -139,17 +143,16 @@ def closure(degree: int, generators: Sequence[Perm],
             base: Sequence[int] = ()) -> "FiniteGroup":
     """Enumerate the group generated by `generators` inside Sym(degree).
 
-    Each product is formed as :func:`element_arithmetic` gives it and is
-    its own lookup key.  A caller that knows a `base` of the group, points
-    whose pointwise stabilizer in it is trivial, passes it: each product
-    is then looked up by its images of the base points, and its full
-    images are built only when it is new.  On bytes an element's key is
-    ``bytes(base)`` translated by it, and the key of ``elements[k] * g``
-    is ``keys[k]`` translated by g, |base| bytes instead of `degree`
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    ch. 4).  A wrong base merges distinct elements.  The numbering, the
-    bounds and the refusals do not depend on the base or on the element
-    type.
+    Each product is formed as :func:`element_arithmetic` gives it.  Given
+    a `base` of the group, points whose pointwise stabilizer in it is
+    trivial, the walk builds the index as it lists the elements: element
+    k's getter applied to g's images is the key of ``elements[k] * g``,
+    and only a new key gets its full images (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, ch. 4).  The group keeps that
+    base; a wrong one merges distinct elements.  With none, each product
+    is its own key, and the group is indexed on a greedy base.  The
+    numbering, the bounds and the refusals do not depend on the base or on
+    the element type.
 
     Refuses (ResourceLimitExceeded) a group of more than
     ``order_limit(degree, len(generators), max_order)`` elements, with the
@@ -164,48 +167,43 @@ def closure(degree: int, generators: Sequence[Perm],
                 f"generator degree {g.degree} does not match {degree}")
     limit = order_limit(degree, len(gens), max_order)
     pack, factor, times_of = element_arithmetic(degree)
-    ident = pack(range(degree))
-    elements = [ident]
+    elements = [pack(range(degree))]
     factors = [factor(g.images) for g in gens]
-    if base and pack is bytes:
-        # keys[k] is elements[k]'s base images, and keys[k].translate(g)
-        # those of elements[k] * g; only a new product gets its full images
-        keys = [bytes(base)]
-        seen = {keys[0]: 0}
-        for ek, kk in zip(elements, keys):
-            look = kk.translate
+    if base:
+        # on a one-point base a key is a bare int, as mul reads it
+        one = len(base) == 1
+        get = [itemgetter(*base)]
+        at = {get[0](elements[0]): 0}
+        for ek, look in zip(elements, get):
+            times = times_of(ek)
             for g in factors:
                 k = look(g)
-                if k not in seen:
+                if k not in at:
                     j = len(elements)
                     if j >= limit:  # raises, as j + 1 > limit
                         order_limit(degree, len(gens), max_order, j + 1)
-                    seen[k] = j
-                    keys.append(k)
-                    elements.append(ek.translate(g))
-        gen_indices = [seen[k] for k in map(keys[0].translate, factors)]
-        del keys
+                    at[k] = j
+                    get.append(itemgetter(k) if one else itemgetter(*k))
+                    elements.append(times(g))
     else:
-        # elements[k] * g is times_of(elements[k])(factor(g.images)).  It
-        # is its own key, or with a base, g's images read at elements[k]'s
-        # base images: a bare int on a one-point base, as FiniteGroup._get
-        # reads it.
-        key = itemgetter(*base) if base else pack
-        seen = {key(ident): 0}
+        seen = {elements[0]: 0}
         for ek in elements:
             times = times_of(ek)
-            look = itemgetter(*map(ek.__getitem__, base)) if base else times
             for g in factors:
-                k = look(g)
+                k = times(g)
                 if k not in seen:
                     j = len(elements)
                     if j >= limit:  # raises, as j + 1 > limit
                         order_limit(degree, len(gens), max_order, j + 1)
-                    elements.append(times(g) if base else k)
                     seen[k] = j
-        gen_indices = [seen[key(g.images)] for g in gens]
-    del seen  # freed before the group builds its own lookup
-    return FiniteGroup(degree, elements, gen_indices)
+                    elements.append(k)
+        del seen  # freed before the index is built
+        base = _greedy_base(elements)
+        keys = list(map(itemgetter(*base), elements))
+        get = list((starmap if len(base) > 1 else map)(itemgetter, keys))
+        at = dict(zip(keys, range(len(elements))))
+    gen_indices = [at[get[0](g)] for g in factors]
+    return FiniteGroup(degree, elements, gen_indices, tuple(base), get, at)
 
 
 def _kept(fn):
@@ -282,23 +280,19 @@ def _greedy_base(elements: Sequence[Sequence[int]]) -> tuple:
 class FiniteGroup:
     """A fully enumerated permutation group.  Use :func:`closure` to build one."""
 
-    def __init__(self, degree, elements, gen_indices):
+    def __init__(self, degree, elements, gen_indices, base, get, at):
         self.degree = degree
         self.elements = elements
         self.gen_indices = gen_indices
         self.cache: dict = {}
         self._inv: list[Optional[int]] = [None] * len(elements)
-        self._orders: list[Optional[int]] = [None] * len(elements)
-        self._rows: list[Optional[list]] = [None] * len(elements)
-        self.base = _greedy_base(elements)
+        self._orders, self._rows = {}, {}
+        self.base = base
         # _get[i] reads off, from the images of an element g, the images of
-        # element i's base images: the base images of elements[i] * g.
-        # Applied to the identity it gives element i's own, its key in _at.
-        # On a one-point base a key is a bare int, and _get gives a bare int.
-        keys = list(map(itemgetter(*self.base), elements))
-        self._get = list((starmap if len(self.base) > 1 else map)(
-            itemgetter, keys))
-        self._at = dict(zip(keys, range(len(elements))))
+        # element i's base images: the base images of elements[i] * g, its
+        # key in _at.  On a one-point base a key is a bare int.
+        self._get = get
+        self._at = at
         # the base's columns and all images joined, on first use (_keys)
         self._columns: Optional[list] = None
         self._flat: Optional[bytes] = None
@@ -323,7 +317,7 @@ class FiniteGroup:
 
     def row(self, g: int) -> list:
         """The row x -> x*g of the multiplication table, for tight loops."""
-        r = self._rows[g]
+        r = self._rows.get(g)
         if r is None:
             r = self._rows[g] = list(map(self._at.__getitem__,
                                          self._keys(post=g)))
@@ -347,7 +341,8 @@ class FiniteGroup:
         else:
             if self._columns is None:
                 self._columns = ([bytes(self._at)] if len(self.base) == 1
-                                 else [bytes(c) for c in zip(*self._at)])
+                                 else [bytes(map(itemgetter(k), self._at))
+                                       for k in range(len(self.base))])
             cols = self._columns
         if post:
             pad = images + _BYTE_POINTS[self.degree:]
@@ -374,7 +369,7 @@ class FiniteGroup:
 
     def order_of(self, i: int, bound: int = 0) -> int:
         """The order of i; unless kept, 0 once a base cycle passes `bound`."""
-        v = self._orders[i]
+        v = self._orders.get(i)
         if v is None:
             # The base stabilizer is trivial, so g^k = 1 iff g^k fixes every
             # base point: the order is the lcm of the cycle lengths through

@@ -1,9 +1,13 @@
+import contextlib
 import gc
+import io
 import random
+import sys
 import tracemalloc
 from itertools import islice
 from math import lcm, prod
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 import regmaps.grammar
 import regmaps.group
+from regmaps import cli
 from regmaps.census import enumerate_flagged, enumerate_oriented
 from regmaps.classify import classify, detect_p_map
 from regmaps.coset_enum import todd_coxeter
@@ -252,16 +257,17 @@ def test_matrix_groups_hold_their_elements_as_bytes(p, limit_mb):
     assert peak < limit_mb * 10**6
 
 
-# tracemalloc's peak for the ladder on 168 points when closure looked
-# every product up by its full images, measured at 1,925,208 bytes
-# (CPython 3.11): the group's own lookup, built after closure's is freed
-LADDER_P13_PEAK = 1_925_208
+# tracemalloc's peak for the ladder on 168 points: 1,925,208 bytes
+# (CPython 3.11) when the group rebuilt the index after closure's walk and
+# kept three per-element lists; 1,780,023 with the index built in the walk
+# and only the inverses in such a list.  The bounds here add 15,000 bytes,
+# under half of one more list of 4368 entries (34,944)
+LADDER_P13_PEAK = 1_795_000
 
 
 def test_the_ladder_closure_by_base_images_peaks_no_higher():
-    # on bytes, closure keys products by their images of the base (0, 12)
-    # and keeps a 2-byte key per element beside the elements; freed before
-    # the group is built, they must not raise the peak
+    # closure on the base (0, 12) lists each element with its getter and
+    # its key, which the index shares; no second pass keys the elements
     matrix_group(13, LADDER)  # once untraced, so that no first-use cost
     gc.collect()              # is counted
     tracemalloc.start()
@@ -284,13 +290,14 @@ def _ladder_map_phase(G):
 
 # tracemalloc's peak for the map phase of `analyze` on the ladder on 168
 # points, with the group built: 680,378 bytes when the map standardized
-# its table and walked its mirror's, 324,882 by one walk (CPython 3.11);
-# the bound is under that plus one more list of 4368 entries (34,944)
-LADDER_P13_MAP_PEAK = 330_000
+# its table and walked its mirror's, 324,882 by one walk, where the peak
+# was the transpose `zip(*G._at)` that read the base columns, a tuple
+# iterator an element; 191,962 with each column read by `itemgetter`
+# (CPython 3.11), plus the margin above
+LADDER_P13_MAP_PEAK = 207_000
 
 
 def test_the_ladder_map_phase_peaks_no_higher():
-    # the rows of r and l, built by the walk, are the peak's larger part
     _ladder_map_phase(matrix_group(13, LADDER))  # untraced: first-use costs
     G = matrix_group(13, LADDER)
     gc.collect()
@@ -301,6 +308,60 @@ def test_the_ladder_map_phase_peaks_no_higher():
     finally:
         tracemalloc.stop()
     assert peak <= LADDER_P13_MAP_PEAK
+
+
+LADDER_P13_FILE = (Path(__file__).resolve().parent.parent / "perfbench"
+                   / "data" / "ladder" / "ladder_p13.grp")
+
+
+def _analyze_ladder_p13():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(LADDER_P13_FILE)]) == 0
+
+
+# tracemalloc's peak for `analyze ladder_p13` in-process, from the file to
+# its report: 2,192,248 bytes (CPython 3.11) when the group rebuilt closure's
+# index, kept per-element lists of orders and rows and transposed the index
+# to read its base columns; 1,972,552 without them, plus the margin above
+ANALYZE_LADDER_P13_PEAK = 1_988_000
+
+
+def test_analyze_on_the_ladder_peaks_no_higher():
+    _analyze_ladder_p13()  # untraced: first-use costs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _analyze_ladder_p13()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ANALYZE_LADDER_P13_PEAK
+
+
+def test_analyze_on_the_ladder_keeps_only_the_orders_and_rows_it_read(
+        monkeypatch):
+    # analyze reads 40 inverses, 293 element orders and the rows of r and l
+    # of its 4368 elements; the group holds those orders and rows and no
+    # other entry, and its list of inverses only those 40
+    groups = []
+    realize = cli.realize_group_file
+
+    def kept(*args, **kwargs):
+        rz = realize(*args, **kwargs)
+        groups.append(rz.group)
+        return rz
+    monkeypatch.setattr(cli, "realize_group_file", kept)
+    _analyze_ladder_p13()
+    [G] = groups
+    inverses = {i: v for i, v in enumerate(G._inv) if v is not None}
+    assert (len(inverses), len(G._orders), len(G._rows)) == (40, 293, 2)
+    assert sorted(G._rows) == sorted(G.gen_indices)
+    for i, v in inverses.items():
+        assert G.mul(i, v) == 0
+    for i, v in G._orders.items():
+        assert v == oracles.tuple_order(G.elements[i])
+    for g, row in G._rows.items():
+        assert row == [G.mul(x, g) for x in range(G.order)]
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -1329,13 +1390,47 @@ def test_rows_centralizers_and_classes_match_per_entry_oracles(corpus, name):
 
 # -- the index: one key object per element ----------------------------------
 
-INDEX_GROUPS = {**LOOKUP_GROUPS, "ladder_p13": lambda corpus: matrix_group(
-    13, (((2, 1), (1, 0)), ((0, 1), (1, 0))))}
+def _g2106(corpus):
+    """g2106, realized on the 81 cosets of a cyclic subgroup."""
+    return corpus["g2106_chiral.grp"].group
+
+
+# Closed on a base its caller passes, and the base each keeps: the ladder
+# on (0, 12), g2106 on the cosets its generator's cycles give, G/O_3 of
+# g2106 (order 26) on the coset O_3, and a subgroup `regenerated` lists on
+# its parent's base
+BASED_GROUPS = {
+    "ladder_p13": (lambda corpus: matrix_group(13, LADDER), (0, 12)),
+    "g2106_on_81_cosets": (_g2106, (0, 3)),
+    "g2106_mod_o3_regular": (
+        lambda corpus: quotient_group(_g2106(corpus),
+                                      o_p(_g2106(corpus), 3))[0], (0,)),
+    "ladder_p13_regenerated_sylow2": (
+        lambda corpus: regenerated(matrix_group(13, LADDER),
+                                   sylow_p(matrix_group(13, LADDER), 2).gens),
+        (0, 12)),
+}
+
+
+@pytest.mark.parametrize("name", BASED_GROUPS)
+def test_a_based_group_keeps_the_base_it_was_closed_on(corpus, name):
+    make, base = BASED_GROUPS[name]
+    G = make(corpus)
+    assert G.base == base
+    plain = closure(G.degree, [Perm._raw(tuple(G.elements[g]))
+                               for g in G.gen_indices])
+    assert (G.elements, G.gen_indices) == (plain.elements, plain.gen_indices)
+
+
+INDEX_GROUPS = {**LOOKUP_GROUPS,
+                **{name: make for name, (make, _) in BASED_GROUPS.items()}}
 
 
 @pytest.mark.parametrize("name", INDEX_GROUPS)
 def test_index_matches_the_per_element_comprehensions(corpus, name):
-    # the getters and the dict as built one element at a time
+    # the getters and the dict as built one element at a time, whether
+    # closure's walk built them on its caller's base or the group was
+    # indexed on the base it grew
     G = INDEX_GROUPS[name](corpus)
     pick = itemgetter(*G.base)
     if len(G.base) > 1:
@@ -1349,30 +1444,35 @@ def test_index_matches_the_per_element_comprehensions(corpus, name):
         assert [g(images) for g in G._get] == [g(images) for g in get]
 
 
-def _index_bytes_per_element(G) -> float:
-    """The bytes FiniteGroup holds beyond the elements it is given, per
-    element: its base, getters, index and per-element lists."""
+def _index_bytes_per_element(make) -> float:
+    """The bytes a group holds beyond its elements, per element: its
+    getters, its index and its per-element caches, as closure builds
+    them."""
+    make()  # once untraced, so that no first-use cost is counted
     gc.collect()  # empties the free lists, so that each object is traced
     tracemalloc.start()
     try:
-        H = FiniteGroup(G.degree, G.elements, G.gen_indices)
+        G = make()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert H.order == G.order
-    return held / G.order
+    elements = sys.getsizeof(G.elements) + sum(map(sys.getsizeof,
+                                                   G.elements))
+    return (held - elements) / G.order
 
 
 @pytest.mark.parametrize("make,degree,most", [
-    (lambda: matrix_group(13, LADDER), 168, 230),
-    (lambda: dihedral_group(300), 300, 210),
+    (lambda: matrix_group(13, LADDER), 168, 205),
+    (lambda: dihedral_group(300), 300, 205),
 ], ids=["ladder_p13_bytes", "d300_tuples"])
 def test_index_bytes_per_element(make, degree, most):
-    # each getter shares its key with the index: 217 and 204 B an element
-    # on Python 3.11, against 269 and 257 with a key apiece
-    G = make()
-    assert G.degree == degree
-    assert _index_bytes_per_element(G) <= most
+    # a getter, its key shared with the index, a dict entry and a slot for
+    # its inverse: 197 and 195 B an element on Python 3.11, the ladder
+    # indexed by closure's walk on its base and d300 on the base it grew;
+    # 217 and 211 when each group also kept per-element lists of orders
+    # and rows
+    assert make().degree == degree
+    assert _index_bytes_per_element(make) <= most
 
 
 # The products derived_series forms, G.mul calls: a term that passes half
