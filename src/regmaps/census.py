@@ -42,10 +42,11 @@ commute with t, r and l.  Each drops the members in the acting group
 (for l, the noncentral ones), a set that conjugation by that group keeps.
 
 The second keeps a tuple only if its image generates the abelian quotient
-G/G′, G′ the derived subgroup, by two closed-form rules on the labels of
-the elements by their cosets of G′ (:class:`_Abelianization`): the order of
-an oriented pair's image, and the rank over GF(2) of the images of the
-involutions of a flagged tuple.  Conjugation fixes every coset of G′, since
+Q = G/G′, G′ the derived subgroup, by two closed-form rules read inside Q
+on the labels of the entries, their images in the group
+:func:`regmaps.group.quotient_group` builds (:class:`_Abelianization`): the
+order of an oriented pair's image, and the rank over GF(2) of the images of
+the involutions of a flagged tuple.  Conjugation fixes every label, since
 x^c = x[x, c] with [x, c] in G′, so the member lists are cut before the
 orbit walk.  A first entry that no involutions complete is skipped before
 its centralizer is built, a second entry of a flagged tuple is kept if some
@@ -66,8 +67,8 @@ from typing import Optional
 
 from .classify import PMapClassification, classify, detect_p_map
 from .errors import ResourceLimitExceeded, TheoremViolation
-from .group import (FiniteGroup, coset_action, derived_subgroup,
-                    prime_factors, standard_table)
+from .group import (FiniteGroup, derived_subgroup, quotient_group,
+                    standard_table)
 from .maps import FlaggedMap, MapReport, OrientedMap
 
 DEFAULT_CENSUS_MAX_ORDER = 2000
@@ -107,45 +108,39 @@ def _add(classes: dict, key: tuple, weight: int, cls, G: FiniteGroup,
 
 
 class _Abelianization:
-    """The test that a tuple's image generates G/G′, on the labels of its
-    entries by their cosets of G′.  A perfect G has G/G′ = 1: every tuple
-    passes, and no labels are built.
+    """The test that a tuple's image generates Q = G/G′, on the labels of
+    its entries, their images in Q as :func:`quotient_group` numbers them.
+    A perfect G has G/G′ = 1: every tuple passes, and no labels are built.
 
     The images of the involutions span an elementary abelian 2-subgroup W
-    of G/G′; ``vec`` gives each label in W as a bit mask over a basis of W.
+    of Q; ``vec`` gives each label in W as a bit mask over a basis of W.
     """
 
     def __init__(self, G: FiniteGroup, invs: list):
         derived = derived_subgroup(G)
-        self.G = G
         self.label = None
         if derived.order < G.order:
-            _, label = coset_action(G, derived)
-            self.label = label
-            self.order = G.order // derived.order
+            Q, label = quotient_group(G, derived)
+            self.Q, self.label, self.order = Q, label, Q.order
             # W doubles with each new label, so len(vec) is the next bit
-            self.vec, elems = {0: 0}, [0]
-            for l in invs:
-                if label[l] not in self.vec:
-                    bit, new = len(self.vec), [G.mul(e, l) for e in elems]
-                    for e, z in zip(elems, new):
-                        self.vec[label[z]] = self.vec[label[e]] | bit
-                    elems += new
+            self.vec = vec = {0: 0}
+            for a in map(label.__getitem__, invs):
+                if a not in vec:
+                    bit = len(vec)
+                    vec.update([(Q.mul(e, a), v | bit)
+                                for e, v in vec.items()])
 
     def oriented(self, r: int, invs: list) -> list:
-        """The involutions l for which the image of (r, l) generates G/G′,
-        in order.  If r's image has order k, and h is the label of its one
-        image of order 2 (k even), that image has order k, times 2 unless
-        l's label is 0 or h."""
-        G, label = self.G, self.label
+        """The involutions l for which the image of (r, l) generates Q, in
+        order.  If r's image has order k, and h is its one power of order 2
+        (k even), the image of (r, l) has order k, times 2 unless l's
+        label is 0 or h."""
+        label = self.label
         if label is None:
             return invs
-        # k is the least divisor of the order of r with r^k in G′
-        k = G.order_of(r)
-        for p in prime_factors(k):
-            while k % p == 0 and label[G.power(r, k // p)] == 0:
-                k //= p
-        h = label[G.power(r, k // 2)] if k % 2 == 0 else None
+        Q, a = self.Q, label[r]
+        k = Q.order_of(a)
+        h = Q.power(a, k // 2) if k % 2 == 0 else None
         return [l for l in invs
                 if k * (1 if label[l] in (0, h) else 2) == self.order]
 

@@ -153,7 +153,6 @@ class _Cursor:
 
 # -- word parsing ----------------------------------------------------------
 
-MAX_EXPONENT = 10**6
 # Deepest nesting of brackets and parentheses in one word; the parser
 # recurses once per level, and lexing stops there too.
 MAX_NESTING = 100
@@ -181,11 +180,8 @@ def _parse_factor(cur: _Cursor, names: dict) -> Word:
         raise ParseError("expected an exponent", cur.lineno, cur.col)
     if t[0] == "int":
         cur.next()
-        e = t[1]
-        if abs(e) > MAX_EXPONENT:
-            raise ParseError("exponent overflow", cur.lineno, t[2])
         try:
-            return atom ** e
+            return atom ** t[1]
         except ContractViolation:
             raise ParseError("exponent overflow", cur.lineno, t[2]) from None
     return atom.conj(_parse_atom(cur, names))

@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import compress, product as iproduct, starmap, takewhile
+from itertools import compress, product as iproduct, starmap
 from math import factorial, lcm, prod
 from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -405,16 +405,14 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def _grow(self, members: set, gens: list, new: Iterable[int],
-              cap: Optional[int] = None) -> None:
+    def _grow(self, members: set, gens: list, new: Iterable[int]) -> None:
         """Grow `members`, the subgroup generated by `gens`, in place by each
         element of `new` that is not yet a member.  Such an element s joins
         `gens`; the old members are multiplied by s alone, since their
         products by the old generators are members already, and only the
         members this makes are multiplied by every generator.  The result
         is closed under all of `gens`, hence the subgroup they generate.
-        `new` is read lazily, against the members grown so far.  With a
-        `cap`, it stops part done once `members` passes `cap`."""
+        `new` is read lazily, against the members grown so far."""
         mul = self.mul
         for s in new:
             if s in members:
@@ -422,9 +420,7 @@ class FiniteGroup:
             gens.append(s)
             fresh = [y for m in members if (y := mul(m, s)) not in members]
             members.update(fresh)
-            walk = fresh if cap is None else takewhile(
-                lambda _: len(members) <= cap, fresh)
-            for x in walk:
+            for x in fresh:
                 for g in gens:
                     y = mul(x, g)
                     if y not in members:
@@ -666,33 +662,29 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     return Q, coset_of
 
 
-def derived_subgroup(G: FiniteGroup, sub: Optional[Subgroup] = None,
-                     cap: Optional[int] = None) -> Optional[Subgroup]:
+def derived_subgroup(G: FiniteGroup,
+                     sub: Optional[Subgroup] = None) -> Subgroup:
     """Commutator subgroup of `sub` (default: of G itself), as a subgroup of
-    G; with a `cap`, None once it passes `cap` members."""
+    G."""
     gens = (sub if sub is not None else G.improper_subgroup()).gens
     seeds = {G.comm(a, b) for a in gens for b in gens if a != b} - {0}
-    return normal_closure(G, gens, seeds, cap)
+    return normal_closure(G, gens, seeds)
 
 
 def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
-                   seeds: Iterable[int],
-                   cap: Optional[int] = None) -> Optional[Subgroup]:
+                   seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing `seeds` normalized by <ambient_gens>.
 
     The seeds, in increasing order, and then the conjugates of each
     generator by each ambient generator, are taken from one queue; only a
     candidate outside the subgroup grown so far becomes a generator.  Once
     the queue is empty, H^a lies in H for each generator a of the ambient
-    group, so a finite H is normalized by it.  With a `cap`, returns None
-    once H passes `cap` members."""
+    group, so a finite H is normalized by it."""
     members, gens = {0}, []
     queue = sorted(set(seeds))
     for s in queue:
         if s not in members:
-            G._grow(members, gens, (s,), cap)
-            if cap is not None and len(members) > cap:
-                return None
+            G._grow(members, gens, (s,))
             queue.extend(G.conj(s, a) for a in ambient_gens)
     return Subgroup(G, frozenset(members), tuple(gens))
 
@@ -700,12 +692,11 @@ def normal_closure(G: FiniteGroup, ambient_gens: Sequence[int],
 @_kept
 def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """G, G′, G″, ... down to the trivial group or to the first perfect
-    term, each term once, kept per group.  S′ lies in S, so by Lagrange
-    |S′| divides |S|: once S′ passes |S|/2 members it is S, which is
-    perfect, and the series stops there, S′ not grown in full."""
-    S = G.improper_subgroup()
-    series = [S]
-    while S.order > 1 and (S := derived_subgroup(G, S, S.order // 2)):
+    term, each term once, kept per group: the series stops at the first
+    term whose derived subgroup has its order, hence is that term."""
+    series = [G.improper_subgroup()]
+    while series[-1].order > 1 and (
+            S := derived_subgroup(G, series[-1])).order < series[-1].order:
         series.append(S)
     return tuple(series)
 
@@ -836,29 +827,6 @@ def standard_table(rows: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
     return tuple(table) if len(order) == n else None
 
 
-def matches_table(rows: Sequence[Sequence[int]], n: int, key: tuple) -> bool:
-    """``standard_table(rows, n) == key`` for a table `key`, by the same
-    walk, which stops at the first entry that differs from `key`.  Kept
-    apart from :func:`standard_table`, whose inner loop the census runs
-    for every candidate and which a comparison would slow down."""
-    if len(key) != n * len(rows):
-        return False
-    label = [-1] * n
-    label[0] = 0
-    order = [0]
-    want = iter(key).__next__
-    for x in order:
-        for row in rows:
-            y = row[x]
-            k = label[y]
-            if k < 0:
-                k = label[y] = len(order)
-                order.append(y)
-            if k != want():
-                return False
-    return len(order) == n
-
-
 def standardize(G: FiniteGroup, gen_indices: Sequence[int]) -> Optional[tuple]:
     """Standardized table of a generating tuple (hashable), or None when the
     tuple does not generate G.  See :func:`standard_table`."""
@@ -887,8 +855,9 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
 
     Candidate images of a small generating tuple of G1 are pruned by element
     order and conjugacy class size, which keeps the search tiny for the group
-    orders this package meets; an assignment is an isomorphism's image iff
-    its standardized table equals that of the tuple.
+    orders this package meets.  An assignment is an isomorphism's image iff
+    :func:`_lift` over the tuple's rows, with the assignment's rows as
+    moves, finds a homomorphism that is one-to-one.
     """
     n = len(G1.elements)
     if n != len(G2.elements):
@@ -900,11 +869,14 @@ def isomorphism_search(G1: FiniteGroup, G2: FiniteGroup) -> bool:
     if fp1 != fp2:
         return False
     gens1 = small_generating_set(G1)
-    key1 = standardize(G1, gens1)
+    rows1 = [G1.row(g) for g in gens1]
     pools = [[k for k in range(n) if G2.order_of(k) == G1.order_of(g)
               and sizes2[k] == sizes1[g]] for g in gens1]
-    return any(matches_table([G2.row(a) for a in assignment], n, key1)
-               for assignment in iproduct(*pools))
+    for assignment in iproduct(*pools):
+        _, hom, img = _lift(rows1, [G2.row(a) for a in assignment], n, True)
+        if hom and len(set(img)) == n:
+            return True
+    return False
 
 
 @_kept

@@ -554,7 +554,7 @@ def test_perfect_group_drops_nothing_and_builds_no_labels(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("labels built for a perfect group")
-    monkeypatch.setattr(regmaps.census, "coset_action", refuse)
+    monkeypatch.setattr(regmaps.census, "quotient_group", refuse)
     calls = _count_candidates(monkeypatch)
     centre = _centre(G)
     # the scan meets 17 oriented and 18 flagged candidates; the centralizer

@@ -16,10 +16,14 @@ stdout and the whole of stderr.  The text output is pinned the same way:
 analyze, quotient at p = 2 and 3, both censuses, tc and tc --export-perms
 without --json on every corpus and `limits` file, and verify-corpus.
 `analyze` and `quotient` at p = 2 and 3, with and without --json, are
-pinned on both ladder files.  The benchmark files are only read.
+pinned on both ladder files.  Outputs do not depend on Python's hash seed:
+four commands give the same stdout in child processes under three values
+of PYTHONHASHSEED.  The benchmark files are only read.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -428,3 +432,30 @@ def test_ladder_output_is_pinned(capsys, name, command, flags):
     out, err = capsys.readouterr()
     assert (rc, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
         0, LADDER_PINS[name, command, flags], "")
+
+
+HASH_SEED_RUNS = [
+    ("g216_nonorientable.grp", ["analyze", "--json"]),
+    ("g216_nonorientable.grp", ["census", "--kind", "oriented", "--json"]),
+    ("g216_nonorientable.grp", ["census", "--kind", "flagged", "--json"]),
+    ("g72_3map.grp", ["quotient", "--p", "3", "--json"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", HASH_SEED_RUNS, ids=[
+    "-".join((n.split(".")[0], *a[:1], *a[2:3])) for n, a in HASH_SEED_RUNS])
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, name, argv):
+    # sets and dicts keyed by str or bytes iterate in an order that the
+    # seed changes, so an output that read one would differ between seeds
+    f = tmp_path / name
+    f.write_text(corpus_text(name), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = set()
+    for seed in ("0", "1", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "regmaps", argv[0], str(f), *argv[1:]],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert (proc.returncode, proc.stderr) == (0, ""), seed
+        outs.add(proc.stdout)
+    assert len(outs) == 1

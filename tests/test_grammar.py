@@ -176,6 +176,8 @@ _GENS = "group t\ngens a\n"
     ("group t\nmat a = [[1,0],[0,1]] mod 3\nmat b = [[1,0],[0,1]] mod 5\n",
      "line 3, column 27: all matrices must share one modulus"),
     (_GENS + "rel a^2000000000\n", "line 3, column 7: exponent overflow"),
+    # the one bound is on letters: a^1000001 expands past 10^6 of them
+    (_GENS + "rel a^1000001\n", "line 3, column 7: exponent overflow"),
     ("group t\ngens a, b\nrel (a*b)^600000\n",
      "line 3, column 11: exponent overflow"),
     (_GENS + "rel a^600000*a^600000\n",
@@ -206,6 +208,26 @@ def test_a_long_power_relator_is_parsed_in_one_copy():
         tracemalloc.stop()
     assert gf.presentation.relators[0] == Word.gen(0) ** 10**6
     assert peak <= 10_000_000
+
+
+_S3 = "group t\ngens a, b\nrel a^2\nrel b^3\nrel (a*b)^2\n"
+
+
+@pytest.mark.parametrize("text,status,message", [
+    # a power of the empty word is empty, however large its exponent: a
+    # relator that is no relator, and a map entry that is the identity
+    (_S3 + "rel (a*a^-1)^2000000\nmap m : oriented r=b l=a\n", 0, ""),
+    (_S3 + "map m : oriented r=(b*b^-1)^2000000 l=a\n", 3,
+     "error: map 'm': rotation must not be the identity\n"),
+], ids=["empty-relator", "identity-rotation"])
+def test_a_power_of_the_empty_word_is_empty(tmp_path, capsys, text, status,
+                                            message):
+    p = tmp_path / "t.grp"
+    p.write_text(text, encoding="utf-8")
+    assert cli.main(["analyze", str(p)]) == status
+    assert capsys.readouterr().err == message
+    if status == 0:
+        assert len(parse_group_file(text).presentation.relators) == 3
 
 
 @pytest.mark.parametrize("text,message", [

@@ -30,6 +30,7 @@ ALLOWED = {
     "group:GroupHom.is_bijective": "perfbench/spans.py wraps it by name",
     "maps:oriented_of_flagged": "declared API; ROADMAP item 9 uses it",
     "maps:_Map.key": "public API (README) that no command reads",
+    "group:standardize": "public API (README) that no command runs",
     "words:Word.__post_init__":
         "validates outside input to the public constructor",
     "words:_reduce": "validates outside input to the public constructor",
